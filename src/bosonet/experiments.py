@@ -12,9 +12,9 @@ the total lives in ``meta.json`` and per-row timings in ``timings.csv``.
 Randomness policy: the generator for ensemble member ``c`` of sweep point
 ``p`` is ``PCG64(SeedSequence(seed, spawn_key=(p, c)))``, and auxiliary
 streams (e.g. the sampler) append one more integer to the spawn key.  The
-derivation is counter-based, so running circuits in parallel, in any order,
-or resuming after a checkpoint cannot change any result.  Sweep points are
-numbered in the deterministic order the config enumerates them; recipes that
+derivation is counter-based, so running circuits in any order or resuming
+after a checkpoint cannot change any result.  Sweep points are numbered in
+the deterministic order the config enumerates them; recipes that
 must reuse one circuit across a sweep axis (the bond-dimension sweep) key the
 circuit stream on the point index with that axis removed.
 """
@@ -26,7 +26,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -58,8 +57,8 @@ EXPERIMENTS = (
 )
 
 #: Config fields that do not influence the science and are excluded from the
-#: config hash: where outputs go, how work is scheduled, and when to stop.
-_PLUMBING_FIELDS = ("out_dir", "workers", "checkpoint_every", "max_seconds")
+#: config hash: where outputs go, how often to checkpoint, and when to stop.
+_PLUMBING_FIELDS = ("out_dir", "checkpoint_every", "max_seconds")
 
 
 class ConfigError(ValueError):
@@ -101,7 +100,6 @@ class ExperimentConfig:
     out_dir: str | None = None
     checkpoint_every: int = 0
     max_seconds: float | None = None
-    workers: int = 1
 
     def policy(self, chi: int | None = None) -> TruncationPolicy:
         kwargs: dict[str, Any] = {"chi_max": chi if chi is not None else self.chi_max}
@@ -191,8 +189,11 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("chis", "bond sweep must be a nonempty list of positive ints")
     if config.n_circuits < 1:
         raise ConfigError("n_circuits", "ensemble needs at least one circuit")
-    if config.workers < 1:
-        raise ConfigError("workers", "worker pool must be at least 1")
+    for sweep in ("num_modes", "num_photons", "alphas", "chis", "gammas", "betas", "outcomes"):
+        values = getattr(config, sweep) or []
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError(sweep, f"sweep values must be distinct, {repeated[0]!r} repeats")
     if config.checkpoint_every < 0:
         raise ConfigError("checkpoint_every", "must be >= 0 (0 disables)")
     if config.max_seconds is not None and config.max_seconds < 0:
@@ -274,9 +275,9 @@ def _mu_at(gamma: float, beta: float, num_photons: int) -> float:
 def config_hash(config: ExperimentConfig) -> str:
     """Short digest of the science-bearing config fields.
 
-    Output location, worker count, checkpoint cadence, and the wall-clock
-    budget cannot change any emitted number, so they are excluded; everything
-    else (including the seed) is hashed canonically.
+    Output location, checkpoint cadence, and the wall-clock budget cannot
+    change any emitted number, so they are excluded; everything else
+    (including the seed) is hashed canonically.
     """
     doc = config.to_dict()
     for key in _PLUMBING_FIELDS:
@@ -300,6 +301,9 @@ class RunRecord:
     status: str = "ok"
     message: str = ""
     timings: list[dict[str, Any]] = field(default_factory=list)
+    #: ``(circuit, draws, metadata)`` per ``samples_c<circuit>.csv`` to write.
+    sample_files: list[tuple[int, list[sampling.SamplingResult], dict[str, str]]] = field(
+        default_factory=list)
 
 
 def circuit_rng(seed: int, point_index: int, circuit_index: int, stream: int = 0
@@ -317,16 +321,46 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def _map_indexed(workers: int, items: list, fn: Callable) -> list:
-    """Apply ``fn`` to each item, optionally on a bounded thread pool.
+def _sweep_points(config: ExperimentConfig, loss_axis: list) -> list[tuple[int, int, Any]]:
+    """The (M, N, loss point) sweep points in seed order, skipping N > M.
 
-    Results come back in item order whatever the completion order, so the
-    worker count cannot influence any output.
+    A point's position in this list is the point index of its circuit streams.
     """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [(m, n, lp) for m in config.num_modes for n in config.num_photons if n <= m
+            for lp in loss_axis]
+
+
+def _run_units(config: ExperimentConfig, points: list[tuple[int, int, Any]],
+               columns: list[str], run_unit: Callable[..., list[dict[str, Any]]]
+               ) -> list[dict[str, Any]]:
+    """Run ``run_unit(point_index, circuit, M, N, loss_point)`` per unit, in order.
+
+    Each unit makes its own budget checks.  When one raises
+    :class:`ResourceAbort`, the abort leaves carrying the rows of the units
+    that completed and the recipe's columns.
+    """
+    rows: list[dict[str, Any]] = []
+    try:
+        for point_index, (m, n, lp) in enumerate(points):
+            for c in range(config.n_circuits):
+                rows.extend(run_unit(point_index, c, m, n, lp))
+    except ResourceAbort as abort:
+        abort.rows, abort.columns = rows, columns
+        raise
+    return rows
+
+
+def _group(rows: list[dict[str, Any]], key: Callable[[dict[str, Any]], Any],
+           value: str) -> dict[Any, list]:
+    """``row[value]`` per ``key(row)``, in one pass over the rows.
+
+    Each group keeps row order, which is the order the values were computed
+    in, so the summary statistics are the same floats a scan per point gives.
+    """
+    groups: dict[Any, list] = {}
+    for row in rows:
+        groups.setdefault(key(row), []).append(row[value])
+    return groups
 
 
 class _Budget:
@@ -411,15 +445,11 @@ def _evolve_by_layers(
             raise
         for gate in layers[layer_index]:
             apply_gate(state, gate, policy)
-        rows.extend(on_layer_state(on_layer, layer_index, state))
+        rows.extend(on_layer(layer_index, state))
         if ckpt.every > 0 and (layer_index + 1) % ckpt.every == 0:
             ckpt.save(point_index, circuit_index, state, layer_index + 1, rows)
     ckpt.clear(point_index, circuit_index)
     return state, rows
-
-
-def on_layer_state(on_layer, layer_index: int, state) -> list[dict[str, Any]]:
-    return on_layer(layer_index, state)
 
 
 # ---------------------------------------------------------------------------
@@ -431,26 +461,16 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
     """Entropy-growth sweeps: lossless-ee, fock-ee (bunched input), lossy-ee."""
     lossy = config.experiment == "lossy-ee"
     bunched = config.experiment == "fock-ee"
-    loss_axis = _loss_points(config) if lossy else [None]
-    points: list[tuple] = []
-    for m in config.num_modes:
-        for n in config.num_photons:
-            if n > m:
-                continue
-            for lp in loss_axis:
-                points.append((m, n, lp))
-
-    loss_cols = ["gamma", "beta", "mu", "trace"] if lossy else []
-    columns = (["config_hash", "M", "N"] + loss_cols[:3]
+    points = _sweep_points(config, _loss_points(config) if lossy else [None])
+    loss_cols = ["gamma", "beta", "mu"] if lossy else []
+    columns = (["config_hash", "M", "N"] + loss_cols
                + ["chi", "circuit", "layer", "alpha", "max_ee", "peak_bond",
                   "max_bond_dim", "discarded_weight"]
                + (["trace"] if lossy else []))
     ckpt = _Checkpointer(config, digest)
     policy = config.policy()
 
-    def run_unit(unit: tuple[int, int]) -> list[dict[str, Any]]:
-        point_index, c = unit
-        m, n, lp = points[point_index]
+    def run_unit(point_index: int, c: int, m: int, n: int, lp) -> list[dict[str, Any]]:
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
         base: dict[str, Any] = {"config_hash": digest, "M": m, "N": n,
                                 "chi": policy.chi_max, "circuit": c}
@@ -492,30 +512,17 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
         )
         return rows
 
-    units = [(p, c) for p in range(len(points)) for c in range(config.n_circuits)]
-    rows: list[dict[str, Any]] = []
-    try:
-        for chunk in _map_indexed(config.workers, units, run_unit):
-            rows.extend(chunk)
-    except ResourceAbort as abort:
-        abort.rows = rows
-        abort.columns = columns
-        raise
+    rows = _run_units(config, points, columns, run_unit)
 
-    sum_loss_cols = ["gamma", "beta", "mu"] if lossy else []
-    summary_columns = (["config_hash", "M", "N"] + sum_loss_cols
+    summary_columns = (["config_hash", "M", "N"] + loss_cols
                        + ["alpha", "mean_peak_ee", "stderr", "n_circuits"])
+    layer_ees = _group(rows, lambda r: (r["M"], r["N"],
+                                        (r["gamma"], r["beta"]) if lossy else None,
+                                        r["alpha"], r["circuit"]), "max_ee")
     summary = []
-    for point_index, (m, n, lp) in enumerate(points):
+    for m, n, lp in points:
         for alpha in config.alphas:
-            peaks = []
-            for c in range(config.n_circuits):
-                vals = [r["max_ee"] for r in rows
-                        if r["M"] == m and r["N"] == n and r["circuit"] == c
-                        and r["alpha"] == alpha
-                        and (not lossy or (r["gamma"], r["beta"]) == lp)]
-                if vals:
-                    peaks.append(max(vals))
+            peaks = [max(layer_ees[m, n, lp, alpha, c]) for c in range(config.n_circuits)]
             mean, stderr = _mean_stderr(peaks)
             srow: dict[str, Any] = {"config_hash": digest, "M": m, "N": n,
                                     "alpha": alpha, "mean_peak_ee": mean,
@@ -530,17 +537,12 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
 
 def _analytic_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRecord:
     """Closed-form lossy entropy averaged over an ensemble of circuits."""
-    points = [(m, n, gamma, beta)
-              for m in config.num_modes
-              for n in config.num_photons
-              if n <= m
-              for gamma, beta in _loss_points(config)]
+    points = _sweep_points(config, _loss_points(config))
     columns = ["config_hash", "M", "N", "gamma", "beta", "mu", "alpha", "circuit", "ee"]
 
-    def run_unit(unit: tuple[int, int]) -> list[dict[str, Any]]:
+    def run_unit(point_index: int, c: int, m: int, n: int, lp) -> list[dict[str, Any]]:
         budget.check()
-        point_index, c = unit
-        m, n, gamma, beta = points[point_index]
+        gamma, beta = lp
         mu = _mu_at(gamma, beta, n)
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
         angles = partition_angles(circuit_to_unitary(plan), m // 2)
@@ -551,24 +553,15 @@ def _analytic_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> 
                         "ee": lossy_mpo_ee(angles, mu, alpha, n)})
         return out
 
-    units = [(p, c) for p in range(len(points)) for c in range(config.n_circuits)]
-    rows: list[dict[str, Any]] = []
-    try:
-        for chunk in _map_indexed(config.workers, units, run_unit):
-            rows.extend(chunk)
-    except ResourceAbort as abort:
-        abort.rows = rows
-        abort.columns = columns
-        raise
+    rows = _run_units(config, points, columns, run_unit)
 
     summary_columns = ["N", "M", "gamma", "beta", "alpha",
                        "mean_ee", "stderr", "n_samples", "config_hash"]
+    ees = _group(rows, lambda r: (r["M"], r["N"], r["gamma"], r["beta"], r["alpha"]), "ee")
     summary = []
-    for m, n, gamma, beta in points:
+    for m, n, (gamma, beta) in points:
         for alpha in config.alphas:
-            vals = [r["ee"] for r in rows
-                    if (r["M"], r["N"], r["gamma"], r["beta"], r["alpha"])
-                    == (m, n, gamma, beta, alpha)]
+            vals = ees[m, n, gamma, beta, alpha]
             mean, stderr = _mean_stderr(vals)
             summary.append({"N": n, "M": m, "gamma": gamma, "beta": beta,
                             "alpha": alpha, "mean_ee": mean, "stderr": stderr,
@@ -585,19 +578,13 @@ def _trunc_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Run
     comparable across the chi axis.
     """
     chis = config.chis if config.chis is not None else [config.chi_max]
-    points = [(m, n, gamma, beta)
-              for m in config.num_modes
-              for n in config.num_photons
-              if n <= m
-              for gamma, beta in _loss_points(config)]
+    points = _sweep_points(config, _loss_points(config))
     columns = ["config_hash", "M", "N", "gamma", "beta", "mu", "chi", "circuit",
                "one_minus_trace", "discarded_weight", "max_bond_dim"]
-    rows: list[dict[str, Any]] = []
     timings: list[dict[str, Any]] = []
 
-    def run_unit(unit: tuple[int, int]) -> list[tuple[dict[str, Any], dict[str, Any]]]:
-        point_index, c = unit
-        m, n, gamma, beta = points[point_index]
+    def run_unit(point_index: int, c: int, m: int, n: int, lp) -> list[dict[str, Any]]:
+        gamma, beta = lp
         mu = _mu_at(gamma, beta, n)
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
         out = []
@@ -607,43 +594,31 @@ def _trunc_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Run
             state = mpo.init_lossy(n, m, mu)
             mpo.apply_plan_vec(state, plan, config.policy(chi))
             wall = time.perf_counter() - t0
-            row = {"config_hash": digest, "M": m, "N": n, "gamma": gamma,
-                   "beta": beta, "mu": mu, "chi": chi, "circuit": c,
-                   "one_minus_trace": 1.0 - mpo.trace(state),
-                   "discarded_weight": state.discarded_weight,
-                   "max_bond_dim": state.max_bond_dimension()}
-            timing = {"M": m, "N": n, "chi": chi, "circuit": c, "wall_seconds": wall}
-            out.append((row, timing))
+            out.append({"config_hash": digest, "M": m, "N": n, "gamma": gamma,
+                        "beta": beta, "mu": mu, "chi": chi, "circuit": c,
+                        "one_minus_trace": 1.0 - mpo.trace(state),
+                        "discarded_weight": state.discarded_weight,
+                        "max_bond_dim": state.max_bond_dimension()})
+            timings.append({"M": m, "N": n, "chi": chi, "circuit": c, "wall_seconds": wall})
         return out
 
-    units = [(p, c) for p in range(len(points)) for c in range(config.n_circuits)]
-    try:
-        for chunk in _map_indexed(config.workers, units, run_unit):
-            for row, timing in chunk:
-                rows.append(row)
-                timings.append(timing)
-    except ResourceAbort as abort:
-        abort.rows = rows
-        abort.columns = columns
-        raise
+    rows = _run_units(config, points, columns, run_unit)
 
     summary_columns = ["config_hash", "M", "N", "gamma", "beta", "mu", "chi",
                        "mean_one_minus_trace", "stderr", "n_circuits"]
+    deficits = _group(rows, lambda r: (r["M"], r["N"], r["gamma"], r["beta"], r["chi"]),
+                      "one_minus_trace")
     summary = []
-    for m, n, gamma, beta in points:
+    for m, n, (gamma, beta) in points:
         for chi in chis:
-            vals = [r["one_minus_trace"] for r in rows
-                    if (r["M"], r["N"], r["gamma"], r["beta"], r["chi"])
-                    == (m, n, gamma, beta, chi)]
+            vals = deficits[m, n, gamma, beta, chi]
             mean, stderr = _mean_stderr(vals)
             summary.append({"config_hash": digest, "M": m, "N": n, "gamma": gamma,
                             "beta": beta, "mu": _mu_at(gamma, beta, n), "chi": chi,
                             "mean_one_minus_trace": mean, "stderr": stderr,
                             "n_circuits": len(vals)})
-    record = RunRecord(digest, config.experiment, columns, rows,
-                       summary_columns, summary, 0.0, __version__)
-    record.timings = timings
-    return record
+    return RunRecord(digest, config.experiment, columns, rows,
+                     summary_columns, summary, 0.0, __version__, timings=timings)
 
 
 def _build_state(config: ExperimentConfig, m: int, n: int, plan: CircuitPlan,
@@ -662,38 +637,37 @@ def _build_state(config: ExperimentConfig, m: int, n: int, plan: CircuitPlan,
 
 
 def _sample_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRecord:
-    m, n = config.num_modes[0], config.num_photons[0]
-    points = _loss_points(config)
-    mu = _mu_at(*points[0], n) if points else None
+    points = _sweep_points(config, _loss_points(config) or [None])
+    [(m, n, lp)] = points  # validate_config allows one (M, N, loss) point
+    mu = None if lp is None else _mu_at(*lp, n)
     columns = ["config_hash", "M", "N", "mu", "chi", "circuit", "num_samples",
                "state_norm", "min_joint", "max_joint", "max_step_deficit",
                "circuit_fingerprint"]
-    rows = []
     sample_files: list[tuple[int, list[sampling.SamplingResult], dict[str, str]]] = []
-    for c in range(config.n_circuits):
-        try:
-            budget.check()
-        except ResourceAbort as abort:
-            abort.rows, abort.columns = rows, columns
-            raise
-        plan = sample_haar_circuit(m, circuit_rng(config.seed, 0, c))
+
+    def run_unit(point_index: int, c: int, *_) -> list[dict[str, Any]]:
+        budget.check()
+        plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
         state = _build_state(config, m, n, plan)
-        rng = circuit_rng(config.seed, 0, c, stream=1)
+        rng = circuit_rng(config.seed, point_index, c, stream=1)
         results = sampling.sample_many(state, rng, config.num_samples, seed=config.seed)
         joints = [r.joint_probability for r in results]
-        rows.append({"config_hash": digest, "M": m, "N": n,
-                     "mu": "" if mu is None else mu, "chi": config.chi_max,
-                     "circuit": c, "num_samples": len(results),
-                     "state_norm": sampling.state_norm(state),
-                     "min_joint": min(joints), "max_joint": max(joints),
-                     "max_step_deficit": max(r.max_step_deficit for r in results),
-                     "circuit_fingerprint": plan_fingerprint(plan)})
         metadata = {"config_hash": digest, "experiment": config.experiment,
                     "circuit": str(c), "chi": str(config.chi_max),
                     "seed": str(config.seed), "circuit_fingerprint": plan_fingerprint(plan)}
         if mu is not None:
             metadata["mu"] = repr(mu)
         sample_files.append((c, results, metadata))
+        return [{"config_hash": digest, "M": m, "N": n,
+                 "mu": "" if mu is None else mu, "chi": config.chi_max,
+                 "circuit": c, "num_samples": len(results),
+                 "state_norm": sampling.state_norm(state),
+                 "min_joint": min(joints), "max_joint": max(joints),
+                 "max_step_deficit": max(r.max_step_deficit for r in results),
+                 "circuit_fingerprint": plan_fingerprint(plan)}]
+
+    rows = _run_units(config, points, columns, run_unit)
+
     summary_columns = ["config_hash", "M", "N", "mu", "chi", "n_circuits",
                        "total_samples", "mean_state_norm"]
     summary = [{"config_hash": digest, "M": m, "N": n,
@@ -701,44 +675,38 @@ def _sample_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
                 "n_circuits": config.n_circuits,
                 "total_samples": sum(r["num_samples"] for r in rows),
                 "mean_state_norm": float(np.mean([r["state_norm"] for r in rows]))}]
-    record = RunRecord(digest, config.experiment, columns, rows,
-                       summary_columns, summary, 0.0, __version__)
-    record.sample_files = sample_files  # type: ignore[attr-defined]
-    return record
+    return RunRecord(digest, config.experiment, columns, rows,
+                     summary_columns, summary, 0.0, __version__, sample_files=sample_files)
 
 
 def _prob_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRecord:
-    m = config.num_modes[0]
-    lossy = bool(_loss_points(config))
+    """Outcome probabilities per photon number; every N reuses circuit streams (0, c)."""
+    points = _sweep_points(config, _loss_points(config) or [None])
     columns = ["config_hash", "M", "N", "mu", "chi", "circuit", "outcome", "probability"]
-    rows = []
-    for n in config.num_photons:
-        mu = _mu_at(*_loss_points(config)[0], n) if lossy else None
-        for c in range(config.n_circuits):
-            try:
-                budget.check()
-            except ResourceAbort as abort:
-                abort.rows, abort.columns = rows, columns
-                raise
-            plan = sample_haar_circuit(m, circuit_rng(config.seed, 0, c))
-            state = _build_state(config, m, n, plan)
-            for occ in config.outcomes or []:
-                if lossy:
-                    p = mpo.outcome_prob(state, occ)
-                else:
-                    p = mps.probability(state, occ)
-                rows.append({"config_hash": digest, "M": m, "N": n,
-                             "mu": "" if mu is None else mu, "chi": config.chi_max,
-                             "circuit": c, "outcome": " ".join(str(x) for x in occ),
-                             "probability": p})
+    outcomes = [(occ, " ".join(str(x) for x in occ)) for occ in config.outcomes or []]
+
+    def run_unit(point_index: int, c: int, m: int, n: int, lp) -> list[dict[str, Any]]:
+        budget.check()
+        mu = None if lp is None else _mu_at(*lp, n)
+        plan = sample_haar_circuit(m, circuit_rng(config.seed, 0, c))
+        state = _build_state(config, m, n, plan)
+        out = []
+        for occ, key in outcomes:
+            p = mps.probability(state, occ) if mu is None else mpo.outcome_prob(state, occ)
+            out.append({"config_hash": digest, "M": m, "N": n,
+                        "mu": "" if mu is None else mu, "chi": config.chi_max,
+                        "circuit": c, "outcome": key, "probability": p})
+        return out
+
+    rows = _run_units(config, points, columns, run_unit)
+
     summary_columns = ["config_hash", "M", "N", "outcome", "mean_probability",
                        "stderr", "n_circuits"]
+    probs = _group(rows, lambda r: (r["N"], r["outcome"]), "probability")
     summary = []
-    for n in config.num_photons:
-        for occ in config.outcomes or []:
-            key = " ".join(str(x) for x in occ)
-            vals = [r["probability"] for r in rows
-                    if r["outcome"] == key and r["N"] == n]
+    for m, n, _ in points:
+        for _, key in outcomes:
+            vals = probs[n, key]
             mean, stderr = _mean_stderr(vals)
             summary.append({"config_hash": digest, "M": m, "N": n, "outcome": key,
                             "mean_probability": mean, "stderr": stderr,
@@ -753,71 +721,68 @@ def _oracle_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
     exact_policy = TruncationPolicy(chi_max=100_000)
     columns = ["config_hash", "M", "N", "circuit", "check", "deviation",
                "tolerance", "status"]
-    rows = []
     loss_pts = _loss_points(config)
-    grid = [(m, n) for m in config.num_modes for n in config.num_photons if n <= m]
-    for point_index, (m, n) in enumerate(grid):
-            mu = _mu_at(*loss_pts[0], n) if loss_pts else 0.7
-            for c in range(config.n_circuits):
-                try:
-                    budget.check()
-                except ResourceAbort as abort:
-                    abort.rows, abort.columns = rows, columns
-                    raise
-                plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
-                occ_in = tuple([1] * n + [0] * (m - n))
-                checks: dict[str, float] = {}
+    points = _sweep_points(config, [None])
 
-                state = mps.init_fock(occ_in)
-                mps.apply_plan(state, plan, exact_policy)
-                dense = dense_evolve(occ_in, plan)
-                checks["amplitude"] = max(
-                    abs(mps.amplitude(state, occ) - dense.amplitude(occ))
-                    for occ in dense.basis
-                )
-                checks["completeness"] = abs(
-                    sum(mps.probability(state, occ) for occ in dense.basis) - 1.0
-                )
-                if m >= 2 and n >= 1:
-                    sim_spec = np.asarray(mps.schmidt_values(state, m // 2)) ** 2
-                    ref_spec = dense_reduced_spectrum(dense, m // 2)
-                    width = max(len(sim_spec), len(ref_spec))
-                    sim_pad = np.zeros(width)
-                    sim_pad[: len(sim_spec)] = sim_spec
-                    ref_pad = np.zeros(width)
-                    ref_pad[: len(ref_spec)] = ref_spec
-                    checks["pure-spectrum"] = float(np.max(np.abs(sim_pad - ref_pad)))
-                draws = sampling.sample_many(state, circuit_rng(config.seed, point_index, c, 1), 3)
-                checks["pure-chain-rule"] = max(
-                    abs(d.joint_probability - sampling.marginal_prob(state, d.outcome))
-                    for d in draws
-                )
+    def run_unit(point_index: int, c: int, m: int, n: int, _) -> list[dict[str, Any]]:
+        budget.check()
+        mu = _mu_at(*loss_pts[0], n) if loss_pts else 0.7
+        plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
+        occ_in = tuple([1] * n + [0] * (m - n))
+        checks: dict[str, float] = {}
 
-                op = mpo.init_lossy(n, m, mu)
-                mpo.apply_plan_vec(op, plan, exact_policy)
-                reference = exact_lossy_distribution(circuit_to_unitary(plan), n, mu)
-                checks["lossy-prob"] = max(
-                    abs(mpo.outcome_prob(op, occ) - p)
-                    for occ, p in reference.entries.items()
-                )
-                checks["lossy-trace"] = abs(mpo.trace(op) - 1.0)
-                lossy_draws = sampling.sample_many(
-                    op, circuit_rng(config.seed, point_index, c, 2), 3
-                )
-                checks["lossy-chain-rule"] = max(
-                    abs(d.joint_probability - sampling.marginal_prob(op, d.outcome))
-                    for d in lossy_draws
-                )
+        state = mps.init_fock(occ_in)
+        mps.apply_plan(state, plan, exact_policy)
+        dense = dense_evolve(occ_in, plan)
+        checks["amplitude"] = max(
+            abs(mps.amplitude(state, occ) - dense.amplitude(occ))
+            for occ in dense.basis
+        )
+        checks["completeness"] = abs(
+            sum(mps.probability(state, occ) for occ in dense.basis) - 1.0
+        )
+        if m >= 2 and n >= 1:
+            sim_spec = np.asarray(mps.schmidt_values(state, m // 2)) ** 2
+            ref_spec = dense_reduced_spectrum(dense, m // 2)
+            width = max(len(sim_spec), len(ref_spec))
+            sim_pad = np.zeros(width)
+            sim_pad[: len(sim_spec)] = sim_spec
+            ref_pad = np.zeros(width)
+            ref_pad[: len(ref_spec)] = ref_spec
+            checks["pure-spectrum"] = float(np.max(np.abs(sim_pad - ref_pad)))
+        draws = sampling.sample_many(state, circuit_rng(config.seed, point_index, c, 1), 3)
+        checks["pure-chain-rule"] = max(
+            abs(d.joint_probability - sampling.marginal_prob(state, d.outcome))
+            for d in draws
+        )
 
-                for name, deviation in checks.items():
-                    rows.append({"config_hash": digest, "M": m, "N": n, "circuit": c,
-                                 "check": name, "deviation": deviation,
-                                 "tolerance": tol,
-                                 "status": "pass" if deviation <= tol else "fail"})
+        op = mpo.init_lossy(n, m, mu)
+        mpo.apply_plan_vec(op, plan, exact_policy)
+        reference = exact_lossy_distribution(circuit_to_unitary(plan), n, mu)
+        checks["lossy-prob"] = max(
+            abs(mpo.outcome_prob(op, occ) - p)
+            for occ, p in reference.entries.items()
+        )
+        checks["lossy-trace"] = abs(mpo.trace(op) - 1.0)
+        lossy_draws = sampling.sample_many(
+            op, circuit_rng(config.seed, point_index, c, 2), 3
+        )
+        checks["lossy-chain-rule"] = max(
+            abs(d.joint_probability - sampling.marginal_prob(op, d.outcome))
+            for d in lossy_draws
+        )
+        return [{"config_hash": digest, "M": m, "N": n, "circuit": c,
+                 "check": name, "deviation": deviation, "tolerance": tol,
+                 "status": "pass" if deviation <= tol else "fail"}
+                for name, deviation in checks.items()]
+
+    rows = _run_units(config, points, columns, run_unit)
+
     summary_columns = ["config_hash", "check", "max_deviation", "tolerance", "status"]
+    deviations = _group(rows, lambda r: r["check"], "deviation")
     summary = []
-    for name in sorted({r["check"] for r in rows}):
-        worst = max(r["deviation"] for r in rows if r["check"] == name)
+    for name in sorted(deviations):
+        worst = max(deviations[name])
         summary.append({"config_hash": digest, "check": name, "max_deviation": worst,
                         "tolerance": tol,
                         "status": "pass" if worst <= tol else "fail"})
@@ -897,7 +862,7 @@ def run_to_files(config: ExperimentConfig) -> tuple[RunRecord, Path | None]:
         if record.timings:
             _write_csv(out_dir / "timings.csv",
                        list(record.timings[0].keys()), record.timings)
-        for c, results, metadata in getattr(record, "sample_files", []):
+        for c, results, metadata in record.sample_files:
             sampling.write_samples_csv(out_dir / f"samples_c{c}.csv", results, metadata)
         meta = {
             "config_hash": record.config_hash,

@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosonet import mpo, mps, sampling
+from bosonet import experiments, mpo, mps, sampling
 from bosonet.circuit import circuit_to_unitary, sample_haar_circuit
 from bosonet.entropy import lossy_mpo_ee, partition_angles
 from bosonet.experiments import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     circuit_rng,
@@ -35,6 +36,22 @@ def make_doc(**overrides):
     return doc
 
 
+#: One small config per experiment name, for the checks every recipe must pass.
+RECIPE_DOCS = {
+    "lossless-ee": make_doc(),
+    "fock-ee": make_doc(experiment="fock-ee"),
+    "lossy-ee": make_doc(experiment="lossy-ee", loss={"kind": "constant", "mu": 0.6}),
+    "analytic-ee": make_doc(experiment="analytic-ee", gammas=[0.5], betas=[0.7],
+                            alphas=[1.0, 2.0]),
+    "trunc-error": make_doc(experiment="trunc-error", loss={"kind": "constant", "mu": 0.7},
+                            chis=[2, 4, 8]),
+    "sample": make_doc(experiment="sample", num_samples=20),
+    "prob": make_doc(experiment="prob", outcomes=[[1, 1, 0, 0], [0, 0, 1, 1]]),
+    "oracle-check": make_doc(experiment="oracle-check", num_modes=[2, 4],
+                             num_photons=[1, 2], n_circuits=1),
+}
+
+
 # ---------------------------------------------------------------------------
 # config parsing and validation
 # ---------------------------------------------------------------------------
@@ -52,9 +69,27 @@ class TestConfigParsing:
         assert config.num_modes == [4]
         assert config.num_photons == [2]
 
-    def test_unknown_field_names_the_field(self):
-        with pytest.raises(ConfigError, match="'bond_budget'"):
-            config_from_dict(make_doc(bond_budget=3))
+    @pytest.mark.parametrize("name", ["bond_budget", "workers"])
+    def test_unknown_field_names_the_field(self, name):
+        with pytest.raises(ConfigError, match=f"'{name}'"):
+            config_from_dict(make_doc(**{name: 3}))
+
+    @pytest.mark.parametrize("sweep, overrides", [
+        pytest.param(sweep, overrides, id=sweep) for sweep, overrides in (
+            ("num_modes", {"experiment": "analytic-ee", "num_modes": [4, 4],
+                           "gammas": [0.5], "betas": [0.7]}),
+            ("num_photons", {"num_photons": [1, 1]}),
+            ("alphas", {"alphas": [1.0, 2.0, 1.0]}),
+            ("chis", {"experiment": "trunc-error",
+                      "loss": {"kind": "constant", "mu": 0.7}, "chis": [2, 2]}),
+            ("gammas", {"experiment": "lossy-ee", "gammas": [0.5, 0.5], "betas": [0.6]}),
+            ("betas", {"experiment": "lossy-ee", "gammas": [0.5], "betas": [0.6, 0.6]}),
+            ("outcomes", {"experiment": "prob", "outcomes": [[1, 1, 0, 0], [1, 1, 0, 0]]}),
+        )
+    ])
+    def test_repeated_sweep_value_names_the_field(self, sweep, overrides):
+        with pytest.raises(ConfigError, match=f"'{sweep}'.*repeats"):
+            config_from_dict(make_doc(**overrides))
 
     def test_missing_experiment(self):
         doc = make_doc()
@@ -173,8 +208,7 @@ class TestConfigHash:
     def test_ignores_plumbing_fields(self, tmp_path):
         base = config_from_dict(make_doc())
         moved = config_from_dict(
-            make_doc(out_dir=str(tmp_path), workers=4, checkpoint_every=2,
-                     max_seconds=60.0)
+            make_doc(out_dir=str(tmp_path), checkpoint_every=2, max_seconds=60.0)
         )
         assert config_hash(base) == config_hash(moved)
 
@@ -440,29 +474,24 @@ class TestOracleRecipe:
 
 
 class TestReproducibility:
-    def test_rerun_is_byte_identical(self, tmp_path):
-        doc = make_doc(experiment="lossy-ee", loss={"kind": "constant", "mu": 0.6})
+    @pytest.mark.parametrize("doc", [
+        *(pytest.param(RECIPE_DOCS[name], id=name) for name in EXPERIMENTS),
+        pytest.param(make_doc(num_modes=[2, 4], num_photons=[1, 2], n_circuits=2),
+                     id="lossless-ee-grid"),
+    ])
+    def test_rerun_is_byte_identical(self, tmp_path, doc):
         blobs = []
         for name in ("first", "second"):
             config = config_from_dict({**doc, "out_dir": str(tmp_path / name)})
             record, out_dir = run_to_files(config)
             assert record.status == "ok"
-            blobs.append((
-                (out_dir / "results.csv").read_bytes(),
-                (out_dir / "summary.csv").read_bytes(),
-            ))
-        assert blobs[0] == blobs[1]
-
-    def test_worker_count_does_not_change_results(self, tmp_path):
-        doc = make_doc(num_modes=[2, 4], num_photons=[1, 2], n_circuits=2)
-        blobs = []
-        for name, workers in (("serial", 1), ("pooled", 3)):
-            config = config_from_dict(
-                {**doc, "workers": workers, "out_dir": str(tmp_path / name)}
-            )
-            record, out_dir = run_to_files(config)
-            assert record.status == "ok"
-            blobs.append((out_dir / "results.csv").read_bytes())
+            # timings.csv holds wall-clock seconds, the one table that may differ.
+            blobs.append({path.name: path.read_bytes() for path in out_dir.glob("*.csv")
+                          if path.name != "timings.csv"})
+        expected = {"results.csv", "summary.csv"}
+        if doc["experiment"] == "sample":
+            expected |= {f"samples_c{c}.csv" for c in range(doc["n_circuits"])}
+        assert set(blobs[0]) == expected
         assert blobs[0] == blobs[1]
 
     def test_meta_json_contents(self, tmp_path):
@@ -524,13 +553,26 @@ class TestAbortAndResume:
         ).read_bytes()
         assert not list((resumed_dir / "checkpoints").glob("*.npz"))
 
-    def test_abort_in_sample_recipe_keeps_columns(self):
-        record = run(config_from_dict(
-            make_doc(experiment="sample", num_samples=5, n_circuits=2,
-                     max_seconds=0.0)
-        ))
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_abort_keeps_columns(self, experiment):
+        record = run(config_from_dict({**RECIPE_DOCS[experiment], "max_seconds": 0.0}))
         assert record.status == "aborted"
         assert "config_hash" in record.columns
+
+    def test_abort_keeps_rows_of_completed_units(self, monkeypatch):
+        checks = []
+
+        def check_then_exhaust(budget):
+            checks.append(None)
+            if len(checks) > 1:
+                raise experiments.ResourceAbort("wall-clock budget exhausted")
+
+        # analytic-ee checks the budget once per (point, circuit) unit, so the
+        # second check aborts after exactly one unit of len(alphas) rows.
+        monkeypatch.setattr(experiments._Budget, "check", check_then_exhaust)
+        record = run(config_from_dict(RECIPE_DOCS["analytic-ee"]))
+        assert record.status == "aborted"
+        assert [(r["circuit"], r["alpha"]) for r in record.rows] == [(0, 1.0), (0, 2.0)]
 
 
 # ---------------------------------------------------------------------------
