@@ -1,27 +1,33 @@
-"""Charge-blocked tensor trains in canonical (Vidal) form.
+"""Charge-blocked tensor trains in right-canonical form.
 
 This module is the shared chassis for the pure-state and density-operator
-simulators. A state is stored as alternating singular-value vectors and site
-tensors; every bond index is resolved into symmetry sectors labeled by a
-*charge* (the photon count strictly to the right of the cut, or a ket/bra
-pair of such counts for vectorized density operators). Site tensors keep one
-dense block per (left charge, right charge) pair, because the local
-occupation is implied by the charge difference — that is what makes the
-representation compact and what enforces particle-number conservation
-structurally.
+simulators. A state is stored as singular-value vectors and site tensors;
+every bond index is resolved into symmetry sectors labeled by a *charge* (the
+photon count strictly to the right of the cut, or a ket/bra pair of such
+counts for vectorized density operators). Site tensors keep one dense block
+per (left charge, right charge) pair, because the local occupation is implied
+by the charge difference — that is what makes the representation compact and
+what enforces particle-number conservation structurally.
 
 Layout for ``M`` sites:
 
-- ``bonds[k]``, k = 0..M: dict charge -> descending positive float array.
-  ``bonds[0]``/``bonds[M]`` carry the boundary sector decomposition.
-- ``gammas[k]``, k = 0..M-1 (site k+1): dict (cl, cr) -> complex matrix of
+- ``bonds[k]``, k = 0..M: dict charge -> descending positive float array, the
+  singular values across cut k. ``bonds[0]``/``bonds[M]`` carry the boundary
+  sector decomposition.
+- ``sites[k]``, k = 0..M-1 (site k+1): dict (cl, cr) -> complex matrix B of
   shape (len(bonds[k][cl]), len(bonds[k+1][cr])).
 
-The physical amplitude of the represented (normalized) state is
-lambda^[0] Gamma^1 lambda^[1] ... Gamma^M lambda^[M] contracted along the
-unique charge path of a basis state; ``norm_scale`` restores the raw
-(unnormalized) object, which density-operator states use to keep trace
-bookkeeping while their singular values stay 2-norm normalized.
+Each B is the Vidal Gamma times the singular values on its right
+(B = Gamma lambda), so the site tensors are right-canonical: summed over the
+local occupation and the right charge, B B^dag is the identity on every left
+sector. The physical amplitude of the represented (normalized) state is
+lambda^[0] B^1 B^2 ... B^M contracted along the unique charge path of a basis
+state. Because the singular values are already absorbed, a two-site update
+never divides by them (Hastings, "Light-cone matrix product", J. Math. Phys.
+50, 095207 (2009)), so tiny or truncated spectra need no regularization.
+``norm_scale`` restores the raw (unnormalized) object, which
+density-operator states use to keep trace bookkeeping while their singular
+values stay 2-norm normalized.
 """
 
 from __future__ import annotations
@@ -32,14 +38,7 @@ from typing import Callable, Hashable
 
 import numpy as np
 
-from .linalg import (
-    RANK_CUTOFF,
-    TruncationPolicy,
-    qr,
-    regularized_inverse,
-    svd,
-    truncate_global,
-)
+from .linalg import TruncationPolicy, svd, truncate_global
 
 Charge = Hashable
 
@@ -87,11 +86,11 @@ class VectorizedChargeRule:
 
 @dataclass
 class TensorTrainState:
-    """Canonical-form charge-blocked tensor train (pure state or vectorized operator)."""
+    """Right-canonical charge-blocked tensor train (pure state or vectorized operator)."""
 
     num_sites: int
     rule: PureChargeRule | VectorizedChargeRule
-    gammas: list[dict[tuple[Charge, Charge], np.ndarray]]
+    sites: list[dict[tuple[Charge, Charge], np.ndarray]]
     bonds: list[dict[Charge, np.ndarray]]
     norm_scale: float = 1.0
     discarded_weight: float = 0.0
@@ -115,7 +114,7 @@ def product_state(
     right_charge: Charge,
     rule: PureChargeRule | VectorizedChargeRule,
 ) -> TensorTrainState:
-    """Exact canonical form of a product state, one local vector per site.
+    """Exact right-canonical form of a product state, one local vector per site.
 
     ``site_vectors[k]`` maps local occupation labels (ints for pure states,
     (ket, bra) pairs for vectorized operators) to amplitudes. The left
@@ -170,7 +169,7 @@ def product_state(
                 spectrum[c] = np.array([math.sqrt(w) / scale])
         bonds.append(spectrum)
 
-    gammas: list[dict[tuple[Charge, Charge], np.ndarray]] = []
+    sites: list[dict[tuple[Charge, Charge], np.ndarray]] = []
     for k in range(m):
         blocks: dict[tuple[Charge, Charge], np.ndarray] = {}
         for cl in bonds[k]:
@@ -180,12 +179,12 @@ def product_state(
                 cr = _step_charge(cl, occ)
                 if cr not in bonds[k + 1] or rule.occupation(cl, cr) is None:
                     continue
-                value = amp * scale / math.sqrt(right_sq[k][cl] * left_sq[k + 1][cr])
+                value = amp * math.sqrt(right_sq[k + 1][cr] / right_sq[k][cl])
                 blocks[(cl, cr)] = np.array([[value]], dtype=np.complex128)
-        gammas.append(blocks)
+        sites.append(blocks)
 
     return TensorTrainState(
-        num_sites=m, rule=rule, gammas=gammas, bonds=bonds, norm_scale=scale
+        num_sites=m, rule=rule, sites=sites, bonds=bonds, norm_scale=scale
     )
 
 
@@ -213,42 +212,32 @@ def two_site_update(
 ) -> float:
     """Apply a two-site gate at (site, site+1), 1-indexed; returns discarded weight.
 
-    Per center charge, the neighborhood tensor Theta = lambda Gamma lambda
-    Gamma lambda is assembled from charge-compatible blocks, SVD'd, and all
-    sectors are truncated jointly against the chi budget; the site tensors
-    are rebuilt by dividing the boundary singular values back out.
+    Per output center charge, Phi = gate . (B_l B_r) is assembled from
+    charge-compatible block products and Theta = lambda_left Phi is SVD'd;
+    all sectors are truncated jointly against the chi budget. The new right
+    tensor is the kept rows of V^dag and the new left tensor is Phi V_kept
+    (= Gamma_l lambda_center), so no singular value is ever divided out.
     """
     m = state.num_sites
     if not 1 <= site <= m - 1:
         raise ValueError(f"site must be in [1, {m - 1}], got {site}")
     rule = state.rule
-    k = site - 1  # gammas index of the left site; bonds k, k+1, k+2 surround it
+    k = site - 1  # sites index of the left site; bonds k, k+1, k+2 surround it
     left_bond = state.bonds[k]
     right_bond = state.bonds[k + 2]
-    left_gamma = state.gammas[k]
-    right_gamma = state.gammas[k + 1]
 
-    # Precompute boundary-weighted blocks and their center products.
-    left_weighted: dict[tuple[Charge, Charge], np.ndarray] = {}
-    for (cl, ci), block in left_gamma.items():
-        left_weighted[(cl, ci)] = left_bond[cl][:, None] * block
-    right_weighted: dict[tuple[Charge, Charge], np.ndarray] = {}
-    for (ci, cr), block in right_gamma.items():
-        right_weighted[(ci, cr)] = (
-            state.bonds[k + 1][ci][:, None] * block * right_bond[cr][None, :]
-        )
     center: dict[tuple[Charge, Charge, Charge], np.ndarray] = {}
-    for (cl, ci) in left_weighted:
-        for (ci2, cr) in right_weighted:
+    for (cl, ci), left_block in state.sites[k].items():
+        for (ci2, cr), right_block in state.sites[k + 1].items():
             if ci2 == ci:
-                center[(cl, ci, cr)] = left_weighted[(cl, ci)] @ right_weighted[(ci, cr)]
+                center[(cl, ci, cr)] = left_block @ right_block
 
     # Candidate output center charges from the charge algebra.
     out_charges: set[Charge] = set()
     for (cl, ci, cr) in center:
         out_charges.update(_center_candidates(cl, cr, rule))
 
-    # Assemble and decompose Theta per output center charge.
+    # Assemble Phi and decompose Theta = lambda_left Phi per output center charge.
     svd_groups: dict[Charge, np.ndarray] = {}
     factors: dict[Charge, tuple] = {}
     for co in sorted(out_charges, key=_charge_sort_key):
@@ -264,7 +253,7 @@ def two_site_update(
             continue
         row_offsets, row_total = _offsets(row_charges, left_bond)
         col_offsets, col_total = _offsets(col_charges, right_bond)
-        theta = np.zeros((row_total, col_total), dtype=np.complex128)
+        phi = np.zeros((row_total, col_total), dtype=np.complex128)
         filled = False
         for (cl, ci, cr), prod in center.items():
             out_l = rule.occupation(cl, co)
@@ -278,13 +267,14 @@ def two_site_update(
                 continue
             r0 = row_offsets[cl]
             c0 = col_offsets[cr]
-            theta[r0 : r0 + prod.shape[0], c0 : c0 + prod.shape[1]] += coeff * prod
+            phi[r0 : r0 + prod.shape[0], c0 : c0 + prod.shape[1]] += coeff * prod
             filled = True
         if not filled:
             continue
-        result = svd(theta)
+        row_weights = np.concatenate([left_bond[cl] for cl in row_charges])
+        result = svd(row_weights[:, None] * phi)
         svd_groups[co] = result.singular_values
-        factors[co] = (result, row_charges, row_offsets, col_charges, col_offsets)
+        factors[co] = (result, phi, row_charges, row_offsets, col_charges, col_offsets)
 
     outcome = truncate_global(
         sorted(svd_groups.items(), key=lambda kv: _charge_sort_key(kv[0])), policy
@@ -294,30 +284,24 @@ def two_site_update(
     new_bond: dict[Charge, np.ndarray] = {}
     new_left: dict[tuple[Charge, Charge], np.ndarray] = {}
     new_right: dict[tuple[Charge, Charge], np.ndarray] = {}
-    left_inv = {cl: regularized_inverse(left_bond[cl], _bond_max(left_bond)) for cl in left_bond}
-    right_inv = {
-        cr: regularized_inverse(right_bond[cr], _bond_max(right_bond)) for cr in right_bond
-    }
     for co, kept_idx in outcome.kept_by_group.items():
-        result, row_charges, row_offsets, col_charges, col_offsets = factors[co]
+        result, phi, row_charges, row_offsets, col_charges, col_offsets = factors[co]
         new_bond[co] = result.singular_values[kept_idx]
-        u_kept = result.left[:, kept_idx]
-        v_kept = result.right_conj[kept_idx, :]
+        left_kept = phi @ result.right_conj[kept_idx, :].conj().T
         for cl in row_charges:
             r0 = row_offsets[cl]
-            rows = u_kept[r0 : r0 + len(left_bond[cl]), :]
-            new_left[(cl, co)] = left_inv[cl][:, None] * rows
+            new_left[(cl, co)] = left_kept[r0 : r0 + len(left_bond[cl]), :]
+        # Fancy indexing copies, so each stored block is contiguous like a
+        # reloaded snapshot block; strided views changed the last bit of later
+        # contractions and broke byte-identical resumes.
         for cr in col_charges:
             c0 = col_offsets[cr]
-            cols = v_kept[:, c0 : c0 + len(right_bond[cr])]
-            new_right[(co, cr)] = cols * right_inv[cr][None, :]
+            new_right[(co, cr)] = result.right_conj[kept_idx, c0 : c0 + len(right_bond[cr])]
 
     state.bonds[k + 1] = new_bond
-    state.gammas[k] = new_left
-    state.gammas[k + 1] = new_right
+    state.sites[k] = new_left
+    state.sites[k + 1] = new_right
     state.discarded_weight += outcome.discarded_weight
-    if policy.reorthogonalize:
-        _gauge_polish(state, site)
     return outcome.discarded_weight
 
 
@@ -341,73 +325,6 @@ def _offsets(charges: list[Charge], bond: dict[Charge, np.ndarray]) -> tuple[dic
         offsets[c] = total
         total += len(bond[c])
     return offsets, total
-
-
-def _bond_max(bond: dict[Charge, np.ndarray]) -> float:
-    return max((float(v.max()) for v in bond.values() if len(v)), default=0.0)
-
-
-def _gauge_polish(state: TensorTrainState, site: int) -> None:
-    """Restore isometry of the two updated site tensors by QR + re-SVD.
-
-    Regularized divisions can leave the rebuilt tensors slightly
-    non-canonical when tiny singular values were inverted; this re-factors
-    the neighborhood exactly (no truncation), changing gauge only.
-    """
-    k = site - 1
-    left_bond = state.bonds[k]
-    center_bond = state.bonds[k + 1]
-    right_bond = state.bonds[k + 2]
-    new_bond: dict[Charge, np.ndarray] = {}
-    new_left: dict[tuple[Charge, Charge], np.ndarray] = {}
-    new_right: dict[tuple[Charge, Charge], np.ndarray] = {}
-    left_inv = {cl: regularized_inverse(left_bond[cl], _bond_max(left_bond)) for cl in left_bond}
-    right_inv = {
-        cr: regularized_inverse(right_bond[cr], _bond_max(right_bond)) for cr in right_bond
-    }
-    for co, lam in state.bonds[k + 1].items():
-        row_charges = sorted(
-            {cl for (cl, c) in state.gammas[k] if c == co}, key=_charge_sort_key
-        )
-        col_charges = sorted(
-            {cr for (c, cr) in state.gammas[k + 1] if c == co}, key=_charge_sort_key
-        )
-        if not row_charges or not col_charges:
-            new_bond[co] = lam
-            continue
-        row_offsets, row_total = _offsets(row_charges, left_bond)
-        col_offsets, col_total = _offsets(col_charges, right_bond)
-        a = np.zeros((row_total, len(lam)), dtype=np.complex128)
-        for cl in row_charges:
-            r0 = row_offsets[cl]
-            a[r0 : r0 + len(left_bond[cl]), :] = (
-                left_bond[cl][:, None] * state.gammas[k][(cl, co)]
-            )
-        b = np.zeros((len(lam), col_total), dtype=np.complex128)
-        for cr in col_charges:
-            c0 = col_offsets[cr]
-            b[:, c0 : c0 + len(right_bond[cr])] = (
-                state.gammas[k + 1][(co, cr)] * right_bond[cr][None, :]
-            )
-        qa, ra = qr(a)
-        qb_t, rb_t = qr(b.conj().T)
-        core = ra @ np.diag(lam).astype(np.complex128) @ rb_t.conj().T
-        result = svd(core)
-        keep = result.singular_values > 0.0
-        new_bond[co] = result.singular_values[keep]
-        u_new = qa @ result.left[:, keep]
-        v_new = result.right_conj[keep, :] @ qb_t.conj().T
-        for cl in row_charges:
-            r0 = row_offsets[cl]
-            new_left[(cl, co)] = left_inv[cl][:, None] * u_new[r0 : r0 + len(left_bond[cl]), :]
-        for cr in col_charges:
-            c0 = col_offsets[cr]
-            new_right[(co, cr)] = (
-                v_new[:, c0 : c0 + len(right_bond[cr])] * right_inv[cr][None, :]
-            )
-    state.bonds[k + 1] = new_bond
-    state.gammas[k] = new_left
-    state.gammas[k + 1] = new_right
 
 
 def contract_selected(
@@ -436,7 +353,7 @@ def _propagate(
     selector: Callable[[Hashable], complex],
 ) -> dict[Charge, np.ndarray]:
     nxt: dict[Charge, np.ndarray] = {}
-    for (cl, cr), block in state.gammas[k].items():
+    for (cl, cr), block in state.sites[k].items():
         if cl not in env:
             continue
         weight = selector(state.rule.occupation(cl, cr))
@@ -447,8 +364,6 @@ def _propagate(
             nxt[cr] += contribution
         else:
             nxt[cr] = contribution
-    for cr in nxt:
-        nxt[cr] = nxt[cr] * state.bonds[k + 1][cr]
     return nxt
 
 
@@ -460,10 +375,10 @@ def prefix_environment(
 ) -> dict[Charge, np.ndarray]:
     """Left environment after contracting sites start_site..start_site+len(selectors)-1.
 
-    The environment includes every singular-value vector up to and including
-    the bond right of the last contracted site, so for a pure state the
-    squared 2-norm of the result is the marginal probability of the selected
-    prefix.
+    The site tensors carry the singular values on their right, so the
+    environment already includes the bond right of the last contracted site;
+    with the remaining sites right-canonical, for a pure state the squared
+    2-norm of the result is the marginal probability of the selected prefix.
     """
     if start_env is None:
         env = {c: lam.astype(np.complex128) for c, lam in state.bonds[0].items()}
@@ -490,13 +405,13 @@ def suffix_trace_environments(
     envs[m] = {c: np.ones(len(lam), dtype=np.complex128) for c, lam in state.bonds[m].items()}
     for k in range(m - 1, -1, -1):
         cur: dict[Charge, np.ndarray] = {}
-        for (cl, cr), block in state.gammas[k].items():
+        for (cl, cr), block in state.sites[k].items():
             if cr not in envs[k + 1]:
                 continue
             weight = trace_selector(state.rule.occupation(cl, cr))
             if weight == 0.0:
                 continue
-            contribution = weight * (block @ (state.bonds[k + 1][cr] * envs[k + 1][cr]))
+            contribution = weight * (block @ envs[k + 1][cr])
             if cl in cur:
                 cur[cl] += contribution
             else:

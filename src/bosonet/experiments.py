@@ -43,7 +43,7 @@ from .oracle import (
     enumerate_occupations,
     exact_lossy_distribution,
 )
-from .snapshots import load_state, save_state
+from .snapshots import SnapshotVersionError, load_state, save_state
 
 EXPERIMENTS = (
     "lossless-ee",
@@ -397,7 +397,10 @@ class _Checkpointer:
         path = self.path(point_index, circuit_index)
         if path is None or not path.exists():
             return None
-        state, extra = load_state(path)
+        try:
+            state, extra = load_state(path)
+        except SnapshotVersionError:
+            return None  # written by a build with another snapshot format
         if extra.get("config_hash") != self.digest:
             return None
         return state, int(extra["layers_done"]), list(extra["rows"])
@@ -621,10 +624,9 @@ def _trunc_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Run
                      summary_columns, summary, 0.0, __version__, timings=timings)
 
 
-def _build_state(config: ExperimentConfig, m: int, n: int, plan: CircuitPlan,
-                 chi: int | None = None):
+def _build_state(config: ExperimentConfig, m: int, n: int, plan: CircuitPlan):
     """Evolved state for the sample/prob recipes: pure without loss, else lossy."""
-    policy = config.policy(chi)
+    policy = config.policy()
     points = _loss_points(config)
     if points:
         gamma, beta = points[0]
@@ -788,12 +790,11 @@ def _oracle_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
                         "status": "pass" if worst <= tol else "fail"})
     record = RunRecord(digest, config.experiment, columns, rows,
                        summary_columns, summary, 0.0, __version__)
+    worst = max(r["deviation"] for r in rows)
     if any(r["status"] == "fail" for r in rows):
         record.status = "failed"
-        worst = max(r["deviation"] for r in rows)
         record.message = f"oracle-check: max deviation {worst:.3e} exceeds {tol:g}"
     else:
-        worst = max(r["deviation"] for r in rows) if rows else 0.0
         record.message = f"oracle-check: max deviation {worst:.3e} <= {tol:g}"
     return record
 

@@ -1,9 +1,11 @@
 """Dense complex linear-algebra kernels and pooled singular-value truncation.
 
 Everything downstream (two-site updates, spectra, entropies) goes through
-``svd``, ``qr`` and ``truncate_global``; the decomposition backends are
-LAPACK via numpy/scipy, wrapped so that failures surface as explicit errors
-instead of silently corrupted tensors.
+``svd`` and ``truncate_global``; the decomposition backend is LAPACK via
+numpy/scipy, wrapped so that failures surface as explicit errors instead of
+silently corrupted tensors. Nothing here inverts singular values: the tensor
+trains store right-canonical site tensors, so no update needs a division
+cutoff.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ import scipy.linalg
 # Relative threshold below which a singular value counts as an exact zero
 # when deciding ranks.
 RANK_CUTOFF = 1e-14
-
-# Relative threshold below which a bond weight is not inverted when a
-# division by singular values is required.
-DIVISION_CUTOFF = 1e-12
 
 
 class NumericalFailure(RuntimeError):
@@ -46,14 +44,11 @@ class TruncationPolicy:
 
     chi_max caps the total number kept across all charge sectors.
     weight_threshold, when set, additionally drops the longest tail whose
-    total squared weight stays at or below it. reorthogonalize enables a
-    local re-canonicalization (QR plus a second SVD of the bond matrix)
-    after each update.
+    total squared weight stays at or below it.
     """
 
     chi_max: int
     weight_threshold: float | None = None
-    reorthogonalize: bool = False
 
     def __post_init__(self) -> None:
         if self.chi_max < 1:
@@ -98,17 +93,6 @@ def svd(m: np.ndarray) -> SvdResult:
         except Exception as exc:  # pragma: no cover - hard to trigger on purpose
             raise NumericalFailure(f"SVD did not converge for shape {a.shape}") from exc
     return SvdResult(u, s, vh)
-
-
-def qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR with the gauge fixed so diag(R) is real and nonnegative."""
-    a = _as_matrix(m)
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r).copy()
-    phase = np.where(np.abs(diag) > 0, diag / np.where(np.abs(diag) > 0, np.abs(diag), 1.0), 1.0)
-    q = q * phase[np.newaxis, :]
-    r = r * np.conj(phase)[:, np.newaxis]
-    return q, np.triu(r)
 
 
 def truncate_global(
@@ -165,15 +149,3 @@ def truncate_global(
         discarded_weight=float(discarded),
         kept_by_group=packed,
     )
-
-
-def regularized_inverse(lam: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Entrywise 1/lam with entries below DIVISION_CUTOFF * scale set to zero."""
-    lam = np.asarray(lam, dtype=np.float64)
-    if scale is None:
-        scale = float(lam.max()) if lam.size else 0.0
-    cutoff = DIVISION_CUTOFF * scale
-    out = np.zeros_like(lam)
-    mask = lam > cutoff
-    out[mask] = 1.0 / lam[mask]
-    return out

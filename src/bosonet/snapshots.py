@@ -2,12 +2,13 @@
 
 A snapshot is a single ``.npz`` archive holding a JSON header plus one array
 per charge block: every bond spectrum under ``bond{k}/{charge}`` and every
-site block under ``site{k}/{left};{right}``.  The header records the format
-version, whether the state is a pure state or a vectorized operator, and —
-for lossy states — the loss parameters, so a checkpointed sweep can be
-resumed without the original configuration in hand.  Arrays are stored in
-their native binary form, which makes save/load round trips bit-exact and
-resumed evolutions identical to uninterrupted ones.
+right-canonical site block B = Gamma lambda under ``site{k}/{left};{right}``
+(format 1 stored the Vidal Gamma blocks instead and is not read).  The header
+records the format version, whether the state is a pure state or a vectorized
+operator, and — for lossy states — the loss parameters, so a checkpointed
+sweep can be resumed without the original configuration in hand.  Arrays are
+stored in their native binary form, which makes save/load round trips
+bit-exact and resumed evolutions identical to uninterrupted ones.
 """
 
 from __future__ import annotations
@@ -22,10 +23,15 @@ from .chain import PureChargeRule, TensorTrainState, VectorizedChargeRule
 from .mpo import MpoState
 from .mps import MpsState
 
-__all__ = ["FORMAT_NAME", "FORMAT_VERSION", "save_state", "load_state", "load_header"]
+__all__ = ["FORMAT_NAME", "FORMAT_VERSION", "SnapshotVersionError", "save_state",
+           "load_state", "load_header"]
 
 FORMAT_NAME = "bosonet-state"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+
+class SnapshotVersionError(ValueError):
+    """A snapshot was written in a format version this build does not read."""
 
 
 def _charge_token(charge: Any) -> str:
@@ -75,7 +81,7 @@ def save_state(
     for k, bond in enumerate(chain.bonds):
         for charge, lam in bond.items():
             arrays[f"bond{k}/{_charge_token(charge)}"] = lam
-    for k, blocks in enumerate(chain.gammas):
+    for k, blocks in enumerate(chain.sites):
         for (cl, cr), mat in blocks.items():
             arrays[f"site{k}/{_charge_token(cl)};{_charge_token(cr)}"] = mat
     path = Path(path)
@@ -93,7 +99,7 @@ def load_header(path: str | Path) -> dict[str, Any]:
     if header.get("format") != FORMAT_NAME:
         raise ValueError(f"{path}: unknown container format {header.get('format')!r}")
     if header.get("version") != FORMAT_VERSION:
-        raise ValueError(
+        raise SnapshotVersionError(
             f"{path}: unsupported snapshot version {header.get('version')!r} "
             f"(this build reads version {FORMAT_VERSION})"
         )
@@ -108,7 +114,7 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
     num_modes = int(header["num_modes"])
     local_dim = int(header["local_dim"])
     bonds: list[dict[Any, np.ndarray]] = [{} for _ in range(num_modes + 1)]
-    gammas: list[dict[tuple[Any, Any], np.ndarray]] = [{} for _ in range(num_modes)]
+    sites: list[dict[tuple[Any, Any], np.ndarray]] = [{} for _ in range(num_modes)]
     with np.load(path, allow_pickle=False) as data:
         for key in data.files:
             if key == "header":
@@ -118,7 +124,7 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
                 bonds[int(prefix[4:])][_parse_charge(token, paired)] = data[key]
             elif prefix.startswith("site"):
                 left, right = token.split(";")
-                gammas[int(prefix[4:])][
+                sites[int(prefix[4:])][
                     (_parse_charge(left, paired), _parse_charge(right, paired))
                 ] = data[key]
             else:
@@ -127,7 +133,7 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
     chain = TensorTrainState(
         num_sites=num_modes,
         rule=rule,
-        gammas=gammas,
+        sites=sites,
         bonds=bonds,
         norm_scale=float(header["norm_scale"]),
         discarded_weight=float(header["discarded_weight"]),

@@ -3,7 +3,8 @@
 This file checks the headline behaviors a user of the package relies on:
 
 - the tensor-network simulators reproduce the permanent / binomial-mixture
-  references exactly at full rank, for pure states and lossy operators;
+  references exactly at full rank, for pure states and lossy operators, also
+  when bond spectra span twelve orders of magnitude;
 - two-photon interference comes out exact at the 50:50 splitter;
 - entanglement growth follows the known laws (linear in photon number for
   spread inputs, logarithmic for bunched inputs, saturating in mode number);
@@ -22,7 +23,7 @@ assertion sits far from its threshold at the frozen seeds.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -46,6 +47,8 @@ from bosonet.entropy import (
 from bosonet.experiments import circuit_rng
 from bosonet.linalg import TruncationPolicy
 from bosonet.oracle import (
+    dense_evolve,
+    enumerate_occupations,
     exact_lossless_distribution,
     exact_lossy_distribution,
     exact_prob,
@@ -78,7 +81,7 @@ def charge_violations(chain) -> int:
     """
     bad = 0
     for k in range(chain.num_sites):
-        for (cl, cr) in chain.gammas[k]:
+        for (cl, cr) in chain.sites[k]:
             if chain.rule.occupation(cl, cr) is None:
                 bad += 1
             if cl not in chain.bonds[k] or cr not in chain.bonds[k + 1]:
@@ -215,6 +218,61 @@ class TestConservationLaws:
     def test_sampler_chain_rule_consistency(self, equivalence_grid):
         worst = max(inst.chain_rule_gap for inst in equivalence_grid)
         assert worst <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# near-singular bond spectra at full rank
+# ---------------------------------------------------------------------------
+
+
+def near_singular_plan(seed: int) -> CircuitPlan:
+    """A 6-mode Haar circuit with every other gate angle scaled by 1e-3 .. 1e-13.
+
+    The small rotations leave Schmidt values about 1e-12 of the largest one,
+    where an update that divides singular values back out would need a cutoff.
+    """
+    plan = sample_haar_circuit(6, circuit_rng(seed, 0, 0))
+    gates = list(plan.gates)
+    scales = np.logspace(-3, -13, len(gates[::2]))
+    for i, scale in zip(range(0, len(gates), 2), scales):
+        gates[i] = replace(gates[i], theta=gates[i].theta * scale)
+    return CircuitPlan(num_modes=6, gates=gates)
+
+
+class TestNearSingularSpectra:
+    SEEDS = (0, 1, 2)
+    OCC_IN = (1, 1, 1, 0, 0, 0)
+
+    def test_pure_amplitudes_match_dense_evolution(self):
+        for seed in self.SEEDS:
+            plan = near_singular_plan(seed)
+            state = mps.init_fock(self.OCC_IN)
+            mps.apply_plan(state, plan, FULL_RANK)
+            smallest = min(
+                float(mps.schmidt_values(state, k)[-1] / mps.schmidt_values(state, k)[0])
+                for k in range(1, 6)
+            )
+            assert smallest < 1e-11, f"seed {seed}: spectra not near-singular"
+            dense = dense_evolve(self.OCC_IN, plan)
+            worst = max(
+                abs(mps.amplitude(state, t) - dense.amplitude(t))
+                for t in enumerate_occupations(6, 3)
+            )
+            assert worst <= 1e-8, f"seed {seed}: {worst:.3e}"
+
+    def test_lossy_probabilities_match_binomial_mixture(self):
+        for seed in self.SEEDS:
+            plan = near_singular_plan(seed)
+            u = circuit_to_unitary(plan)
+            for mu in GRID_MUS:
+                op = mpo.init_lossy(3, 6, mu)
+                mpo.apply_plan_vec(op, plan, FULL_RANK)
+                reference = exact_lossy_distribution(u, 3, mu)
+                worst = max(
+                    abs(mpo.outcome_prob(op, t) - p)
+                    for t, p in reference.entries.items()
+                )
+                assert worst <= 1e-8, f"seed {seed}, mu={mu}: {worst:.3e}"
 
 
 # ---------------------------------------------------------------------------

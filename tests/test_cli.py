@@ -4,9 +4,11 @@ import json
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bosonet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from bosonet.snapshots import FORMAT_VERSION
 
 
 def write_config(path, **overrides):
@@ -120,6 +122,38 @@ class TestFailureExitCodes:
         code = main(["oracle-check", "--config", str(config)])
         assert code == EXIT_NUMERICAL
         assert "exceeds" in capsys.readouterr().err
+
+
+class TestCheckpointResume:
+    def test_checkpoint_from_other_snapshot_version_is_ignored(self, tmp_path):
+        config = write_config(tmp_path / "c.json", experiment="lossy-ee",
+                              loss={"kind": "constant", "mu": 0.6}, checkpoint_every=1)
+        clean = tmp_path / "clean"
+        assert main(["lossy-ee", "--config", str(config), "--out", str(clean)]) == EXIT_OK
+
+        # Plant a checkpoint from another snapshot format: abort at layer 0,
+        # then rewrite its header. It claims every layer is done with no rows,
+        # so a resume that trusted it would write a different table.
+        stale = tmp_path / "stale"
+        aborting = write_config(tmp_path / "abort.json", experiment="lossy-ee",
+                                loss={"kind": "constant", "mu": 0.6},
+                                checkpoint_every=1, max_seconds=0.0)
+        code = main(["lossy-ee", "--config", str(aborting), "--out", str(stale)])
+        assert code == EXIT_RESOURCE
+        [planted] = (stale / "checkpoints").glob("*.npz")
+        with np.load(planted, allow_pickle=False) as data:
+            arrays = {key: data[key] for key in data.files}
+        header = json.loads(str(arrays["header"][()]))
+        header["version"] = FORMAT_VERSION - 1
+        header["extra"].update(layers_done=10_000, rows=[])
+        arrays["header"] = np.array(json.dumps(header))
+        with open(planted, "wb") as fh:
+            np.savez(fh, **arrays)
+
+        assert main(["lossy-ee", "--config", str(config), "--out", str(stale)]) == EXIT_OK
+        for table in ("results.csv", "summary.csv"):
+            assert (stale / table).read_bytes() == (clean / table).read_bytes()
+        assert not list((stale / "checkpoints").glob("*.npz"))
 
 
 class TestInstalledEntryPoint:

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from bosonet.linalg import (
     SvdResult,
     TruncationPolicy,
-    qr,
-    regularized_inverse,
     svd,
     truncate_global,
 )
@@ -52,38 +50,6 @@ def test_svd_rejects_bad_input():
         svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         svd(np.zeros(4))
-
-
-def test_qr_identity():
-    q, r = qr(np.eye(3))
-    assert np.allclose(q, np.eye(3), atol=1e-14)
-    assert np.allclose(r, np.eye(3), atol=1e-14)
-
-
-def test_qr_column_vector():
-    # Gram-Schmidt by hand: the column (3, 4) normalizes to (0.6, 0.8), norm 5.
-    q, r = qr(np.array([[3.0], [4.0]]))
-    assert np.allclose(q, [[0.6], [0.8]], atol=1e-12)
-    assert np.allclose(r, [[5.0]], atol=1e-12)
-
-
-@given(
-    n=st.integers(1, 6),
-    m=st.integers(1, 6),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=40, deadline=None)
-def test_qr_contract_property(n, m, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-    q, r = qr(a)
-    k = min(n, m)
-    assert q.shape == (n, k) and r.shape == (k, m)
-    assert np.allclose(q.conj().T @ q, np.eye(k), atol=1e-10)
-    assert np.allclose(r, np.triu(r), atol=1e-14)
-    assert np.allclose(q @ r, a, atol=1e-10)
-    assert np.all(np.diagonal(r).real >= -1e-14)
-    assert np.allclose(np.diagonal(r).imag, 0.0, atol=1e-12)
 
 
 def test_truncate_two_groups():
@@ -158,10 +124,3 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         TruncationPolicy(chi_max=2, weight_threshold=-1.0)
 
-
-def test_regularized_inverse():
-    lam = np.array([1.0, 1e-15, 0.5])
-    inv = regularized_inverse(lam)
-    assert inv[1] == 0.0
-    assert inv[0] == pytest.approx(1.0)
-    assert inv[2] == pytest.approx(2.0)

@@ -173,6 +173,25 @@ def test_norm_weight_conserved_without_truncation():
     assert state.discarded_weight <= 1e-30
 
 
+def test_site_tensors_are_right_canonical():
+    # Every stored B = Gamma lam satisfies sum B B^dag = 1 on each left sector,
+    # for the product initial state and after exact evolution.
+    state = mpo.init_lossy(2, 4, 0.4)
+    for stage in ("initial", "evolved"):
+        if stage == "evolved":
+            mpo.apply_plan_vec(state, haar_plan(4, seed=41), EXACT)
+        c = state.chain
+        for k in range(state.num_modes):
+            grams: dict = {}
+            for (cl, cr), block in c.sites[k].items():
+                grams[cl] = grams.get(cl, 0.0) + block @ block.conj().T
+            assert set(grams) == set(c.bonds[k])
+            for cl, gram in grams.items():
+                np.testing.assert_allclose(
+                    gram, np.eye(len(c.bonds[k][cl])), atol=1e-10, err_msg=stage
+                )
+
+
 def test_bond_spectrum_matches_dense_reference():
     n, m, mu = 2, 4, 0.5
     plan = haar_plan(m, seed=43)

@@ -158,20 +158,20 @@ def test_canonical_form_after_exact_evolution():
     mps.apply_plan(state, haar_plan(4, seed=13), EXACT)
     c = state.chain
     for k in range(state.num_modes):
-        # Left isometry: sum over left charge/occupation of (lam Gamma)^dag (lam Gamma).
+        # Right isometry: sum over right charge/occupation of B B^dag.
         grams: dict = {}
-        for (cl, cr), block in c.gammas[k].items():
+        for (cl, cr), block in c.sites[k].items():
+            grams[cl] = grams.get(cl, 0.0) + block @ block.conj().T
+        for cl, gram in grams.items():
+            np.testing.assert_allclose(gram, np.eye(len(c.bonds[k][cl])), atol=1e-8)
+        # Left isometry of lam Gamma, in B form: sum over left charge/occupation
+        # of (lam B)^dag (lam B) is the squared right spectrum.
+        grams = {}
+        for (cl, cr), block in c.sites[k].items():
             a = c.bonds[k][cl][:, None] * block
             grams[cr] = grams.get(cr, 0.0) + a.conj().T @ a
         for cr, gram in grams.items():
-            np.testing.assert_allclose(gram, np.eye(len(c.bonds[k + 1][cr])), atol=1e-8)
-        # Right isometry: sum over right charge/occupation of (Gamma lam)(Gamma lam)^dag.
-        grams = {}
-        for (cl, cr), block in c.gammas[k].items():
-            b = block * c.bonds[k + 1][cr][None, :]
-            grams[cl] = grams.get(cl, 0.0) + b @ b.conj().T
-        for cl, gram in grams.items():
-            np.testing.assert_allclose(gram, np.eye(len(c.bonds[k][cl])), atol=1e-8)
+            np.testing.assert_allclose(gram, np.diag(c.bonds[k + 1][cr] ** 2), atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
