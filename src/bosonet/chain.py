@@ -7,7 +7,9 @@ photon count strictly to the right of the cut, or a ket/bra pair of such
 counts for vectorized density operators). Site tensors keep one dense block
 per (left charge, right charge) pair, because the local occupation is implied
 by the charge difference — that is what makes the representation compact and
-what enforces particle-number conservation structurally.
+what enforces particle-number conservation structurally. The same fact lets a
+contraction address blocks by local occupation label: the right charge is the
+left charge minus the label, so each (charge, label) pair is one dict lookup.
 
 Layout for ``M`` sites:
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import Hashable
 
 import numpy as np
 
@@ -329,18 +331,20 @@ def _offsets(charges: list[Charge], bond: dict[Charge, np.ndarray]) -> tuple[dic
 
 def contract_selected(
     state: TensorTrainState,
-    selectors: list[Callable[[Hashable], complex]],
+    labels: list[tuple[Hashable, ...]],
 ) -> complex:
-    """Contract the full chain with one local selector weight per site.
+    """Contract the full chain, summing site k over the local labels ``labels[k]``.
 
-    ``selectors[k]`` maps a local occupation label to a complex weight (for
-    example an indicator of one basis state, or the trace selector that
-    weights ket==bra components by 1). Returns the scalar including the
-    boundary singular values but NOT ``norm_scale``.
+    A label is a local occupation: ``(n,)`` selects occupation n of a pure
+    state, ``((k, b),)`` one (ket, bra) pair of a vectorized operator, and
+    the diagonal ``((0, 0), ..., (d-1, d-1))`` traces the site out. A label
+    with no block (out of range or not reachable) contributes nothing.
+    Returns the scalar including the boundary singular values but NOT
+    ``norm_scale``.
     """
     env = {c: lam.astype(np.complex128) for c, lam in state.bonds[0].items()}
     for k in range(state.num_sites):
-        env = _propagate(state, k, env, selectors[k])
+        env = _propagate(state, k, env, labels[k])
         if not env:
             return 0.0 + 0.0j
     return complex(sum(vec.sum() for vec in env.values()))
@@ -350,42 +354,45 @@ def _propagate(
     state: TensorTrainState,
     k: int,
     env: dict[Charge, np.ndarray],
-    selector: Callable[[Hashable], complex],
+    labels: tuple[Hashable, ...],
 ) -> dict[Charge, np.ndarray]:
+    blocks = state.sites[k]
     nxt: dict[Charge, np.ndarray] = {}
-    for (cl, cr), block in state.sites[k].items():
-        if cl not in env:
-            continue
-        weight = selector(state.rule.occupation(cl, cr))
-        if weight == 0.0:
-            continue
-        contribution = weight * (env[cl] @ block)
-        if cr in nxt:
-            nxt[cr] += contribution
-        else:
-            nxt[cr] = contribution
+    for cl, vec in env.items():
+        for label in labels:
+            cr = _step_charge(cl, label)
+            block = blocks.get((cl, cr))
+            if block is None:
+                continue
+            contribution = vec @ block
+            if cr in nxt:
+                nxt[cr] += contribution
+            else:
+                nxt[cr] = contribution
     return nxt
 
 
 def prefix_environment(
     state: TensorTrainState,
-    selectors: list[Callable[[Hashable], complex]],
+    labels: list[tuple[Hashable, ...]],
     start_env: dict[Charge, np.ndarray] | None = None,
     start_site: int = 0,
 ) -> dict[Charge, np.ndarray]:
-    """Left environment after contracting sites start_site..start_site+len(selectors)-1.
+    """Left environment after contracting sites start_site..start_site+len(labels)-1.
 
-    The site tensors carry the singular values on their right, so the
-    environment already includes the bond right of the last contracted site;
-    with the remaining sites right-canonical, for a pure state the squared
-    2-norm of the result is the marginal probability of the selected prefix.
+    Site ``start_site + i`` is summed over the local labels ``labels[i]``
+    (see ``contract_selected``). The site tensors carry the singular values
+    on their right, so the environment already includes the bond right of the
+    last contracted site; with the remaining sites right-canonical, for a pure
+    state the squared 2-norm of the result is the marginal probability of the
+    selected prefix.
     """
     if start_env is None:
         env = {c: lam.astype(np.complex128) for c, lam in state.bonds[0].items()}
     else:
         env = start_env
-    for i, sel in enumerate(selectors):
-        env = _propagate(state, start_site + i, env, sel)
+    for i, site_labels in enumerate(labels):
+        env = _propagate(state, start_site + i, env, site_labels)
         if not env:
             return {}
     return env
@@ -393,29 +400,32 @@ def prefix_environment(
 
 def suffix_trace_environments(
     state: TensorTrainState,
-    trace_selector: Callable[[Hashable], complex],
+    labels: tuple[Hashable, ...],
 ) -> list[dict[Charge, np.ndarray]]:
-    """right_envs[l][c] = contraction of sites l+1..M with the trace selector.
+    """right_envs[l][c] = contraction of sites l+1..M, each summed over ``labels``.
 
-    The vectors exclude the bond-l singular values (the left environment
-    carries those), so marginal(prefix of length l) = sum_c envL[c] . right_envs[l][c].
+    With the diagonal labels ``((0, 0), ..., (d-1, d-1))`` this traces the
+    sites out. The vectors exclude the bond-l singular values (the left
+    environment carries those), so marginal(prefix of length l) =
+    sum_c envL[c] . right_envs[l][c].
     """
     m = state.num_sites
     envs: list[dict[Charge, np.ndarray]] = [dict() for _ in range(m + 1)]
     envs[m] = {c: np.ones(len(lam), dtype=np.complex128) for c, lam in state.bonds[m].items()}
     for k in range(m - 1, -1, -1):
+        blocks = state.sites[k]
         cur: dict[Charge, np.ndarray] = {}
-        for (cl, cr), block in state.sites[k].items():
-            if cr not in envs[k + 1]:
-                continue
-            weight = trace_selector(state.rule.occupation(cl, cr))
-            if weight == 0.0:
-                continue
-            contribution = weight * (block @ envs[k + 1][cr])
-            if cl in cur:
-                cur[cl] += contribution
-            else:
-                cur[cl] = contribution
+        for cr, vec in envs[k + 1].items():
+            for label in labels:
+                cl = _unstep_charge(cr, label)
+                block = blocks.get((cl, cr))
+                if block is None:
+                    continue
+                contribution = block @ vec
+                if cl in cur:
+                    cur[cl] += contribution
+                else:
+                    cur[cl] = contribution
         envs[k] = cur
     return envs
 

@@ -27,6 +27,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -161,11 +162,37 @@ def _loss_from_dict(doc: Any) -> LossSpec:
     raise ConfigError("loss", f"unknown kind {doc['kind']!r}")
 
 
+#: Numeric fields: name -> (element type, whether the field is a list).
+_NUMERIC_FIELDS: dict[str, tuple[type, bool]] = {
+    "num_modes": (Integral, True), "num_photons": (Integral, True),
+    "chis": (Integral, True), "chi_max": (Integral, False),
+    "n_circuits": (Integral, False), "num_samples": (Integral, False),
+    "checkpoint_every": (Integral, False), "alphas": (Real, True),
+    "gammas": (Real, True), "betas": (Real, True), "tolerance": (Real, False),
+    "max_seconds": (Real, False), "weight_threshold": (Real, False),
+}
+
+
+def _check_numeric_types(config: ExperimentConfig) -> None:
+    """Reject strings, bools, nulls and non-integral floats before any comparison."""
+    for name, (kind, is_list) in _NUMERIC_FIELDS.items():
+        value = getattr(config, name)
+        if value is None and ExperimentConfig.__dataclass_fields__[name].default is None:
+            continue  # optional field left unset
+        if is_list and not isinstance(value, (list, tuple)):
+            raise ConfigError(name, f"must be a list, got {value!r}")
+        what = "an integer" if kind is Integral else "a real number"
+        for v in value if is_list else [value]:
+            if isinstance(v, bool) or not isinstance(v, kind):
+                raise ConfigError(name, f"expected {what}, got {v!r}")
+
+
 def validate_config(config: ExperimentConfig) -> None:
     if config.experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"unknown experiment {config.experiment!r}")
     if not isinstance(config.seed, int):
         raise ConfigError("seed", "must be an integer")
+    _check_numeric_types(config)
     if not config.num_modes:
         raise ConfigError("num_modes", "range must be nonempty")
     if not config.num_photons:

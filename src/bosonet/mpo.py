@@ -172,8 +172,9 @@ def apply_plan_vec(
     return total
 
 
-def _trace_selector(occ) -> complex:
-    return 1.0 if occ[0] == occ[1] else 0.0
+def trace_labels(local_dim: int) -> tuple[tuple[int, int], ...]:
+    """The diagonal (ket, bra) labels ((0, 0), ..., (d-1, d-1)) that trace a site out."""
+    return tuple((n, n) for n in range(local_dim))
 
 
 def trace(state: MpoState) -> float:
@@ -182,51 +183,37 @@ def trace(state: MpoState) -> float:
     Exactly 1 for a fresh or unitarily evolved state; decreases when
     truncation discards weight, so 1 - trace() is the simulation error.
     """
-    value = chain.contract_selected(state.chain, [_trace_selector] * state.num_modes)
+    labels = [trace_labels(state.local_dim)] * state.num_modes
+    value = chain.contract_selected(state.chain, labels)
     return float(value.real) * state.chain.norm_scale
 
 
 def outcome_prob(state: MpoState, occupations: tuple[int, ...], raw: bool = False) -> float:
     """Probability of measuring one output occupation pattern, Tr[rho |n><n|].
 
-    Truncation can push tiny probabilities slightly negative; the returned
-    value is clamped to [0, 1] unless ``raw=True`` (diagnostics).
+    A pattern with more photons on a mode (or in total) than the state holds
+    has probability 0. Truncation can push tiny probabilities slightly
+    negative; the returned value is clamped to [0, 1] unless ``raw=True``
+    (diagnostics).
     """
     occs = tuple(int(n) for n in occupations)
     if len(occs) != state.num_modes:
         raise ValueError(f"expected {state.num_modes} occupations, got {len(occs)}")
-    if any(n < 0 or n >= state.local_dim for n in occs):
-        raise ValueError(
-            f"occupations must lie in [0, {state.local_dim - 1}], got {occs}"
-        )
-    selectors = [_pair_indicator(n) for n in occs]
-    value = chain.contract_selected(state.chain, selectors)
+    if any(n < 0 for n in occs):
+        raise ValueError(f"occupations must be non-negative, got {occs}")
+    value = chain.contract_selected(state.chain, [((n, n),) for n in occs])
     result = float(value.real) * state.chain.norm_scale
     if raw:
         return result
     return min(max(result, 0.0), 1.0)
 
 
-def _pair_indicator(want: int):
-    def sel(occ):
-        return 1.0 if occ == (want, want) else 0.0
-
-    return sel
-
-
 def matrix_element(state: MpoState, ket: tuple[int, ...], bra: tuple[int, ...]) -> complex:
     """<ket| rho |bra> for one pair of Fock basis states (small-instance diagnostics)."""
     if len(ket) != state.num_modes or len(bra) != state.num_modes:
         raise ValueError("ket and bra must list one occupation per mode")
-    selectors = []
-    for nk, nb in zip(ket, bra):
-        want = (int(nk), int(nb))
-
-        def sel(occ, want=want):
-            return 1.0 if occ == want else 0.0
-
-        selectors.append(sel)
-    value = chain.contract_selected(state.chain, selectors)
+    labels = [((int(nk), int(nb)),) for nk, nb in zip(ket, bra)]
+    value = chain.contract_selected(state.chain, labels)
     return complex(value) * state.chain.norm_scale
 
 

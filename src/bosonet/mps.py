@@ -107,20 +107,12 @@ def amplitude(state: MpsState, occupations: tuple[int, ...]) -> complex:
         raise ValueError(f"occupations must be non-negative, got {occs}")
     if sum(occs) != state.num_photons:
         return 0.0 + 0.0j
-    selectors = [_indicator(n) for n in occs]
-    return chain.contract_selected(state.chain, selectors)
+    return chain.contract_selected(state.chain, [(n,) for n in occs])
 
 
 def probability(state: MpsState, occupations: tuple[int, ...]) -> float:
     """Probability of one output occupation pattern."""
     return float(abs(amplitude(state, occupations)) ** 2)
-
-
-def _indicator(want: int):
-    def sel(occ):
-        return 1.0 if occ == want else 0.0
-
-    return sel
 
 
 def renyi_entropy(state: MpsState, bond: int, alpha: float) -> float:

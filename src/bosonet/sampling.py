@@ -1,13 +1,15 @@
 """Marginal probabilities and sequential Born-rule sampling.
 
 Both the pure-state and density-operator representations admit efficient
-prefix marginals: contract the first ``l`` sites against the selected
-occupations, then close the remainder of the chain — with the orthogonality
-of the right part (pure states) or cached right trace environments (density
-operators). Sampling walks mode 1 to M, drawing each occupation from the
-ratio of running marginals; the conditional distribution at each step is
-renormalized by its own total so that truncation-induced deficits do not
-bias the draw (the deficit is reported on the result for diagnostics).
+prefix marginals: contract the first ``l`` sites at the local labels of the
+observed occupations (``(n,)`` for a pure state, the diagonal pair
+``((n, n),)`` for a density operator), then close the remainder of the
+chain — with the orthogonality of the right part (pure states) or right
+environments cached once with the trace labels (density operators).
+Sampling walks mode 1 to M, drawing each occupation from the ratio of running
+marginals; the conditional distribution at each step is renormalized by its
+own total so that truncation-induced deficits do not bias the draw (the
+deficit is reported on the result for diagnostics).
 
 ``sample_counts`` draws many outcomes at once by multinomial splitting over
 shared prefixes, which is distribution-identical to independent sequential
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import chain
 from .linalg import DegradedStateError, NumericalFailure
-from .mpo import MpoState
+from .mpo import MpoState, trace_labels
 from .mpo import trace as mpo_trace
 from .mps import MpsState
 
@@ -89,23 +91,20 @@ class _Engine:
         self.local_dim = state.local_dim
         self.pure = isinstance(state, MpsState)
         if self.pure:
+            self.labels = [(n,) for n in range(self.local_dim)]
             self.right_envs = None
             self.initial_marginal = float(
                 sum(np.sum(np.abs(lam) ** 2) for lam in self.tt.bonds[0].values())
             )
         else:
+            self.labels = [((n, n),) for n in range(self.local_dim)]
             self.right_envs = chain.suffix_trace_environments(
-                self.tt, lambda occ: 1.0 if occ[0] == occ[1] else 0.0
+                self.tt, trace_labels(self.local_dim)
             )
             self.initial_marginal = self._close(self.initial_env(), 0)
 
     def initial_env(self):
         return {c: lam.astype(np.complex128) for c, lam in self.tt.bonds[0].items()}
-
-    def _selector(self, occupation: int):
-        if self.pure:
-            return lambda occ, want=occupation: 1.0 if occ == want else 0.0
-        return lambda occ, want=occupation: 1.0 if occ == (want, want) else 0.0
 
     def _close(self, env, num_done: int) -> float:
         """Weight of a prefix environment: squared norm (pure) or trace closure."""
@@ -120,7 +119,7 @@ class _Engine:
 
     def child(self, env, site_idx: int, occupation: int):
         return chain.prefix_environment(
-            self.tt, [self._selector(occupation)], start_env=env, start_site=site_idx
+            self.tt, [self.labels[occupation]], start_env=env, start_site=site_idx
         )
 
     def conditional_weights(self, env, site_idx: int):

@@ -14,6 +14,7 @@ bit-exact and resumed evolutions identical to uninterrupted ones.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any
 
@@ -52,7 +53,7 @@ def save_state(
     state: MpsState | MpoState,
     extra: dict[str, Any] | None = None,
 ) -> None:
-    """Write a state snapshot; ``extra`` must be a JSON-serializable dict."""
+    """Write a state snapshot atomically; ``extra`` must be a JSON-serializable dict."""
     if isinstance(state, MpoState):
         kind = "mpo"
         loss: dict[str, Any] | None = {"mu": state.mu}
@@ -86,8 +87,16 @@ def save_state(
             arrays[f"site{k}/{_charge_token(cl)};{_charge_token(cr)}"] = mat
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    # Write beside the target and rename over it, so a save that dies partway
+    # leaves the previous snapshot readable.
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_header(path: str | Path) -> dict[str, Any]:

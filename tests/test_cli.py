@@ -1,5 +1,6 @@
 """Tests for the ``bosonet`` command-line entry point and its exit codes."""
 
+import csv
 import json
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
@@ -62,6 +63,34 @@ class TestUsageErrors:
         assert main(["lossless-ee", "--config", str(config)]) == EXIT_USAGE
         assert "fock-ee" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, overrides", [
+        pytest.param(field, overrides, id=f"{field}={overrides[field]!r}")
+        for field, overrides in (
+            ("num_modes", {"num_modes": ["4"]}),
+            ("num_modes", {"num_modes": [4.0]}),
+            ("num_modes", {"num_modes": "4"}),
+            ("num_photons", {"num_photons": [True]}),
+            ("chi_max", {"chi_max": "8"}),
+            ("chi_max", {"chi_max": 8.5}),
+            ("chi_max", {"chi_max": True}),
+            ("chis", {"chis": [4.0]}),
+            ("n_circuits", {"n_circuits": 1.5}),
+            ("num_samples", {"num_samples": "10"}),
+            ("checkpoint_every", {"checkpoint_every": 0.5}),
+            ("alphas", {"alphas": ["1"]}),
+            ("alphas", {"alphas": 1.0}),
+            ("gammas", {"gammas": ["0.5"], "betas": [0.5]}),
+            ("betas", {"gammas": [0.5], "betas": [None]}),
+            ("tolerance", {"tolerance": "1e-8"}),
+            ("max_seconds", {"max_seconds": "10"}),
+            ("weight_threshold", {"weight_threshold": False}),
+        )
+    ])
+    def test_mistyped_config_value_names_the_field(self, tmp_path, capsys, field, overrides):
+        config = write_config(tmp_path / "c.json", **overrides)
+        assert main(["lossless-ee", "--config", str(config)]) == EXIT_USAGE
+        assert f"bosonet: config field '{field}'" in capsys.readouterr().err
+
 
 class TestHappyPath:
     def test_run_writes_outputs_and_exits_zero(self, tmp_path, capsys):
@@ -96,6 +125,18 @@ class TestHappyPath:
         assert meta["seed"] == 99
         assert meta["config"]["chi_max"] == 8
         assert meta["config"]["out_dir"] == str(out)
+
+    def test_lossy_prob_of_more_photons_than_the_input_is_zero(self, tmp_path):
+        config = write_config(tmp_path / "c.json", experiment="prob",
+                              num_photons=[1, 2], loss={"kind": "constant", "mu": 0.5},
+                              outcomes=[[1, 1, 0, 0], [2, 0, 0, 0]])
+        out = tmp_path / "out"
+        assert main(["prob", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        with open(out / "results.csv", newline="") as fh:
+            rows = {(r["N"], r["outcome"]): float(r["probability"]) for r in csv.DictReader(fh)}
+        assert len(rows) == 4
+        assert rows["1", "2 0 0 0"] == 0.0
+        assert rows["2", "2 0 0 0"] > 0.0
 
     def test_oracle_check_reports_deviation(self, tmp_path, capsys):
         config = write_config(

@@ -258,6 +258,18 @@ def test_raw_outcome_prob_equals_unclamped_value():
         assert 0.0 <= clamped <= 1.0
 
 
+def test_outcome_prob_is_zero_beyond_photon_number():
+    n, m = 2, 4
+    state = mpo.init_lossy(n, m, 0.6)
+    mpo.apply_plan_vec(state, haar_plan(m, seed=71), EXACT)
+    for occs in [(3, 0, 0, 0), (0, 0, 0, 5), (2, 1, 0, 0), (1, 1, 1, 0)]:
+        assert mpo.outcome_prob(state, occs, raw=True) == 0.0
+    with pytest.raises(ValueError, match="non-negative"):
+        mpo.outcome_prob(state, (-1, 1, 0, 0))
+    with pytest.raises(ValueError, match="expected 4"):
+        mpo.outcome_prob(state, (1, 1, 0))
+
+
 # ---------------------------------------------------------------------------
 # Post-selection sectors
 

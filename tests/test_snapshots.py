@@ -66,6 +66,25 @@ def test_mpo_round_trip_preserves_probabilities(tmp_path):
             assert mpo.outcome_prob(loaded, occ) == mpo.outcome_prob(state, occ)
 
 
+def test_failed_save_keeps_the_previous_snapshot(tmp_path, monkeypatch):
+    state, _ = _evolved_mps()
+    path = tmp_path / "state.npz"
+    save_state(path, state, extra={"layers_done": 1})
+    before = path.read_bytes()
+
+    def dies_partway(fh, **arrays):
+        fh.write(before[: len(before) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", dies_partway)
+    with pytest.raises(OSError, match="disk full"):
+        save_state(path, state, extra={"layers_done": 2})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_state(path)[1] == {"layers_done": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]
+
+
 def test_sector_tag_round_trips(tmp_path):
     state, _ = _evolved_mpo(sector=1)
     path = tmp_path / "sector.npz"
