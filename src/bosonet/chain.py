@@ -10,6 +10,9 @@ by the charge difference — that is what makes the representation compact and
 what enforces particle-number conservation structurally. The same fact lets a
 contraction address blocks by local occupation label: the right charge is the
 left charge minus the label, so each (charge, label) pair is one dict lookup.
+It also makes the two-site update block-sparse (Singh, Pfeifer & Vidal, Phys.
+Rev. B 83, 115125 (2011)): for outer charges (cl, cr) every occupation pair a
+number-conserving gate touches lies in the one sector n = cl - cr.
 
 Layout for ``M`` sites:
 
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Hashable
 
 import numpy as np
@@ -55,10 +59,6 @@ class PureChargeRule:
         occ = cl - cr
         return occ if 0 <= occ < self.local_dim else None
 
-    def gate_coeff(self, gate: np.ndarray, out_l, out_r, in_l, in_r) -> complex:
-        d = self.local_dim
-        return gate[out_l * d + out_r, in_l * d + in_r]
-
 
 class VectorizedChargeRule:
     """Ket/bra charge pairs for vectorized density operators.
@@ -76,14 +76,6 @@ class VectorizedChargeRule:
         if 0 <= ket < self.local_dim and 0 <= bra < self.local_dim:
             return (ket, bra)
         return None
-
-    def gate_coeff(self, gate: np.ndarray, out_l, out_r, in_l, in_r) -> complex:
-        d = self.local_dim
-        ket = gate[out_l[0] * d + out_r[0], in_l[0] * d + in_r[0]]
-        bra = gate[out_l[1] * d + out_r[1], in_l[1] * d + in_r[1]]
-        if ket == 0.0 or bra == 0.0:
-            return 0.0 + 0.0j
-        return ket * np.conj(bra)
 
 
 @dataclass
@@ -136,7 +128,7 @@ def product_state(
             for occ, amp in site_vectors[k].items():
                 if amp == 0.0:
                     continue
-                cr = _step_charge(cl, occ)
+                cr = _sub(cl, occ)
                 if rule.occupation(cl, cr) is None:
                     continue
                 nxt[cr] = nxt.get(cr, 0.0) + w * abs(amp) ** 2
@@ -149,7 +141,7 @@ def product_state(
             for occ, amp in site_vectors[k].items():
                 if amp == 0.0:
                     continue
-                cl = _unstep_charge(cr, occ)
+                cl = _add(cr, occ)
                 if rule.occupation(cl, cr) is None:
                     continue
                 cur[cl] = cur.get(cl, 0.0) + w * abs(amp) ** 2
@@ -178,7 +170,7 @@ def product_state(
             for occ, amp in site_vectors[k].items():
                 if amp == 0.0:
                     continue
-                cr = _step_charge(cl, occ)
+                cr = _sub(cl, occ)
                 if cr not in bonds[k + 1] or rule.occupation(cl, cr) is None:
                     continue
                 value = amp * math.sqrt(right_sq[k + 1][cr] / right_sq[k][cl])
@@ -190,16 +182,17 @@ def product_state(
     )
 
 
-def _step_charge(cl: Charge, occ: Hashable) -> Charge:
-    if isinstance(occ, tuple):
-        return (cl[0] - occ[0], cl[1] - occ[1])
-    return cl - occ
+def _sub(a: Hashable, b: Hashable) -> Hashable:
+    """a - b for charges or occupations: the right charge of a step, or its occupation."""
+    if isinstance(a, tuple):
+        return (a[0] - b[0], a[1] - b[1])
+    return a - b
 
 
-def _unstep_charge(cr: Charge, occ: Hashable) -> Charge:
-    if isinstance(occ, tuple):
-        return (cr[0] + occ[0], cr[1] + occ[1])
-    return cr + occ
+def _add(a: Hashable, b: Hashable) -> Hashable:
+    if isinstance(a, tuple):
+        return (a[0] + b[0], a[1] + b[1])
+    return a + b
 
 
 def _charge_sort_key(c: Charge):
@@ -214,91 +207,117 @@ def two_site_update(
 ) -> float:
     """Apply a two-site gate at (site, site+1), 1-indexed; returns discarded weight.
 
-    Per output center charge, Phi = gate . (B_l B_r) is assembled from
-    charge-compatible block products and Theta = lambda_left Phi is SVD'd;
-    all sectors are truncated jointly against the chi budget. The new right
-    tensor is the kept rows of V^dag and the new left tensor is Phi V_kept
-    (= Gamma_l lambda_center), so no singular value is ever divided out.
+    For outer charges (cl, cr) every input and output occupation pair of the
+    gate lies in the photon-number sector n = cl - cr (a (ket, bra) pair for
+    vectorized operators), whose gate block G_n[j, i] = <j, n-j|G|i, n-i> is
+    sliced from ``gate_matrix``. The center products B_l B_r of each (cl, cr),
+    stacked over the inner charge ci (input occupation i = cl - ci), fill a
+    column range of their sector's stack, and one matmul with G_n contracts
+    every pair of the sector. Output row j is the (cl, cr) block of Phi for
+    center charge cl - j. Theta = lambda_left Phi is SVD'd per center charge
+    and all sectors are truncated jointly against the chi budget. The new
+    right tensor is the kept rows of V^dag and the new left tensor is
+    Phi V_kept (= Gamma_l lambda_center), so no singular value is ever
+    divided out.
     """
     m = state.num_sites
     if not 1 <= site <= m - 1:
         raise ValueError(f"site must be in [1, {m - 1}], got {site}")
-    rule = state.rule
     k = site - 1  # sites index of the left site; bonds k, k+1, k+2 surround it
     left_bond = state.bonds[k]
     right_bond = state.bonds[k + 2]
 
-    center: dict[tuple[Charge, Charge, Charge], np.ndarray] = {}
-    for (cl, ci), left_block in state.sites[k].items():
-        for (ci2, cr), right_block in state.sites[k + 1].items():
-            if ci2 == ci:
-                center[(cl, ci, cr)] = left_block @ right_block
+    # Every product B_l B_r through inner charge ci comes from one matmul of
+    # the (cl, ci) blocks stacked over cl with the (ci, cr) blocks side by side.
+    lefts: dict[Charge, list] = {}
+    for (cl, ci), block in state.sites[k].items():
+        lefts.setdefault(ci, []).append((cl, block))
+    rights: dict[Charge, list] = {}
+    for (ci, cr), block in state.sites[k + 1].items():
+        rights.setdefault(ci, []).append((cr, block))
+    inner = [ci for ci in lefts if ci in rights]
 
-    # Candidate output center charges from the charge algebra.
-    out_charges: set[Charge] = set()
-    for (cl, ci, cr) in center:
-        out_charges.update(_center_candidates(cl, cr, rule))
+    # Each outer pair (cl, cr) takes a column range of its sector's stack, one
+    # row per input occupation, and sends output occupation j to center
+    # charge cl - j; those targets fix the rows and columns of every Phi.
+    pairs = dict.fromkeys((cl, cr) for ci in inner for cl, _ in lefts[ci] for cr, _ in rights[ci])
+    offsets: dict[tuple[Charge, Charge], int] = {}
+    widths: dict[Charge, int] = {}
+    sectors: dict[Charge, tuple] = {}
+    for cl, cr in pairs:
+        n = _sub(cl, cr)
+        _sector_block(gate_matrix, n, state.rule.local_dim, sectors)
+        offsets[cl, cr] = widths.get(n, 0)
+        widths[n] = offsets[cl, cr] + len(left_bond[cl]) * len(right_bond[cr])
+    stacks = {n: np.zeros((len(sectors[n][0]), w), dtype=np.complex128) for n, w in widths.items()}
+    rows: dict[Charge, set[Charge]] = {}
+    cols: dict[Charge, set[Charge]] = {}
+    for (cl, cr), offset in offsets.items():
+        n = _sub(cl, cr)
+        height, width = len(left_bond[cl]), len(right_bond[cr])
+        view = stacks[n][:, offset : offset + height * width].reshape(-1, height, width)
+        targets = [_sub(cl, j) for j in sectors[n][0]]
+        pairs[cl, cr] = (view, sectors[n][1], targets)
+        for co in targets:
+            rows.setdefault(co, set()).add(cl)
+            cols.setdefault(co, set()).add(cr)
+    for ci in inner:
+        left = np.concatenate([b for _, b in lefts[ci]])
+        prod = left @ np.concatenate([b for _, b in rights[ci]], axis=1)
+        r0 = 0
+        for cl, left_block in lefts[ci]:
+            r1 = r0 + left_block.shape[0]
+            label = _sub(cl, ci)
+            c0 = 0
+            for cr, right_block in rights[ci]:
+                c1 = c0 + right_block.shape[1]
+                view, positions, _ = pairs[cl, cr]
+                view[positions[label]] = prod[r0:r1, c0:c1]
+                c0 = c1
+            r0 = r1
 
-    # Assemble Phi and decompose Theta = lambda_left Phi per output center charge.
-    svd_groups: dict[Charge, np.ndarray] = {}
+    # One gate-block matmul per sector, written over its stack (numpy buffers
+    # an operand that overlaps the output); then each pair's output slices
+    # are copied into the Phi of their center charges.
+    for n, stack in stacks.items():
+        np.matmul(sectors[n][2], stack, out=stack)
     factors: dict[Charge, tuple] = {}
-    for co in sorted(out_charges, key=_charge_sort_key):
-        row_charges = sorted(
-            {cl for (cl, ci, cr) in center if rule.occupation(cl, co) is not None},
-            key=_charge_sort_key,
-        )
-        col_charges = sorted(
-            {cr for (cl, ci, cr) in center if rule.occupation(co, cr) is not None},
-            key=_charge_sort_key,
-        )
-        if not row_charges or not col_charges:
-            continue
-        row_offsets, row_total = _offsets(row_charges, left_bond)
-        col_offsets, col_total = _offsets(col_charges, right_bond)
+    for co in sorted(rows, key=_charge_sort_key):
+        row_offsets, row_total = _offsets(rows[co], left_bond)
+        col_offsets, col_total = _offsets(cols[co], right_bond)
         phi = np.zeros((row_total, col_total), dtype=np.complex128)
-        filled = False
-        for (cl, ci, cr), prod in center.items():
-            out_l = rule.occupation(cl, co)
-            out_r = rule.occupation(co, cr)
-            if out_l is None or out_r is None:
-                continue
-            in_l = rule.occupation(cl, ci)
-            in_r = rule.occupation(ci, cr)
-            coeff = rule.gate_coeff(gate_matrix, out_l, out_r, in_l, in_r)
-            if coeff == 0.0:
-                continue
-            r0 = row_offsets[cl]
-            c0 = col_offsets[cr]
-            phi[r0 : r0 + prod.shape[0], c0 : c0 + prod.shape[1]] += coeff * prod
-            filled = True
-        if not filled:
-            continue
-        row_weights = np.concatenate([left_bond[cl] for cl in row_charges])
-        result = svd(row_weights[:, None] * phi)
-        svd_groups[co] = result.singular_values
-        factors[co] = (result, phi, row_charges, row_offsets, col_charges, col_offsets)
+        factors[co] = (phi, row_offsets, col_offsets)
+    for (cl, cr), (view, _, targets) in pairs.items():
+        for slab, co in zip(view, targets):
+            phi, row_offsets, col_offsets = factors[co]
+            r0, c0 = row_offsets[cl], col_offsets[cr]
+            phi[r0 : r0 + slab.shape[0], c0 : c0 + slab.shape[1]] = slab
+    del stacks, pairs
 
-    outcome = truncate_global(
-        sorted(svd_groups.items(), key=lambda kv: _charge_sort_key(kv[0])), policy
-    )
+    # Decompose Theta = lambda_left Phi per output center charge.
+    results = {}
+    for co, (phi, row_offsets, _) in factors.items():
+        row_weights = np.concatenate([left_bond[cl] for cl in row_offsets])
+        results[co] = svd(row_weights[:, None] * phi)
+    outcome = truncate_global([(co, r.singular_values) for co, r in results.items()], policy)
 
     # Rebuild the center bond and both site tensors from the kept columns.
     new_bond: dict[Charge, np.ndarray] = {}
     new_left: dict[tuple[Charge, Charge], np.ndarray] = {}
     new_right: dict[tuple[Charge, Charge], np.ndarray] = {}
     for co, kept_idx in outcome.kept_by_group.items():
-        result, phi, row_charges, row_offsets, col_charges, col_offsets = factors[co]
+        result = results[co]
+        phi, row_offsets, col_offsets = factors[co]
         new_bond[co] = result.singular_values[kept_idx]
-        left_kept = phi @ result.right_conj[kept_idx, :].conj().T
-        for cl in row_charges:
-            r0 = row_offsets[cl]
+        right_kept = result.right_conj[kept_idx, :]
+        left_kept = phi @ right_kept.conj().T
+        for cl, r0 in row_offsets.items():
             new_left[(cl, co)] = left_kept[r0 : r0 + len(left_bond[cl]), :]
-        # Fancy indexing copies, so each stored block is contiguous like a
-        # reloaded snapshot block; strided views changed the last bit of later
-        # contractions and broke byte-identical resumes.
-        for cr in col_charges:
-            c0 = col_offsets[cr]
-            new_right[(co, cr)] = result.right_conj[kept_idx, c0 : c0 + len(right_bond[cr])]
+        # Copied, so each stored block is contiguous like a reloaded snapshot
+        # block; strided views changed the last bit of later contractions and
+        # broke byte-identical resumes.
+        for cr, c0 in col_offsets.items():
+            new_right[(co, cr)] = right_kept[:, c0 : c0 + len(right_bond[cr])].copy()
 
     state.bonds[k + 1] = new_bond
     state.sites[k] = new_left
@@ -307,26 +326,31 @@ def two_site_update(
     return outcome.discarded_weight
 
 
-def _center_candidates(cl: Charge, cr: Charge, rule) -> list[Charge]:
-    d = rule.local_dim
-    if isinstance(cl, tuple):
-        out = []
-        for ket_occ in range(d):
-            for bra_occ in range(d):
-                co = (cl[0] - ket_occ, cl[1] - bra_occ)
-                if rule.occupation(co, cr) is not None:
-                    out.append(co)
-        return out
-    return [cl - occ for occ in range(d) if rule.occupation(cl - occ, cr) is not None]
+def _sector_block(gate: np.ndarray, n: Hashable, d: int, cache: dict) -> tuple:
+    """(left occupations, their positions, gate block) on photon-number sector n, cached.
+
+    Entry [j, i] is <j, n-j| gate |i, n-i> for in-range occupations; a (ket, bra)
+    sector acts as U (x) conj(U), the Kronecker product of ket and conjugated bra blocks.
+    """
+    if n not in cache:
+        if isinstance(n, tuple):
+            ket_labels, _, ket = _sector_block(gate, n[0], d, cache)
+            bra_labels, _, bra = _sector_block(gate, n[1], d, cache)
+            labels = [(a, b) for a in ket_labels for b in bra_labels]
+            block = (ket[:, None, :, None] * bra.conj()[None, :, None, :]).reshape(len(labels), -1)
+        else:
+            occ = np.arange(max(0, n - d + 1), min(n, d - 1) + 1)
+            flat = occ * d + (n - occ)
+            labels, block = occ.tolist(), gate[np.ix_(flat, flat)]
+        cache[n] = (labels, {label: pos for pos, label in enumerate(labels)}, block)
+    return cache[n]
 
 
-def _offsets(charges: list[Charge], bond: dict[Charge, np.ndarray]) -> tuple[dict[Charge, int], int]:
-    offsets: dict[Charge, int] = {}
-    total = 0
-    for c in charges:
-        offsets[c] = total
-        total += len(bond[c])
-    return offsets, total
+def _offsets(charges: set[Charge], bond: dict[Charge, np.ndarray]) -> tuple[dict[Charge, int], int]:
+    """Offset of each charge's block in sorted charge order, and the total size."""
+    ordered = sorted(charges, key=_charge_sort_key)
+    sizes = [len(bond[c]) for c in ordered]
+    return dict(zip(ordered, accumulate(sizes, initial=0))), sum(sizes)
 
 
 def contract_selected(
@@ -360,7 +384,7 @@ def _propagate(
     nxt: dict[Charge, np.ndarray] = {}
     for cl, vec in env.items():
         for label in labels:
-            cr = _step_charge(cl, label)
+            cr = _sub(cl, label)
             block = blocks.get((cl, cr))
             if block is None:
                 continue
@@ -417,7 +441,7 @@ def suffix_trace_environments(
         cur: dict[Charge, np.ndarray] = {}
         for cr, vec in envs[k + 1].items():
             for label in labels:
-                cl = _unstep_charge(cr, label)
+                cl = _add(cr, label)
                 block = blocks.get((cl, cr))
                 if block is None:
                     continue

@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import time
+import zipfile
 from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
@@ -174,7 +175,7 @@ _NUMERIC_FIELDS: dict[str, tuple[type, bool]] = {
 
 
 def _check_numeric_types(config: ExperimentConfig) -> None:
-    """Reject strings, bools, nulls and non-integral floats before any comparison."""
+    """Reject strings, bools, nulls, non-integral and non-finite floats before any comparison."""
     for name, (kind, is_list) in _NUMERIC_FIELDS.items():
         value = getattr(config, name)
         if value is None and ExperimentConfig.__dataclass_fields__[name].default is None:
@@ -185,6 +186,8 @@ def _check_numeric_types(config: ExperimentConfig) -> None:
         for v in value if is_list else [value]:
             if isinstance(v, bool) or not isinstance(v, kind):
                 raise ConfigError(name, f"expected {what}, got {v!r}")
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(name, f"must be finite, got {v!r}")
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -426,8 +429,8 @@ class _Checkpointer:
             return None
         try:
             state, extra = load_state(path)
-        except SnapshotVersionError:
-            return None  # written by a build with another snapshot format
+        except (SnapshotVersionError, zipfile.BadZipFile, EOFError):
+            return None  # another snapshot format, or a file cut short
         if extra.get("config_hash") != self.digest:
             return None
         return state, int(extra["layers_done"]), list(extra["rows"])

@@ -11,6 +11,7 @@ cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -108,44 +109,41 @@ def truncate_global(
     exact zeros and are always dropped. The squared weight of everything
     dropped is returned.
     """
-    entries: list[tuple[float, Hashable, int]] = []
-    for label, values in groups:
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ValueError("each group must provide a 1-d value array")
-        if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-            raise ValueError("singular values must be finite and nonnegative")
-        for idx, v in enumerate(vals):
-            entries.append((float(v), label, idx))
-
-    if not entries:
+    arrays = [np.asarray(values, dtype=np.float64) for _, values in groups]
+    if any(vals.ndim != 1 for vals in arrays):
+        raise ValueError("each group must provide a 1-d value array")
+    values = np.concatenate(arrays) if arrays else np.zeros(0)
+    if np.any(values < 0) or not np.all(np.isfinite(values)):
+        raise ValueError("singular values must be finite and nonnegative")
+    if values.size == 0:
         return TruncationOutcome(kept=[], discarded_weight=0.0)
 
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    vmax = entries[0][0]
-    floor = RANK_CUTOFF * vmax
-
-    rank = sum(1 for v, _, _ in entries if v > floor) if vmax > 0 else 0
-    keep_count = min(policy.chi_max, rank)
+    labels = [label for label, _ in groups]
+    label_rank = {label: r for r, label in enumerate(sorted(set(labels)))}
+    sizes = [vals.size for vals in arrays]
+    group = np.repeat(np.arange(len(arrays)), sizes)
+    ranks = np.array([label_rank[label] for label in labels])[group]
+    # Within one group the pooled position orders entries by index.
+    order = np.lexsort((np.arange(values.size), ranks, -values))
+    pooled = values[order]
+    keep_count = min(policy.chi_max, int(np.count_nonzero(pooled > RANK_CUTOFF * pooled[0])))
 
     if policy.weight_threshold is not None and keep_count > 0:
         # Drop the longest tail whose total squared weight fits the budget.
-        sq = np.array([v * v for v, _, _ in entries[:keep_count]])
-        tail = np.cumsum(sq[::-1])[::-1]  # tail[j] = weight of entries j..end
-        while keep_count > 0 and tail[keep_count - 1] <= policy.weight_threshold:
-            keep_count -= 1
+        tail = np.cumsum(pooled[:keep_count][::-1] ** 2)[::-1]  # weight of entries j..end
+        keep_count = int(np.count_nonzero(tail > policy.weight_threshold))
 
-    kept_entries = entries[:keep_count]
-    discarded = sum(v * v for v, _, _ in entries[keep_count:])
-
-    kept_by_group: dict[Hashable, list[int]] = {}
-    for _, label, idx in kept_entries:
-        kept_by_group.setdefault(label, []).append(idx)
-    packed = {
-        label: np.array(sorted(idxs), dtype=np.intp) for label, idxs in kept_by_group.items()
-    }
+    kept = np.zeros(values.size, dtype=bool)
+    kept[order[:keep_count]] = True
+    starts = list(accumulate(sizes, initial=0))
+    kept_by_group = {}
+    for label, start, stop in zip(labels, starts, starts[1:]):
+        idx = np.flatnonzero(kept[start:stop])
+        if idx.size:
+            kept_by_group[label] = idx
     return TruncationOutcome(
-        kept=[(label, v) for v, label, _ in kept_entries],
-        discarded_weight=float(discarded),
-        kept_by_group=packed,
+        kept=list(zip([labels[g] for g in group[order[:keep_count]].tolist()],
+                      pooled[:keep_count].tolist())),
+        discarded_weight=float(sum((pooled[keep_count:] ** 2).tolist())),
+        kept_by_group=kept_by_group,
     )

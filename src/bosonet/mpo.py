@@ -152,24 +152,13 @@ def apply_gate_vec(state: MpoState, gate: BeamSplitterGate, policy: TruncationPo
     return chain.two_site_update(state.chain, gate.site, matrix, policy)
 
 
-def apply_plan_vec(
-    state: MpoState,
-    plan: CircuitPlan,
-    policy: TruncationPolicy,
-    on_gate=None,
-) -> float:
+def apply_plan_vec(state: MpoState, plan: CircuitPlan, policy: TruncationPolicy) -> float:
     """Apply every gate of a plan in order; returns total discarded weight."""
     if plan.num_modes != state.num_modes:
         raise ValueError(
             f"plan acts on {plan.num_modes} modes but state has {state.num_modes}"
         )
-    total = 0.0
-    for i, gate in enumerate(plan.gates):
-        discarded = apply_gate_vec(state, gate, policy)
-        total += discarded
-        if on_gate is not None:
-            on_gate(i, discarded)
-    return total
+    return sum((apply_gate_vec(state, gate, policy) for gate in plan.gates), 0.0)
 
 
 def trace_labels(local_dim: int) -> tuple[tuple[int, int], ...]:

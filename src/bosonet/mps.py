@@ -73,27 +73,13 @@ def apply_gate(state: MpsState, gate: BeamSplitterGate, policy: TruncationPolicy
     return chain.two_site_update(state.chain, gate.site, matrix, policy)
 
 
-def apply_plan(
-    state: MpsState,
-    plan: CircuitPlan,
-    policy: TruncationPolicy,
-    on_gate=None,
-) -> float:
-    """Apply every gate of a circuit plan in order; returns total discarded weight.
-
-    ``on_gate(index, discarded)`` is invoked after each gate when provided.
-    """
+def apply_plan(state: MpsState, plan: CircuitPlan, policy: TruncationPolicy) -> float:
+    """Apply every gate of a circuit plan in order; returns total discarded weight."""
     if plan.num_modes != state.num_modes:
         raise ValueError(
             f"plan acts on {plan.num_modes} modes but state has {state.num_modes}"
         )
-    total = 0.0
-    for i, gate in enumerate(plan.gates):
-        discarded = apply_gate(state, gate, policy)
-        total += discarded
-        if on_gate is not None:
-            on_gate(i, discarded)
-    return total
+    return sum((apply_gate(state, gate, policy) for gate in plan.gates), 0.0)
 
 
 def amplitude(state: MpsState, occupations: tuple[int, ...]) -> complex:

@@ -15,15 +15,20 @@ This file checks the headline behaviors a user of the package relies on:
 - conservation laws (norm weight, charge structure, operator-entropy
   doubling, sampler chain rule) hold on the same evolutions;
 - drawn samples follow the exact distribution;
-- the classical cost model matches its closed forms.
+- the classical cost model matches its closed forms;
+- at the paper's operator-entanglement size, past any dense oracle, the
+  lossy run reproduces its recorded entropies, keeps unit trace and keeps
+  the Hermitian mirror symmetry of its bond spectra.
 
 The suite favors wide statistical margins over speed; it runs in a few
 minutes. Ensemble means were measured beforehand and every stochastic
 assertion sits far from its threshold at the frozen seeds.
 """
 
+import json
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +49,7 @@ from bosonet.entropy import (
     naive_cost,
     partition_angles,
 )
-from bosonet.experiments import circuit_rng
+from bosonet.experiments import circuit_rng, config_from_dict, run_to_files
 from bosonet.linalg import TruncationPolicy
 from bosonet.oracle import (
     dense_evolve,
@@ -55,6 +60,7 @@ from bosonet.oracle import (
 )
 
 FULL_RANK = TruncationPolicy(chi_max=100_000)
+REFERENCE_MAX_EE = Path(__file__).resolve().parents[1] / "perfbench" / "reference_max_ee.json"
 
 
 def evolve_mps_by_layers(plan, occupations, policy):
@@ -87,6 +93,46 @@ def charge_violations(chain) -> int:
             if cl not in chain.bonds[k] or cr not in chain.bonds[k + 1]:
                 bad += 1
     return bad
+
+
+# ---------------------------------------------------------------------------
+# paper size: M = 16, N = 4, chi = 256 = 4^N (exact rank), no dense oracle
+# ---------------------------------------------------------------------------
+
+
+class TestPaperSize:
+    def test_lossy_run_matches_reference_with_unit_trace_and_mirror_spectra(
+        self, tmp_path, monkeypatch
+    ):
+        evolved = {}
+        apply_gate = mpo.apply_gate_vec
+
+        def recording(state, gate, policy):
+            evolved["state"] = state
+            return apply_gate(state, gate, policy)
+
+        monkeypatch.setattr(mpo, "apply_gate_vec", recording)
+        config = config_from_dict({
+            "experiment": "lossy-ee", "seed": 1000, "num_modes": [16], "num_photons": [4],
+            "loss": {"kind": "constant", "mu": 0.5}, "chi_max": 256, "n_circuits": 1,
+            "out_dir": str(tmp_path),
+        })
+        record, _ = run_to_files(config)
+
+        expected = json.loads(REFERENCE_MAX_EE.read_text())["lossy_ee"]["1000"]
+        got = [row["max_ee"] for row in record.rows]
+        assert len(got) == len(expected)
+        assert np.max(np.abs(np.array(got) - expected)) <= 1e-8
+
+        state = evolved["state"]
+        assert abs(mpo.trace(state) - 1.0) <= 1e-10
+        # |rho>> is invariant under ket <-> bra swap plus conjugation, so at
+        # exact rank the sectors (a, b) and (b, a) carry the same spectrum.
+        for bond in state.chain.bonds:
+            for (a, b), values in bond.items():
+                mirror = bond[(b, a)]
+                assert mirror.shape == values.shape
+                assert np.max(np.abs(values - mirror)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,11 @@ class TestUsageErrors:
             ("tolerance", {"tolerance": "1e-8"}),
             ("max_seconds", {"max_seconds": "10"}),
             ("weight_threshold", {"weight_threshold": False}),
+            ("max_seconds", {"max_seconds": float("nan")}),
+            ("alphas", {"alphas": [float("nan")]}),
+            ("weight_threshold", {"weight_threshold": float("inf")}),
+            ("tolerance", {"tolerance": float("-inf")}),
+            ("tolerance", {"tolerance": float("inf")}),
         )
     ])
     def test_mistyped_config_value_names_the_field(self, tmp_path, capsys, field, overrides):
@@ -195,6 +200,28 @@ class TestCheckpointResume:
         for table in ("results.csv", "summary.csv"):
             assert (stale / table).read_bytes() == (clean / table).read_bytes()
         assert not list((stale / "checkpoints").glob("*.npz"))
+
+    def test_truncated_checkpoint_is_ignored(self, tmp_path):
+        config = write_config(tmp_path / "c.json", experiment="lossy-ee",
+                              loss={"kind": "constant", "mu": 0.6}, checkpoint_every=1)
+        clean = tmp_path / "clean"
+        assert main(["lossy-ee", "--config", str(config), "--out", str(clean)]) == EXIT_OK
+
+        # A checkpoint cut short, as by a full disk or a copy that died partway.
+        cut = tmp_path / "cut"
+        aborting = write_config(tmp_path / "abort.json", experiment="lossy-ee",
+                                loss={"kind": "constant", "mu": 0.6},
+                                checkpoint_every=1, max_seconds=0.0)
+        code = main(["lossy-ee", "--config", str(aborting), "--out", str(cut)])
+        assert code == EXIT_RESOURCE
+        [planted] = (cut / "checkpoints").glob("*.npz")
+        data = planted.read_bytes()
+        planted.write_bytes(data[: len(data) // 2])
+
+        assert main(["lossy-ee", "--config", str(config), "--out", str(cut)]) == EXIT_OK
+        for table in ("results.csv", "summary.csv"):
+            assert (cut / table).read_bytes() == (clean / table).read_bytes()
+        assert not list((cut / "checkpoints").glob("*.npz"))
 
 
 class TestInstalledEntryPoint:

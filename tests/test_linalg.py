@@ -118,6 +118,31 @@ def test_truncate_matches_pooled_sort(seed, chi, sizes):
     assert out.discarded_weight == pytest.approx(total - np.sum(expect**2), abs=1e-12)
 
 
+@given(
+    chi=st.integers(1, 12),
+    data=st.data(),
+    values=st.lists(
+        st.lists(st.sampled_from([1.0, 0.5, 0.25]), min_size=1, max_size=4),
+        min_size=3,
+        max_size=5,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_truncate_ties_across_groups_match_sorted_reference(chi, data, values):
+    # Few distinct values, so most cuts run through a tie shared by several groups;
+    # labels are shuffled so the input order is not the tie-break order.
+    labels = data.draw(st.permutations(range(len(values))))
+    groups = [(label, np.array(vals)) for label, vals in zip(labels, values)]
+    out = truncate_global(groups, TruncationPolicy(chi_max=chi))
+    entries = sorted((-v, label, i) for label, vals in groups for i, v in enumerate(vals))
+    expect: dict[int, list[int]] = {}
+    for _, label, i in entries[:chi]:
+        expect.setdefault(label, []).append(i)
+    got = {label: idx.tolist() for label, idx in out.kept_by_group.items()}
+    assert got == {label: sorted(idx) for label, idx in expect.items()}
+    assert out.kept == [(label, -v) for v, label, _ in entries[:chi]]
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         TruncationPolicy(chi_max=0)
