@@ -13,6 +13,10 @@ left charge minus the label, so each (charge, label) pair is one dict lookup.
 It also makes the two-site update block-sparse (Singh, Pfeifer & Vidal, Phys.
 Rev. B 83, 115125 (2011)): for outer charges (cl, cr) every occupation pair a
 number-conserving gate touches lies in the one sector n = cl - cr.
+Charges are plain data, an int or an int (ket, bra) pair, and the module
+needs no rule object for them: ``_sub``/``_add`` act componentwise on either
+kind, and the local dimension never enters, because n <= N and the gate
+blocks ``circuit.fock_gate`` returns cover every such sector.
 
 Layout for ``M`` sites:
 
@@ -49,41 +53,11 @@ from .linalg import TruncationPolicy, svd, truncate_global
 Charge = Hashable
 
 
-class PureChargeRule:
-    """Integer charges; local occupation = left charge - right charge."""
-
-    def __init__(self, local_dim: int):
-        self.local_dim = local_dim
-
-    def occupation(self, cl: int, cr: int) -> int | None:
-        occ = cl - cr
-        return occ if 0 <= occ < self.local_dim else None
-
-
-class VectorizedChargeRule:
-    """Ket/bra charge pairs for vectorized density operators.
-
-    Charges are (ket, bra) tuples; the local state is the occupation pair
-    (ket_occ, bra_occ) and a two-site unitary acts as U (x) conj(U).
-    """
-
-    def __init__(self, local_dim: int):
-        self.local_dim = local_dim
-
-    def occupation(self, cl: tuple[int, int], cr: tuple[int, int]) -> tuple[int, int] | None:
-        ket = cl[0] - cr[0]
-        bra = cl[1] - cr[1]
-        if 0 <= ket < self.local_dim and 0 <= bra < self.local_dim:
-            return (ket, bra)
-        return None
-
-
 @dataclass
 class TensorTrainState:
     """Right-canonical charge-blocked tensor train (pure state or vectorized operator)."""
 
     num_sites: int
-    rule: PureChargeRule | VectorizedChargeRule
     sites: list[dict[tuple[Charge, Charge], np.ndarray]]
     bonds: list[dict[Charge, np.ndarray]]
     norm_scale: float = 1.0
@@ -106,7 +80,6 @@ def product_state(
     site_vectors: list[dict[Hashable, complex]],
     left_charges: list[Charge],
     right_charge: Charge,
-    rule: PureChargeRule | VectorizedChargeRule,
 ) -> TensorTrainState:
     """Exact right-canonical form of a product state, one local vector per site.
 
@@ -119,6 +92,10 @@ def product_state(
     m = len(site_vectors)
     if m < 1:
         raise ValueError("need at least one site")
+    for vector in site_vectors:
+        for occ in vector:
+            if np.min(occ) < 0:
+                raise ValueError(f"occupation labels must be non-negative, got {occ}")
 
     # Forward/backward squared-weight sweeps over reachable charges.
     left_sq: list[dict[Charge, float]] = [{c: 1.0 for c in left_charges}]
@@ -129,8 +106,6 @@ def product_state(
                 if amp == 0.0:
                     continue
                 cr = _sub(cl, occ)
-                if rule.occupation(cl, cr) is None:
-                    continue
                 nxt[cr] = nxt.get(cr, 0.0) + w * abs(amp) ** 2
         left_sq.append(nxt)
     right_sq: list[dict[Charge, float]] = [dict() for _ in range(m + 1)]
@@ -142,8 +117,6 @@ def product_state(
                 if amp == 0.0:
                     continue
                 cl = _add(cr, occ)
-                if rule.occupation(cl, cr) is None:
-                    continue
                 cur[cl] = cur.get(cl, 0.0) + w * abs(amp) ** 2
         right_sq[k] = cur
 
@@ -171,15 +144,13 @@ def product_state(
                 if amp == 0.0:
                     continue
                 cr = _sub(cl, occ)
-                if cr not in bonds[k + 1] or rule.occupation(cl, cr) is None:
+                if cr not in bonds[k + 1]:
                     continue
                 value = amp * math.sqrt(right_sq[k + 1][cr] / right_sq[k][cl])
                 blocks[(cl, cr)] = np.array([[value]], dtype=np.complex128)
         sites.append(blocks)
 
-    return TensorTrainState(
-        num_sites=m, rule=rule, sites=sites, bonds=bonds, norm_scale=scale
-    )
+    return TensorTrainState(num_sites=m, sites=sites, bonds=bonds, norm_scale=scale)
 
 
 def _sub(a: Hashable, b: Hashable) -> Hashable:
@@ -202,7 +173,7 @@ def _charge_sort_key(c: Charge):
 def two_site_update(
     state: TensorTrainState,
     site: int,
-    gate_matrix: np.ndarray,
+    gate_blocks: list[np.ndarray],
     policy: TruncationPolicy,
 ) -> float:
     """Apply a two-site gate at (site, site+1), 1-indexed; returns discarded weight.
@@ -210,11 +181,11 @@ def two_site_update(
     For outer charges (cl, cr) every input and output occupation pair of the
     gate lies in the photon-number sector n = cl - cr (a (ket, bra) pair for
     vectorized operators), whose gate block G_n[j, i] = <j, n-j|G|i, n-i> is
-    sliced from ``gate_matrix``. The center products B_l B_r of each (cl, cr),
-    stacked over the inner charge ci (input occupation i = cl - ci), fill a
-    column range of their sector's stack, and one matmul with G_n contracts
-    every pair of the sector. Output row j is the (cl, cr) block of Phi for
-    center charge cl - j. Theta = lambda_left Phi is SVD'd per center charge
+    ``gate_blocks[n]`` (see ``circuit.fock_gate``). The center products
+    B_l B_r of each (cl, cr), stacked over the inner charge ci (input
+    occupation i = cl - ci), fill a column range of their sector's stack, and
+    one matmul with G_n contracts every pair of the sector. Output row j is
+    the (cl, cr) block of Phi for center charge cl - j. Theta = lambda_left Phi is SVD'd per center charge
     and all sectors are truncated jointly against the chi budget. The new
     right tensor is the kept rows of V^dag and the new left tensor is
     Phi V_kept (= Gamma_l lambda_center), so no singular value is ever
@@ -246,7 +217,7 @@ def two_site_update(
     sectors: dict[Charge, tuple] = {}
     for cl, cr in pairs:
         n = _sub(cl, cr)
-        _sector_block(gate_matrix, n, state.rule.local_dim, sectors)
+        _sector_block(gate_blocks, n, sectors)
         offsets[cl, cr] = widths.get(n, 0)
         widths[n] = offsets[cl, cr] + len(left_bond[cl]) * len(right_bond[cr])
     stacks = {n: np.zeros((len(sectors[n][0]), w), dtype=np.complex128) for n, w in widths.items()}
@@ -326,22 +297,20 @@ def two_site_update(
     return outcome.discarded_weight
 
 
-def _sector_block(gate: np.ndarray, n: Hashable, d: int, cache: dict) -> tuple:
+def _sector_block(blocks: list[np.ndarray], n: Hashable, cache: dict) -> tuple:
     """(left occupations, their positions, gate block) on photon-number sector n, cached.
 
-    Entry [j, i] is <j, n-j| gate |i, n-i> for in-range occupations; a (ket, bra)
-    sector acts as U (x) conj(U), the Kronecker product of ket and conjugated bra blocks.
+    A scalar sector is ``blocks[n]`` over occupations 0..n; a (ket, bra) sector
+    acts as U (x) conj(U), the Kronecker product of ket and conjugated bra blocks.
     """
     if n not in cache:
         if isinstance(n, tuple):
-            ket_labels, _, ket = _sector_block(gate, n[0], d, cache)
-            bra_labels, _, bra = _sector_block(gate, n[1], d, cache)
+            ket_labels, _, ket = _sector_block(blocks, n[0], cache)
+            bra_labels, _, bra = _sector_block(blocks, n[1], cache)
             labels = [(a, b) for a in ket_labels for b in bra_labels]
             block = (ket[:, None, :, None] * bra.conj()[None, :, None, :]).reshape(len(labels), -1)
         else:
-            occ = np.arange(max(0, n - d + 1), min(n, d - 1) + 1)
-            flat = occ * d + (n - occ)
-            labels, block = occ.tolist(), gate[np.ix_(flat, flat)]
+            labels, block = list(range(n + 1)), blocks[n]
         cache[n] = (labels, {label: pos for pos, label in enumerate(labels)}, block)
     return cache[n]
 

@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -203,55 +204,59 @@ def circuit_to_unitary(plan: CircuitPlan) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class FockGateMatrix:
-    """Two-site beam splitter on the truncated Fock basis.
+def fock_gate(gate: BeamSplitterGate, local_dim: int) -> list[np.ndarray]:
+    """Photon-number sector blocks of a beam splitter on occupation space.
 
-    ``matrix`` is (d^2, d^2) with row j1*d + j2 the output occupation pair and
-    column i1*d + i2 the input pair. Entries vanish unless j1 + j2 = i1 + i2,
-    and each total-photon sector with total <= d-1 is unitary.
+    ``blocks[n][j, i] = <j, n-j| B |i, n-i>`` for n = 0..local_dim-1: a beam
+    splitter conserves the photon number of its two modes, so these
+    (n+1) x (n+1) unitary blocks are all of it that a state with at most
+    local_dim - 1 photons meets. Entry [j, i] is the a^dag^j b^dag^(n-j)
+    coefficient of
+    (cos(t) a^dag - e^{i phi} sin(t) b^dag)^i (e^{-i phi} sin(t) a^dag + cos(t) b^dag)^(n-i) |0, 0>,
+    the convolution of two binomial rows of the 2x2 mode matrix, against
+    normalized number states.
     """
-
-    local_dim: int
-    matrix: np.ndarray
-
-    def tensor(self) -> np.ndarray:
-        d = self.local_dim
-        return self.matrix.reshape(d, d, d, d)
-
-
-def fock_gate(gate: BeamSplitterGate, local_dim: int) -> FockGateMatrix:
-    """Lift a beam splitter to occupation space by expanding transformed creation operators.
-
-    <j1, j2| B |i1, i2> comes from expanding
-    (cos(t) a^dag - e^{i phi} sin(t) b^dag)^{i1}
-    (e^{-i phi} sin(t) a^dag + cos(t) b^dag)^{i2} |0, 0>
-    against normalized number states.
-    """
-    d = local_dim
-    if d < 1:
+    if local_dim < 1:
         raise ValueError("local_dim must be positive")
+    slot, coeff, e_t, e_rp, e_r, norm = _sector_terms(local_dim)
     t = math.cos(gate.theta)
     s_refl = math.sin(gate.theta)
     rp = -np.exp(1j * gate.phi) * s_refl  # coefficient sending input 1 to output 2
     r = np.exp(-1j * gate.phi) * s_refl  # coefficient sending input 2 to output 1
-    fact = [math.factorial(k) for k in range(d)]
-    out = np.zeros((d, d, d, d), dtype=np.complex128)
-    for i1 in range(d):
-        for i2 in range(d):
-            total = i1 + i2
-            for j1 in range(max(0, total - (d - 1)), min(d - 1, total) + 1):
-                j2 = total - j1
-                acc = 0.0 + 0.0j
-                for q in range(max(0, j1 - i1), min(j1, i2) + 1):
-                    p = j1 - q  # photons input 1 keeps on output 1
-                    acc += (
-                        math.comb(i1, p)
-                        * math.comb(i2, q)
-                        * t ** (p + (i2 - q))
-                        * rp ** (i1 - p)
-                        * r**q
-                    )
-                norm = math.sqrt(fact[j1] * fact[j2] / (fact[i1] * fact[i2]))
-                out[j1, j2, i1, i2] = norm * acc
-    return FockGateMatrix(local_dim=d, matrix=out.reshape(d * d, d * d))
+    powers = range(local_dim)
+    f = coeff * np.array([t**e for e in powers])[e_t]
+    rp_pow = np.array([rp**e for e in powers])[e_rp]
+    r_pow = np.array([r**e for e in powers])[e_r]
+    # The complex products are spelled out in real arithmetic and each entry
+    # sums its terms in ascending order, so every block is bit-for-bit the
+    # scalar expansion's value.
+    a, b = f * rp_pow.real, f * rp_pow.imag
+    x, y = r_pow.real, r_pow.imag
+    flat = np.empty(len(norm), dtype=np.complex128)
+    flat.real = norm * np.bincount(slot, a * x - b * y, len(norm))
+    flat.imag = norm * np.bincount(slot, a * y + b * x, len(norm))
+    ends = np.cumsum([(n + 1) ** 2 for n in powers])
+    return [block.reshape(n + 1, n + 1) for n, block in enumerate(np.split(flat, ends[:-1]))]
+
+
+@lru_cache(maxsize=None)
+def _sector_terms(d: int) -> tuple[np.ndarray, ...]:
+    """Binomial terms of every sector entry for local dimension d.
+
+    Entries run over (n, j, i) in the order of the concatenated row-major
+    blocks, each with its number-state normalization. Per term, q photons of
+    input 2 and p = j - q of input 1 reach output 1: the term holds its entry's
+    position, the binomial factor and the exponents of cos(t), of the 1->2
+    and of the 2->1 coefficient, in ascending q within each entry.
+    """
+    terms, norm = [], []
+    for n in range(d):
+        for j in range(n + 1):
+            for i in range(n + 1):
+                norm.append(math.sqrt(math.factorial(j) * math.factorial(n - j)
+                                      / (math.factorial(i) * math.factorial(n - i))))
+                terms += [(len(norm) - 1, math.comb(i, j - q) * math.comb(n - i, q),
+                           j - q + n - i - q, i - j + q, q)
+                          for q in range(max(0, j - i), min(j, n - i) + 1)]
+    slot, coeff, e_t, e_rp, e_r = np.array(terms).T
+    return slot, coeff.astype(float), e_t, e_rp, e_r, np.array(norm)

@@ -45,7 +45,7 @@ from .oracle import (
     enumerate_occupations,
     exact_lossy_distribution,
 )
-from .snapshots import SnapshotVersionError, load_state, save_state
+from .snapshots import load_state, save_state
 
 EXPERIMENTS = (
     "lossless-ee",
@@ -228,6 +228,10 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("checkpoint_every", "must be >= 0 (0 disables)")
     if config.max_seconds is not None and config.max_seconds < 0:
         raise ConfigError("max_seconds", "must be >= 0")
+    if config.experiment in ("lossless-ee", "fock-ee"):
+        for name in ("loss", "gammas", "betas"):
+            if getattr(config, name) is not None:
+                raise ConfigError(name, f"{config.experiment} is lossless and takes no {name}")
     if (config.gammas is None) != (config.betas is None):
         raise ConfigError("gammas", "gammas and betas must be given together")
     if config.gammas is not None:
@@ -258,7 +262,7 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError("num_samples", "sample experiment needs num_samples >= 1")
         if len(config.num_modes) != 1 or len(config.num_photons) != 1:
             raise ConfigError("num_modes", "sample runs use a single (M, N) point")
-    if config.experiment in ("sample", "prob") and len(_loss_points(config)) > 1:
+    if config.experiment in ("sample", "prob", "oracle-check") and len(_loss_points(config)) > 1:
         raise ConfigError("gammas", f"{config.experiment} runs use a single loss point")
     if config.experiment == "prob":
         if not config.outcomes:
@@ -429,8 +433,8 @@ class _Checkpointer:
             return None
         try:
             state, extra = load_state(path)
-        except (SnapshotVersionError, zipfile.BadZipFile, EOFError):
-            return None  # another snapshot format, or a file cut short
+        except (ValueError, zipfile.BadZipFile, EOFError):
+            return None  # another snapshot format, a bad header, or a file cut short
         if extra.get("config_hash") != self.digest:
             return None
         return state, int(extra["layers_done"]), list(extra["rows"])

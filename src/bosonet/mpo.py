@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chain
-from .chain import TensorTrainState, VectorizedChargeRule
+from .chain import TensorTrainState
 from .circuit import BeamSplitterGate, CircuitPlan, fock_gate
 from .linalg import TruncationPolicy
 
@@ -135,8 +135,7 @@ def init_lossy(
         left = [(n, n) for n in range(num_photons + 1)]
     else:
         left = [(sector, sector)]
-    rule = VectorizedChargeRule(num_photons + 1)
-    state = chain.product_state(site_vectors, left, (0, 0), rule)
+    state = chain.product_state(site_vectors, left, (0, 0))
     return MpoState(
         chain=state,
         num_modes=num_modes,
@@ -148,8 +147,8 @@ def init_lossy(
 
 def apply_gate_vec(state: MpoState, gate: BeamSplitterGate, policy: TruncationPolicy) -> float:
     """Apply U (x) conj(U) for one beam-splitter gate; returns discarded weight."""
-    matrix = fock_gate(gate, state.local_dim).matrix
-    return chain.two_site_update(state.chain, gate.site, matrix, policy)
+    blocks = fock_gate(gate, state.local_dim)
+    return chain.two_site_update(state.chain, gate.site, blocks, policy)
 
 
 def apply_plan_vec(state: MpoState, plan: CircuitPlan, policy: TruncationPolicy) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chain
-from .chain import PureChargeRule, TensorTrainState
+from .chain import TensorTrainState
 from .circuit import BeamSplitterGate, CircuitPlan, fock_gate
 from .linalg import TruncationPolicy
 
@@ -57,20 +57,18 @@ def init_fock(occupations: tuple[int, ...]) -> MpsState:
     if any(n < 0 for n in occs):
         raise ValueError(f"occupations must be non-negative, got {occs}")
     total = sum(occs)
-    rule = PureChargeRule(total + 1)
     state = chain.product_state(
         site_vectors=[{n: 1.0} for n in occs],
         left_charges=[total],
         right_charge=0,
-        rule=rule,
     )
     return MpsState(chain=state, num_modes=len(occs), num_photons=total)
 
 
 def apply_gate(state: MpsState, gate: BeamSplitterGate, policy: TruncationPolicy) -> float:
     """Apply one beam-splitter gate to adjacent modes; returns discarded weight."""
-    matrix = fock_gate(gate, state.local_dim).matrix
-    return chain.two_site_update(state.chain, gate.site, matrix, policy)
+    blocks = fock_gate(gate, state.local_dim)
+    return chain.two_site_update(state.chain, gate.site, blocks, policy)
 
 
 def apply_plan(state: MpsState, plan: CircuitPlan, policy: TruncationPolicy) -> float:

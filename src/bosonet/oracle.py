@@ -198,9 +198,8 @@ def dense_evolve(occupations: tuple[int, ...], plan: CircuitPlan) -> DenseFockSt
     index = {occ: i for i, occ in enumerate(basis)}
     amps = np.zeros(len(basis), dtype=np.complex128)
     amps[index[occupations]] = 1.0
-    local_dim = total + 1
     for gate in plan.gates:
-        block = fock_gate(gate, local_dim).matrix
+        blocks = fock_gate(gate, total + 1)
         k = gate.site - 1
         new_amps = np.zeros_like(amps)
         for src, occ in enumerate(basis):
@@ -208,14 +207,12 @@ def dense_evolve(occupations: tuple[int, ...], plan: CircuitPlan) -> DenseFockSt
             if a == 0.0:
                 continue
             i1, i2 = occ[k], occ[k + 1]
-            pair_total = i1 + i2
-            col = i1 * local_dim + i2
-            for j1 in range(pair_total + 1):
-                j2 = pair_total - j1
-                coeff = block[j1 * local_dim + j2, col]
+            block = blocks[i1 + i2]
+            for j1 in range(i1 + i2 + 1):
+                coeff = block[j1, i1]
                 if coeff == 0.0:
                     continue
-                dst = occ[:k] + (j1, j2) + occ[k + 2 :]
+                dst = occ[:k] + (j1, i1 + i2 - j1) + occ[k + 2 :]
                 new_amps[index[dst]] += coeff * a
         amps = new_amps
     return DenseFockState(num_modes=num_modes, total=total, basis=basis, amplitudes=amps)

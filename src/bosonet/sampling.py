@@ -174,6 +174,8 @@ def sample_many(
 ) -> list[SamplingResult]:
     """Draw ``count`` independent outcomes reusing one cached engine."""
     _check_degraded(state)
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     engine = _Engine(state)
     return [_draw(engine, rng, seed) for _ in range(count)]
 

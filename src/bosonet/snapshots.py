@@ -5,10 +5,11 @@ per charge block: every bond spectrum under ``bond{k}/{charge}`` and every
 right-canonical site block B = Gamma lambda under ``site{k}/{left};{right}``
 (format 1 stored the Vidal Gamma blocks instead and is not read).  The header
 records the format version, whether the state is a pure state or a vectorized
-operator, and — for lossy states — the loss parameters, so a checkpointed
-sweep can be resumed without the original configuration in hand.  Arrays are
-stored in their native binary form, which makes save/load round trips
-bit-exact and resumed evolutions identical to uninterrupted ones.
+operator, its local dimension (always num_photons + 1; a header that says
+otherwise is rejected) and — for lossy states — the loss parameters, so a
+checkpointed sweep can be resumed without the original configuration in
+hand.  Arrays are stored in their native binary form, which makes save/load
+round trips bit-exact and resumed evolutions identical to uninterrupted ones.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .chain import PureChargeRule, TensorTrainState, VectorizedChargeRule
+from .chain import TensorTrainState
 from .mpo import MpoState
 from .mps import MpsState
 
@@ -71,7 +72,7 @@ def save_state(
         "kind": kind,
         "num_modes": state.num_modes,
         "num_photons": state.num_photons,
-        "local_dim": chain.rule.local_dim,
+        "local_dim": state.local_dim,
         "norm_scale": chain.norm_scale,
         "discarded_weight": chain.discarded_weight,
         "loss": loss,
@@ -121,7 +122,12 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
     kind = header["kind"]
     paired = kind == "mpo"
     num_modes = int(header["num_modes"])
-    local_dim = int(header["local_dim"])
+    num_photons = int(header["num_photons"])
+    if int(header["local_dim"]) != num_photons + 1:
+        raise ValueError(
+            f"{path}: local_dim {header['local_dim']} does not match "
+            f"{num_photons} photons (expected {num_photons + 1})"
+        )
     bonds: list[dict[Any, np.ndarray]] = [{} for _ in range(num_modes + 1)]
     sites: list[dict[tuple[Any, Any], np.ndarray]] = [{} for _ in range(num_modes)]
     with np.load(path, allow_pickle=False) as data:
@@ -138,10 +144,8 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
                 ] = data[key]
             else:
                 raise ValueError(f"{path}: unexpected snapshot member {key!r}")
-    rule = VectorizedChargeRule(local_dim) if paired else PureChargeRule(local_dim)
     chain = TensorTrainState(
         num_sites=num_modes,
-        rule=rule,
         sites=sites,
         bonds=bonds,
         norm_scale=float(header["norm_scale"]),
@@ -152,7 +156,7 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
         state = MpoState(
             chain=chain,
             num_modes=num_modes,
-            num_photons=int(header["num_photons"]),
+            num_photons=num_photons,
             mu=float(header["loss"]["mu"]),
             sector=None if header["sector"] is None else int(header["sector"]),
         )
@@ -160,6 +164,6 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
         state = MpsState(
             chain=chain,
             num_modes=num_modes,
-            num_photons=int(header["num_photons"]),
+            num_photons=num_photons,
         )
     return state, dict(header.get("extra", {}))

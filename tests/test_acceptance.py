@@ -78,17 +78,20 @@ def evolve_mps_by_layers(plan, occupations, policy):
     return state, peak_s1, max_s0, max_bond
 
 
-def charge_violations(chain) -> int:
-    """Count structural charge-conservation defects in a tensor train.
+def charge_violations(state) -> int:
+    """Count structural charge-conservation defects in a state's tensor train.
 
     Every stored block must connect charges whose difference is a valid local
-    occupation, and must reference live sectors of its adjacent bonds; the
-    count is zero for any state produced by the simulators.
+    occupation (each component in [0, d)), and must reference live sectors
+    of its adjacent bonds; the count is zero for any state produced by the
+    simulators.
     """
+    chain = state.chain
     bad = 0
     for k in range(chain.num_sites):
         for (cl, cr) in chain.sites[k]:
-            if chain.rule.occupation(cl, cr) is None:
+            occupation = np.atleast_1d(np.subtract(cl, cr))
+            if occupation.min() < 0 or occupation.max() >= state.local_dim:
                 bad += 1
             if cl not in chain.bonds[k] or cr not in chain.bonds[k + 1]:
                 bad += 1
@@ -186,7 +189,7 @@ def equivalence_grid():
             inst.weight_gap = max(
                 abs(state.norm_weight(k) - 1.0) for k in range(m + 1)
             )
-            inst.charge_defects = charge_violations(state.chain)
+            inst.charge_defects = charge_violations(state)
             draws = sampling.sample_many(
                 state, circuit_rng(GRID_SEED, point, c, stream=1), 3
             )
@@ -207,7 +210,7 @@ def equivalence_grid():
                     inst.weight_gap,
                     max(abs(op.norm_weight(k) - 1.0) for k in range(m + 1)),
                 )
-                inst.charge_defects += charge_violations(op.chain)
+                inst.charge_defects += charge_violations(op)
                 op_draws = sampling.sample_many(
                     op, circuit_rng(GRID_SEED, point, c, stream=2), 3
                 )

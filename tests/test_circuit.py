@@ -14,6 +14,7 @@ from bosonet.circuit import (
     sample_haar_circuit,
     sample_reflectivity,
 )
+from bosonet.oracle import build_submatrix, permanent
 
 
 def test_index_sequences():
@@ -132,38 +133,78 @@ def test_plan_json_roundtrip():
     assert np.allclose(circuit_to_unitary(clone), circuit_to_unitary(plan), atol=0)
 
 
+def test_fock_gate_block_layout():
+    blocks = fock_gate(BeamSplitterGate(1, 0.7, 1.3), 5)
+    assert [b.shape for b in blocks] == [(n + 1, n + 1) for n in range(5)]
+    assert all(b.dtype == np.complex128 and b.flags.c_contiguous for b in blocks)
+    with pytest.raises(ValueError):
+        fock_gate(BeamSplitterGate(1, 0.7, 1.3), 0)
+
+
 def test_fock_gate_identity_at_zero_angle():
-    g = fock_gate(BeamSplitterGate(1, 0.0, 0.4), 4)
-    assert np.allclose(g.matrix, np.eye(16), atol=1e-14)
+    for n, block in enumerate(fock_gate(BeamSplitterGate(1, 0.0, 0.4), 4)):
+        assert np.allclose(block, np.eye(n + 1), atol=1e-14)
 
 
 def test_fock_gate_hong_ou_mandel():
-    g = fock_gate(BeamSplitterGate(1, math.pi / 4, 0.0), 3).tensor()
-    assert abs(g[1, 1, 1, 1]) < 1e-14
-    assert abs(g[2, 0, 1, 1]) == pytest.approx(1 / math.sqrt(2), abs=1e-14)
-    assert abs(g[0, 2, 1, 1]) == pytest.approx(1 / math.sqrt(2), abs=1e-14)
+    # blocks[2][j, 1] = <j, 2-j| B |1, 1>: the |1, 1> output vanishes.
+    block = fock_gate(BeamSplitterGate(1, math.pi / 4, 0.0), 3)[2]
+    assert abs(block[1, 1]) < 1e-14
+    assert abs(block[2, 1]) == pytest.approx(1 / math.sqrt(2), abs=1e-14)
+    assert abs(block[0, 1]) == pytest.approx(1 / math.sqrt(2), abs=1e-14)
 
 
-def test_fock_gate_structural_zeros():
-    g = fock_gate(BeamSplitterGate(1, 0.7, 1.3), 4).tensor()
-    d = 4
-    for j1 in range(d):
-        for j2 in range(d):
-            for i1 in range(d):
-                for i2 in range(d):
-                    if j1 + j2 != i1 + i2:
-                        assert g[j1, j2, i1, i2] == 0
+@pytest.mark.parametrize("theta", [0.0, 0.37, math.pi / 4, 1.2, math.pi / 2])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_fock_gate_matches_permanents(theta, d):
+    # <j, n-j| B |i, n-i> = Per(B[rows i, n-i; cols j, n-j]) / sqrt(i! (n-i)! j! (n-j)!)
+    gate = BeamSplitterGate(1, theta, 2.1)
+    b = gate.matrix()
+    blocks = fock_gate(gate, d)
+    assert len(blocks) == d
+    for n, block in enumerate(blocks):
+        for j in range(n + 1):
+            for i in range(n + 1):
+                norm = math.sqrt(math.factorial(i) * math.factorial(n - i)
+                                 * math.factorial(j) * math.factorial(n - j))
+                expected = permanent(build_submatrix(b, (i, n - i), (j, n - j))) / norm
+                assert abs(block[j, i] - expected) < 1e-13, (n, j, i)
+
+
+def scalar_fock_entry(gate, i1, i2, j1, j2):
+    """<j1, j2| B |i1, i2> summed term by term in Python scalars (the reference)."""
+    t = math.cos(gate.theta)
+    s_refl = math.sin(gate.theta)
+    rp = -np.exp(1j * gate.phi) * s_refl
+    r = np.exp(-1j * gate.phi) * s_refl
+    acc = 0.0 + 0.0j
+    for q in range(max(0, j1 - i1), min(j1, i2) + 1):
+        p = j1 - q
+        acc += math.comb(i1, p) * math.comb(i2, q) * t ** (p + (i2 - q)) * rp ** (i1 - p) * r**q
+    fact = math.factorial
+    return math.sqrt(fact(j1) * fact(j2) / (fact(i1) * fact(i2))) * acc
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_fock_gate_is_bitwise_the_scalar_expansion(d):
+    # Output tables stay byte-identical only if the blocks do.
+    rng = np.random.default_rng(d)
+    angles = [(0.0, 0.4), (math.pi / 2, 1.0), (math.pi / 4, 0.0)]
+    angles += [(rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi)) for _ in range(5)]
+    for theta, phi in angles:
+        gate = BeamSplitterGate(1, theta, phi)
+        for n, block in enumerate(fock_gate(gate, d)):
+            expected = np.array([[scalar_fock_entry(gate, i, n - i, j, n - j)
+                                  for i in range(n + 1)] for j in range(n + 1)])
+            assert block.tobytes() == expected.astype(np.complex128).tobytes(), (theta, n)
 
 
 @given(
     theta=st.floats(0.0, math.pi / 2),
     phi=st.floats(0.0, 2 * math.pi),
-    d=st.integers(2, 6),
+    d=st.integers(1, 6),
 )
 @settings(max_examples=40, deadline=None)
 def test_fock_gate_sector_unitarity(theta, phi, d):
-    g = fock_gate(BeamSplitterGate(1, theta, phi), d).tensor()
-    for total in range(d):
-        pairs = [(i, total - i) for i in range(total + 1)]
-        block = np.array([[g[o1, o2, i1, i2] for (i1, i2) in pairs] for (o1, o2) in pairs])
-        assert np.allclose(block.conj().T @ block, np.eye(len(pairs)), atol=1e-12)
+    for n, block in enumerate(fock_gate(BeamSplitterGate(1, theta, phi), d)):
+        assert np.allclose(block.conj().T @ block, np.eye(n + 1), atol=1e-12)

@@ -224,6 +224,32 @@ class TestCheckpointResume:
         assert not list((cut / "checkpoints").glob("*.npz"))
 
 
+    def test_checkpoint_with_mismatched_local_dim_is_ignored(self, tmp_path):
+        config = write_config(tmp_path / "c.json", experiment="lossy-ee",
+                              loss={"kind": "constant", "mu": 0.6}, checkpoint_every=1)
+        clean = tmp_path / "clean"
+        assert main(["lossy-ee", "--config", str(config), "--out", str(clean)]) == EXIT_OK
+
+        bad = tmp_path / "bad"
+        aborting = write_config(tmp_path / "abort.json", experiment="lossy-ee",
+                                loss={"kind": "constant", "mu": 0.6},
+                                checkpoint_every=1, max_seconds=0.0)
+        assert main(["lossy-ee", "--config", str(aborting), "--out", str(bad)]) == EXIT_RESOURCE
+        [planted] = (bad / "checkpoints").glob("*.npz")
+        with np.load(planted, allow_pickle=False) as data:
+            arrays = {key: data[key] for key in data.files}
+        header = json.loads(str(arrays["header"][()]))
+        header["local_dim"] += 1
+        arrays["header"] = np.array(json.dumps(header))
+        with open(planted, "wb") as fh:
+            np.savez(fh, **arrays)
+
+        assert main(["lossy-ee", "--config", str(config), "--out", str(bad)]) == EXIT_OK
+        for table in ("results.csv", "summary.csv"):
+            assert (bad / table).read_bytes() == (clean / table).read_bytes()
+        assert not list((bad / "checkpoints").glob("*.npz"))
+
+
 class TestInstalledEntryPoint:
     def test_console_script_is_wired(self):
         """``bosonet`` is declared as ``bosonet.cli:main`` and that target loads.

@@ -165,6 +165,27 @@ class TestConfigParsing:
                          gammas=[0.5], betas=[1.5])
             )
 
+    @pytest.mark.parametrize("experiment, extra", [
+        ("sample", {"num_samples": 5}),
+        ("prob", {"outcomes": [[1, 1, 0, 0]]}),
+        ("oracle-check", {}),
+    ])
+    def test_single_loss_point_experiments_reject_loss_sweeps(self, experiment, extra):
+        with pytest.raises(ConfigError, match="'gammas'.*single loss point"):
+            config_from_dict(make_doc(experiment=experiment, gammas=[0.5, 1.0],
+                                      betas=[0.3], **extra))
+        config_from_dict(make_doc(experiment=experiment, gammas=[0.5], betas=[0.3], **extra))
+
+    @pytest.mark.parametrize("experiment", ["lossless-ee", "fock-ee"])
+    @pytest.mark.parametrize("name, loss", [
+        ("loss", {"loss": {"kind": "constant", "mu": 0.5}}),
+        ("gammas", {"gammas": [0.5], "betas": [0.3]}),
+        ("betas", {"betas": [0.3]}),
+    ])
+    def test_lossless_experiments_reject_loss_settings(self, experiment, name, loss):
+        with pytest.raises(ConfigError, match=f"'{name}'.*lossless"):
+            config_from_dict(make_doc(experiment=experiment, **loss))
+
     def test_sample_needs_num_samples(self):
         with pytest.raises(ConfigError, match="'num_samples'"):
             config_from_dict(make_doc(experiment="sample"))
@@ -190,6 +211,14 @@ class TestConfigParsing:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ConfigError, match="'tolerance'"):
             config_from_dict(make_doc(tolerance=0.0))
+
+    def test_checked_in_configs_parse(self):
+        paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+        assert paths, "configs/ holds no *.json"
+        for path in paths:
+            doc = json.loads(path.read_text())
+            config = config_from_dict(doc)
+            assert config.experiment == doc["experiment"], path.name
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonet import mps
+from bosonet import chain, mps
 from bosonet.circuit import BeamSplitterGate, CircuitPlan, circuit_to_unitary, sample_haar_circuit
 from bosonet.linalg import TruncationPolicy
 from bosonet.oracle import dense_evolve, dense_reduced_spectrum, enumerate_occupations
@@ -50,6 +50,14 @@ def test_init_fock_validation():
         mps.init_fock(())
     with pytest.raises(ValueError):
         mps.init_fock((1, -1))
+
+
+@pytest.mark.parametrize("label", [-1, (1, -1), (-1, 0)])
+def test_product_state_rejects_negative_labels(label):
+    pair = isinstance(label, tuple)
+    zero = (0, 0) if pair else 0
+    with pytest.raises(ValueError, match="non-negative"):
+        chain.product_state([{zero: 1.0}, {label: 1.0}], [zero], zero)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=6))

@@ -173,6 +173,15 @@ def test_determinism():
     assert sum(counts_a.values()) == 1000
 
 
+def test_negative_count_is_rejected():
+    state = evolved_mpo(2, 4, 0.6, seed=37)
+    assert sampling.sample_many(state, np.random.default_rng(0), 0) == []
+    assert sampling.sample_counts(state, np.random.default_rng(0), 0) == {}
+    for draw in (sampling.sample_many, sampling.sample_counts):
+        with pytest.raises(ValueError, match="nonnegative"):
+            draw(state, np.random.default_rng(0), -1)
+
+
 def test_opaque_loss_always_yields_vacuum():
     state = mpo.init_lossy(2, 4, 0.0)
     mpo.apply_plan_vec(state, haar_plan(4, seed=41), EXACT)

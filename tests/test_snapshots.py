@@ -105,7 +105,9 @@ def test_header_records_kind_and_loss(tmp_path):
     assert pure_header["version"] == FORMAT_VERSION
     assert pure_header["kind"] == "mps"
     assert pure_header["loss"] is None
+    assert pure_header["local_dim"] == pure.num_photons + 1
     assert lossy_header["kind"] == "mpo"
+    assert lossy_header["local_dim"] == lossy.num_photons + 1
     assert lossy_header["loss"] == {"mu": 0.35}
 
 
@@ -128,6 +130,21 @@ def test_unsupported_version_is_rejected(tmp_path):
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     with pytest.raises(ValueError, match="unknown container format"):
+        load_state(path)
+
+
+def test_local_dim_must_match_photon_number(tmp_path):
+    state, _ = _evolved_mpo()
+    path = tmp_path / "op.npz"
+    save_state(path, state)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(str(arrays["header"][()]))
+    header["local_dim"] = state.num_photons + 2
+    arrays["header"] = np.array(json.dumps(header))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ValueError, match="local_dim 4 does not match 2 photons"):
         load_state(path)
 
 
