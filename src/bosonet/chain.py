@@ -1,24 +1,27 @@
 """Charge-blocked tensor trains in right-canonical form.
 
 This module is the shared chassis for the pure-state and density-operator
-simulators. A state is stored as singular-value vectors and site tensors;
-every bond index is resolved into symmetry sectors labeled by a *charge* (the
-photon count strictly to the right of the cut, or a ket/bra pair of such
-counts for vectorized density operators). Site tensors keep one dense block
-per (left charge, right charge) pair, because the local occupation is implied
-by the charge difference — that is what makes the representation compact and
-what enforces particle-number conservation structurally. The same fact lets a
-contraction address blocks by local occupation label: the right charge is the
-left charge minus the label, so each (charge, label) pair is one dict lookup.
-It also makes the two-site update block-sparse (Singh, Pfeifer & Vidal, Phys.
-Rev. B 83, 115125 (2011)): for outer charges (cl, cr) every occupation pair a
-number-conserving gate touches lies in the one sector n = cl - cr.
-Charges are plain data, an int or an int (ket, bra) pair, and the module
-needs no rule object for them: ``_sub``/``_add`` act componentwise on either
-kind, and the local dimension never enters, because n <= N and the gate
-blocks ``circuit.fock_gate`` returns cover every such sector.
+simulators: ``mps.MpsState`` and ``mpo.MpoState`` subclass
+:class:`TensorTrainState`, so a state is its train and the contractions,
+spectra and entropies below serve both. A state is stored as singular-value
+vectors and site tensors; every bond index is resolved into symmetry sectors
+labeled by a *charge* (the photon count strictly to the right of the cut, or a
+ket/bra pair of such counts for vectorized density operators). Site tensors
+keep one dense block per (left charge, right charge) pair, because the local
+occupation is implied by the charge difference — that is what makes the
+representation compact and what enforces particle-number conservation
+structurally. The same fact lets a contraction address blocks by local
+occupation label: the right charge is the left charge minus the label, so each
+(charge, label) pair is one dict lookup. It also makes the two-site update
+block-sparse (Singh, Pfeifer & Vidal, Phys. Rev. B 83, 115125 (2011)): for
+outer charges (cl, cr) every occupation pair a number-conserving gate touches
+lies in the one sector n = cl - cr. Charges are plain data, an int or an int
+(ket, bra) pair, and the module needs no rule object for them:
+``_sub``/``_add`` act componentwise on either kind, and no update or
+contraction reads the local dimension, because n <= N and the gate blocks
+``circuit.fock_gate`` returns cover every such sector.
 
-Layout for ``M`` sites:
+Layout for ``M`` sites (one per mode):
 
 - ``bonds[k]``, k = 0..M: dict charge -> descending positive float array, the
   singular values across cut k. ``bonds[0]``/``bonds[M]`` carry the boundary
@@ -55,24 +58,32 @@ Charge = Hashable
 
 @dataclass
 class TensorTrainState:
-    """Right-canonical charge-blocked tensor train (pure state or vectorized operator)."""
+    """Right-canonical charge-blocked tensor train: ``num_photons`` photons on ``num_modes`` sites.
 
-    num_sites: int
+    ``mps.MpsState`` and ``mpo.MpoState`` subclass it, so a state is its train.
+    """
+
+    num_modes: int
+    num_photons: int
     sites: list[dict[tuple[Charge, Charge], np.ndarray]]
     bonds: list[dict[Charge, np.ndarray]]
     norm_scale: float = 1.0
     discarded_weight: float = 0.0
 
+    @property
+    def local_dim(self) -> int:
+        return self.num_photons + 1
+
     def bond_dimension(self, k: int) -> int:
         return sum(len(v) for v in self.bonds[k].values())
 
     def max_bond_dimension(self) -> int:
-        return max(self.bond_dimension(k) for k in range(self.num_sites + 1))
+        return max(self.bond_dimension(k) for k in range(self.num_modes + 1))
 
     def total_weight(self, k: int | None = None) -> float:
         """Sum of squared singular values at bond k (default: central bond)."""
         if k is None:
-            k = self.num_sites // 2
+            k = self.num_modes // 2
         return float(sum(np.sum(v**2) for v in self.bonds[k].values()))
 
 
@@ -80,14 +91,14 @@ def product_state(
     site_vectors: list[dict[Hashable, complex]],
     left_charges: list[Charge],
     right_charge: Charge,
-) -> TensorTrainState:
+) -> tuple[list[dict[tuple[Charge, Charge], np.ndarray]], list[dict[Charge, np.ndarray]], float]:
     """Exact right-canonical form of a product state, one local vector per site.
 
     ``site_vectors[k]`` maps local occupation labels (ints for pure states,
     (ket, bra) pairs for vectorized operators) to amplitudes. The left
-    boundary enumerates the allowed total-charge sectors; singular values are
-    normalized so the squared total is 1 and the raw 2-norm is returned in
-    ``norm_scale``.
+    boundary enumerates the allowed total-charge sectors. Returns
+    ``(sites, bonds, norm_scale)``: the singular values are normalized so the
+    squared total is 1 and ``norm_scale`` is the raw 2-norm.
     """
     m = len(site_vectors)
     if m < 1:
@@ -150,7 +161,7 @@ def product_state(
                 blocks[(cl, cr)] = np.array([[value]], dtype=np.complex128)
         sites.append(blocks)
 
-    return TensorTrainState(num_sites=m, sites=sites, bonds=bonds, norm_scale=scale)
+    return sites, bonds, scale
 
 
 def _sub(a: Hashable, b: Hashable) -> Hashable:
@@ -191,7 +202,7 @@ def two_site_update(
     Phi V_kept (= Gamma_l lambda_center), so no singular value is ever
     divided out.
     """
-    m = state.num_sites
+    m = state.num_modes
     if not 1 <= site <= m - 1:
         raise ValueError(f"site must be in [1, {m - 1}], got {site}")
     k = site - 1  # sites index of the left site; bonds k, k+1, k+2 surround it
@@ -336,7 +347,7 @@ def contract_selected(
     ``norm_scale``.
     """
     env = {c: lam.astype(np.complex128) for c, lam in state.bonds[0].items()}
-    for k in range(state.num_sites):
+    for k in range(state.num_modes):
         env = _propagate(state, k, env, labels[k])
         if not env:
             return 0.0 + 0.0j
@@ -402,7 +413,7 @@ def suffix_trace_environments(
     environment carries those), so marginal(prefix of length l) =
     sum_c envL[c] . right_envs[l][c].
     """
-    m = state.num_sites
+    m = state.num_modes
     envs: list[dict[Charge, np.ndarray]] = [dict() for _ in range(m + 1)]
     envs[m] = {c: np.ones(len(lam), dtype=np.complex128) for c, lam in state.bonds[m].items()}
     for k in range(m - 1, -1, -1):
@@ -423,11 +434,27 @@ def suffix_trace_environments(
     return envs
 
 
-def spectrum_entropy(bond: dict[Charge, np.ndarray], alpha: float) -> float:
-    """Renyi-alpha entropy (bits) of a renormalized copy of the bond spectrum."""
+def schmidt_values(state: TensorTrainState, bond: int) -> np.ndarray:
+    """All singular values at a bond, pooled over charge sectors, descending."""
+    spectra = list(state.bonds[bond].values())
+    if not spectra:
+        return np.array([])
+    return np.sort(np.concatenate(spectra))[::-1]
+
+
+def renyi_entropy(state: TensorTrainState, bond: int, alpha: float) -> float:
+    """Renyi-``alpha`` entropy (bits) across bond ``bond`` (0..M).
+
+    The entanglement entropy of a pure state, the operator-space entanglement
+    of a vectorized density operator. Computed on a 2-norm-renormalized copy
+    of the spectrum; the stored singular values are untouched.
+    """
+    if not 0 <= bond <= state.num_modes:
+        raise ValueError(f"bond must be in [0, {state.num_modes}], got {bond}")
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    values = np.concatenate([v for v in bond.values()]) if bond else np.array([])
+    spectrum = state.bonds[bond]
+    values = np.concatenate([v for v in spectrum.values()]) if spectrum else np.array([])
     p = values.astype(float) ** 2
     p = p[p > 0.0]
     if p.size == 0:
@@ -442,12 +469,12 @@ def spectrum_entropy(bond: dict[Charge, np.ndarray], alpha: float) -> float:
 
 def max_bond_entropy(state: TensorTrainState, alpha: float) -> tuple[int, float]:
     """(bond index, value) of the maximum interior-bond entropy; ties -> smallest bond."""
-    if state.num_sites < 2:
+    if state.num_modes < 2:
         return 1, 0.0
     best_bond = 1
     best = -1.0
-    for k in range(1, state.num_sites):
-        s = spectrum_entropy(state.bonds[k], alpha)
+    for k in range(1, state.num_modes):
+        s = renyi_entropy(state, k, alpha)
         if s > best + 1e-15:
             best = s
             best_bond = k

@@ -34,11 +34,10 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from . import __version__, mpo, mps, sampling
+from . import __version__, chain, mpo, mps, sampling
 from .circuit import CircuitPlan, circuit_to_unitary, plan_fingerprint, sample_haar_circuit
 from .entropy import lossy_mpo_ee, partition_angles
 from .linalg import DegradedStateError, NumericalFailure, TruncationPolicy
-from .mpo import LossSpec
 from .oracle import (
     dense_evolve,
     dense_reduced_spectrum,
@@ -80,6 +79,36 @@ class ResourceAbort(RuntimeError):
         self.columns: list[str] = []
 
 
+@dataclass(frozen=True)
+class LossSpec:
+    """Transmissivity model: a constant mu or the power law mu = beta * N**(gamma - 1)."""
+
+    kind: str
+    mu: float | None = None
+    beta: float | None = None
+    gamma: float | None = None
+
+    def __post_init__(self):
+        if self.kind == "constant":
+            if self.mu is None or not 0.0 <= self.mu <= 1.0:
+                raise ValueError(f"constant loss needs mu in [0, 1], got {self.mu}")
+        elif self.kind == "power_law":
+            if self.beta is None or self.beta <= 0.0:
+                raise ValueError(f"power-law loss needs beta > 0, got {self.beta}")
+            if self.gamma is None or not 0.0 < self.gamma <= 1.0:
+                raise ValueError(f"power-law loss needs gamma in (0, 1], got {self.gamma}")
+        else:
+            raise ValueError(f"unknown loss kind {self.kind!r}")
+
+    @staticmethod
+    def constant(mu: float) -> "LossSpec":
+        return LossSpec(kind="constant", mu=mu)
+
+    @staticmethod
+    def power_law(beta: float, gamma: float) -> "LossSpec":
+        return LossSpec(kind="power_law", beta=beta, gamma=gamma)
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment run."""
@@ -108,15 +137,6 @@ class ExperimentConfig:
         if self.weight_threshold is not None:
             kwargs["weight_threshold"] = self.weight_threshold
         return TruncationPolicy(**kwargs)
-
-    def to_dict(self) -> dict[str, Any]:
-        doc = asdict(self)
-        if self.loss is not None:
-            doc["loss"] = {"kind": self.loss.kind, "mu": self.loss.mu,
-                           "beta": self.loss.beta, "gamma": self.loss.gamma}
-        if self.outcomes is not None:
-            doc["outcomes"] = [list(o) for o in self.outcomes]
-        return doc
 
 
 def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
@@ -301,6 +321,7 @@ def _loss_points(config: ExperimentConfig) -> list[tuple[float, float]]:
 
 
 def _mu_at(gamma: float, beta: float, num_photons: int) -> float:
+    """Per-photon transmissivity beta * N**(gamma - 1) of N input photons (1 if none)."""
     if num_photons < 1:
         return 1.0
     return beta * num_photons ** (gamma - 1.0)
@@ -313,7 +334,7 @@ def config_hash(config: ExperimentConfig) -> str:
     change any emitted number, so they are excluded; everything else
     (including the seed) is hashed canonically.
     """
-    doc = config.to_dict()
+    doc = asdict(config)
     for key in _PLUMBING_FIELDS:
         doc.pop(key, None)
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -516,7 +537,7 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
             mu = _mu_at(gamma, beta, n)
             base.update({"gamma": gamma, "beta": beta, "mu": mu})
             state = mpo.init_lossy(n, m, mu)
-            apply_gate, max_entropy = mpo.apply_gate_vec, mpo.mpo_max_entropy
+            apply_gate = mpo.apply_gate_vec
         else:
             occ = [0] * m
             if bunched:
@@ -524,12 +545,12 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
             else:
                 occ[:n] = [1] * n
             state = mps.init_fock(tuple(occ))
-            apply_gate, max_entropy = mps.apply_gate, mps.max_entropy
+            apply_gate = mps.apply_gate
 
         def on_layer(layer_index: int, st) -> list[dict[str, Any]]:
             out = []
             for alpha in config.alphas:
-                bond, value = max_entropy(st, alpha)
+                bond, value = chain.max_bond_entropy(st, alpha)
                 row = dict(base)
                 row.update({
                     "layer": layer_index + 1,
@@ -778,7 +799,7 @@ def _oracle_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
             sum(mps.probability(state, occ) for occ in dense.basis) - 1.0
         )
         if m >= 2 and n >= 1:
-            sim_spec = np.asarray(mps.schmidt_values(state, m // 2)) ** 2
+            sim_spec = np.asarray(chain.schmidt_values(state, m // 2)) ** 2
             ref_spec = dense_reduced_spectrum(dense, m // 2)
             width = max(len(sim_spec), len(ref_spec))
             sim_pad = np.zeros(width)
@@ -909,7 +930,7 @@ def run_to_files(config: ExperimentConfig) -> tuple[RunRecord, Path | None]:
             "message": record.message,
             "wall_time_seconds": record.wall_time,
             "num_rows": len(record.rows),
-            "config": config.to_dict(),
+            "config": asdict(config),
         }
         (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     return record, out_dir

@@ -47,7 +47,7 @@ class SamplingResult:
 def state_norm(state: MpsState | MpoState) -> float:
     """Norm proxy guarding against over-truncated states: sqrt(sum lambda^2) or trace."""
     if isinstance(state, MpsState):
-        return float(np.sqrt(max(state.norm_weight(), 0.0)))
+        return float(np.sqrt(max(state.total_weight(), 0.0)))
     return mpo_trace(state)
 
 
@@ -86,7 +86,6 @@ class _Engine:
 
     def __init__(self, state: MpsState | MpoState):
         self.state = state
-        self.tt = state.chain
         self.num_modes = state.num_modes
         self.local_dim = state.local_dim
         self.pure = isinstance(state, MpsState)
@@ -94,17 +93,17 @@ class _Engine:
             self.labels = [(n,) for n in range(self.local_dim)]
             self.right_envs = None
             self.initial_marginal = float(
-                sum(np.sum(np.abs(lam) ** 2) for lam in self.tt.bonds[0].values())
+                sum(np.sum(np.abs(lam) ** 2) for lam in self.state.bonds[0].values())
             )
         else:
             self.labels = [((n, n),) for n in range(self.local_dim)]
             self.right_envs = chain.suffix_trace_environments(
-                self.tt, trace_labels(self.local_dim)
+                self.state, trace_labels(self.local_dim)
             )
             self.initial_marginal = self._close(self.initial_env(), 0)
 
     def initial_env(self):
-        return {c: lam.astype(np.complex128) for c, lam in self.tt.bonds[0].items()}
+        return {c: lam.astype(np.complex128) for c, lam in self.state.bonds[0].items()}
 
     def _close(self, env, num_done: int) -> float:
         """Weight of a prefix environment: squared norm (pure) or trace closure."""
@@ -115,11 +114,11 @@ class _Engine:
         for c, vec in env.items():
             if c in right:
                 total += vec @ right[c]
-        return float(total.real) * self.tt.norm_scale
+        return float(total.real) * self.state.norm_scale
 
     def child(self, env, site_idx: int, occupation: int):
         return chain.prefix_environment(
-            self.tt, [self.labels[occupation]], start_env=env, start_site=site_idx
+            self.state, [self.labels[occupation]], start_env=env, start_site=site_idx
         )
 
     def conditional_weights(self, env, site_idx: int):

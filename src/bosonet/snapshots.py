@@ -8,8 +8,11 @@ records the format version, whether the state is a pure state or a vectorized
 operator, its local dimension (always num_photons + 1; a header that says
 otherwise is rejected) and — for lossy states — the loss parameters, so a
 checkpointed sweep can be resumed without the original configuration in
-hand.  Arrays are stored in their native binary form, which makes save/load
-round trips bit-exact and resumed evolutions identical to uninterrupted ones.
+hand.  Older builds also wrote a ``sector`` key for post-selected operators;
+it is ignored on load, because the stored bond-0 charges already carry any
+post-selection.  Arrays are stored in their native binary form, which makes
+save/load round trips bit-exact and resumed evolutions identical to
+uninterrupted ones.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from typing import Any
 
 import numpy as np
 
-from .chain import TensorTrainState
 from .mpo import MpoState
 from .mps import MpsState
 
@@ -56,16 +58,11 @@ def save_state(
 ) -> None:
     """Write a state snapshot atomically; ``extra`` must be a JSON-serializable dict."""
     if isinstance(state, MpoState):
-        kind = "mpo"
-        loss: dict[str, Any] | None = {"mu": state.mu}
-        sector = state.sector
+        kind, loss = "mpo", {"mu": state.mu}
     elif isinstance(state, MpsState):
-        kind = "mps"
-        loss = None
-        sector = None
+        kind, loss = "mps", None
     else:
         raise TypeError(f"cannot snapshot object of type {type(state).__name__}")
-    chain = state.chain
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -73,17 +70,16 @@ def save_state(
         "num_modes": state.num_modes,
         "num_photons": state.num_photons,
         "local_dim": state.local_dim,
-        "norm_scale": chain.norm_scale,
-        "discarded_weight": chain.discarded_weight,
+        "norm_scale": state.norm_scale,
+        "discarded_weight": state.discarded_weight,
         "loss": loss,
-        "sector": sector,
         "extra": extra or {},
     }
     arrays: dict[str, np.ndarray] = {"header": np.array(json.dumps(header))}
-    for k, bond in enumerate(chain.bonds):
+    for k, bond in enumerate(state.bonds):
         for charge, lam in bond.items():
             arrays[f"bond{k}/{_charge_token(charge)}"] = lam
-    for k, blocks in enumerate(chain.sites):
+    for k, blocks in enumerate(state.sites):
         for (cl, cr), mat in blocks.items():
             arrays[f"site{k}/{_charge_token(cl)};{_charge_token(cr)}"] = mat
     path = Path(path)
@@ -144,26 +140,8 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
                 ] = data[key]
             else:
                 raise ValueError(f"{path}: unexpected snapshot member {key!r}")
-    chain = TensorTrainState(
-        num_sites=num_modes,
-        sites=sites,
-        bonds=bonds,
-        norm_scale=float(header["norm_scale"]),
-        discarded_weight=float(header["discarded_weight"]),
-    )
-    state: MpsState | MpoState
-    if paired:
-        state = MpoState(
-            chain=chain,
-            num_modes=num_modes,
-            num_photons=num_photons,
-            mu=float(header["loss"]["mu"]),
-            sector=None if header["sector"] is None else int(header["sector"]),
-        )
-    else:
-        state = MpsState(
-            chain=chain,
-            num_modes=num_modes,
-            num_photons=num_photons,
-        )
+    fields = dict(num_modes=num_modes, num_photons=num_photons, sites=sites, bonds=bonds,
+                  norm_scale=float(header["norm_scale"]),
+                  discarded_weight=float(header["discarded_weight"]))
+    state = MpoState(**fields, mu=float(header["loss"]["mu"])) if paired else MpsState(**fields)
     return state, dict(header.get("extra", {}))

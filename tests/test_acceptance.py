@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosonet import mpo, mps, sampling
+from bosonet import chain, mpo, mps, sampling
 from bosonet.circuit import (
     BeamSplitterGate,
     CircuitPlan,
@@ -72,8 +72,8 @@ def evolve_mps_by_layers(plan, occupations, policy):
     for layer in plan.layers():
         for gate in layer:
             mps.apply_gate(state, gate, policy)
-        peak_s1 = max(peak_s1, mps.max_entropy(state, 1.0)[1])
-        max_s0 = max(max_s0, mps.max_entropy(state, 0.0)[1])
+        peak_s1 = max(peak_s1, chain.max_bond_entropy(state, 1.0)[1])
+        max_s0 = max(max_s0, chain.max_bond_entropy(state, 0.0)[1])
         max_bond = max(max_bond, state.max_bond_dimension())
     return state, peak_s1, max_s0, max_bond
 
@@ -86,14 +86,13 @@ def charge_violations(state) -> int:
     of its adjacent bonds; the count is zero for any state produced by the
     simulators.
     """
-    chain = state.chain
     bad = 0
-    for k in range(chain.num_sites):
-        for (cl, cr) in chain.sites[k]:
+    for k in range(state.num_modes):
+        for (cl, cr) in state.sites[k]:
             occupation = np.atleast_1d(np.subtract(cl, cr))
             if occupation.min() < 0 or occupation.max() >= state.local_dim:
                 bad += 1
-            if cl not in chain.bonds[k] or cr not in chain.bonds[k + 1]:
+            if cl not in state.bonds[k] or cr not in state.bonds[k + 1]:
                 bad += 1
     return bad
 
@@ -131,7 +130,7 @@ class TestPaperSize:
         assert abs(mpo.trace(state) - 1.0) <= 1e-10
         # |rho>> is invariant under ket <-> bra swap plus conjugation, so at
         # exact rank the sectors (a, b) and (b, a) carry the same spectrum.
-        for bond in state.chain.bonds:
+        for bond in state.bonds:
             for (a, b), values in bond.items():
                 mirror = bond[(b, a)]
                 assert mirror.shape == values.shape
@@ -187,7 +186,7 @@ def equivalence_grid():
                 ),
             )
             inst.weight_gap = max(
-                abs(state.norm_weight(k) - 1.0) for k in range(m + 1)
+                abs(state.total_weight(k) - 1.0) for k in range(m + 1)
             )
             inst.charge_defects = charge_violations(state)
             draws = sampling.sample_many(
@@ -208,7 +207,7 @@ def equivalence_grid():
                 )
                 inst.weight_gap = max(
                     inst.weight_gap,
-                    max(abs(op.norm_weight(k) - 1.0) for k in range(m + 1)),
+                    max(abs(op.total_weight(k) - 1.0) for k in range(m + 1)),
                 )
                 inst.charge_defects += charge_violations(op)
                 op_draws = sampling.sample_many(
@@ -224,8 +223,8 @@ def equivalence_grid():
                 if mu == 1.0:
                     inst.doubling_gap = max(
                         abs(
-                            mpo.mpo_renyi_entropy(op, k, 1.0)
-                            - 2.0 * mps.renyi_entropy(state, k, 1.0)
+                            chain.renyi_entropy(op, k, 1.0)
+                            - 2.0 * chain.renyi_entropy(state, k, 1.0)
                         )
                         for k in range(1, m)
                     )
@@ -298,7 +297,7 @@ class TestNearSingularSpectra:
             state = mps.init_fock(self.OCC_IN)
             mps.apply_plan(state, plan, FULL_RANK)
             smallest = min(
-                float(mps.schmidt_values(state, k)[-1] / mps.schmidt_values(state, k)[0])
+                float(chain.schmidt_values(state, k)[-1] / chain.schmidt_values(state, k)[0])
                 for k in range(1, 6)
             )
             assert smallest < 1e-11, f"seed {seed}: spectra not near-singular"
@@ -409,7 +408,7 @@ class TestBunchedInputLogEntropy:
             )
             assert max_bond <= n + 1
             assert state.discarded_weight <= 1e-15
-            simulated = mps.renyi_entropy(state, 8, 1.0)
+            simulated = chain.renyi_entropy(state, 8, 1.0)
             p_left = float(np.sum(np.abs(circuit_to_unitary(plan)[0, :8]) ** 2))
             analytic = distribution_renyi(binomial_spectrum(n, p_left), 1.0)
             assert abs(simulated - analytic) <= 0.05
@@ -450,7 +449,7 @@ class TestLossScalingTrends:
                 for layer in plan.layers():
                     for gate in layer:
                         mpo.apply_gate_vec(op, gate, policy)
-                    peak = max(peak, mpo.mpo_max_entropy(op, 1.0)[1])
+                    peak = max(peak, chain.max_bond_entropy(op, 1.0)[1])
                 peaks.append(peak)
             means[n] = float(np.mean(peaks))
         assert means[1] < means[2] < means[3] < means[4], means
@@ -503,7 +502,7 @@ def sweeps():
             mpo.apply_plan_vec(op, plan, TruncationPolicy(chi_max=chi))
             deficits[chi] = 1.0 - mpo.trace(op)
             if chi == 512:
-                spectrum = np.sort(np.asarray(mpo.schmidt_values(op, 4)))[::-1]
+                spectrum = np.sort(np.asarray(chain.schmidt_values(op, 4)))[::-1]
         out.append((deficits, spectrum))
     return out
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bosonet import mps
+from bosonet import chain, mps
 from bosonet.circuit import (
     BeamSplitterGate,
     CircuitPlan,
@@ -327,7 +327,7 @@ def test_lossless_tracks_mps_entropy_on_dilute_ensemble():
         plan = sample_haar_circuit(num_modes, np.random.default_rng(seed))
         state = mps.init_fock(occ)
         mps.apply_plan(state, plan, policy)
-        sim_vals.append(mps.renyi_entropy(state, num_modes // 2, 1.0))
+        sim_vals.append(chain.renyi_entropy(state, num_modes // 2, 1.0))
         angles = partition_angles(circuit_to_unitary(plan), num_modes // 2)
         analytic_vals.append(lossless_ee(occ, angles, 1.0))
     assert abs(np.mean(sim_vals) - np.mean(analytic_vals)) < 0.1

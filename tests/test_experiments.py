@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosonet import experiments, mpo, mps, sampling
+from bosonet import chain, experiments, mps
 from bosonet.circuit import circuit_to_unitary, sample_haar_circuit
 from bosonet.entropy import lossy_mpo_ee, partition_angles
 from bosonet.experiments import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
+    LossSpec,
     circuit_rng,
     config_from_dict,
     config_hash,
@@ -20,7 +21,6 @@ from bosonet.experiments import (
     run_to_files,
     validate_config,
 )
-from bosonet.mpo import LossSpec
 
 
 def make_doc(**overrides):
@@ -117,6 +117,27 @@ class TestConfigParsing:
                      loss={"kind": "power_law", "beta": 0.6, "gamma": 0.25})
         )
         assert config.loss.beta == 0.6 and config.loss.gamma == 0.25
+
+    def test_loss_spec_constant(self):
+        assert LossSpec.constant(0.3).mu == 0.3
+        with pytest.raises(ValueError):
+            LossSpec.constant(1.2)
+        with pytest.raises(ValueError):
+            LossSpec.constant(-0.1)
+
+    def test_loss_spec_power_law(self):
+        spec = LossSpec.power_law(beta=0.6, gamma=0.25)
+        assert (spec.kind, spec.beta, spec.gamma) == ("power_law", 0.6, 0.25)
+        with pytest.raises(ValueError):
+            LossSpec.power_law(beta=0.0, gamma=0.5)
+        with pytest.raises(ValueError):
+            LossSpec.power_law(beta=0.5, gamma=1.5)
+        with pytest.raises(ValueError):
+            LossSpec(kind="linear", mu=0.5)
+        # A power law whose mu = beta * N**(gamma - 1) leaves [0, 1] is a config error.
+        with pytest.raises(ConfigError, match="'betas'"):
+            config_from_dict(make_doc(experiment="lossy-ee", num_photons=[4],
+                                      loss={"kind": "power_law", "beta": 2.0, "gamma": 1.0}))
 
     def test_bad_loss_dict(self):
         with pytest.raises(ConfigError, match="'loss'"):
@@ -247,6 +268,24 @@ class TestConfigHash:
         assert base != config_hash(config_from_dict(make_doc(num_photons=[1])))
         assert base != config_hash(config_from_dict(make_doc(chi_max=32)))
 
+    @pytest.mark.parametrize("source, digest", [
+        ("lossless_bunched.json", "8e93eda5bfb88e0c"),
+        ("lossless_spread.json", "6d3aeefb2b0dd408"),
+        ("lossy_peaks_analytic.json", "ce06117d10310113"),
+        ("lossy_peaks_simulated.json", "942923f4f5bc8693"),
+        ({"experiment": "prob", "seed": 3, "num_modes": [4], "num_photons": [2],
+          "outcomes": [[1, 1, 0, 0], [2, 0, 0, 0]], "loss": {"kind": "constant", "mu": 0.7}},
+         "9044dd2740c6181d"),
+    ], ids=["lossless_bunched", "lossless_spread", "lossy_peaks_analytic",
+            "lossy_peaks_simulated", "prob_with_outcomes"])
+    def test_pinned_digests(self, source, digest):
+        # Checkpoints are keyed by these digests; a change to how the config
+        # is serialized must not orphan them.
+        if isinstance(source, str):
+            path = Path(__file__).resolve().parents[1] / "configs" / source
+            source = json.loads(path.read_text())
+        assert config_hash(config_from_dict(source)) == digest
+
     def test_is_short_hex(self):
         digest = config_hash(config_from_dict(make_doc()))
         assert len(digest) == 16
@@ -289,7 +328,7 @@ class TestLosslessRecipe:
             for gate in layer:
                 mps.apply_gate(state, gate, policy)
             for alpha in (1.0, 2.0):
-                bond, value = mps.max_entropy(state, alpha)
+                bond, value = chain.max_bond_entropy(state, alpha)
                 matches = [r for r in record.rows
                            if r["circuit"] == 1 and r["layer"] == layer_index + 1
                            and r["alpha"] == alpha]

@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from bosonet import mpo, mps
+from bosonet import chain, mpo, mps
 from bosonet.circuit import BeamSplitterGate, circuit_to_unitary, sample_haar_circuit
 from bosonet.linalg import TruncationPolicy
-from bosonet.mpo import LossSpec
 from bosonet.oracle import (
     dense_lossy_vectorized_spectrum,
     exact_lossy_distribution,
@@ -32,41 +31,15 @@ def all_outcomes(num_modes: int, max_total: int):
 
 
 # ---------------------------------------------------------------------------
-# Loss specification
-
-
-def test_loss_spec_constant():
-    assert LossSpec.constant(0.3).rate(7) == 0.3
-    with pytest.raises(ValueError):
-        LossSpec.constant(1.2)
-    with pytest.raises(ValueError):
-        LossSpec.constant(-0.1)
-
-
-def test_loss_spec_power_law():
-    spec = LossSpec.power_law(beta=0.6, gamma=0.25)
-    assert spec.rate(16) == pytest.approx(0.6 * 16**0.25 / 16)
-    assert LossSpec.power_law(beta=0.5, gamma=1.0).rate(9) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        LossSpec.power_law(beta=0.0, gamma=0.5)
-    with pytest.raises(ValueError):
-        LossSpec.power_law(beta=0.5, gamma=1.5)
-    with pytest.raises(ValueError):
-        LossSpec.power_law(beta=2.0, gamma=1.0).rate(4)
-    with pytest.raises(ValueError):
-        LossSpec(kind="linear", mu=0.5)
-
-
-# ---------------------------------------------------------------------------
 # Initialization
 
 
 def test_init_lossy_half_transmissive_single_photon():
     state = mpo.init_lossy(1, 2, 0.5)
     # Raw vectorized site state is 0.5|00>> + 0.5|11>>, squared norm 0.5.
-    assert state.chain.norm_scale**2 == pytest.approx(0.5, abs=1e-14)
-    assert state.bond_charges(0) == ((0, 0), (1, 1))
-    pooled = np.sort(mpo.schmidt_values(state, 0))
+    assert state.norm_scale**2 == pytest.approx(0.5, abs=1e-14)
+    assert sorted(state.bonds[0]) == [(0, 0), (1, 1)]
+    pooled = np.sort(chain.schmidt_values(state, 0))
     np.testing.assert_allclose(pooled, [1 / math.sqrt(2)] * 2, atol=1e-12)
     assert mpo.trace(state) == pytest.approx(1.0, abs=1e-12)
 
@@ -76,10 +49,10 @@ def test_init_lossy_boundary_sector_weights_are_binomial():
     state = mpo.init_lossy(n, 5, mu)
     norm_sq = ((1 - mu) ** 2 + mu**2) ** n
     for k in range(n + 1):
-        lam = state.chain.bonds[0][(k, k)]
+        lam = state.bonds[0][(k, k)]
         want = math.comb(n, k) * mu ** (2 * k) * (1 - mu) ** (2 * (n - k)) / norm_sq
         assert float(lam[0] ** 2) == pytest.approx(want, abs=1e-12)
-    assert state.norm_weight(0) == pytest.approx(1.0, abs=1e-12)
+    assert state.total_weight(0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_init_lossy_fresh_trace_is_one():
@@ -93,8 +66,6 @@ def test_init_lossy_validation():
         mpo.init_lossy(3, 2, 0.5)
     with pytest.raises(ValueError):
         mpo.init_lossy(2, 4, 1.5)
-    with pytest.raises(ValueError):
-        mpo.init_lossy(2, 4, 0.5, sector=3)
 
 
 def test_init_lossy_opaque_is_vacuum():
@@ -102,7 +73,7 @@ def test_init_lossy_opaque_is_vacuum():
     assert mpo.trace(state) == pytest.approx(1.0, abs=1e-12)
     assert mpo.outcome_prob(state, (0, 0, 0, 0)) == pytest.approx(1.0, abs=1e-12)
     for k in range(5):
-        assert mpo.mpo_renyi_entropy(state, k, 1.0) == 0.0
+        assert chain.renyi_entropy(state, k, 1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +95,8 @@ def test_transparent_limit_matches_pure_state():
     # Operator-space entanglement doubles the pure-state entanglement.
     for k in range(1, 4):
         for alpha in (0.0, 0.5, 1.0, 2.0):
-            assert mpo.mpo_renyi_entropy(dense, k, alpha) == pytest.approx(
-                2.0 * mps.renyi_entropy(pure, k, alpha), abs=1e-8
+            assert chain.renyi_entropy(dense, k, alpha) == pytest.approx(
+                2.0 * chain.renyi_entropy(pure, k, alpha), abs=1e-8
             )
 
 
@@ -133,7 +104,7 @@ def test_identity_gate_leaves_state_unchanged():
     state = mpo.init_lossy(2, 4, 0.6)
     mpo.apply_plan_vec(state, haar_plan(4, seed=19), EXACT)
     trace_before = mpo.trace(state)
-    spectra_before = [mpo.schmidt_values(state, k).copy() for k in range(5)]
+    spectra_before = [chain.schmidt_values(state, k).copy() for k in range(5)]
     discarded = mpo.apply_gate_vec(
         state, BeamSplitterGate(site=2, theta=0.0, phi=0.7), EXACT
     )
@@ -141,7 +112,7 @@ def test_identity_gate_leaves_state_unchanged():
     assert mpo.trace(state) == pytest.approx(trace_before, abs=1e-10)
     for k in range(5):
         np.testing.assert_allclose(
-            mpo.schmidt_values(state, k), spectra_before[k], atol=1e-10
+            chain.schmidt_values(state, k), spectra_before[k], atol=1e-10
         )
 
 
@@ -168,7 +139,7 @@ def test_norm_weight_conserved_without_truncation():
     state = mpo.init_lossy(2, 4, 0.4)
     mpo.apply_plan_vec(state, haar_plan(4, seed=37), EXACT)
     for k in range(5):
-        assert state.norm_weight(k) == pytest.approx(1.0, abs=1e-10)
+        assert state.total_weight(k) == pytest.approx(1.0, abs=1e-10)
     # Only structural zeros (below the rank floor) may have been dropped.
     assert state.discarded_weight <= 1e-30
 
@@ -180,15 +151,14 @@ def test_site_tensors_are_right_canonical():
     for stage in ("initial", "evolved"):
         if stage == "evolved":
             mpo.apply_plan_vec(state, haar_plan(4, seed=41), EXACT)
-        c = state.chain
         for k in range(state.num_modes):
             grams: dict = {}
-            for (cl, cr), block in c.sites[k].items():
+            for (cl, cr), block in state.sites[k].items():
                 grams[cl] = grams.get(cl, 0.0) + block @ block.conj().T
-            assert set(grams) == set(c.bonds[k])
+            assert set(grams) == set(state.bonds[k])
             for cl, gram in grams.items():
                 np.testing.assert_allclose(
-                    gram, np.eye(len(c.bonds[k][cl])), atol=1e-10, err_msg=stage
+                    gram, np.eye(len(state.bonds[k][cl])), atol=1e-10, err_msg=stage
                 )
 
 
@@ -199,7 +169,7 @@ def test_bond_spectrum_matches_dense_reference():
     mpo.apply_plan_vec(state, plan, EXACT)
     for cut in (1, 2, 3):
         want = dense_lossy_vectorized_spectrum(plan, n, mu, cut)
-        values = np.sort(mpo.schmidt_values(state, cut) ** 2)
+        values = np.sort(chain.schmidt_values(state, cut) ** 2)
         got = np.zeros_like(want)
         got[len(want) - len(values) :] = values
         np.testing.assert_allclose(np.sort(got), np.sort(want), atol=1e-8)
@@ -271,25 +241,6 @@ def test_outcome_prob_is_zero_beyond_photon_number():
 
 
 # ---------------------------------------------------------------------------
-# Post-selection sectors
-
-
-def test_sector_post_selection():
-    n, m, mu = 2, 4, 0.6
-    plan = haar_plan(m, seed=61)
-    oracle = exact_lossy_distribution(circuit_to_unitary(plan), n, mu)
-    for sector in (0, 1, 2):
-        state = mpo.init_lossy(n, m, mu, sector=sector)
-        weight = math.comb(n, sector) * mu**sector * (1 - mu) ** (n - sector)
-        assert mpo.trace(state) == pytest.approx(weight, abs=1e-12)
-        mpo.apply_plan_vec(state, plan, EXACT)
-        assert mpo.trace(state) == pytest.approx(weight, abs=1e-10)
-        for occs in all_outcomes(m, n):
-            want = oracle.prob(occs) if sum(occs) == sector else 0.0
-            assert mpo.outcome_prob(state, occs) == pytest.approx(want, abs=1e-8)
-
-
-# ---------------------------------------------------------------------------
 # Structure and entropy behavior
 
 
@@ -298,7 +249,7 @@ def test_dual_charges_stay_in_range():
     state = mpo.init_lossy(n, 4, 0.8)
     mpo.apply_plan_vec(state, haar_plan(4, seed=67), EXACT)
     for k in range(5):
-        for ket, bra in state.bond_charges(k):
+        for ket, bra in state.bonds[k]:
             assert 0 <= ket <= n
             assert 0 <= bra <= n
 
@@ -311,7 +262,7 @@ def test_mean_peak_entropy_grows_with_photon_number():
         for seed in range(3):
             state = mpo.init_lossy(n, m, mu)
             mpo.apply_plan_vec(state, haar_plan(m, seed=200 + seed), EXACT)
-            values.append(mpo.mpo_max_entropy(state, 1.0)[1])
+            values.append(chain.max_bond_entropy(state, 1.0)[1])
         means.append(sum(values) / len(values))
     assert means[0] < means[1] < means[2]
 
@@ -319,6 +270,6 @@ def test_mean_peak_entropy_grows_with_photon_number():
 def test_entropy_validation():
     state = mpo.init_lossy(1, 2, 0.5)
     with pytest.raises(ValueError):
-        mpo.mpo_renyi_entropy(state, 5, 1.0)
+        chain.renyi_entropy(state, 5, 1.0)
     with pytest.raises(ValueError):
-        mpo.mpo_renyi_entropy(state, 1, -1.0)
+        chain.renyi_entropy(state, 1, -1.0)

@@ -29,19 +29,19 @@ def test_init_fock_charges_and_spectra():
     assert state.num_modes == 4
     assert state.num_photons == 2
     # Bond charge = photon count strictly right of the cut.
-    assert [state.bond_charges(k) for k in range(5)] == [(2,), (1,), (0,), (0,), (0,)]
+    assert [sorted(state.bonds[k]) for k in range(5)] == [[2], [1], [0], [0], [0]]
     for k in range(5):
-        for lam in state.chain.bonds[k].values():
+        for lam in state.bonds[k].values():
             np.testing.assert_allclose(lam, [1.0])
     assert mps.amplitude(state, (1, 1, 0, 0)) == pytest.approx(1.0)
-    assert state.norm_weight() == pytest.approx(1.0, abs=1e-14)
+    assert state.total_weight() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_init_fock_examples():
     vacuum = mps.init_fock((0, 0))
-    assert [vacuum.bond_charges(k) for k in range(3)] == [(0,), (0,), (0,)]
+    assert [sorted(vacuum.bonds[k]) for k in range(3)] == [[0], [0], [0]]
     bunched = mps.init_fock((3, 0))
-    assert [bunched.bond_charges(k) for k in range(3)] == [(3,), (0,), (0,)]
+    assert [sorted(bunched.bonds[k]) for k in range(3)] == [[3], [0], [0]]
     assert bunched.local_dim == 4
 
 
@@ -65,7 +65,7 @@ def test_product_state_rejects_negative_labels(label):
 def test_init_fock_charges_are_suffix_sums(occs):
     state = mps.init_fock(tuple(occs))
     suffix = tuple(sum(occs[k:]) for k in range(len(occs) + 1))
-    assert tuple(state.bond_charges(k)[0] for k in range(len(occs) + 1)) == suffix
+    assert tuple(min(state.bonds[k]) for k in range(len(occs) + 1)) == suffix
     assert mps.amplitude(state, tuple(occs)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -76,10 +76,10 @@ def test_init_fock_charges_are_suffix_sums(occs):
 def test_balanced_splitter_schmidt_values():
     state = mps.init_fock((1, 0))
     mps.apply_gate(state, BeamSplitterGate(site=1, theta=math.pi / 4, phi=0.0), EXACT)
-    assert state.bond_charges(1) == (0, 1)
-    pooled = np.sort(np.concatenate(list(state.chain.bonds[1].values())))
+    assert sorted(state.bonds[1]) == [0, 1]
+    pooled = np.sort(np.concatenate(list(state.bonds[1].values())))
     np.testing.assert_allclose(pooled, [1 / math.sqrt(2)] * 2, atol=1e-12)
-    assert mps.renyi_entropy(state, 1, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert chain.renyi_entropy(state, 1, 1.0) == pytest.approx(1.0, abs=1e-12)
     # Amplitudes (including sign) must match the dense reference evolution.
     plan = CircuitPlan(
         num_modes=2, gates=[BeamSplitterGate(site=1, theta=math.pi / 4, phi=0.0)]
@@ -97,7 +97,7 @@ def test_identity_gate_preserves_state():
     plan = haar_plan(4, seed=11)
     mps.apply_plan(state, plan, EXACT)
     before = {occs: mps.amplitude(state, occs) for occs in enumerate_occupations(4, 2)}
-    spectra_before = [mps.schmidt_values(state, k).copy() for k in range(5)]
+    spectra_before = [chain.schmidt_values(state, k).copy() for k in range(5)]
     discarded = mps.apply_gate(
         state, BeamSplitterGate(site=2, theta=0.0, phi=1.23), EXACT
     )
@@ -105,7 +105,7 @@ def test_identity_gate_preserves_state():
     for occs, amp in before.items():
         assert mps.amplitude(state, occs) == pytest.approx(amp, abs=1e-10)
     for k in range(5):
-        got = mps.schmidt_values(state, k)
+        got = chain.schmidt_values(state, k)
         want = spectra_before[k]
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, atol=1e-10)
@@ -149,7 +149,7 @@ def test_schmidt_spectrum_matches_dense_reference():
     for cut in (1, 2, 3):
         want = dense_reduced_spectrum(dense, cut)
         got = np.zeros_like(want)
-        values = mps.schmidt_values(state, cut) ** 2
+        values = chain.schmidt_values(state, cut) ** 2
         got[: len(values)] = values
         np.testing.assert_allclose(np.sort(got), np.sort(want), atol=1e-8)
 
@@ -158,28 +158,27 @@ def test_norm_conserved_without_truncation():
     state = mps.init_fock((1, 1, 1, 0, 0, 0))
     mps.apply_plan(state, haar_plan(6, seed=9), EXACT)
     for k in range(state.num_modes + 1):
-        assert state.norm_weight(k) == pytest.approx(1.0, abs=1e-10)
+        assert state.total_weight(k) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_canonical_form_after_exact_evolution():
     state = mps.init_fock((1, 1, 0, 0))
     mps.apply_plan(state, haar_plan(4, seed=13), EXACT)
-    c = state.chain
     for k in range(state.num_modes):
         # Right isometry: sum over right charge/occupation of B B^dag.
         grams: dict = {}
-        for (cl, cr), block in c.sites[k].items():
+        for (cl, cr), block in state.sites[k].items():
             grams[cl] = grams.get(cl, 0.0) + block @ block.conj().T
         for cl, gram in grams.items():
-            np.testing.assert_allclose(gram, np.eye(len(c.bonds[k][cl])), atol=1e-8)
+            np.testing.assert_allclose(gram, np.eye(len(state.bonds[k][cl])), atol=1e-8)
         # Left isometry of lam Gamma, in B form: sum over left charge/occupation
         # of (lam B)^dag (lam B) is the squared right spectrum.
         grams = {}
-        for (cl, cr), block in c.sites[k].items():
-            a = c.bonds[k][cl][:, None] * block
+        for (cl, cr), block in state.sites[k].items():
+            a = state.bonds[k][cl][:, None] * block
             grams[cr] = grams.get(cr, 0.0) + a.conj().T @ a
         for cr, gram in grams.items():
-            np.testing.assert_allclose(gram, np.diag(c.bonds[k + 1][cr] ** 2), atol=1e-8)
+            np.testing.assert_allclose(gram, np.diag(state.bonds[k + 1][cr] ** 2), atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +192,7 @@ def test_single_truncation_bookkeeping_is_exact():
     extra = BeamSplitterGate(site=2, theta=0.9, phi=0.4)
     discarded = mps.apply_gate(state, extra, TruncationPolicy(chi_max=2))
     assert discarded > 0.0
-    assert 1.0 - state.norm_weight(2) == pytest.approx(discarded, abs=1e-10)
+    assert 1.0 - state.total_weight(2) == pytest.approx(discarded, abs=1e-10)
     assert state.discarded_weight == pytest.approx(discarded)
 
 
@@ -206,7 +205,7 @@ def test_cumulative_bookkeeping_first_order():
     mps.apply_plan(state, plan, TruncationPolicy(chi_max=6))
     total = state.discarded_weight
     assert total > 0.0
-    deficit = 1.0 - state.norm_weight(3)
+    deficit = 1.0 - state.total_weight(3)
     assert deficit == pytest.approx(total, abs=1e-8 + 0.1 * total)
     assert deficit > 0.0
 
@@ -232,37 +231,37 @@ def test_truncation_to_full_rank_is_identity():
 def test_renyi_entropy_frozen_values():
     state = mps.init_fock((1, 0))
     mps.apply_gate(state, BeamSplitterGate(site=1, theta=math.pi / 6, phi=0.0), EXACT)
-    pooled = np.sort(mps.schmidt_values(state, 1) ** 2)
+    pooled = np.sort(chain.schmidt_values(state, 1) ** 2)
     np.testing.assert_allclose(pooled, [0.25, 0.75], atol=1e-12)
-    assert mps.renyi_entropy(state, 1, 1.0) == pytest.approx(
+    assert chain.renyi_entropy(state, 1, 1.0) == pytest.approx(
         0.8112781244591328, abs=1e-12
     )
-    assert mps.renyi_entropy(state, 1, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert mps.renyi_entropy(state, 1, 2.0) == pytest.approx(
+    assert chain.renyi_entropy(state, 1, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert chain.renyi_entropy(state, 1, 2.0) == pytest.approx(
         -math.log2(0.75**2 + 0.25**2), abs=1e-12
     )
-    assert mps.renyi_entropy(state, 1, 0.5) == pytest.approx(
+    assert chain.renyi_entropy(state, 1, 0.5) == pytest.approx(
         2.0 * math.log2(math.sqrt(0.75) + math.sqrt(0.25)), abs=1e-12
     )
     with pytest.raises(ValueError):
-        mps.renyi_entropy(state, 1, -0.5)
+        chain.renyi_entropy(state, 1, -0.5)
 
 
 def test_trivial_bond_entropy_is_zero():
     state = mps.init_fock((1, 1, 0, 0))
     for k in range(5):
-        assert mps.renyi_entropy(state, k, 1.0) == 0.0
+        assert chain.renyi_entropy(state, k, 1.0) == 0.0
 
 
 def test_max_entropy_vacuum():
     state = mps.init_fock((0, 0, 0))
-    assert mps.max_entropy(state, 1.0) == (1, 0.0)
+    assert chain.max_bond_entropy(state, 1.0) == (1, 0.0)
 
 
 def test_max_entropy_picks_entangled_bond():
     state = mps.init_fock((0, 1, 0))
     mps.apply_gate(state, BeamSplitterGate(site=2, theta=math.pi / 4, phi=0.0), EXACT)
-    bond, value = mps.max_entropy(state, 1.0)
+    bond, value = chain.max_bond_entropy(state, 1.0)
     assert bond == 2
     assert value == pytest.approx(1.0, abs=1e-12)
 
@@ -274,7 +273,7 @@ def test_hartley_entropy_bounded_by_photon_number():
         mps.apply_plan(state, haar_plan(6, seed=100 + seed), EXACT)
         n = state.num_photons
         for k in range(1, state.num_modes):
-            assert mps.renyi_entropy(state, k, 0.0) <= n + 1e-12
+            assert chain.renyi_entropy(state, k, 0.0) <= n + 1e-12
 
 
 def test_single_mode_input_is_binomial():
@@ -291,10 +290,10 @@ def test_single_mode_input_is_binomial():
         p = float(np.sum(np.abs(u[0, :cut]) ** 2))
         want = np.sort([math.comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(n + 1)])
         got = np.zeros(n + 1)
-        values = np.sort(mps.schmidt_values(state, cut) ** 2)
+        values = np.sort(chain.schmidt_values(state, cut) ** 2)
         got[n + 1 - len(values) :] = values
         np.testing.assert_allclose(got, want, atol=1e-8)
         binom_entropy = -sum(w * math.log2(w) for w in want if w > 0)
-        assert mps.renyi_entropy(state, cut, 1.0) == pytest.approx(
+        assert chain.renyi_entropy(state, cut, 1.0) == pytest.approx(
             binom_entropy, abs=1e-6
         )

@@ -240,14 +240,14 @@ def test_sample_counts_matches_per_sample_distribution():
 
 def test_degraded_state_raises():
     state = evolved_mpo(2, 4, 0.6, seed=53)
-    state.chain.norm_scale *= 1e-9
+    state.norm_scale *= 1e-9
     with pytest.raises(DegradedStateError):
         sampling.marginal_prob(state, (0,))
     with pytest.raises(DegradedStateError):
         sampling.sample(state, np.random.default_rng(0))
     pure = evolved_mps((1, 1, 0, 0), seed=53)
-    for c in list(pure.chain.bonds[2]):
-        pure.chain.bonds[2][c] = pure.chain.bonds[2][c] * 1e-7
+    for c in list(pure.bonds[2]):
+        pure.bonds[2][c] = pure.bonds[2][c] * 1e-7
     with pytest.raises(DegradedStateError):
         sampling.sample(pure, np.random.default_rng(0))
 

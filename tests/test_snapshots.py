@@ -1,6 +1,7 @@
 """Round-trip tests for the state snapshot container."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ def _evolved_mps(seed=0, num_modes=6, num_photons=2, chi=4):
     return state, plan
 
 
-def _evolved_mpo(seed=1, num_modes=4, num_photons=2, mu=0.7, chi=8, sector=None):
+def _evolved_mpo(seed=1, num_modes=4, num_photons=2, mu=0.7, chi=8):
     plan = sample_haar_circuit(num_modes, np.random.default_rng(seed))
-    state = mpo.init_lossy(num_photons, num_modes, mu, sector=sector)
+    state = mpo.init_lossy(num_photons, num_modes, mu)
     mpo.apply_plan_vec(state, plan, TruncationPolicy(chi_max=chi))
     return state, plan
 
@@ -41,14 +42,14 @@ def test_mps_round_trip_is_bit_exact(tmp_path):
     assert extra == {}
     assert loaded.num_modes == state.num_modes
     assert loaded.num_photons == state.num_photons
-    assert loaded.chain.norm_scale == state.chain.norm_scale
-    assert loaded.chain.discarded_weight == state.chain.discarded_weight
+    assert loaded.norm_scale == state.norm_scale
+    assert loaded.discarded_weight == state.discarded_weight
     for occ in enumerate_occupations(state.num_modes, state.num_photons):
         assert mps.amplitude(loaded, occ) == mps.amplitude(state, occ)
     for k in range(state.num_modes + 1):
-        assert loaded.chain.bonds[k].keys() == state.chain.bonds[k].keys()
-        for c in state.chain.bonds[k]:
-            assert np.array_equal(loaded.chain.bonds[k][c], state.chain.bonds[k][c])
+        assert loaded.bonds[k].keys() == state.bonds[k].keys()
+        for c in state.bonds[k]:
+            assert np.array_equal(loaded.bonds[k][c], state.bonds[k][c])
 
 
 def test_mpo_round_trip_preserves_probabilities(tmp_path):
@@ -59,11 +60,45 @@ def test_mpo_round_trip_preserves_probabilities(tmp_path):
     assert isinstance(loaded, mpo.MpoState)
     assert extra == {"layers_done": 3}
     assert loaded.mu == state.mu
-    assert loaded.sector is None
     assert mpo.trace(loaded) == mpo.trace(state)
     for total in range(state.num_photons + 1):
         for occ in enumerate_occupations(state.num_modes, total):
             assert mpo.outcome_prob(loaded, occ) == mpo.outcome_prob(state, occ)
+
+
+#: Snapshots written by the build before MpsState and MpoState became tensor
+#: trains (commit 8204c34), from the evolutions in ``_stored_evolution``. The
+#: MPO header still carries the since-dropped ``"sector": null`` key.
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _stored_evolution(kind):
+    plan = sample_haar_circuit(4, np.random.default_rng(41))
+    if kind == "mps":
+        state = mps.init_fock((1, 1, 0, 0))
+        mps.apply_plan(state, plan, TruncationPolicy(chi_max=3))
+    else:
+        state = mpo.init_lossy(2, 4, 0.7)
+        mpo.apply_plan_vec(state, plan, TruncationPolicy(chi_max=6))
+    return state
+
+
+@pytest.mark.parametrize("kind", ["mps", "mpo"])
+def test_snapshot_from_previous_build_is_bit_exact(kind):
+    loaded, extra = load_state(DATA / f"{kind}_m4_n2.npz")
+    fresh = _stored_evolution(kind)
+    assert type(loaded) is type(fresh)
+    assert extra == {"seed": 41, "chi_max": 3 if kind == "mps" else 6}
+    assert (loaded.num_modes, loaded.num_photons) == (4, 2)
+    assert loaded.norm_scale == fresh.norm_scale
+    assert loaded.discarded_weight == fresh.discarded_weight > 0.0
+    if kind == "mpo":
+        assert loaded.mu == fresh.mu
+    for stored, computed in zip(loaded.bonds + loaded.sites, fresh.bonds + fresh.sites):
+        assert stored.keys() == computed.keys()
+        for key, value in computed.items():
+            assert stored[key].dtype == value.dtype
+            assert np.array_equal(stored[key], value)
 
 
 def test_failed_save_keeps_the_previous_snapshot(tmp_path, monkeypatch):
@@ -83,15 +118,6 @@ def test_failed_save_keeps_the_previous_snapshot(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert load_state(path)[1] == {"layers_done": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]
-
-
-def test_sector_tag_round_trips(tmp_path):
-    state, _ = _evolved_mpo(sector=1)
-    path = tmp_path / "sector.npz"
-    save_state(path, state)
-    loaded, _ = load_state(path)
-    assert loaded.sector == 1
-    assert mpo.trace(loaded) == pytest.approx(mpo.trace(state), abs=0)
 
 
 def test_header_records_kind_and_loss(tmp_path):
@@ -170,4 +196,4 @@ def test_resumed_evolution_matches_uninterrupted(tmp_path):
 
     for occ_out in enumerate_occupations(num_modes, num_photons):
         assert mps.amplitude(resumed, occ_out) == mps.amplitude(straight, occ_out)
-    assert resumed.chain.discarded_weight == straight.chain.discarded_weight
+    assert resumed.discarded_weight == straight.discarded_weight
