@@ -5,9 +5,15 @@ Every experiment follows the same shape: a declarative :class:`ExperimentConfig`
 master seed; :func:`run` executes the recipe over an ensemble of circuits and
 returns a :class:`RunRecord`; :func:`run_to_files` additionally writes
 ``results.csv`` (per-circuit rows), ``summary.csv`` (ensemble aggregates),
-and ``meta.json``.  The data tables are byte-identical across reruns of the
+and ``meta.json``, after removing the tables an earlier run left in the same
+directory.  The data tables are byte-identical across reruns of the
 same (config, seed, software version); wall-clock timings never enter them —
 the total lives in ``meta.json`` and per-row timings in ``timings.csv``.
+
+A sweep point is ``(M, N, loss)``: ``loss`` holds the ``gamma``, ``beta`` and
+``mu`` columns of a lossy point, is empty for a lossless one, and every row of
+the point carries it.  Each ensemble summary row is the mean, standard error
+and count of one column over the rows that share the summary's key columns.
 
 Randomness policy: the generator for ensemble member ``c`` of sweep point
 ``p`` is ``PCG64(SeedSequence(seed, spawn_key=(p, c)))``, and auxiliary
@@ -343,16 +349,20 @@ def config_hash(config: ExperimentConfig) -> str:
 
 @dataclass
 class RunRecord:
-    """Everything one run produced, before any files are written."""
+    """Everything one run produced, before any files are written.
 
-    config_hash: str
-    experiment: str
+    Recipes fill in the tables; :func:`run` adds the config hash, experiment
+    name and wall time.
+    """
+
     columns: list[str]
     rows: list[dict[str, Any]]
-    summary_columns: list[str]
-    summary: list[dict[str, Any]]
-    wall_time: float
-    version: str
+    summary_columns: list[str] = field(default_factory=list)
+    summary: list[dict[str, Any]] = field(default_factory=list)
+    config_hash: str = ""
+    experiment: str = ""
+    wall_time: float = 0.0
+    version: str = __version__
     status: str = "ok"
     message: str = ""
     timings: list[dict[str, Any]] = field(default_factory=list)
@@ -376,19 +386,21 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def _sweep_points(config: ExperimentConfig, loss_axis: list) -> list[tuple[int, int, Any]]:
-    """The (M, N, loss point) sweep points in seed order, skipping N > M.
+def _sweep_points(config: ExperimentConfig) -> list[tuple[int, int, dict[str, float]]]:
+    """The (M, N, loss) sweep points in seed order, skipping N > M.
 
-    A point's position in this list is the point index of its circuit streams.
+    ``loss`` holds the ``gamma``, ``beta`` and ``mu`` columns of a lossy point
+    and is empty for a lossless one.  A point's position in this list is the
+    point index of its circuit streams.
     """
-    return [(m, n, lp) for m in config.num_modes for n in config.num_photons if n <= m
-            for lp in loss_axis]
+    return [(m, n, {} if lp is None else {"gamma": lp[0], "beta": lp[1], "mu": _mu_at(*lp, n)})
+            for m in config.num_modes for n in config.num_photons if n <= m
+            for lp in _loss_points(config) or [None]]
 
 
-def _run_units(config: ExperimentConfig, points: list[tuple[int, int, Any]],
-               columns: list[str], run_unit: Callable[..., list[dict[str, Any]]]
-               ) -> list[dict[str, Any]]:
-    """Run ``run_unit(point_index, circuit, M, N, loss_point)`` per unit, in order.
+def _run_units(config: ExperimentConfig, columns: list[str],
+               run_unit: Callable[..., list[dict[str, Any]]]) -> list[dict[str, Any]]:
+    """Run ``run_unit(point_index, circuit, M, N, loss)`` per unit of the sweep, in order.
 
     Each unit makes its own budget checks.  When one raises
     :class:`ResourceAbort`, the abort leaves carrying the rows of the units
@@ -396,26 +408,37 @@ def _run_units(config: ExperimentConfig, points: list[tuple[int, int, Any]],
     """
     rows: list[dict[str, Any]] = []
     try:
-        for point_index, (m, n, lp) in enumerate(points):
+        for point_index, (m, n, loss) in enumerate(_sweep_points(config)):
             for c in range(config.n_circuits):
-                rows.extend(run_unit(point_index, c, m, n, lp))
+                rows.extend(run_unit(point_index, c, m, n, loss))
     except ResourceAbort as abort:
         abort.rows, abort.columns = rows, columns
         raise
     return rows
 
 
-def _group(rows: list[dict[str, Any]], key: Callable[[dict[str, Any]], Any],
-           value: str) -> dict[Any, list]:
-    """``row[value]`` per ``key(row)``, in one pass over the rows.
+def _groups(rows: list[dict[str, Any]], keys: list[str]) -> list[list[dict[str, Any]]]:
+    """``rows`` grouped by their ``keys`` columns, in first-seen order.
 
     Each group keeps row order, which is the order the values were computed
-    in, so the summary statistics are the same floats a scan per point gives.
+    in, so statistics over a group are the same floats a scan per point gives.
     """
-    groups: dict[Any, list] = {}
+    groups: dict[tuple, list[dict[str, Any]]] = {}
     for row in rows:
-        groups.setdefault(key(row), []).append(row[value])
-    return groups
+        groups.setdefault(tuple(row[k] for k in keys), []).append(row)
+    return list(groups.values())
+
+
+def _summarize(rows: list[dict[str, Any]], keys: list[str], value: str,
+               mean_col: str, count_col: str) -> list[dict[str, Any]]:
+    """One summary row per group of ``rows``: its ``keys`` columns and the
+    mean, standard error and count of its ``value`` column."""
+    summary = []
+    for group in _groups(rows, keys):
+        mean, stderr = _mean_stderr([row[value] for row in group])
+        summary.append({**{k: group[0][k] for k in keys},
+                        mean_col: mean, "stderr": stderr, count_col: len(group)})
+    return summary
 
 
 class _Budget:
@@ -519,8 +542,8 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
     """Entropy-growth sweeps: lossless-ee, fock-ee (bunched input), lossy-ee."""
     lossy = config.experiment == "lossy-ee"
     bunched = config.experiment == "fock-ee"
-    points = _sweep_points(config, _loss_points(config) if lossy else [None])
     loss_cols = ["gamma", "beta", "mu"] if lossy else []
+    keys = ["config_hash", "M", "N"] + loss_cols + ["alpha"]
     columns = (["config_hash", "M", "N"] + loss_cols
                + ["chi", "circuit", "layer", "alpha", "max_ee", "peak_bond",
                   "max_bond_dim", "discarded_weight"]
@@ -528,15 +551,12 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
     ckpt = _Checkpointer(config, digest)
     policy = config.policy()
 
-    def run_unit(point_index: int, c: int, m: int, n: int, lp) -> list[dict[str, Any]]:
+    def run_unit(point_index: int, c: int, m: int, n: int, loss) -> list[dict[str, Any]]:
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
-        base: dict[str, Any] = {"config_hash": digest, "M": m, "N": n,
+        base: dict[str, Any] = {"config_hash": digest, "M": m, "N": n, **loss,
                                 "chi": policy.chi_max, "circuit": c}
         if lossy:
-            gamma, beta = lp
-            mu = _mu_at(gamma, beta, n)
-            base.update({"gamma": gamma, "beta": beta, "mu": mu})
-            state = mpo.init_lossy(n, m, mu)
+            state = mpo.init_lossy(n, m, loss["mu"])
             apply_gate = mpo.apply_gate_vec
         else:
             occ = [0] * m
@@ -570,62 +590,30 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
         )
         return rows
 
-    rows = _run_units(config, points, columns, run_unit)
-
-    summary_columns = (["config_hash", "M", "N"] + loss_cols
-                       + ["alpha", "mean_peak_ee", "stderr", "n_circuits"])
-    layer_ees = _group(rows, lambda r: (r["M"], r["N"],
-                                        (r["gamma"], r["beta"]) if lossy else None,
-                                        r["alpha"], r["circuit"]), "max_ee")
-    summary = []
-    for m, n, lp in points:
-        for alpha in config.alphas:
-            peaks = [max(layer_ees[m, n, lp, alpha, c]) for c in range(config.n_circuits)]
-            mean, stderr = _mean_stderr(peaks)
-            srow: dict[str, Any] = {"config_hash": digest, "M": m, "N": n,
-                                    "alpha": alpha, "mean_peak_ee": mean,
-                                    "stderr": stderr, "n_circuits": len(peaks)}
-            if lossy:
-                gamma, beta = lp
-                srow.update({"gamma": gamma, "beta": beta, "mu": _mu_at(gamma, beta, n)})
-            summary.append(srow)
-    return RunRecord(digest, config.experiment, columns, rows,
-                     summary_columns, summary, 0.0, __version__)
+    rows = _run_units(config, columns, run_unit)
+    peaks = [max(group, key=lambda r: r["max_ee"])
+             for group in _groups(rows, keys + ["circuit"])]
+    return RunRecord(columns, rows, keys + ["mean_peak_ee", "stderr", "n_circuits"],
+                     _summarize(peaks, keys, "max_ee", "mean_peak_ee", "n_circuits"))
 
 
 def _analytic_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRecord:
     """Closed-form lossy entropy averaged over an ensemble of circuits."""
-    points = _sweep_points(config, _loss_points(config))
     columns = ["config_hash", "M", "N", "gamma", "beta", "mu", "alpha", "circuit", "ee"]
 
-    def run_unit(point_index: int, c: int, m: int, n: int, lp) -> list[dict[str, Any]]:
+    def run_unit(point_index: int, c: int, m: int, n: int, loss) -> list[dict[str, Any]]:
         budget.check()
-        gamma, beta = lp
-        mu = _mu_at(gamma, beta, n)
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
         angles = partition_angles(circuit_to_unitary(plan), m // 2)
-        out = []
-        for alpha in config.alphas:
-            out.append({"config_hash": digest, "M": m, "N": n, "gamma": gamma,
-                        "beta": beta, "mu": mu, "alpha": alpha, "circuit": c,
-                        "ee": lossy_mpo_ee(angles, mu, alpha, n)})
-        return out
+        return [{"config_hash": digest, "M": m, "N": n, **loss, "alpha": alpha,
+                 "circuit": c, "ee": lossy_mpo_ee(angles, loss["mu"], alpha, n)}
+                for alpha in config.alphas]
 
-    rows = _run_units(config, points, columns, run_unit)
-
-    summary_columns = ["N", "M", "gamma", "beta", "alpha",
-                       "mean_ee", "stderr", "n_samples", "config_hash"]
-    ees = _group(rows, lambda r: (r["M"], r["N"], r["gamma"], r["beta"], r["alpha"]), "ee")
-    summary = []
-    for m, n, (gamma, beta) in points:
-        for alpha in config.alphas:
-            vals = ees[m, n, gamma, beta, alpha]
-            mean, stderr = _mean_stderr(vals)
-            summary.append({"N": n, "M": m, "gamma": gamma, "beta": beta,
-                            "alpha": alpha, "mean_ee": mean, "stderr": stderr,
-                            "n_samples": len(vals), "config_hash": digest})
-    return RunRecord(digest, config.experiment, columns, rows,
-                     summary_columns, summary, 0.0, __version__)
+    rows = _run_units(config, columns, run_unit)
+    summary = _summarize(rows, ["config_hash", "M", "N", "gamma", "beta", "alpha"], "ee",
+                         "mean_ee", "n_samples")
+    return RunRecord(columns, rows, ["N", "M", "gamma", "beta", "alpha", "mean_ee",
+                                     "stderr", "n_samples", "config_hash"], summary)
 
 
 def _trunc_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRecord:
@@ -636,56 +624,38 @@ def _trunc_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Run
     comparable across the chi axis.
     """
     chis = config.chis if config.chis is not None else [config.chi_max]
-    points = _sweep_points(config, _loss_points(config))
-    columns = ["config_hash", "M", "N", "gamma", "beta", "mu", "chi", "circuit",
-               "one_minus_trace", "discarded_weight", "max_bond_dim"]
+    keys = ["config_hash", "M", "N", "gamma", "beta", "mu", "chi"]
+    columns = keys + ["circuit", "one_minus_trace", "discarded_weight", "max_bond_dim"]
     timings: list[dict[str, Any]] = []
 
-    def run_unit(point_index: int, c: int, m: int, n: int, lp) -> list[dict[str, Any]]:
-        gamma, beta = lp
-        mu = _mu_at(gamma, beta, n)
+    def run_unit(point_index: int, c: int, m: int, n: int, loss) -> list[dict[str, Any]]:
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
         out = []
         for chi in chis:
             budget.check()
             t0 = time.perf_counter()
-            state = mpo.init_lossy(n, m, mu)
-            mpo.apply_plan_vec(state, plan, config.policy(chi))
+            state = _build_state(m, n, loss, plan, config.policy(chi))
             wall = time.perf_counter() - t0
-            out.append({"config_hash": digest, "M": m, "N": n, "gamma": gamma,
-                        "beta": beta, "mu": mu, "chi": chi, "circuit": c,
-                        "one_minus_trace": 1.0 - mpo.trace(state),
+            out.append({"config_hash": digest, "M": m, "N": n, **loss, "chi": chi,
+                        "circuit": c, "one_minus_trace": 1.0 - mpo.trace(state),
                         "discarded_weight": state.discarded_weight,
                         "max_bond_dim": state.max_bond_dimension()})
             timings.append({"M": m, "N": n, "chi": chi, "circuit": c, "wall_seconds": wall})
         return out
 
-    rows = _run_units(config, points, columns, run_unit)
-
-    summary_columns = ["config_hash", "M", "N", "gamma", "beta", "mu", "chi",
-                       "mean_one_minus_trace", "stderr", "n_circuits"]
-    deficits = _group(rows, lambda r: (r["M"], r["N"], r["gamma"], r["beta"], r["chi"]),
-                      "one_minus_trace")
-    summary = []
-    for m, n, (gamma, beta) in points:
-        for chi in chis:
-            vals = deficits[m, n, gamma, beta, chi]
-            mean, stderr = _mean_stderr(vals)
-            summary.append({"config_hash": digest, "M": m, "N": n, "gamma": gamma,
-                            "beta": beta, "mu": _mu_at(gamma, beta, n), "chi": chi,
-                            "mean_one_minus_trace": mean, "stderr": stderr,
-                            "n_circuits": len(vals)})
-    return RunRecord(digest, config.experiment, columns, rows,
-                     summary_columns, summary, 0.0, __version__, timings=timings)
+    rows = _run_units(config, columns, run_unit)
+    return RunRecord(columns, rows, keys + ["mean_one_minus_trace", "stderr", "n_circuits"],
+                     _summarize(rows, keys, "one_minus_trace", "mean_one_minus_trace",
+                                "n_circuits"),
+                     timings=timings)
 
 
-def _build_state(config: ExperimentConfig, m: int, n: int, plan: CircuitPlan):
-    """Evolved state for the sample/prob recipes: pure without loss, else lossy."""
-    policy = config.policy()
-    points = _loss_points(config)
-    if points:
-        gamma, beta = points[0]
-        state: Any = mpo.init_lossy(n, m, _mu_at(gamma, beta, n))
+def _build_state(m: int, n: int, loss: dict[str, float], plan: CircuitPlan,
+                 policy: TruncationPolicy):
+    """The evolved input of ``n`` photons in the first of ``m`` modes: the lossy
+    MPO at ``loss["mu"]``, or the pure MPS when ``loss`` is empty."""
+    if loss:
+        state: Any = mpo.init_lossy(n, m, loss["mu"])
         mpo.apply_plan_vec(state, plan, policy)
     else:
         state = mps.init_fock(tuple([1] * n + [0] * (m - n)))
@@ -694,9 +664,7 @@ def _build_state(config: ExperimentConfig, m: int, n: int, plan: CircuitPlan):
 
 
 def _sample_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRecord:
-    points = _sweep_points(config, _loss_points(config) or [None])
-    [(m, n, lp)] = points  # validate_config allows one (M, N, loss) point
-    mu = None if lp is None else _mu_at(*lp, n)
+    [(m, n, loss)] = _sweep_points(config)  # validate_config allows one (M, N, loss) point
     columns = ["config_hash", "M", "N", "mu", "chi", "circuit", "num_samples",
                "state_norm", "min_joint", "max_joint", "max_step_deficit",
                "circuit_fingerprint"]
@@ -705,71 +673,52 @@ def _sample_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
     def run_unit(point_index: int, c: int, *_) -> list[dict[str, Any]]:
         budget.check()
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
-        state = _build_state(config, m, n, plan)
+        state = _build_state(m, n, loss, plan, config.policy())
         rng = circuit_rng(config.seed, point_index, c, stream=1)
-        results = sampling.sample_many(state, rng, config.num_samples, seed=config.seed)
+        results = sampling.sample_many(state, rng, config.num_samples)
         joints = [r.joint_probability for r in results]
         metadata = {"config_hash": digest, "experiment": config.experiment,
                     "circuit": str(c), "chi": str(config.chi_max),
                     "seed": str(config.seed), "circuit_fingerprint": plan_fingerprint(plan)}
-        if mu is not None:
-            metadata["mu"] = repr(mu)
+        if loss:
+            metadata["mu"] = repr(loss["mu"])
         sample_files.append((c, results, metadata))
-        return [{"config_hash": digest, "M": m, "N": n,
-                 "mu": "" if mu is None else mu, "chi": config.chi_max,
+        return [{"config_hash": digest, "M": m, "N": n, **loss, "chi": config.chi_max,
                  "circuit": c, "num_samples": len(results),
                  "state_norm": sampling.state_norm(state),
                  "min_joint": min(joints), "max_joint": max(joints),
                  "max_step_deficit": max(r.max_step_deficit for r in results),
                  "circuit_fingerprint": plan_fingerprint(plan)}]
 
-    rows = _run_units(config, points, columns, run_unit)
+    rows = _run_units(config, columns, run_unit)
 
     summary_columns = ["config_hash", "M", "N", "mu", "chi", "n_circuits",
                        "total_samples", "mean_state_norm"]
-    summary = [{"config_hash": digest, "M": m, "N": n,
-                "mu": "" if mu is None else mu, "chi": config.chi_max,
+    summary = [{"config_hash": digest, "M": m, "N": n, **loss, "chi": config.chi_max,
                 "n_circuits": config.n_circuits,
                 "total_samples": sum(r["num_samples"] for r in rows),
                 "mean_state_norm": float(np.mean([r["state_norm"] for r in rows]))}]
-    return RunRecord(digest, config.experiment, columns, rows,
-                     summary_columns, summary, 0.0, __version__, sample_files=sample_files)
+    return RunRecord(columns, rows, summary_columns, summary, sample_files=sample_files)
 
 
 def _prob_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRecord:
     """Outcome probabilities per photon number; every N reuses circuit streams (0, c)."""
-    points = _sweep_points(config, _loss_points(config) or [None])
+    keys = ["config_hash", "M", "N", "outcome"]
     columns = ["config_hash", "M", "N", "mu", "chi", "circuit", "outcome", "probability"]
     outcomes = [(occ, " ".join(str(x) for x in occ)) for occ in config.outcomes or []]
 
-    def run_unit(point_index: int, c: int, m: int, n: int, lp) -> list[dict[str, Any]]:
+    def run_unit(point_index: int, c: int, m: int, n: int, loss) -> list[dict[str, Any]]:
         budget.check()
-        mu = None if lp is None else _mu_at(*lp, n)
         plan = sample_haar_circuit(m, circuit_rng(config.seed, 0, c))
-        state = _build_state(config, m, n, plan)
-        out = []
-        for occ, key in outcomes:
-            p = mps.probability(state, occ) if mu is None else mpo.outcome_prob(state, occ)
-            out.append({"config_hash": digest, "M": m, "N": n,
-                        "mu": "" if mu is None else mu, "chi": config.chi_max,
-                        "circuit": c, "outcome": key, "probability": p})
-        return out
+        state = _build_state(m, n, loss, plan, config.policy())
+        probability = mpo.outcome_prob if loss else mps.probability
+        return [{"config_hash": digest, "M": m, "N": n, **loss, "chi": config.chi_max,
+                 "circuit": c, "outcome": key, "probability": probability(state, occ)}
+                for occ, key in outcomes]
 
-    rows = _run_units(config, points, columns, run_unit)
-
-    summary_columns = ["config_hash", "M", "N", "outcome", "mean_probability",
-                       "stderr", "n_circuits"]
-    probs = _group(rows, lambda r: (r["N"], r["outcome"]), "probability")
-    summary = []
-    for m, n, _ in points:
-        for _, key in outcomes:
-            vals = probs[n, key]
-            mean, stderr = _mean_stderr(vals)
-            summary.append({"config_hash": digest, "M": m, "N": n, "outcome": key,
-                            "mean_probability": mean, "stderr": stderr,
-                            "n_circuits": len(vals)})
-    return RunRecord(digest, config.experiment, columns, rows,
-                     summary_columns, summary, 0.0, __version__)
+    rows = _run_units(config, columns, run_unit)
+    return RunRecord(columns, rows, keys + ["mean_probability", "stderr", "n_circuits"],
+                     _summarize(rows, keys, "probability", "mean_probability", "n_circuits"))
 
 
 def _oracle_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRecord:
@@ -778,18 +727,14 @@ def _oracle_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
     exact_policy = TruncationPolicy(chi_max=100_000)
     columns = ["config_hash", "M", "N", "circuit", "check", "deviation",
                "tolerance", "status"]
-    loss_pts = _loss_points(config)
-    points = _sweep_points(config, [None])
 
-    def run_unit(point_index: int, c: int, m: int, n: int, _) -> list[dict[str, Any]]:
+    def run_unit(point_index: int, c: int, m: int, n: int, loss) -> list[dict[str, Any]]:
         budget.check()
-        mu = _mu_at(*loss_pts[0], n) if loss_pts else 0.7
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
         occ_in = tuple([1] * n + [0] * (m - n))
         checks: dict[str, float] = {}
 
-        state = mps.init_fock(occ_in)
-        mps.apply_plan(state, plan, exact_policy)
+        state = _build_state(m, n, {}, plan, exact_policy)
         dense = dense_evolve(occ_in, plan)
         checks["amplitude"] = max(
             abs(mps.amplitude(state, occ) - dense.amplitude(occ))
@@ -813,8 +758,8 @@ def _oracle_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
             for d in draws
         )
 
-        op = mpo.init_lossy(n, m, mu)
-        mpo.apply_plan_vec(op, plan, exact_policy)
+        mu = loss.get("mu", 0.7)
+        op = _build_state(m, n, {"mu": mu}, plan, exact_policy)
         reference = exact_lossy_distribution(circuit_to_unitary(plan), n, mu)
         checks["lossy-prob"] = max(
             abs(mpo.outcome_prob(op, occ) - p)
@@ -833,18 +778,16 @@ def _oracle_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
                  "status": "pass" if deviation <= tol else "fail"}
                 for name, deviation in checks.items()]
 
-    rows = _run_units(config, points, columns, run_unit)
+    rows = _run_units(config, columns, run_unit)
 
     summary_columns = ["config_hash", "check", "max_deviation", "tolerance", "status"]
-    deviations = _group(rows, lambda r: r["check"], "deviation")
     summary = []
-    for name in sorted(deviations):
-        worst = max(deviations[name])
-        summary.append({"config_hash": digest, "check": name, "max_deviation": worst,
-                        "tolerance": tol,
+    for group in sorted(_groups(rows, ["check"]), key=lambda group: group[0]["check"]):
+        worst = max(r["deviation"] for r in group)
+        summary.append({"config_hash": digest, "check": group[0]["check"],
+                        "max_deviation": worst, "tolerance": tol,
                         "status": "pass" if worst <= tol else "fail"})
-    record = RunRecord(digest, config.experiment, columns, rows,
-                       summary_columns, summary, 0.0, __version__)
+    record = RunRecord(columns, rows, summary_columns, summary)
     worst = max(r["deviation"] for r in rows)
     if any(r["status"] == "fail" for r in rows):
         record.status = "failed"
@@ -874,9 +817,8 @@ def run(config: ExperimentConfig) -> RunRecord:
     try:
         record = _RECIPES[config.experiment](config, digest, budget)
     except ResourceAbort as abort:
-        record = RunRecord(digest, config.experiment, abort.columns, abort.rows,
-                           [], [], budget.elapsed(), __version__,
-                           status="aborted", message=str(abort))
+        record = RunRecord(abort.columns, abort.rows, status="aborted", message=str(abort))
+    record.config_hash, record.experiment = digest, config.experiment
     record.wall_time = budget.elapsed()
     return record
 
@@ -900,17 +842,23 @@ def run_to_files(config: ExperimentConfig) -> tuple[RunRecord, Path | None]:
 
     The two CSV tables are byte-identical across reruns of the same config;
     wall-clock information goes only to ``meta.json`` and ``timings.csv``.
+    Earlier tables in ``out_dir`` are removed first; ``checkpoints/`` is kept.
     """
     try:
         record = run(config)
     except (NumericalFailure, DegradedStateError) as exc:
-        digest = config_hash(config)
-        record = RunRecord(digest, config.experiment, [], [], [], [], 0.0,
-                           __version__, status="numerical-failure", message=str(exc))
+        record = RunRecord([], [], config_hash=config_hash(config),
+                           experiment=config.experiment, status="numerical-failure",
+                           message=str(exc))
     out_dir: Path | None = None
     if config.out_dir is not None:
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+        # A table left by an earlier run would sit beside this run's meta.json
+        # as if this run had written it.
+        for path in [out_dir / "results.csv", out_dir / "summary.csv",
+                     out_dir / "timings.csv", *out_dir.glob("samples_c*.csv")]:
+            path.unlink(missing_ok=True)
         if record.columns:
             _write_csv(out_dir / "results.csv", record.columns, record.rows)
         if record.summary_columns:

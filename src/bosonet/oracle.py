@@ -235,18 +235,15 @@ def dense_reduced_spectrum(state: DenseFockState, cut: int) -> np.ndarray:
     return np.sort(spectrum)[::-1]
 
 
-def dense_lossy_vectorized_spectrum(
+def _lossy_sector_operators(
     plan: CircuitPlan, num_photons: int, mu: float, cut: int
-) -> np.ndarray:
-    """Bond spectrum (descending) of the normalized vectorized mixed state at ``cut``.
+) -> list[np.ndarray]:
+    """The vectorized output operator of each surviving photon number, split at ``cut``.
 
-    Builds the output density operator of the lossy circuit (binomial mixture
-    of evolved surviving subsets), keeping the total-photon sectors as
-    orthogonal block-diagonal components — the same layout the tensor-network
-    density operator uses, where the left boundary enumerates the sectors. The
-    per-sector vectorized operators are stacked along the left side of the
-    cut; the squared Schmidt values of the stacked matrix, normalized to sum
-    1, match the tensor-network bond spectrum at full rank.
+    Each sector's operator is the binomial-weighted sum of the projectors on
+    the evolved surviving subsets, on the Fock grid truncated at
+    ``num_photons`` per mode, with (ket_k, bra_k) grouped per mode and the
+    modes left of ``cut`` as rows.  Sectors of zero weight are left out.
     """
     num_modes = plan.num_modes
     if not 1 <= cut <= num_modes - 1:
@@ -279,17 +276,35 @@ def dense_lossy_vectorized_spectrum(
             rho += weight * np.outer(vec, vec.conj())
         # Vectorize: group (ket_k, bra_k) per mode, then split at the cut.
         tensor = rho.reshape([d] * (2 * num_modes))
-        paired = np.transpose(tensor, order).reshape(
+        blocks.append(np.transpose(tensor, order).reshape(
             (d * d) ** cut, (d * d) ** (num_modes - cut)
-        )
-        blocks.append(paired)
-    mat = np.vstack(blocks)
-    sing = np.linalg.svd(mat, compute_uv=False)
-    spectrum = sing**2
+        ))
+    return blocks
+
+
+def _normalized_spectrum(mat: np.ndarray) -> np.ndarray:
+    """Squared singular values of ``mat``, normalized to sum 1, descending."""
+    spectrum = np.linalg.svd(mat, compute_uv=False) ** 2
     total = spectrum.sum()
     if total <= 0.0:
         raise ValueError("vectorized state has zero norm")
     return np.sort(spectrum / total)[::-1]
+
+
+def dense_lossy_vectorized_spectrum(
+    plan: CircuitPlan, num_photons: int, mu: float, cut: int
+) -> np.ndarray:
+    """Bond spectrum (descending) of the normalized vectorized mixed state at ``cut``.
+
+    Builds the output density operator of the lossy circuit (binomial mixture
+    of evolved surviving subsets), keeping the total-photon sectors as
+    orthogonal block-diagonal components — the same layout the tensor-network
+    density operator uses, where the left boundary enumerates the sectors. The
+    per-sector vectorized operators are stacked along the left side of the
+    cut; the squared Schmidt values of the stacked matrix, normalized to sum
+    1, match the tensor-network bond spectrum at full rank.
+    """
+    return _normalized_spectrum(np.vstack(_lossy_sector_operators(plan, num_photons, mu, cut)))
 
 
 def dense_lossy_plain_spectrum(
@@ -303,40 +318,4 @@ def dense_lossy_plain_spectrum(
     the vectorized operator itself rather than the charge-resolved stored
     object; the two agree only when a single sector carries weight.
     """
-    num_modes = plan.num_modes
-    if not 1 <= cut <= num_modes - 1:
-        raise ValueError(f"cut must be in [1, {num_modes - 1}], got {cut}")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
-    d = num_photons + 1
-    if d**num_modes > 3000:
-        raise ValueError("doubled Fock grid too large for the dense oracle")
-    grid_dim = d**num_modes
-    strides = [d ** (num_modes - 1 - k) for k in range(num_modes)]
-    order = [k for pair in zip(range(num_modes), range(num_modes, 2 * num_modes)) for k in pair]
-    rho = np.zeros((grid_dim, grid_dim), dtype=np.complex128)
-    for size in range(num_photons + 1):
-        weight = mu**size * (1.0 - mu) ** (num_photons - size)
-        if weight == 0.0:
-            continue
-        for subset in combinations(range(num_photons), size):
-            occ = [0] * num_modes
-            for mode in subset:
-                occ[mode] = 1
-            state = dense_evolve(tuple(occ), plan)
-            vec = np.zeros(grid_dim, dtype=np.complex128)
-            for basis_occ, a in zip(state.basis, state.amplitudes):
-                if any(o >= d for o in basis_occ):
-                    continue
-                vec[sum(o * st for o, st in zip(basis_occ, strides))] = a
-            rho += weight * np.outer(vec, vec.conj())
-    tensor = rho.reshape([d] * (2 * num_modes))
-    mat = np.transpose(tensor, order).reshape(
-        (d * d) ** cut, (d * d) ** (num_modes - cut)
-    )
-    sing = np.linalg.svd(mat, compute_uv=False)
-    spectrum = sing**2
-    total = spectrum.sum()
-    if total <= 0.0:
-        raise ValueError("vectorized state has zero norm")
-    return np.sort(spectrum / total)[::-1]
+    return _normalized_spectrum(sum(_lossy_sector_operators(plan, num_photons, mu, cut)))

@@ -40,7 +40,6 @@ class SamplingResult:
 
     outcome: tuple[int, ...]
     joint_probability: float
-    seed: int | None = None
     max_step_deficit: float = 0.0
 
 
@@ -158,28 +157,26 @@ def marginal_prob(state: MpsState | MpoState, prefix: tuple[int, ...]) -> float:
 def sample(
     state: MpsState | MpoState,
     rng: np.random.Generator,
-    seed: int | None = None,
 ) -> SamplingResult:
     """Draw one output pattern by the sequential chain rule (modes 1 to M)."""
     _check_degraded(state)
-    return _draw(_Engine(state), rng, seed)
+    return _draw(_Engine(state), rng)
 
 
 def sample_many(
     state: MpsState | MpoState,
     rng: np.random.Generator,
     count: int,
-    seed: int | None = None,
 ) -> list[SamplingResult]:
     """Draw ``count`` independent outcomes reusing one cached engine."""
     _check_degraded(state)
     if count < 0:
         raise ValueError("count must be nonnegative")
     engine = _Engine(state)
-    return [_draw(engine, rng, seed) for _ in range(count)]
+    return [_draw(engine, rng) for _ in range(count)]
 
 
-def _draw(engine: _Engine, rng: np.random.Generator, seed: int | None) -> SamplingResult:
+def _draw(engine: _Engine, rng: np.random.Generator) -> SamplingResult:
     env = engine.initial_env()
     running = engine.initial_marginal
     outcome = []
@@ -206,7 +203,6 @@ def _draw(engine: _Engine, rng: np.random.Generator, seed: int | None) -> Sampli
     return SamplingResult(
         outcome=tuple(outcome),
         joint_probability=joint,
-        seed=seed,
         max_step_deficit=max_deficit,
     )
 

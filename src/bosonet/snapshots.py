@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -112,16 +112,29 @@ def load_header(path: str | Path) -> dict[str, Any]:
     return header
 
 
+def _field(path: str | Path, header: dict[str, Any], name: str,
+           convert: Callable[[Any], Any]) -> Any:
+    """``convert(header[name])``; a missing or malformed field is a ``ValueError``."""
+    try:
+        return convert(header[name])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad snapshot header field {name!r}: {exc!r}") from None
+
+
 def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
-    """Rebuild a state from a snapshot; returns ``(state, extra)``."""
+    """Rebuild a state from a snapshot; returns ``(state, extra)``.
+
+    A header field that is missing or of the wrong type raises ``ValueError``
+    naming the field, like every other malformed snapshot.
+    """
     header = load_header(path)
-    kind = header["kind"]
-    paired = kind == "mpo"
-    num_modes = int(header["num_modes"])
-    num_photons = int(header["num_photons"])
-    if int(header["local_dim"]) != num_photons + 1:
+    paired = _field(path, header, "kind", {"mps": False, "mpo": True}.__getitem__)
+    num_modes = _field(path, header, "num_modes", int)
+    num_photons = _field(path, header, "num_photons", int)
+    local_dim = _field(path, header, "local_dim", int)
+    if local_dim != num_photons + 1:
         raise ValueError(
-            f"{path}: local_dim {header['local_dim']} does not match "
+            f"{path}: local_dim {local_dim} does not match "
             f"{num_photons} photons (expected {num_photons + 1})"
         )
     bonds: list[dict[Any, np.ndarray]] = [{} for _ in range(num_modes + 1)]
@@ -132,16 +145,21 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
                 continue
             prefix, _, token = key.partition("/")
             if prefix.startswith("bond"):
-                bonds[int(prefix[4:])][_parse_charge(token, paired)] = data[key]
+                blocks, charge = bonds, _parse_charge(token, paired)
             elif prefix.startswith("site"):
                 left, right = token.split(";")
-                sites[int(prefix[4:])][
-                    (_parse_charge(left, paired), _parse_charge(right, paired))
-                ] = data[key]
+                blocks, charge = sites, (_parse_charge(left, paired), _parse_charge(right, paired))
             else:
                 raise ValueError(f"{path}: unexpected snapshot member {key!r}")
+            k = int(prefix[4:])
+            if not 0 <= k < len(blocks):
+                raise ValueError(f"{path}: member {key!r} lies outside num_modes {num_modes}")
+            blocks[k][charge] = data[key]
     fields = dict(num_modes=num_modes, num_photons=num_photons, sites=sites, bonds=bonds,
-                  norm_scale=float(header["norm_scale"]),
-                  discarded_weight=float(header["discarded_weight"]))
-    state = MpoState(**fields, mu=float(header["loss"]["mu"])) if paired else MpsState(**fields)
-    return state, dict(header.get("extra", {}))
+                  norm_scale=_field(path, header, "norm_scale", float),
+                  discarded_weight=_field(path, header, "discarded_weight", float))
+    if paired:
+        state = MpoState(**fields, mu=_field(path, header, "loss", lambda loss: float(loss["mu"])))
+    else:
+        state = MpsState(**fields)
+    return state, _field(path, header, "extra", dict)

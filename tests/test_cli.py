@@ -170,84 +170,93 @@ class TestFailureExitCodes:
         assert "exceeds" in capsys.readouterr().err
 
 
+class TestStaleOutputs:
+    def test_aborted_rerun_removes_the_summary_of_the_run_before(self, tmp_path):
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "c.json")
+        assert main(["lossless-ee", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert (out / "summary.csv").exists()
+
+        aborting = write_config(tmp_path / "abort.json", seed=6, max_seconds=0.0)
+        code = main(["lossless-ee", "--config", str(aborting), "--out", str(out)])
+        assert code == EXIT_RESOURCE
+        assert json.loads((out / "meta.json").read_text())["status"] == "aborted"
+        assert not (out / "summary.csv").exists()
+        assert (out / "results.csv").read_text().count("\n") == 1  # the header only
+
+    def test_rerun_with_fewer_circuits_removes_their_sample_files(self, tmp_path):
+        out = tmp_path / "out"
+        for n_circuits in (3, 1):
+            config = write_config(tmp_path / "c.json", experiment="sample", num_samples=4,
+                                  n_circuits=n_circuits)
+            assert main(["sample", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.glob("samples_c*.csv")) == ["samples_c0.csv"]
+
+
+def _edit_header(path, edit):
+    """Rewrite the JSON header of the snapshot at ``path`` with ``edit(header)``."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {key: data[key] for key in data.files}
+    header = json.loads(str(arrays["header"][()]))
+    edit(header)
+    arrays["header"] = np.array(json.dumps(header))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def assert_resume_ignores_planted_checkpoint(tmp_path, plant):
+    """Abort a checkpointed lossy-ee run at layer 0, damage its checkpoint with
+    ``plant(path)`` and rerun: exit 0, tables byte-identical to an uninterrupted
+    run, and no checkpoint left."""
+    config = write_config(tmp_path / "c.json", experiment="lossy-ee",
+                          loss={"kind": "constant", "mu": 0.6}, checkpoint_every=1)
+    clean = tmp_path / "clean"
+    assert main(["lossy-ee", "--config", str(config), "--out", str(clean)]) == EXIT_OK
+
+    resumed = tmp_path / "resumed"
+    aborting = write_config(tmp_path / "abort.json", experiment="lossy-ee",
+                            loss={"kind": "constant", "mu": 0.6},
+                            checkpoint_every=1, max_seconds=0.0)
+    code = main(["lossy-ee", "--config", str(aborting), "--out", str(resumed)])
+    assert code == EXIT_RESOURCE
+    [planted] = (resumed / "checkpoints").glob("*.npz")
+    plant(planted)
+
+    assert main(["lossy-ee", "--config", str(config), "--out", str(resumed)]) == EXIT_OK
+    for table in ("results.csv", "summary.csv"):
+        assert (resumed / table).read_bytes() == (clean / table).read_bytes()
+    assert not list((resumed / "checkpoints").glob("*.npz"))
+
+
 class TestCheckpointResume:
     def test_checkpoint_from_other_snapshot_version_is_ignored(self, tmp_path):
-        config = write_config(tmp_path / "c.json", experiment="lossy-ee",
-                              loss={"kind": "constant", "mu": 0.6}, checkpoint_every=1)
-        clean = tmp_path / "clean"
-        assert main(["lossy-ee", "--config", str(config), "--out", str(clean)]) == EXIT_OK
+        # The planted header claims every layer is done with no rows, so a
+        # resume that trusted it would write a different table.
+        def edit(header):
+            header["version"] = FORMAT_VERSION - 1
+            header["extra"].update(layers_done=10_000, rows=[])
 
-        # Plant a checkpoint from another snapshot format: abort at layer 0,
-        # then rewrite its header. It claims every layer is done with no rows,
-        # so a resume that trusted it would write a different table.
-        stale = tmp_path / "stale"
-        aborting = write_config(tmp_path / "abort.json", experiment="lossy-ee",
-                                loss={"kind": "constant", "mu": 0.6},
-                                checkpoint_every=1, max_seconds=0.0)
-        code = main(["lossy-ee", "--config", str(aborting), "--out", str(stale)])
-        assert code == EXIT_RESOURCE
-        [planted] = (stale / "checkpoints").glob("*.npz")
-        with np.load(planted, allow_pickle=False) as data:
-            arrays = {key: data[key] for key in data.files}
-        header = json.loads(str(arrays["header"][()]))
-        header["version"] = FORMAT_VERSION - 1
-        header["extra"].update(layers_done=10_000, rows=[])
-        arrays["header"] = np.array(json.dumps(header))
-        with open(planted, "wb") as fh:
-            np.savez(fh, **arrays)
-
-        assert main(["lossy-ee", "--config", str(config), "--out", str(stale)]) == EXIT_OK
-        for table in ("results.csv", "summary.csv"):
-            assert (stale / table).read_bytes() == (clean / table).read_bytes()
-        assert not list((stale / "checkpoints").glob("*.npz"))
+        assert_resume_ignores_planted_checkpoint(tmp_path, lambda path: _edit_header(path, edit))
 
     def test_truncated_checkpoint_is_ignored(self, tmp_path):
-        config = write_config(tmp_path / "c.json", experiment="lossy-ee",
-                              loss={"kind": "constant", "mu": 0.6}, checkpoint_every=1)
-        clean = tmp_path / "clean"
-        assert main(["lossy-ee", "--config", str(config), "--out", str(clean)]) == EXIT_OK
-
         # A checkpoint cut short, as by a full disk or a copy that died partway.
-        cut = tmp_path / "cut"
-        aborting = write_config(tmp_path / "abort.json", experiment="lossy-ee",
-                                loss={"kind": "constant", "mu": 0.6},
-                                checkpoint_every=1, max_seconds=0.0)
-        code = main(["lossy-ee", "--config", str(aborting), "--out", str(cut)])
-        assert code == EXIT_RESOURCE
-        [planted] = (cut / "checkpoints").glob("*.npz")
-        data = planted.read_bytes()
-        planted.write_bytes(data[: len(data) // 2])
+        def plant(path):
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
 
-        assert main(["lossy-ee", "--config", str(config), "--out", str(cut)]) == EXIT_OK
-        for table in ("results.csv", "summary.csv"):
-            assert (cut / table).read_bytes() == (clean / table).read_bytes()
-        assert not list((cut / "checkpoints").glob("*.npz"))
-
+        assert_resume_ignores_planted_checkpoint(tmp_path, plant)
 
     def test_checkpoint_with_mismatched_local_dim_is_ignored(self, tmp_path):
-        config = write_config(tmp_path / "c.json", experiment="lossy-ee",
-                              loss={"kind": "constant", "mu": 0.6}, checkpoint_every=1)
-        clean = tmp_path / "clean"
-        assert main(["lossy-ee", "--config", str(config), "--out", str(clean)]) == EXIT_OK
+        assert_resume_ignores_planted_checkpoint(tmp_path, lambda path: _edit_header(
+            path, lambda h: h.update(local_dim=h["local_dim"] + 1)))
 
-        bad = tmp_path / "bad"
-        aborting = write_config(tmp_path / "abort.json", experiment="lossy-ee",
-                                loss={"kind": "constant", "mu": 0.6},
-                                checkpoint_every=1, max_seconds=0.0)
-        assert main(["lossy-ee", "--config", str(aborting), "--out", str(bad)]) == EXIT_RESOURCE
-        [planted] = (bad / "checkpoints").glob("*.npz")
-        with np.load(planted, allow_pickle=False) as data:
-            arrays = {key: data[key] for key in data.files}
-        header = json.loads(str(arrays["header"][()]))
-        header["local_dim"] += 1
-        arrays["header"] = np.array(json.dumps(header))
-        with open(planted, "wb") as fh:
-            np.savez(fh, **arrays)
-
-        assert main(["lossy-ee", "--config", str(config), "--out", str(bad)]) == EXIT_OK
-        for table in ("results.csv", "summary.csv"):
-            assert (bad / table).read_bytes() == (clean / table).read_bytes()
-        assert not list((bad / "checkpoints").glob("*.npz"))
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: h.update(loss=None), id="null-loss"),
+        pytest.param(lambda h: h.pop("num_photons"), id="no-num_photons"),
+    ])
+    def test_checkpoint_with_malformed_header_is_ignored(self, tmp_path, edit):
+        assert_resume_ignores_planted_checkpoint(
+            tmp_path, lambda path: _edit_header(path, edit))
 
 
 class TestInstalledEntryPoint:

@@ -36,6 +36,18 @@ def make_doc(**overrides):
     return doc
 
 
+def assert_summary_regroups_rows(record, keys, value, mean_col, count_col, expected_keys):
+    """Summary rows, in ``expected_keys`` order, are the mean, stderr and count of
+    ``value`` over the rows that share their ``keys`` columns."""
+    assert [tuple(s[k] for k in keys) for s in record.summary] == expected_keys
+    for srow, key in zip(record.summary, expected_keys):
+        vals = [r[value] for r in record.rows if tuple(r[k] for k in keys) == key]
+        assert srow[count_col] == len(vals) == 2  # both sweeps run 2 circuits per point
+        assert srow[mean_col] == pytest.approx(np.mean(vals), rel=1e-12, abs=0)
+        assert srow["stderr"] == pytest.approx(
+            np.std(vals, ddof=1) / np.sqrt(len(vals)), rel=1e-12, abs=0)
+
+
 #: One small config per experiment name, for the checks every recipe must pass.
 RECIPE_DOCS = {
     "lossless-ee": make_doc(),
@@ -433,6 +445,18 @@ class TestTruncRecipe:
             assert deficits[8] <= deficits[2] + 1e-12
             assert deficits[64] == pytest.approx(0.0, abs=1e-10)
 
+    def test_summary_regroups_rows_of_a_multi_point_sweep(self):
+        record = run(config_from_dict(
+            make_doc(experiment="trunc-error", num_modes=[6], num_photons=[2, 3],
+                     loss={"kind": "power_law", "beta": 0.8, "gamma": 0.5},
+                     chis=[2, 8], n_circuits=2)
+        ))
+        keys = ["config_hash", "M", "N", "gamma", "beta", "mu", "chi"]
+        expected = [(record.config_hash, 6, n, 0.5, 0.8, 0.8 * n ** (0.5 - 1.0), chi)
+                    for n in (2, 3) for chi in (2, 8)]
+        assert_summary_regroups_rows(record, keys, "one_minus_trace",
+                                     "mean_one_minus_trace", "n_circuits", expected)
+
     def test_timings_are_separate_from_results(self, tmp_path):
         config = config_from_dict(
             make_doc(experiment="trunc-error", num_modes=[4], num_photons=[2],
@@ -506,6 +530,19 @@ class TestProbRecipe:
         record = run(config)
         # With mu = 0.4 and N = 2 the vacuum carries (1 - mu)^2 of the weight.
         assert record.rows[0]["probability"] == pytest.approx(0.36, abs=1e-8)
+
+
+    def test_summary_regroups_rows_of_a_multi_point_sweep(self):
+        record = run(config_from_dict(
+            make_doc(experiment="prob", num_photons=[1, 2],
+                     outcomes=[[1, 0, 0, 0], [0, 0, 1, 0]], n_circuits=2,
+                     loss={"kind": "constant", "mu": 0.6}, chi_max=64)
+        ))
+        keys = ["config_hash", "M", "N", "outcome"]
+        expected = [(record.config_hash, 4, n, key)
+                    for n in (1, 2) for key in ("1 0 0 0", "0 0 1 0")]
+        assert_summary_regroups_rows(record, keys, "probability",
+                                     "mean_probability", "n_circuits", expected)
 
 
 # ---------------------------------------------------------------------------

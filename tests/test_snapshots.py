@@ -137,24 +137,25 @@ def test_header_records_kind_and_loss(tmp_path):
     assert lossy_header["loss"] == {"mu": 0.35}
 
 
+def _edit_header(path, edit):
+    """Rewrite the JSON header of the snapshot at ``path`` with ``edit(header)``."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(str(arrays["header"][()]))
+    edit(header)
+    arrays["header"] = np.array(json.dumps(header))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 def test_unsupported_version_is_rejected(tmp_path):
     state, _ = _evolved_mps()
     path = tmp_path / "state.npz"
     save_state(path, state)
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {k: data[k] for k in data.files}
-    header = json.loads(str(arrays["header"][()]))
-    header["version"] = FORMAT_VERSION + 1
-    arrays["header"] = np.array(json.dumps(header))
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    _edit_header(path, lambda h: h.update(version=FORMAT_VERSION + 1))
     with pytest.raises(ValueError, match="unsupported snapshot version"):
         load_state(path)
-    header["version"] = FORMAT_VERSION
-    header["format"] = "something-else"
-    arrays["header"] = np.array(json.dumps(header))
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    _edit_header(path, lambda h: h.update(version=FORMAT_VERSION, format="something-else"))
     with pytest.raises(ValueError, match="unknown container format"):
         load_state(path)
 
@@ -163,14 +164,24 @@ def test_local_dim_must_match_photon_number(tmp_path):
     state, _ = _evolved_mpo()
     path = tmp_path / "op.npz"
     save_state(path, state)
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {k: data[k] for k in data.files}
-    header = json.loads(str(arrays["header"][()]))
-    header["local_dim"] = state.num_photons + 2
-    arrays["header"] = np.array(json.dumps(header))
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    _edit_header(path, lambda h: h.update(local_dim=state.num_photons + 2))
     with pytest.raises(ValueError, match="local_dim 4 does not match 2 photons"):
+        load_state(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda h: h.update(loss=None), "field 'loss'", id="null-loss"),
+    pytest.param(lambda h: h.pop("num_photons"), "field 'num_photons'", id="no-num_photons"),
+    pytest.param(lambda h: h.update(num_modes=2), "outside num_modes 2", id="short-num_modes"),
+])
+def test_malformed_header_raises_value_error_naming_the_field(tmp_path, edit, message):
+    # Checkpoint restore treats a ValueError as "not a usable snapshot" and
+    # restarts the circuit, so no malformed header may raise anything else.
+    state, _ = _evolved_mpo()
+    path = tmp_path / "op.npz"
+    save_state(path, state)
+    _edit_header(path, edit)
+    with pytest.raises(ValueError, match=message):
         load_state(path)
 
 
