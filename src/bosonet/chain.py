@@ -40,6 +40,21 @@ never divides by them (Hastings, "Light-cone matrix product", J. Math. Phys.
 ``norm_scale`` restores the raw (unnormalized) object, which
 density-operator states use to keep trace bookkeeping while their singular
 values stay 2-norm normalized.
+
+A vectorized density operator |rho>> is invariant under swapping ket and bra
+and conjugating (SK), because rho is Hermitian. Its trains are kept in the
+*mirror gauge* that makes this symmetry visible block by block: with
+c~ = (b, a) the mirror of charge c = (a, b),
+
+- ``bonds[k][c~]`` is a bitwise copy of ``bonds[k][c]``;
+- ``sites[k][(cl~, cr~)]`` equals ``conj(sites[k][(cl, cr)])`` bitwise, with
+  the same row and column order, so a diagonal block (both charges of the
+  form (a, a)) is real.
+
+So the bond vectors of a diagonal sector (a, a) are each SK-invariant, and
+those of (a, b) and (b, a) are SK images of each other. The product MPO and
+U (x) conj(U) gates satisfy the gauge, and ``two_site_update`` keeps it; a
+pure state (int charges) has no mirror.
 """
 
 from __future__ import annotations
@@ -54,6 +69,8 @@ import numpy as np
 from .linalg import TruncationPolicy, svd, truncate_global
 
 Charge = Hashable
+
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass
@@ -201,6 +218,19 @@ def two_site_update(
     right tensor is the kept rows of V^dag and the new left tensor is
     Phi V_kept (= Gamma_l lambda_center), so no singular value is ever
     divided out.
+
+    A vectorized operator must be in the mirror gauge (module docstring), and
+    the update keeps it while doing the work of each mirror pair once: the
+    products run only through inner charges (a, b) with a <= b, the stacks
+    hold only the outer pairs that sort no later than their mirror pair, and
+    only the Phi of center charges (a, b) with a <= b are assembled and
+    decomposed; every mirror half is a conjugated copy. So the bond and site
+    blocks of (b, a) are the conjugated copies of those of (a, b). A diagonal
+    sector (a, a) maps to itself under SK: in the basis (e + Pi e)/sqrt 2,
+    i (e - Pi e)/sqrt 2 of the mirror permutation Pi of its rows and of its
+    columns, its Phi is real, so it takes a real SVD and its singular
+    vectors, rotated back, are SK-invariant. ``truncate_global`` cuts a
+    mirror pair as one unit.
     """
     m = state.num_modes
     if not 1 <= site <= m - 1:
@@ -208,6 +238,7 @@ def two_site_update(
     k = site - 1  # sites index of the left site; bonds k, k+1, k+2 surround it
     left_bond = state.bonds[k]
     right_bond = state.bonds[k + 2]
+    mirrored = isinstance(next(iter(left_bond), None), tuple)
 
     # Every product B_l B_r through inner charge ci comes from one matmul of
     # the (cl, ci) blocks stacked over cl with the (ci, cr) blocks side by side.
@@ -222,7 +253,15 @@ def two_site_update(
     # Each outer pair (cl, cr) takes a column range of its sector's stack, one
     # row per input occupation, and sends output occupation j to center
     # charge cl - j; those targets fix the rows and columns of every Phi.
+    # A mirrored train carries only the pairs that sort before their mirror
+    # pair (or are their own mirror), and assembles only the Phi of a <= b:
+    # the mirror pair's output slices are the conjugated slices of its own.
+    if mirrored:
+        # Every pair through ci = (b, a), b > a, mirrors one through (a, b).
+        inner = [ci for ci in inner if ci[0] <= ci[1]]
     pairs = dict.fromkeys((cl, cr) for ci in inner for cl, _ in lefts[ci] for cr, _ in rights[ci])
+    if mirrored:
+        pairs = dict.fromkeys(min(pair, (pair[0][::-1], pair[1][::-1])) for pair in pairs)
     offsets: dict[tuple[Charge, Charge], int] = {}
     widths: dict[Charge, int] = {}
     sectors: dict[Charge, tuple] = {}
@@ -241,9 +280,15 @@ def two_site_update(
         targets = [_sub(cl, j) for j in sectors[n][0]]
         pairs[cl, cr] = (view, sectors[n][1], targets)
         for co in targets:
-            rows.setdefault(co, set()).add(cl)
-            cols.setdefault(co, set()).add(cr)
+            if not mirrored or co[0] <= co[1]:
+                rows.setdefault(co, set()).add(cl)
+                cols.setdefault(co, set()).add(cr)
+            if mirrored and co[0] >= co[1]:
+                rows.setdefault(co[::-1], set()).add(cl[::-1])
+                cols.setdefault(co[::-1], set()).add(cr[::-1])
     for ci in inner:
+        # The products through the mirror of ci are their conjugates.
+        flip = mirrored and ci[0] != ci[1]
         left = np.concatenate([b for _, b in lefts[ci]])
         prod = left @ np.concatenate([b for _, b in rights[ci]], axis=1)
         r0 = 0
@@ -253,8 +298,15 @@ def two_site_update(
             c0 = 0
             for cr, right_block in rights[ci]:
                 c1 = c0 + right_block.shape[1]
-                view, positions, _ = pairs[cl, cr]
-                view[positions[label]] = prod[r0:r1, c0:c1]
+                entry = pairs.get((cl, cr))
+                if entry is not None:
+                    view, positions, _ = entry
+                    view[positions[label]] = prod[r0:r1, c0:c1]
+                if flip:
+                    entry = pairs.get((cl[::-1], cr[::-1]))
+                    if entry is not None:
+                        view, positions, _ = entry
+                        np.conjugate(prod[r0:r1, c0:c1], out=view[positions[label[::-1]]])
                 c0 = c1
             r0 = r1
 
@@ -270,29 +322,68 @@ def two_site_update(
         phi = np.zeros((row_total, col_total), dtype=np.complex128)
         factors[co] = (phi, row_offsets, col_offsets)
     for (cl, cr), (view, _, targets) in pairs.items():
+        flip = mirrored and (cl[::-1], cr[::-1]) != (cl, cr)
         for slab, co in zip(view, targets):
-            phi, row_offsets, col_offsets = factors[co]
-            r0, c0 = row_offsets[cl], col_offsets[cr]
-            phi[r0 : r0 + slab.shape[0], c0 : c0 + slab.shape[1]] = slab
+            entry = factors.get(co)
+            if entry is not None:
+                phi, row_offsets, col_offsets = entry
+                r0, c0 = row_offsets[cl], col_offsets[cr]
+                phi[r0 : r0 + slab.shape[0], c0 : c0 + slab.shape[1]] = slab
+            if flip:
+                entry = factors.get(co[::-1])
+                if entry is not None:
+                    phi, row_offsets, col_offsets = entry
+                    r0, c0 = row_offsets[cl[::-1]], col_offsets[cr[::-1]]
+                    np.conjugate(slab, out=phi[r0 : r0 + slab.shape[0], c0 : c0 + slab.shape[1]])
     del stacks, pairs
 
-    # Decompose Theta = lambda_left Phi per output center charge.
+    # Decompose Theta = lambda_left Phi per assembled center charge; a
+    # diagonal sector of a mirrored train is decomposed as a real matrix.
     results = {}
-    for co, (phi, row_offsets, _) in factors.items():
+    bases = {}  # co -> (row basis, column basis) of a real-decomposed diagonal sector
+    for co, (phi, row_offsets, col_offsets) in factors.items():
         row_weights = np.concatenate([left_bond[cl] for cl in row_offsets])
+        if mirrored and co[0] == co[1]:
+            lo, _, fixed = row_basis = _mirror_basis(row_offsets, left_bond)
+            bases[co] = (row_basis, _mirror_basis(col_offsets, right_bond))
+            phi = _to_real(phi, *bases[co])
+            factors[co] = (phi, row_offsets, col_offsets)
+            row_weights = row_weights[np.concatenate([lo, lo, fixed])]
         results[co] = svd(row_weights[:, None] * phi)
-    outcome = truncate_global([(co, r.singular_values) for co, r in results.items()], policy)
+    outputs = sorted({*results, *map(_mirror, results)}) if mirrored else list(results)
+    spectra = [(co, (results.get(co) or results[_mirror(co)]).singular_values) for co in outputs]
+    outcome = truncate_global(spectra, policy, mirror=_mirror if mirrored else None)
 
-    # Rebuild the center bond and both site tensors from the kept columns.
+    # Rebuild the center bond and both site tensors from the kept columns; a
+    # mirror sector (b, a) copies the conjugated blocks of (a, b), which
+    # sorts before it.
     new_bond: dict[Charge, np.ndarray] = {}
     new_left: dict[tuple[Charge, Charge], np.ndarray] = {}
     new_right: dict[tuple[Charge, Charge], np.ndarray] = {}
-    for co, kept_idx in outcome.kept_by_group.items():
+    for co in outputs:
+        kept_idx = outcome.kept_by_group.get(co)
+        if kept_idx is None:
+            continue
+        if co not in results:
+            partner = _mirror(co)
+            new_bond[co] = new_bond[partner].copy()
+            for cl in factors[partner][1]:
+                new_left[(_mirror(cl), co)] = new_left[(cl, partner)].conj()
+            for cr in factors[partner][2]:
+                new_right[(co, _mirror(cr))] = new_right[(partner, cr)].conj()
+            continue
         result = results[co]
         phi, row_offsets, col_offsets = factors[co]
         new_bond[co] = result.singular_values[kept_idx]
-        right_kept = result.right_conj[kept_idx, :]
-        left_kept = phi @ right_kept.conj().T
+        if co in bases:
+            # Rotate the real factors back: V = Q_c V_real, Phi V = Q_r Phi_real V_real.
+            row_basis, col_basis = bases[co]
+            right_real = result.right_conj[kept_idx, :].T
+            right_kept = _from_real(right_real, col_basis).conj().T
+            left_kept = _from_real(phi @ right_real, row_basis)
+        else:
+            right_kept = result.right_conj[kept_idx, :]
+            left_kept = phi @ right_kept.conj().T
         for cl, r0 in row_offsets.items():
             new_left[(cl, co)] = left_kept[r0 : r0 + len(left_bond[cl]), :]
         # Copied, so each stored block is contiguous like a reloaded snapshot
@@ -306,6 +397,60 @@ def two_site_update(
     state.sites[k + 1] = new_right
     state.discarded_weight += outcome.discarded_weight
     return outcome.discarded_weight
+
+
+def _mirror(c: tuple[int, int]) -> tuple[int, int]:
+    """The SK image (b, a) of a (ket, bra) charge or occupation (a, b); hot loops inline it."""
+    return c[::-1]
+
+
+def _mirror_basis(offsets: dict[Charge, int], bond: dict[Charge, np.ndarray]) -> tuple:
+    """Positions (lo, hi, fixed) of a diagonal sector's rows or columns under the mirror Pi.
+
+    Block c = (a, b) with a < b pairs position by position with its mirror
+    block (b, a): ``lo`` lists the positions of every a < b block, ``hi``
+    those of their mirrors in the same order, ``fixed`` those of the a = b
+    blocks, which Pi leaves in place.
+    """
+    lo, hi, fixed = [], [], []
+    for c, start in offsets.items():
+        size = len(bond[c])
+        if c[0] == c[1]:
+            fixed.append(np.arange(start, start + size))
+        elif c[0] < c[1]:
+            lo.append(np.arange(start, start + size))
+            hi.append(np.arange(offsets[_mirror(c)], offsets[_mirror(c)] + size))
+    return tuple(np.concatenate(part) if part else np.zeros(0, dtype=np.intp)
+                 for part in (lo, hi, fixed))
+
+
+def _to_real(phi: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """Q_r^dag Phi Q_c for an SK-symmetric Phi, which is real in these bases.
+
+    The columns of Q are (e_lo + e_hi)/sqrt 2, i (e_lo - e_hi)/sqrt 2 per
+    mirror pair, then e_fixed. The imaginary part, roundoff only, is dropped.
+    """
+    lo, hi, fixed = rows
+    y = np.concatenate([_SQRT_HALF * (phi[lo] + phi[hi]), -1j * _SQRT_HALF * (phi[lo] - phi[hi]),
+                        phi[fixed]])
+    lo, hi, fixed = cols
+    return np.concatenate([_SQRT_HALF * (y[:, lo] + y[:, hi]).real,
+                           -_SQRT_HALF * (y[:, lo] - y[:, hi]).imag, y[:, fixed].real], axis=1)
+
+
+def _from_real(x: np.ndarray, basis: tuple) -> np.ndarray:
+    """Q x: rows of a real x in the rotated basis back to the original positions.
+
+    Row hi is the exact conjugate of row lo, so the result's mirror blocks
+    are bitwise conjugates.
+    """
+    lo, hi, fixed = basis
+    n = len(lo)
+    out = np.empty((len(lo) + len(hi) + len(fixed), x.shape[1]), dtype=np.complex128)
+    out[lo] = _SQRT_HALF * (x[:n] + 1j * x[n : 2 * n])
+    out[hi] = out[lo].conj()
+    out[fixed] = x[2 * n :]
+    return out
 
 
 def _sector_block(blocks: list[np.ndarray], n: Hashable, cache: dict) -> tuple:

@@ -481,7 +481,11 @@ class _Checkpointer:
             return None  # another snapshot format, a bad header, or a file cut short
         if extra.get("config_hash") != self.digest:
             return None
-        return state, int(extra["layers_done"]), list(extra["rows"])
+        layers_done, rows = extra.get("layers_done"), extra.get("rows")
+        if type(layers_done) is not int or layers_done < 0 or not (
+                isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+            return None  # progress fields missing or of the wrong type
+        return state, layers_done, rows
 
     def save(self, point_index: int, circuit_index: int, state, layers_done: int,
              rows: list[dict[str, Any]]) -> None:

@@ -2,14 +2,18 @@
 
 A snapshot is a single ``.npz`` archive holding a JSON header plus one array
 per charge block: every bond spectrum under ``bond{k}/{charge}`` and every
-right-canonical site block B = Gamma lambda under ``site{k}/{left};{right}``
-(format 1 stored the Vidal Gamma blocks instead and is not read).  The header
-records the format version, whether the state is a pure state or a vectorized
-operator, its local dimension (always num_photons + 1; a header that says
-otherwise is rejected) and — for lossy states — the loss parameters, so a
-checkpointed sweep can be resumed without the original configuration in
-hand.  Older builds also wrote a ``sector`` key for post-selected operators;
-it is ignored on load, because the stored bond-0 charges already carry any
+right-canonical site block B = Gamma lambda under ``site{k}/{left};{right}``.
+A vectorized operator is stored in the mirror gauge of ``chain``: the blocks
+of charge (b, a) are the conjugated copies of those of (a, b). Format 3 is
+the first with that gauge. Older formats are not read: format 1 stored the
+Vidal Gamma blocks, and a format-2 operator, written without the gauge,
+would evolve wrongly under the current update. The header records the format
+version, whether the state is a pure state or a vectorized operator, its
+local dimension (always num_photons + 1; a header that says otherwise is
+rejected) and — for lossy states — the loss parameters, so a checkpointed
+sweep can be resumed without the original configuration in hand.  Older
+builds also wrote a ``sector`` key for post-selected operators; it is
+ignored on load, because the stored bond-0 charges already carry any
 post-selection.  Arrays are stored in their native binary form, which makes
 save/load round trips bit-exact and resumed evolutions identical to
 uninterrupted ones.
@@ -31,7 +35,7 @@ __all__ = ["FORMAT_NAME", "FORMAT_VERSION", "SnapshotVersionError", "save_state"
            "load_state", "load_header"]
 
 FORMAT_NAME = "bosonet-state"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class SnapshotVersionError(ValueError):

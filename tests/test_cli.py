@@ -258,6 +258,20 @@ class TestCheckpointResume:
         assert_resume_ignores_planted_checkpoint(
             tmp_path, lambda path: _edit_header(path, edit))
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda extra: extra.pop("layers_done"), id="no-layers_done"),
+        pytest.param(lambda extra: extra.pop("rows"), id="no-rows"),
+        pytest.param(lambda extra: extra.update(layers_done="1"), id="str-layers_done"),
+        pytest.param(lambda extra: extra.update(layers_done=1.5), id="float-layers_done"),
+        pytest.param(lambda extra: extra.update(rows={"M": 4}), id="dict-rows"),
+        pytest.param(lambda extra: extra.update(rows=[7]), id="int-row"),
+    ])
+    def test_checkpoint_with_malformed_progress_is_ignored(self, tmp_path, edit):
+        # The header is well formed and carries the run's config hash; only the
+        # progress fields are missing or of the wrong type.
+        assert_resume_ignores_planted_checkpoint(
+            tmp_path, lambda path: _edit_header(path, lambda h: edit(h["extra"])))
+
 
 class TestInstalledEntryPoint:
     def test_console_script_is_wired(self):

@@ -43,6 +43,14 @@ def test_svd_reconstruction_property(n, m, seed):
     assert np.allclose(np.sum(res.singular_values**2), np.linalg.norm(a) ** 2, atol=1e-10)
 
 
+def test_svd_of_real_matrix_is_real():
+    a = np.random.default_rng(5).normal(size=(7, 4))
+    res = svd(a)
+    assert res.left.dtype == res.right_conj.dtype == np.float64
+    rebuilt = res.left @ np.diag(res.singular_values) @ res.right_conj
+    np.testing.assert_allclose(rebuilt, a, atol=1e-12)
+
+
 def test_svd_rejects_bad_input():
     with pytest.raises(ValueError):
         svd(np.zeros((0, 3)))
@@ -141,6 +149,86 @@ def test_truncate_ties_across_groups_match_sorted_reference(chi, data, values):
     got = {label: idx.tolist() for label, idx in out.kept_by_group.items()}
     assert got == {label: sorted(idx) for label, idx in expect.items()}
     assert out.kept == [(label, -v) for v, label, _ in entries[:chi]]
+
+
+def swap(label):
+    return label[::-1]
+
+
+def test_truncate_keeps_or_drops_a_mirror_pair_whole():
+    groups = [((0, 0), np.array([0.9, 0.2])),
+              ((0, 1), np.array([0.5, 0.3])),
+              ((1, 0), np.array([0.5, 0.3]))]
+    # 0.9 takes one place; the 0.5 pair needs two, so at chi = 2 it is dropped
+    # whole and the cut stops there, below chi.
+    out = truncate_global(groups, TruncationPolicy(chi_max=2), mirror=swap)
+    assert out.kept == [((0, 0), 0.9)]
+    assert set(out.kept_by_group) == {(0, 0)}
+    assert out.discarded_weight == pytest.approx(0.2**2 + 2 * 0.5**2 + 2 * 0.3**2, abs=1e-15)
+    out = truncate_global(groups, TruncationPolicy(chi_max=3), mirror=swap)
+    assert out.kept == [((0, 0), 0.9), ((0, 1), 0.5), ((1, 0), 0.5)]
+    assert {label: idx.tolist() for label, idx in out.kept_by_group.items()} == {
+        (0, 0): [0], (0, 1): [0], (1, 0): [0]}
+    assert out.discarded_weight == pytest.approx(0.2**2 + 2 * 0.3**2, abs=1e-15)
+
+
+def test_truncate_weight_threshold_counts_a_mirror_pair_twice():
+    groups = [((0, 0), np.array([1.0])), ((0, 1), np.array([0.1])), ((1, 0), np.array([0.1]))]
+    # The pair weighs 2 * 0.01: it fits a 0.025 budget but not a 0.015 one.
+    dropped = truncate_global(groups, TruncationPolicy(chi_max=8, weight_threshold=0.025),
+                              mirror=swap)
+    assert dropped.kept == [((0, 0), 1.0)]
+    assert dropped.discarded_weight == pytest.approx(0.02, abs=1e-15)
+    kept = truncate_global(groups, TruncationPolicy(chi_max=8, weight_threshold=0.015),
+                           mirror=swap)
+    assert len(kept.kept) == 3 and kept.discarded_weight == 0.0
+
+
+def test_truncate_rejects_a_broken_mirror_pair():
+    with pytest.raises(ValueError, match="mirror partner"):
+        truncate_global([((0, 1), np.array([0.5]))], TruncationPolicy(chi_max=2), mirror=swap)
+    with pytest.raises(ValueError, match="mirror partner"):
+        truncate_global([((0, 1), np.array([0.5])), ((1, 0), np.array([0.5 + 1e-16]))],
+                        TruncationPolicy(chi_max=2), mirror=swap)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    chi=st.integers(1, 12),
+    diagonal=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+    off_diagonal=st.lists(st.integers(0, 4), max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_truncate_mirror_pairs_match_pair_unit_reference(seed, chi, diagonal, off_diagonal):
+    rng = np.random.default_rng(seed)
+    # Few distinct values, so pairs and singles tie at the cut.
+    draw = lambda k: np.sort(rng.choice([1.0, 0.5, 0.25], size=k))[::-1]
+    groups = [((a, a), draw(k)) for a, k in enumerate(diagonal)]
+    for a, k in enumerate(off_diagonal):
+        values = draw(k)
+        groups += [((a, a + 1), values), ((a + 1, a), values.copy())]
+    out = truncate_global(groups, TruncationPolicy(chi_max=chi), mirror=swap)
+
+    # Reference: one unit per diagonal value and per pair, in (value, label,
+    # index) order; the longest prefix whose count fits chi is kept.
+    units = sorted((-v, label, i, 1 if label[0] == label[1] else 2)
+                   for label, vals in groups if label[0] <= label[1]
+                   for i, v in enumerate(vals))
+    kept_units, count = [], 0
+    for unit in units:
+        if count + unit[3] > chi:
+            break
+        kept_units.append(unit)
+        count += unit[3]
+    expect = []
+    for v, label, _, size in kept_units:
+        expect += [(label, -v)] + ([(swap(label), -v)] if size == 2 else [])
+    assert out.kept == expect
+    assert len(out.kept) <= chi
+    for label, idx in out.kept_by_group.items():
+        assert out.kept_by_group[swap(label)].tolist() == idx.tolist()
+    total = sum(float(np.sum(vals**2)) for _, vals in groups)
+    assert out.discarded_weight == pytest.approx(total - sum(v**2 for _, v in out.kept), abs=1e-12)
 
 
 def test_policy_validation():

@@ -198,6 +198,40 @@ def test_dense_reconstruction_is_hermitian_and_positive():
 
 
 # ---------------------------------------------------------------------------
+# Mirror gauge: rho is Hermitian, so |rho>> is invariant under ket <-> bra
+# swap plus complex conjugation, and the train shows it block by block.
+
+
+def assert_mirror_gauge(state):
+    """Spectra of (a, b) and (b, a) are bitwise equal at every bond, and each
+    site block of mirrored charges is the exact conjugate of its partner."""
+    for k, bond in enumerate(state.bonds):
+        for (a, b), lam in bond.items():
+            assert np.array_equal(bond[(b, a)], lam), f"bond {k} sector {(a, b)}"
+    for k, blocks in enumerate(state.sites):
+        for (cl, cr), block in blocks.items():
+            mirror = blocks[(cl[::-1], cr[::-1])]
+            assert np.array_equal(mirror, block.conj()), f"site {k} block {(cl, cr)}"
+
+
+@pytest.mark.parametrize("chi", [10_000, 8, 16, 32])
+def test_evolution_keeps_the_mirror_gauge_and_hermiticity(chi):
+    n, m = 3, 6
+    state = mpo.init_lossy(n, m, 0.5)
+    assert_mirror_gauge(state)
+    mpo.apply_plan_vec(state, haar_plan(m, seed=3), TruncationPolicy(chi_max=chi))
+    assert_mirror_gauge(state)
+    assert state.max_bond_dimension() <= chi
+    if chi < 10_000:
+        assert state.discarded_weight > 1e-3
+    outcomes = all_outcomes(m, n)
+    for i, ket in enumerate(outcomes):
+        for bra in outcomes[i:]:
+            element = mpo.matrix_element(state, ket, bra)
+            assert abs(element - np.conj(mpo.matrix_element(state, bra, ket))) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
 # Truncation error bookkeeping
 
 

@@ -66,9 +66,11 @@ def test_mpo_round_trip_preserves_probabilities(tmp_path):
             assert mpo.outcome_prob(loaded, occ) == mpo.outcome_prob(state, occ)
 
 
-#: Snapshots written by the build before MpsState and MpoState became tensor
-#: trains (commit 8204c34), from the evolutions in ``_stored_evolution``. The
-#: MPO header still carries the since-dropped ``"sector": null`` key.
+#: Stored snapshots of the evolutions in ``_stored_evolution``. The MPS arrays
+#: were written by the build before MpsState and MpoState became tensor trains
+#: (commit 8204c34); only their header's format number was raised to 3. The MPO
+#: was evolved again at format 3, the first in the mirror gauge. Both headers
+#: carry the ``"sector": null`` key that older builds wrote and loads ignore.
 DATA = Path(__file__).resolve().parent / "data"
 
 
