@@ -1,0 +1,183 @@
+#!/usr/bin/env python3
+"""Byte-identity check of bosonet's output tables across two builds.
+
+``run`` sends a fixed list of small configs, one per recipe family and
+truncation regime, through ``bosonet <experiment> --config`` (one fresh
+process each) and keeps every config's ``results.csv``, ``summary.csv`` and
+``samples_c*.csv`` under ``OUT/<name>/``. Configs marked resumable run a
+second time into ``OUT/<name>-resumed/``: first with a wall-clock budget of
+half the uninterrupted run, so it aborts mid-circuit and leaves a checkpoint,
+then again without one, so it resumes from that checkpoint in a new process.
+
+``compare`` checks two such directories byte for byte, and each resumed run
+against its uninterrupted run. For a file that differs it prints the largest
+deviation of every float column. It exits 1 if anything differs.
+
+Usage:
+    python3 scripts/compare_outputs.py run OUT [--src DIR]
+    python3 scripts/compare_outputs.py compare OUT_A OUT_B
+
+``--src`` is the ``src`` directory of the build to run (default: this
+checkout's), so an older checkout without this script can be run too.
+"""
+
+import argparse
+import csv
+import json
+import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TABLES = ("results.csv", "summary.csv", "samples_c*.csv")
+
+LOSSY = {"loss": {"kind": "constant", "mu": 0.5}}
+# (name, config, resumable)
+CONFIGS = [
+    ("oracle-check-plain", {"experiment": "oracle-check", "num_modes": [4, 6],
+                            "num_photons": [1, 2, 3], "n_circuits": 2}, False),
+    ("oracle-check-lossy", {"experiment": "oracle-check", "num_modes": [4, 6],
+                            "num_photons": [2, 3], "n_circuits": 2,
+                            "loss": {"kind": "constant", "mu": 0.7}}, False),
+    ("lossy-ee-exact", {"experiment": "lossy-ee", "num_modes": [10], "num_photons": [2, 3],
+                        **LOSSY, "alphas": [0.5, 1.0, 2.0], "chi_max": 64,
+                        "n_circuits": 3}, True),
+    ("lossy-ee-power-law", {"experiment": "lossy-ee", "num_modes": [8, 10],
+                            "num_photons": [2, 3], "gammas": [0.25, 1.0], "betas": [0.6],
+                            "chi_max": 64, "n_circuits": 2}, False),
+    ("lossy-ee-chi8", {"experiment": "lossy-ee", "num_modes": [12], "num_photons": [3, 4],
+                       **LOSSY, "chi_max": 8, "n_circuits": 3}, True),
+    ("lossless-ee-exact", {"experiment": "lossless-ee", "num_modes": [12, 16],
+                           "num_photons": [2, 4], "alphas": [1.0, 2.0], "chi_max": 64,
+                           "n_circuits": 3}, True),
+    ("lossless-ee-chi8", {"experiment": "lossless-ee", "num_modes": [16],
+                          "num_photons": [4, 6], "chi_max": 8, "n_circuits": 3}, False),
+    ("trunc-error-small-chi", {"experiment": "trunc-error", "num_modes": [10],
+                               "num_photons": [3], **LOSSY, "chis": [4, 8, 16],
+                               "n_circuits": 3}, False),
+    ("trunc-error-chi64", {"experiment": "trunc-error", "num_modes": [12],
+                           "num_photons": [4], **LOSSY, "chis": [64],
+                           "n_circuits": 2}, False),
+    ("sample-lossy", {"experiment": "sample", "num_modes": [8], "num_photons": [3], **LOSSY,
+                      "chi_max": 64, "num_samples": 300, "n_circuits": 2}, False),
+    ("sample-pure", {"experiment": "sample", "num_modes": [8], "num_photons": [3],
+                     "chi_max": 64, "num_samples": 300, "n_circuits": 2}, False),
+    ("prob", {"experiment": "prob", "num_modes": [6], "num_photons": [2, 3], **LOSSY,
+              "chi_max": 64, "n_circuits": 2,
+              "outcomes": [[1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], [2, 0, 0, 0, 0, 1],
+                           [0, 0, 1, 1, 1, 0]]}, False),
+    ("fock-ee", {"experiment": "fock-ee", "num_modes": [8, 12], "num_photons": [2, 3],
+                 "alphas": [1.0, 2.0], "chi_max": 64, "n_circuits": 2}, False),
+    ("analytic-ee", {"experiment": "analytic-ee", "num_modes": [32],
+                     "num_photons": [1, 2, 4, 8], "gammas": [0.25, 0.5], "betas": [0.6],
+                     "n_circuits": 4}, False),
+]
+SEED = 7
+
+
+def _bosonet(src: Path, experiment: str, config: Path, out: Path) -> tuple[int, float]:
+    """Exit code and wall time of one ``bosonet`` CLI call with the package from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys; from bosonet.cli import main; sys.exit(main(sys.argv[1:]))"
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", code, experiment, "--config", str(config),
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    if done.returncode not in (0, 3):
+        sys.stderr.write(done.stdout + done.stderr)
+    return done.returncode, time.perf_counter() - start
+
+
+def run(out: Path, src: Path) -> int:
+    out.mkdir(parents=True, exist_ok=True)
+    failed = 0
+    for name, doc, resumable in CONFIGS:
+        config = out / f"{name}.json"
+        config.write_text(json.dumps({**doc, "seed": SEED}))
+        code, seconds = _bosonet(src, doc["experiment"], config, out / name)
+        print(f"{name}: exit {code} in {seconds:.1f}s")
+        failed += code != 0
+        if not resumable:
+            continue
+        resumed = out / f"{name}-resumed.json"
+        budget = {"max_seconds": round(seconds / 2, 3), "checkpoint_every": 1}
+        resumed.write_text(json.dumps({**doc, "seed": SEED, **budget}))
+        aborted, _ = _bosonet(src, doc["experiment"], resumed, out / f"{name}-resumed")
+        resumed.write_text(json.dumps({**doc, "seed": SEED, "checkpoint_every": 1}))
+        code, _ = _bosonet(src, doc["experiment"], resumed, out / f"{name}-resumed")
+        print(f"{name}-resumed: exit {aborted} with a budget, then exit {code}")
+        failed += aborted != 3 or code != 0
+    return 1 if failed else 0
+
+
+def _tables(directory: Path, depth: str = "*/") -> dict[str, Path]:
+    """Every output table in the config directories under ``directory`` (or in
+    ``directory`` itself with ``depth=""``), by its path relative to it."""
+    return {str(p.relative_to(directory)): p
+            for pattern in TABLES for p in directory.glob(depth + pattern)}
+
+
+def _float_deviations(a: Path, b: Path) -> dict[str, float]:
+    """Largest |a - b| of every column that parses as float in both files (rows in order)."""
+    with a.open(newline="") as fa, b.open(newline="") as fb:
+        rows_a, rows_b = list(csv.DictReader(fa)), list(csv.DictReader(fb))
+    worst: dict[str, float] = {}
+    for ra, rb in zip(rows_a, rows_b):
+        for col, va in ra.items():
+            try:
+                x, y = float(va), float(rb.get(col, ""))
+            except (TypeError, ValueError):
+                continue
+            dev = 0.0 if x == y or (math.isnan(x) and math.isnan(y)) else abs(x - y)
+            worst[col] = max(worst.get(col, 0.0), dev)
+    if len(rows_a) != len(rows_b):
+        worst["<row count>"] = abs(len(rows_a) - len(rows_b))
+    return {col: dev for col, dev in worst.items() if dev}
+
+
+def _compare(label: str, a: dict[str, Path], b: dict[str, Path]) -> int:
+    differ = 0
+    for rel in sorted(set(a) | set(b)):
+        if rel not in a or rel not in b:
+            print(f"{label}: {rel} only in {'the first' if rel in a else 'the second'}")
+            differ += 1
+        elif a[rel].read_bytes() != b[rel].read_bytes():
+            deviations = _float_deviations(a[rel], b[rel])
+            detail = ", ".join(f"{col} {dev:.3g}" for col, dev in sorted(deviations.items()))
+            print(f"{label}: {rel} differs ({detail or 'no float column moved'})")
+            differ += 1
+    print(f"{label}: {len(set(a) | set(b)) - differ} of {len(set(a) | set(b))} files identical")
+    return differ
+
+
+def compare(first: Path, second: Path) -> int:
+    differ = _compare(f"{first} vs {second}", _tables(first), _tables(second))
+    for directory in (first, second):
+        for name, _, resumable in CONFIGS:
+            if resumable:
+                differ += _compare(f"{directory}/{name}-resumed vs uninterrupted",
+                                   _tables(directory / name, ""),
+                                   _tables(directory / f"{name}-resumed", ""))
+    return 1 if differ else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    run_parser = sub.add_parser("run", help="run every config into OUT")
+    run_parser.add_argument("out", type=Path)
+    run_parser.add_argument("--src", type=Path, default=ROOT / "src",
+                            help="src directory of the build to run")
+    compare_parser = sub.add_parser("compare", help="compare two run directories")
+    compare_parser.add_argument("first", type=Path)
+    compare_parser.add_argument("second", type=Path)
+    args = parser.parse_args()
+    if args.command == "run":
+        return run(args.out, args.src.resolve())
+    return compare(args.first, args.second)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -55,20 +55,26 @@ So the bond vectors of a diagonal sector (a, a) are each SK-invariant, and
 those of (a, b) and (b, a) are SK images of each other. The product MPO and
 U (x) conj(U) gates satisfy the gauge, and ``two_site_update`` keeps it; a
 pure state (int charges) has no mirror.
+
+``two_site_update`` is a plan and an execute step. The plan
+(``layout.update_plan``) depends only on the block keys of the two sites and
+the charges and sizes of the bonds around them, and places every block with
+integer offsets and gathers, the mirror bookkeeping included; it is cached
+in a least-recently-used cache of ``layout.PLAN_CACHE_SIZE`` (12) plans keyed
+by exactly that structure. The execute step is one path for pure states and
+vectorized operators: matmuls, gathers, SVDs and the pooled cut.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Hashable
 
 import numpy as np
 
+from .layout import Charge, update_plan
 from .linalg import TruncationPolicy, svd, truncate_global
-
-Charge = Hashable
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -213,184 +219,103 @@ def two_site_update(
     B_l B_r of each (cl, cr), stacked over the inner charge ci (input
     occupation i = cl - ci), fill a column range of their sector's stack, and
     one matmul with G_n contracts every pair of the sector. Output row j is
-    the (cl, cr) block of Phi for center charge cl - j. Theta = lambda_left Phi is SVD'd per center charge
-    and all sectors are truncated jointly against the chi budget. The new
-    right tensor is the kept rows of V^dag and the new left tensor is
-    Phi V_kept (= Gamma_l lambda_center), so no singular value is ever
-    divided out.
+    the (cl, cr) block of Phi for center charge cl - j. Theta = lambda_left
+    Phi is SVD'd per center charge and all sectors are truncated jointly
+    against the chi budget. The new right tensor is the kept rows of V^dag
+    and the new left tensor is Phi V_kept (= Gamma_l lambda_center), so no
+    singular value is ever divided out.
+
+    The update runs in two steps. ``layout.update_plan`` works out where
+    every block goes from the block structure alone, and the execute step
+    below moves the numbers: one product matmul per inner charge, one gather
+    into the sector stacks, one gate-block matmul per sector, one gather into
+    every Phi, the SVDs and ``truncate_global``, and a rebuild by precomputed
+    offsets. Plans are cached (least recently used out, at most
+    ``layout.PLAN_CACHE_SIZE``, 12) keyed by the block keys of both sites in
+    dict order and the charges and sizes of bonds k and k+2. Bond k+1 only
+    sets the inner dimension of the products, so it is not part of the key.
+    A gather copies bits, and every matmul and elementwise operation sees
+    the operands, shapes and memory layouts it saw before the split, so the
+    results are the same bit for bit.
 
     A vectorized operator must be in the mirror gauge (module docstring), and
-    the update keeps it while doing the work of each mirror pair once: the
+    the plan keeps it while doing the work of each mirror pair once: the
     products run only through inner charges (a, b) with a <= b, the stacks
     hold only the outer pairs that sort no later than their mirror pair, and
     only the Phi of center charges (a, b) with a <= b are assembled and
-    decomposed; every mirror half is a conjugated copy. So the bond and site
-    blocks of (b, a) are the conjugated copies of those of (a, b). A diagonal
-    sector (a, a) maps to itself under SK: in the basis (e + Pi e)/sqrt 2,
-    i (e - Pi e)/sqrt 2 of the mirror permutation Pi of its rows and of its
-    columns, its Phi is real, so it takes a real SVD and its singular
-    vectors, rotated back, are SK-invariant. ``truncate_global`` cuts a
-    mirror pair as one unit.
+    decomposed; every mirror half is a gathered conjugate. So the bond and
+    site blocks of (b, a) are the conjugated copies of those of (a, b). A
+    diagonal sector (a, a) maps to itself under SK: in the basis
+    (e + Pi e)/sqrt 2, i (e - Pi e)/sqrt 2 of the mirror permutation Pi of
+    its rows and of its columns, its Phi is real, so it takes a real SVD and
+    its singular vectors, rotated back, are SK-invariant. Its Phi is
+    gathered with the (a, b), a < b, blocks first, their mirrors next in the
+    same order and the self-mirror blocks last, so that rotation acts on
+    contiguous halves. ``truncate_global`` cuts a mirror pair as one unit.
     """
     m = state.num_modes
     if not 1 <= site <= m - 1:
         raise ValueError(f"site must be in [1, {m - 1}], got {site}")
     k = site - 1  # sites index of the left site; bonds k, k+1, k+2 surround it
-    left_bond = state.bonds[k]
-    right_bond = state.bonds[k + 2]
-    mirrored = isinstance(next(iter(left_bond), None), tuple)
+    sites_l, sites_r = state.sites[k], state.sites[k + 1]
+    left_bond, right_bond = state.bonds[k], state.bonds[k + 2]
+    plan = update_plan(tuple(sites_l), tuple(sites_r),
+                       tuple(left_bond), tuple(map(len, left_bond.values())),
+                       tuple(right_bond), tuple(map(len, right_bond.values())))
 
-    # Every product B_l B_r through inner charge ci comes from one matmul of
-    # the (cl, ci) blocks stacked over cl with the (ci, cr) blocks side by side.
-    lefts: dict[Charge, list] = {}
-    for (cl, ci), block in state.sites[k].items():
-        lefts.setdefault(ci, []).append((cl, block))
-    rights: dict[Charge, list] = {}
-    for (ci, cr), block in state.sites[k + 1].items():
-        rights.setdefault(ci, []).append((cr, block))
-    inner = [ci for ci in lefts if ci in rights]
+    # Every product B_l B_r through one inner charge is one matmul of its left
+    # blocks stacked over cl with its right blocks side by side.
+    source = np.empty(plan.product_size + plan.stacks.extra, dtype=np.complex128)
+    for left_keys, right_keys, start, shape in plan.products:
+        left = np.concatenate([sites_l[key] for key in left_keys])
+        np.matmul(left, np.concatenate([sites_r[key] for key in right_keys], axis=1),
+                  out=source[start : start + shape[0] * shape[1]].reshape(shape))
+    size = plan.stacks.main.size
+    stacks = np.empty(size + plan.phis.extra, dtype=np.complex128)
+    plan.stacks.apply(source, plan.product_size, out=stacks[:size])
+    del source
+    _apply_gate_blocks(stacks, plan.sectors, gate_blocks)
+    phis = plan.phis.apply(stacks, size)
+    del stacks
+    weights = np.concatenate(list(left_bond.values())).take(plan.weights.index())
 
-    # Each outer pair (cl, cr) takes a column range of its sector's stack, one
-    # row per input occupation, and sends output occupation j to center
-    # charge cl - j; those targets fix the rows and columns of every Phi.
-    # A mirrored train carries only the pairs that sort before their mirror
-    # pair (or are their own mirror), and assembles only the Phi of a <= b:
-    # the mirror pair's output slices are the conjugated slices of its own.
-    if mirrored:
-        # Every pair through ci = (b, a), b > a, mirrors one through (a, b).
-        inner = [ci for ci in inner if ci[0] <= ci[1]]
-    pairs = dict.fromkeys((cl, cr) for ci in inner for cl, _ in lefts[ci] for cr, _ in rights[ci])
-    if mirrored:
-        pairs = dict.fromkeys(min(pair, (pair[0][::-1], pair[1][::-1])) for pair in pairs)
-    offsets: dict[tuple[Charge, Charge], int] = {}
-    widths: dict[Charge, int] = {}
-    sectors: dict[Charge, tuple] = {}
-    for cl, cr in pairs:
-        n = _sub(cl, cr)
-        _sector_block(gate_blocks, n, sectors)
-        offsets[cl, cr] = widths.get(n, 0)
-        widths[n] = offsets[cl, cr] + len(left_bond[cl]) * len(right_bond[cr])
-    stacks = {n: np.zeros((len(sectors[n][0]), w), dtype=np.complex128) for n, w in widths.items()}
-    rows: dict[Charge, set[Charge]] = {}
-    cols: dict[Charge, set[Charge]] = {}
-    for (cl, cr), offset in offsets.items():
-        n = _sub(cl, cr)
-        height, width = len(left_bond[cl]), len(right_bond[cr])
-        view = stacks[n][:, offset : offset + height * width].reshape(-1, height, width)
-        targets = [_sub(cl, j) for j in sectors[n][0]]
-        pairs[cl, cr] = (view, sectors[n][1], targets)
-        for co in targets:
-            if not mirrored or co[0] <= co[1]:
-                rows.setdefault(co, set()).add(cl)
-                cols.setdefault(co, set()).add(cr)
-            if mirrored and co[0] >= co[1]:
-                rows.setdefault(co[::-1], set()).add(cl[::-1])
-                cols.setdefault(co[::-1], set()).add(cr[::-1])
-    for ci in inner:
-        # The products through the mirror of ci are their conjugates.
-        flip = mirrored and ci[0] != ci[1]
-        left = np.concatenate([b for _, b in lefts[ci]])
-        prod = left @ np.concatenate([b for _, b in rights[ci]], axis=1)
-        r0 = 0
-        for cl, left_block in lefts[ci]:
-            r1 = r0 + left_block.shape[0]
-            label = _sub(cl, ci)
-            c0 = 0
-            for cr, right_block in rights[ci]:
-                c1 = c0 + right_block.shape[1]
-                entry = pairs.get((cl, cr))
-                if entry is not None:
-                    view, positions, _ = entry
-                    view[positions[label]] = prod[r0:r1, c0:c1]
-                if flip:
-                    entry = pairs.get((cl[::-1], cr[::-1]))
-                    if entry is not None:
-                        view, positions, _ = entry
-                        np.conjugate(prod[r0:r1, c0:c1], out=view[positions[label[::-1]]])
-                c0 = c1
-            r0 = r1
+    # Decompose Theta = lambda_left Phi per assembled center charge; only the
+    # singular values and V^dag are kept.
+    factors = []
+    for center in plan.centers:
+        rows, cols = center.shape
+        phi = phis[center.start : center.start + rows * cols].reshape(rows, cols)
+        if center.halves is not None:
+            phi = _to_real(phi, *center.halves)
+        result = svd(weights[center.weights : center.weights + rows, None] * phi)
+        factors.append((phi, result.singular_values, result.right_conj))
+    spectra = [(out.charge, factors[out.center][1]) for out in plan.outputs]
+    outcome = truncate_global(spectra, policy, mirror=plan.mirror)
 
-    # One gate-block matmul per sector, written over its stack (numpy buffers
-    # an operand that overlaps the output); then each pair's output slices
-    # are copied into the Phi of their center charges.
-    for n, stack in stacks.items():
-        np.matmul(sectors[n][2], stack, out=stack)
-    factors: dict[Charge, tuple] = {}
-    for co in sorted(rows, key=_charge_sort_key):
-        row_offsets, row_total = _offsets(rows[co], left_bond)
-        col_offsets, col_total = _offsets(cols[co], right_bond)
-        phi = np.zeros((row_total, col_total), dtype=np.complex128)
-        factors[co] = (phi, row_offsets, col_offsets)
-    for (cl, cr), (view, _, targets) in pairs.items():
-        flip = mirrored and (cl[::-1], cr[::-1]) != (cl, cr)
-        for slab, co in zip(view, targets):
-            entry = factors.get(co)
-            if entry is not None:
-                phi, row_offsets, col_offsets = entry
-                r0, c0 = row_offsets[cl], col_offsets[cr]
-                phi[r0 : r0 + slab.shape[0], c0 : c0 + slab.shape[1]] = slab
-            if flip:
-                entry = factors.get(co[::-1])
-                if entry is not None:
-                    phi, row_offsets, col_offsets = entry
-                    r0, c0 = row_offsets[cl[::-1]], col_offsets[cr[::-1]]
-                    np.conjugate(slab, out=phi[r0 : r0 + slab.shape[0], c0 : c0 + slab.shape[1]])
-    del stacks, pairs
-
-    # Decompose Theta = lambda_left Phi per assembled center charge; a
-    # diagonal sector of a mirrored train is decomposed as a real matrix.
-    results = {}
-    bases = {}  # co -> (row basis, column basis) of a real-decomposed diagonal sector
-    for co, (phi, row_offsets, col_offsets) in factors.items():
-        row_weights = np.concatenate([left_bond[cl] for cl in row_offsets])
-        if mirrored and co[0] == co[1]:
-            lo, _, fixed = row_basis = _mirror_basis(row_offsets, left_bond)
-            bases[co] = (row_basis, _mirror_basis(col_offsets, right_bond))
-            phi = _to_real(phi, *bases[co])
-            factors[co] = (phi, row_offsets, col_offsets)
-            row_weights = row_weights[np.concatenate([lo, lo, fixed])]
-        results[co] = svd(row_weights[:, None] * phi)
-    outputs = sorted({*results, *map(_mirror, results)}) if mirrored else list(results)
-    spectra = [(co, (results.get(co) or results[_mirror(co)]).singular_values) for co in outputs]
-    outcome = truncate_global(spectra, policy, mirror=_mirror if mirrored else None)
-
-    # Rebuild the center bond and both site tensors from the kept columns; a
-    # mirror sector (b, a) copies the conjugated blocks of (a, b), which
-    # sorts before it.
+    # Rebuild the center bond and both site tensors from the kept columns.
     new_bond: dict[Charge, np.ndarray] = {}
     new_left: dict[tuple[Charge, Charge], np.ndarray] = {}
     new_right: dict[tuple[Charge, Charge], np.ndarray] = {}
-    for co in outputs:
-        kept_idx = outcome.kept_by_group.get(co)
-        if kept_idx is None:
+    for out in plan.outputs:
+        kept = outcome.kept_by_group.get(out.charge)
+        if kept is None:
             continue
-        if co not in results:
-            partner = _mirror(co)
-            new_bond[co] = new_bond[partner].copy()
-            for cl in factors[partner][1]:
-                new_left[(_mirror(cl), co)] = new_left[(cl, partner)].conj()
-            for cr in factors[partner][2]:
-                new_right[(co, _mirror(cr))] = new_right[(partner, cr)].conj()
+        phi, values, right_conj = factors[out.center]
+        new_bond[out.charge] = values[kept]
+        if out.mirror:
+            for key, source in out.left:
+                new_left[key] = new_left[source].conj()
+            for key, source in out.right:
+                new_right[key] = new_right[source].conj()
             continue
-        result = results[co]
-        phi, row_offsets, col_offsets = factors[co]
-        new_bond[co] = result.singular_values[kept_idx]
-        if co in bases:
-            # Rotate the real factors back: V = Q_c V_real, Phi V = Q_r Phi_real V_real.
-            row_basis, col_basis = bases[co]
-            right_real = result.right_conj[kept_idx, :].T
-            right_kept = _from_real(right_real, col_basis).conj().T
-            left_kept = _from_real(phi @ right_real, row_basis)
-        else:
-            right_kept = result.right_conj[kept_idx, :]
-            left_kept = phi @ right_kept.conj().T
-        for cl, r0 in row_offsets.items():
-            new_left[(cl, co)] = left_kept[r0 : r0 + len(left_bond[cl]), :]
+        left, right = _kept_factors(phi, right_conj[kept, :], plan.centers[out.center].halves)
+        for key, r0, r1 in out.left:
+            new_left[key] = left[r0:r1]
         # Copied, so each stored block is contiguous like a reloaded snapshot
         # block; strided views changed the last bit of later contractions and
         # broke byte-identical resumes.
-        for cr, c0 in col_offsets.items():
-            new_right[(co, cr)] = right_kept[:, c0 : c0 + len(right_bond[cr])].copy()
+        for key, c0, c1 in out.right:
+            new_right[key] = right[:, c0:c1].copy()
 
     state.bonds[k + 1] = new_bond
     state.sites[k] = new_left
@@ -399,83 +324,79 @@ def two_site_update(
     return outcome.discarded_weight
 
 
-def _mirror(c: tuple[int, int]) -> tuple[int, int]:
-    """The SK image (b, a) of a (ket, bra) charge or occupation (a, b); hot loops inline it."""
-    return c[::-1]
+def _apply_gate_blocks(stacks: np.ndarray, sectors: list, gate_blocks: list[np.ndarray]) -> None:
+    """One gate-block matmul per sector, written over its stack (numpy buffers
+    an operand that overlaps the output)."""
+    cache: dict[Charge, np.ndarray] = {}
+    for n, start, shape in sectors:
+        stack = stacks[start : start + shape[0] * shape[1]].reshape(shape)
+        np.matmul(_sector_block(gate_blocks, n, cache), stack, out=stack)
 
 
-def _mirror_basis(offsets: dict[Charge, int], bond: dict[Charge, np.ndarray]) -> tuple:
-    """Positions (lo, hi, fixed) of a diagonal sector's rows or columns under the mirror Pi.
+def _kept_factors(phi: np.ndarray, right: np.ndarray,
+                  halves: tuple[int, int] | None) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi V_kept, V_kept^dag) of one center from the kept rows of V^dag.
 
-    Block c = (a, b) with a < b pairs position by position with its mirror
-    block (b, a): ``lo`` lists the positions of every a < b block, ``hi``
-    those of their mirrors in the same order, ``fixed`` those of the a = b
-    blocks, which Pi leaves in place.
+    A center decomposed as real has its factors rotated back:
+    V = Q_c V_real and Phi V = Q_r Phi_real V_real.
     """
-    lo, hi, fixed = [], [], []
-    for c, start in offsets.items():
-        size = len(bond[c])
-        if c[0] == c[1]:
-            fixed.append(np.arange(start, start + size))
-        elif c[0] < c[1]:
-            lo.append(np.arange(start, start + size))
-            hi.append(np.arange(offsets[_mirror(c)], offsets[_mirror(c)] + size))
-    return tuple(np.concatenate(part) if part else np.zeros(0, dtype=np.intp)
-                 for part in (lo, hi, fixed))
+    if halves is None:
+        return phi @ right.conj().T, right
+    rows, cols = halves
+    right_real = right.T
+    return _from_real(phi @ right_real, rows), _from_real(right_real, cols).conj().T
 
 
-def _to_real(phi: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+def _to_real(phi: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Q_r^dag Phi Q_c for an SK-symmetric Phi, which is real in these bases.
 
-    The columns of Q are (e_lo + e_hi)/sqrt 2, i (e_lo - e_hi)/sqrt 2 per
-    mirror pair, then e_fixed. The imaginary part, roundoff only, is dropped.
+    Phi's rows are ordered lo, hi, fixed: ``rows`` rows of (a, b), a < b,
+    blocks, then as many rows of their mirror blocks in the same order, then
+    the rows that Pi leaves in place; its columns likewise with ``cols``. The
+    columns of Q are (e_lo + e_hi)/sqrt 2, i (e_lo - e_hi)/sqrt 2 per mirror
+    pair, then e_fixed. The imaginary part, roundoff only, is dropped. The
+    parts are taken with index arrays, not slices, because numpy lays out a
+    column gather in Fortran order, and that layout fixes the bits of the
+    later product Phi V.
     """
-    lo, hi, fixed = rows
+    lo, hi, fixed = _halves(rows, phi.shape[0])
     y = np.concatenate([_SQRT_HALF * (phi[lo] + phi[hi]), -1j * _SQRT_HALF * (phi[lo] - phi[hi]),
                         phi[fixed]])
-    lo, hi, fixed = cols
+    lo, hi, fixed = _halves(cols, phi.shape[1])
     return np.concatenate([_SQRT_HALF * (y[:, lo] + y[:, hi]).real,
                            -_SQRT_HALF * (y[:, lo] - y[:, hi]).imag, y[:, fixed].real], axis=1)
 
 
-def _from_real(x: np.ndarray, basis: tuple) -> np.ndarray:
-    """Q x: rows of a real x in the rotated basis back to the original positions.
+def _halves(pairs: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return np.arange(pairs), np.arange(pairs, 2 * pairs), np.arange(2 * pairs, size)
 
-    Row hi is the exact conjugate of row lo, so the result's mirror blocks
-    are bitwise conjugates.
+
+def _from_real(x: np.ndarray, pairs: int) -> np.ndarray:
+    """Q x: rows of a real x in the rotated basis back to the lo, hi, fixed order.
+
+    The hi rows are the exact conjugates of the lo rows, so the result's
+    mirror blocks are bitwise conjugates.
     """
-    lo, hi, fixed = basis
-    n = len(lo)
-    out = np.empty((len(lo) + len(hi) + len(fixed), x.shape[1]), dtype=np.complex128)
-    out[lo] = _SQRT_HALF * (x[:n] + 1j * x[n : 2 * n])
-    out[hi] = out[lo].conj()
-    out[fixed] = x[2 * n :]
-    return out
+    lo = _SQRT_HALF * (x[:pairs] + 1j * x[pairs : 2 * pairs])
+    return np.concatenate([lo, lo.conj(), x[2 * pairs :]])
 
 
-def _sector_block(blocks: list[np.ndarray], n: Hashable, cache: dict) -> tuple:
-    """(left occupations, their positions, gate block) on photon-number sector n, cached.
+def _sector_block(blocks: list[np.ndarray], n: Hashable, cache: dict) -> np.ndarray:
+    """The gate block on photon-number sector n, cached.
 
-    A scalar sector is ``blocks[n]`` over occupations 0..n; a (ket, bra) sector
-    acts as U (x) conj(U), the Kronecker product of ket and conjugated bra blocks.
+    A scalar sector is ``blocks[n]`` over occupations 0..n; a (ket, bra)
+    sector acts as U (x) conj(U), the Kronecker product of ket and conjugated
+    bra blocks, over the occupations (a, b) in row-major order.
     """
     if n not in cache:
         if isinstance(n, tuple):
-            ket_labels, _, ket = _sector_block(blocks, n[0], cache)
-            bra_labels, _, bra = _sector_block(blocks, n[1], cache)
-            labels = [(a, b) for a in ket_labels for b in bra_labels]
-            block = (ket[:, None, :, None] * bra.conj()[None, :, None, :]).reshape(len(labels), -1)
+            ket = _sector_block(blocks, n[0], cache)
+            bra = _sector_block(blocks, n[1], cache)
+            size = len(ket) * len(bra)
+            cache[n] = (ket[:, None, :, None] * bra.conj()[None, :, None, :]).reshape(size, size)
         else:
-            labels, block = list(range(n + 1)), blocks[n]
-        cache[n] = (labels, {label: pos for pos, label in enumerate(labels)}, block)
+            cache[n] = blocks[n]
     return cache[n]
-
-
-def _offsets(charges: set[Charge], bond: dict[Charge, np.ndarray]) -> tuple[dict[Charge, int], int]:
-    """Offset of each charge's block in sorted charge order, and the total size."""
-    ordered = sorted(charges, key=_charge_sort_key)
-    sizes = [len(bond[c]) for c in ordered]
-    return dict(zip(ordered, accumulate(sizes, initial=0))), sum(sizes)
 
 
 def contract_selected(

@@ -55,10 +55,6 @@ class PartitionAngles:
     def num_modes(self) -> int:
         return len(self.cos_squared)
 
-    @property
-    def sin_squared(self) -> np.ndarray:
-        return 1.0 - self.cos_squared
-
 
 def partition_angles(unitary: np.ndarray, cut: int) -> PartitionAngles:
     """Splitting weights of each input mode across the cut after ``unitary``.

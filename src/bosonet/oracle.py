@@ -11,11 +11,9 @@ everywhere, so tables produced by different modules line up row by row.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
@@ -101,31 +99,6 @@ class ExactDistribution:
 
     def prob(self, t: tuple[int, ...]) -> float:
         return self.entries.get(tuple(t), 0.0)
-
-    def total_probability(self) -> float:
-        return float(sum(self.entries.values()))
-
-    def save_csv(self, path: str | Path) -> None:
-        """Write (occupation list, probability) rows in colex order of occupations."""
-        rows = sorted(self.entries.items(), key=lambda kv: tuple(reversed(kv[0])))
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["occupations", "probability"])
-            for occ, p in rows:
-                writer.writerow([" ".join(str(o) for o in occ), f"{p:.17g}"])
-
-    @staticmethod
-    def load_csv(path: str | Path) -> "ExactDistribution":
-        entries: dict[tuple[int, ...], float] = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[:2] != ["occupations", "probability"]:
-                raise ValueError(f"unexpected header {header!r}")
-            for occ_text, p_text in reader:
-                occ = tuple(int(tok) for tok in occ_text.split())
-                entries[occ] = float(p_text)
-        return ExactDistribution(entries=entries)
 
 
 def exact_lossless_distribution(u: np.ndarray, s: tuple[int, ...]) -> ExactDistribution:

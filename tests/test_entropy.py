@@ -65,7 +65,7 @@ def test_identity_partition_angles_are_indicator_weights():
     assert np.allclose(angles.cos_squared, [1, 1, 1, 0, 0, 0], atol=1e-14)
     assert angles.cut == 3
     assert angles.num_modes == 6
-    assert np.allclose(angles.cos_squared + angles.sin_squared, 1.0)
+    assert np.allclose(1.0 - angles.cos_squared, [0, 0, 0, 1, 1, 1], atol=1e-14)
 
 
 def test_partition_angles_rows_use_input_modes():
