@@ -6,14 +6,36 @@ observed occupations (``(n,)`` for a pure state, the diagonal pair
 ``((n, n),)`` for a density operator), then close the remainder of the
 chain — with the orthogonality of the right part (pure states) or right
 environments cached once with the trace labels (density operators).
+``marginal_prob`` does exactly that, independently of the samplers below.
+
 Sampling walks mode 1 to M, drawing each occupation from the ratio of running
 marginals; the conditional distribution at each step is renormalized by its
 own total so that truncation-induced deficits do not bias the draw (the
-deficit is reported on the result for diagnostics).
+deficit is reported on the result for diagnostics). Every step forms its
+masses and normalizes them in one place, ``_step``.
+
+A pure state needs each child environment for its weight ||env B_n||^2, so
+its sampler contracts every candidate occupation. A density operator's
+sampler precontracts the trace closure instead, as in the sequential
+conditional sampling of Ferris & Vidal, Phys. Rev. B 85, 165146 (2012): the
+mass of occupation n at site k is linear in the left environment,
+sum_c env[c] B_k(c, c - (n, n)) R_{k+1}(c - (n, n)), where R_{k+1} traces
+out the sites right of k. So the engine stores, per site, one transfer
+matrix T_{k,n} per occupation and a weight map W_k whose column n is
+``norm_scale`` T_{k,n} R_{k+1}, with R_k = sum_n T_{k,n} R_{k+1}. A step is
+``env @ W_k`` for all d masses at once, then ``env @ T_{k,pick}`` for the
+picked child only, and the closure of the left boundary is Tr rho.
+
+The read path never leaves diagonal charges: the left boundary is (n, n) and
+every label is (n, n), so every block it touches has two diagonal charges.
+In the mirror gauge (see ``chain``) such a block is its own conjugate
+bitwise, so it is real, and the maps, environments and transfers are exact
+in float64; the engine raises ``NumericalFailure`` if one is not.
 
 ``sample_counts`` draws many outcomes at once by multinomial splitting over
 shared prefixes, which is distribution-identical to independent sequential
-draws and exponentially faster when outcomes collide.
+draws and exponentially faster when outcomes collide; only children that
+receive draws are advanced.
 """
 
 from __future__ import annotations
@@ -50,14 +72,12 @@ def state_norm(state: MpsState | MpoState) -> float:
     return mpo_trace(state)
 
 
-def _check_degraded(state: MpsState | MpoState) -> float:
-    norm = state_norm(state)
+def _check_degraded(norm: float) -> None:
     if norm < DEGRADED_NORM_THRESHOLD:
         raise DegradedStateError(
             f"state norm {norm:.3e} is below {DEGRADED_NORM_THRESHOLD:.0e}; "
             "the state is over-truncated and probabilities are meaningless"
         )
-    return norm
 
 
 def normalize_conditionals(weights: list[float]) -> list[float]:
@@ -80,55 +100,96 @@ def normalize_conditionals(weights: list[float]) -> list[float]:
     return [w / total for w in cleaned]
 
 
-class _Engine:
-    """Per-state sampling engine with cached right environments (read-only)."""
+def _squared_norm(env) -> float:
+    return float(sum(np.sum(np.abs(v) ** 2) for v in env.values()))
 
-    def __init__(self, state: MpsState | MpoState):
+
+class _PureEngine:
+    """Sampling engine of a pure state: every candidate child is contracted."""
+
+    def __init__(self, state: MpsState):
         self.state = state
         self.num_modes = state.num_modes
         self.local_dim = state.local_dim
-        self.pure = isinstance(state, MpsState)
-        if self.pure:
-            self.labels = [(n,) for n in range(self.local_dim)]
-            self.right_envs = None
-            self.initial_marginal = float(
-                sum(np.sum(np.abs(lam) ** 2) for lam in self.state.bonds[0].values())
-            )
-        else:
-            self.labels = [((n, n),) for n in range(self.local_dim)]
-            self.right_envs = chain.suffix_trace_environments(
-                self.state, trace_labels(self.local_dim)
-            )
-            self.initial_marginal = self._close(self.initial_env(), 0)
+        self.start = {c: lam.astype(np.complex128) for c, lam in state.bonds[0].items()}
+        self.total = _squared_norm(self.start)
 
-    def initial_env(self):
-        return {c: lam.astype(np.complex128) for c, lam in self.state.bonds[0].items()}
+    def step(self, env, site_idx: int):
+        """(masses of every occupation, child environment by occupation)."""
+        children = [
+            chain.prefix_environment(self.state, [(n,)], start_env=env, start_site=site_idx)
+            for n in range(self.local_dim)
+        ]
+        return [_squared_norm(c) for c in children], children.__getitem__
 
-    def _close(self, env, num_done: int) -> float:
-        """Weight of a prefix environment: squared norm (pure) or trace closure."""
-        if self.pure:
-            return float(sum(np.sum(np.abs(v) ** 2) for v in env.values()))
-        total = 0.0 + 0.0j
-        right = self.right_envs[num_done]
-        for c, vec in env.items():
-            if c in right:
-                total += vec @ right[c]
-        return float(total.real) * self.state.norm_scale
 
-    def child(self, env, site_idx: int, occupation: int):
-        return chain.prefix_environment(
-            self.state, [self.labels[occupation]], start_env=env, start_site=site_idx
-        )
+class _LossyEngine:
+    """Sampling engine of a density operator: precontracted float64 maps per site.
 
-    def conditional_weights(self, env, site_idx: int):
-        """(weights, child environments) for every candidate occupation."""
-        envs = []
-        weights = []
-        for n in range(self.local_dim):
-            child = self.child(env, site_idx, n)
-            envs.append(child)
-            weights.append(self._close(child, site_idx + 1) if child else 0.0)
-        return weights, envs
+    ``weights[k]`` is W_k and ``transfers[k][n]`` is T_{k,n} (module
+    docstring), both over the diagonal charges of bonds k and k+1 in dict
+    order; ``start`` is the left boundary and ``total`` is Tr rho.
+    """
+
+    def __init__(self, state: MpoState):
+        self.num_modes = state.num_modes
+        self.local_dim = state.local_dim
+        offsets = [_diagonal_offsets(bond) for bond in state.bonds]
+        right = np.ones(offsets[-1][1])
+        self.weights: list[np.ndarray] = [None] * self.num_modes
+        self.transfers: list[list[np.ndarray]] = [None] * self.num_modes
+        for k in range(self.num_modes - 1, -1, -1):
+            (row_at, num_rows), (col_at, num_cols) = offsets[k], offsets[k + 1]
+            transfers = [np.zeros((num_rows, num_cols)) for _ in range(self.local_dim)]
+            for (cl, cr), block in state.sites[k].items():
+                if cl[0] != cl[1] or cr[0] != cr[1]:
+                    continue
+                if np.any(block.imag):
+                    raise NumericalFailure(
+                        f"site {k + 1} block {(cl, cr)} has a nonzero imaginary part; "
+                        "the mirror gauge is broken"
+                    )
+                r0, c0 = row_at[cl], col_at[cr]
+                rows, cols = block.shape
+                transfers[cl[0] - cr[0]][r0 : r0 + rows, c0 : c0 + cols] = block.real
+            closed = np.stack([t @ right for t in transfers], axis=1)
+            right = closed.sum(axis=1)
+            self.weights[k] = closed * state.norm_scale
+            self.transfers[k] = transfers
+        self.start = np.concatenate([state.bonds[0][c] for c in offsets[0][0]])
+        self.total = float(self.start @ right) * state.norm_scale
+
+    def step(self, env: np.ndarray, site_idx: int):
+        """(masses of every occupation, child environment by occupation)."""
+        transfers = self.transfers[site_idx]
+        return (env @ self.weights[site_idx]).tolist(), lambda n: env @ transfers[n]
+
+
+def _diagonal_offsets(bond: dict) -> tuple[dict, int]:
+    """(offset of every diagonal charge (a, a) in dict order, their total size)."""
+    offsets = {}
+    size = 0
+    for c, lam in bond.items():
+        if c[0] == c[1]:
+            offsets[c] = size
+            size += len(lam)
+    return offsets, size
+
+
+def _engine(state: MpsState | MpoState) -> _PureEngine | _LossyEngine:
+    """The sampling engine of a state that passes the degraded-state check."""
+    if isinstance(state, MpsState):
+        _check_degraded(state_norm(state))
+        return _PureEngine(state)
+    engine = _LossyEngine(state)
+    _check_degraded(engine.total)
+    return engine
+
+
+def _step(engine: _PureEngine | _LossyEngine, env, site_idx: int):
+    """(masses, conditional distribution, child by occupation) of one step."""
+    weights, child = engine.step(env, site_idx)
+    return weights, normalize_conditionals(weights), child
 
 
 def marginal_prob(state: MpsState | MpoState, prefix: tuple[int, ...]) -> float:
@@ -137,7 +198,7 @@ def marginal_prob(state: MpsState | MpoState, prefix: tuple[int, ...]) -> float:
     For density operators this is the raw (trace-weighted) marginal, so the
     empty prefix returns Tr rho and single-mode marginals sum to it.
     """
-    _check_degraded(state)
+    _check_degraded(state_norm(state))
     prefix = tuple(int(n) for n in prefix)
     if len(prefix) > state.num_modes:
         raise ValueError(f"prefix longer than the {state.num_modes}-mode register")
@@ -145,13 +206,15 @@ def marginal_prob(state: MpsState | MpoState, prefix: tuple[int, ...]) -> float:
         raise ValueError(
             f"occupations must lie in [0, {state.local_dim - 1}], got {prefix}"
         )
-    engine = _Engine(state)
-    env = engine.initial_env()
-    for i, n in enumerate(prefix):
-        env = engine.child(env, i, n)
-        if not env:
-            return 0.0
-    return engine._close(env, len(prefix))
+    if isinstance(state, MpsState):
+        return _squared_norm(chain.prefix_environment(state, [(n,) for n in prefix]))
+    env = chain.prefix_environment(state, [((n, n),) for n in prefix])
+    right = chain.suffix_trace_environments(state, trace_labels(state.local_dim))[len(prefix)]
+    total = 0.0 + 0.0j
+    for c, vec in env.items():
+        if c in right:
+            total += vec @ right[c]
+    return float(total.real) * state.norm_scale
 
 
 def sample(
@@ -159,8 +222,7 @@ def sample(
     rng: np.random.Generator,
 ) -> SamplingResult:
     """Draw one output pattern by the sequential chain rule (modes 1 to M)."""
-    _check_degraded(state)
-    return _draw(_Engine(state), rng)
+    return _draw(_engine(state), rng)
 
 
 def sample_many(
@@ -169,22 +231,20 @@ def sample_many(
     count: int,
 ) -> list[SamplingResult]:
     """Draw ``count`` independent outcomes reusing one cached engine."""
-    _check_degraded(state)
+    engine = _engine(state)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    engine = _Engine(state)
     return [_draw(engine, rng) for _ in range(count)]
 
 
-def _draw(engine: _Engine, rng: np.random.Generator) -> SamplingResult:
-    env = engine.initial_env()
-    running = engine.initial_marginal
+def _draw(engine: _PureEngine | _LossyEngine, rng: np.random.Generator) -> SamplingResult:
+    env = engine.start
+    running = engine.total
     outcome = []
     joint = 1.0
     max_deficit = 0.0
     for site_idx in range(engine.num_modes):
-        weights, envs = engine.conditional_weights(env, site_idx)
-        probs = normalize_conditionals(weights)
+        weights, probs, child = _step(engine, env, site_idx)
         total = sum(max(w, 0.0) for w in weights)
         if running > 0.0:
             max_deficit = max(max_deficit, abs(1.0 - total / running))
@@ -198,7 +258,7 @@ def _draw(engine: _Engine, rng: np.random.Generator) -> SamplingResult:
                 break
         outcome.append(pick)
         joint *= probs[pick]
-        env = envs[pick]
+        env = child(pick)
         running = weights[pick]
     return SamplingResult(
         outcome=tuple(outcome),
@@ -218,23 +278,20 @@ def sample_counts(
     outcomes sharing a prefix share the conditional computation, and the
     counts are split multinomially at each mode.
     """
-    _check_degraded(state)
+    engine = _engine(state)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    engine = _Engine(state)
-    frontier = [(engine.initial_env(), (), count)]
-    results: dict[tuple[int, ...], int] = {}
+    frontier = [(engine.start, (), count)]
     for site_idx in range(engine.num_modes):
         nxt = []
         for env, prefix, n_here in frontier:
-            weights, envs = engine.conditional_weights(env, site_idx)
-            probs = normalize_conditionals(weights)
+            _, probs, child = _step(engine, env, site_idx)
             split = rng.multinomial(n_here, probs)
             for occupation, n_child in enumerate(split):
-                if n_child == 0:
-                    continue
-                nxt.append((envs[occupation], prefix + (occupation,), int(n_child)))
+                if n_child > 0:
+                    nxt.append((child(occupation), prefix + (occupation,), int(n_child)))
         frontier = nxt
+    results: dict[tuple[int, ...], int] = {}
     for _, outcome, n in frontier:
         results[outcome] = results.get(outcome, 0) + n
     return results

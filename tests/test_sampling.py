@@ -1,12 +1,14 @@
 """Tests for marginal evaluation and chain-rule sampling."""
 
+import copy
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from bosonet import mpo, mps, sampling
+from bosonet import chain, mpo, mps, sampling
 from bosonet.circuit import (
     BeamSplitterGate,
     circuit_to_unitary,
@@ -231,6 +233,129 @@ def test_sample_counts_matches_per_sample_distribution():
             abs(table.get(occs, 0) / draws - p) for occs, p in exact.items()
         )
         assert tvd <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# Precontracted density-operator sampler against the per-candidate reference
+
+
+class PerCandidateSampler:
+    """The density-operator sampler the precontracted maps replaced.
+
+    Every step contracts each candidate occupation's child environment with
+    ``chain.prefix_environment`` and closes it against complex right
+    environments traced out by ``chain.suffix_trace_environments``. It draws
+    with the same RNG use as ``sampling.sample``.
+    """
+
+    def __init__(self, state):
+        self.state = state
+        self.labels = [((n, n),) for n in range(state.local_dim)]
+        self.right_envs = chain.suffix_trace_environments(
+            state, mpo.trace_labels(state.local_dim)
+        )
+        self.start = {c: lam.astype(np.complex128) for c, lam in state.bonds[0].items()}
+        self.total = self.close(self.start, 0)
+
+    def close(self, env, num_done):
+        total = 0.0 + 0.0j
+        right = self.right_envs[num_done]
+        for c, vec in env.items():
+            if c in right:
+                total += vec @ right[c]
+        return float(total.real) * self.state.norm_scale
+
+    def draw(self, rng):
+        env, running = self.start, self.total
+        outcome, joint, max_deficit = [], 1.0, 0.0
+        for k in range(self.state.num_modes):
+            envs = [
+                chain.prefix_environment(self.state, [label], start_env=env, start_site=k)
+                for label in self.labels
+            ]
+            weights = [self.close(e, k + 1) if e else 0.0 for e in envs]
+            probs = sampling.normalize_conditionals(weights)
+            total = sum(max(w, 0.0) for w in weights)
+            if running > 0.0:
+                max_deficit = max(max_deficit, abs(1.0 - total / running))
+            u = rng.random()
+            cum, pick = 0.0, self.state.local_dim - 1
+            for n, p in enumerate(probs):
+                cum += p
+                if u < cum:
+                    pick = n
+                    break
+            outcome.append(pick)
+            joint *= probs[pick]
+            env, running = envs[pick], weights[pick]
+        return sampling.SamplingResult(tuple(outcome), joint, max_deficit)
+
+
+def failed_draws(draw, rng, count):
+    failed = []
+    for i in range(count):
+        try:
+            draw(rng)
+        except NumericalFailure:
+            failed.append(i)
+    return failed
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_precontracted_sampler_matches_per_candidate_reference(seed):
+    for m, n, mu in itertools.product((6, 8), (2, 3), (0.3, 0.7, 1.0)):
+        state = evolved_mpo(n, m, mu, seed)
+        reference = PerCandidateSampler(state)
+        assert reference.total == pytest.approx(mpo.trace(state), abs=1e-12)
+        rng = np.random.default_rng(seed)
+        want = [reference.draw(rng) for _ in range(40)]
+        got = sampling.sample_many(state, np.random.default_rng(seed), 40)
+        assert [r.outcome for r in got] == [r.outcome for r in want]
+        for g, w in zip(got, want):
+            assert abs(g.joint_probability - w.joint_probability) <= 1e-12
+            assert abs(g.max_step_deficit - w.max_step_deficit) <= 1e-12
+
+
+@pytest.mark.parametrize("chi", [8, 16])
+def test_precontracted_sampler_fails_the_reference_draws(chi):
+    # Truncated states go negative somewhere (ROADMAP item 5); both samplers
+    # must refuse exactly the same draws from the same random stream.
+    failed = drawn = 0
+    for mu, seed in itertools.product((0.5, 0.7), (1, 2, 3)):
+        state = evolved_mpo(3, 10, mu, seed, policy=TruncationPolicy(chi_max=chi))
+        reference = PerCandidateSampler(state)
+        want = failed_draws(reference.draw, np.random.default_rng(seed), 100)
+        got = failed_draws(
+            lambda rng: sampling.sample(state, rng), np.random.default_rng(seed), 100
+        )
+        assert got == want
+        failed += len(got)
+        drawn += 100
+    assert 0 < failed < drawn
+
+
+def test_imaginary_diagonal_block_fails_loudly():
+    state = evolved_mpo(2, 4, 0.6, seed=61)
+    broken = copy.deepcopy(state)
+    key = next(
+        key for key in broken.sites[2] if key[0][0] == key[0][1] and key[1][0] == key[1][1]
+    )
+    broken.sites[2][key] = broken.sites[2][key] + 1e-3j
+    assert len(sampling.sample_many(state, np.random.default_rng(0), 5)) == 5
+    with pytest.raises(NumericalFailure, match=rf"site 3 block {re.escape(str(key))}"):
+        sampling.sample_many(broken, np.random.default_rng(0), 5)
+
+
+def test_lossy_draws_take_no_separate_trace(monkeypatch):
+    state = evolved_mpo(2, 4, 0.6, seed=67)
+
+    def no_trace(_):
+        raise AssertionError("sampling ran a separate trace contraction")
+
+    monkeypatch.setattr(sampling, "mpo_trace", no_trace)
+    assert len(sampling.sample_many(state, np.random.default_rng(0), 5)) == 5
+    assert sum(sampling.sample_counts(state, np.random.default_rng(0), 50).values()) == 50
+    sampling.sample(state, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
