@@ -19,7 +19,11 @@ lies in the one sector n = cl - cr. Charges are plain data, an int or an int
 (ket, bra) pair, and the module needs no rule object for them:
 ``_sub``/``_add`` act componentwise on either kind, and no update or
 contraction reads the local dimension, because n <= N and the gate blocks
-``circuit.fock_gate`` returns cover every such sector.
+an update is given cover every such sector. It is given them in the form it
+multiplies: ``gate_blocks[n]`` is the block of sector n, the
+``circuit.fock_gate`` block for an int n and, for a (ket, bra) sector, the
+U (x) conj(U) block that ``mpo.vectorized_blocks`` builds, so this module
+knows nothing of vectorization.
 
 Layout for ``M`` sites (one per mode):
 
@@ -207,15 +211,18 @@ def _charge_sort_key(c: Charge):
 def two_site_update(
     state: TensorTrainState,
     site: int,
-    gate_blocks: list[np.ndarray],
+    gate_blocks: list[np.ndarray] | dict[Charge, np.ndarray],
     policy: TruncationPolicy,
 ) -> float:
     """Apply a two-site gate at (site, site+1), 1-indexed; returns discarded weight.
 
     For outer charges (cl, cr) every input and output occupation pair of the
     gate lies in the photon-number sector n = cl - cr (a (ket, bra) pair for
-    vectorized operators), whose gate block G_n[j, i] = <j, n-j|G|i, n-i> is
-    ``gate_blocks[n]`` (see ``circuit.fock_gate``). The center products
+    vectorized operators), whose gate block is ``gate_blocks[n]``: for a pure
+    state G_n[j, i] = <j, n-j|G|i, n-i> from ``circuit.fock_gate`` (a list
+    indexed by n), for a vectorized operator the block of U (x) conj(U) on
+    the (ket, bra) occupations of sector n = (a, b) in row-major order, from
+    ``mpo.vectorized_blocks`` (a dict keyed by (a, b)). The center products
     B_l B_r of each (cl, cr), stacked over the inner charge ci (input
     occupation i = cl - ci), fill a column range of their sector's stack, and
     one matmul with G_n contracts every pair of the sector. Output row j is
@@ -251,7 +258,10 @@ def two_site_update(
     its singular vectors, rotated back, are SK-invariant. Its Phi is
     gathered with the (a, b), a < b, blocks first, their mirrors next in the
     same order and the self-mirror blocks last, so that rotation acts on
-    contiguous halves. ``truncate_global`` cuts a mirror pair as one unit.
+    contiguous halves. ``truncate_global`` gets one spectrum per decomposed
+    center and the plan's copy count of each: 2 for an off-diagonal (a, b),
+    whose spectrum (b, a) copies, and 1 otherwise, so a mirror pair is cut
+    as one unit and the (b, a) output keeps the indices (a, b) keeps.
     """
     m = state.num_modes
     if not 1 <= site <= m - 1:
@@ -289,15 +299,16 @@ def two_site_update(
             phi = _to_real(phi, *center.halves)
         result = svd(weights[center.weights : center.weights + rows, None] * phi)
         factors.append((phi, result.singular_values, result.right_conj))
-    spectra = [(out.charge, factors[out.center][1]) for out in plan.outputs]
-    outcome = truncate_global(spectra, policy, mirror=plan.mirror)
+    outcome = truncate_global([(center.charge, values) for center, (_, values, _)
+                               in zip(plan.centers, factors)],
+                              policy, units=[center.copies for center in plan.centers])
 
     # Rebuild the center bond and both site tensors from the kept columns.
     new_bond: dict[Charge, np.ndarray] = {}
     new_left: dict[tuple[Charge, Charge], np.ndarray] = {}
     new_right: dict[tuple[Charge, Charge], np.ndarray] = {}
     for out in plan.outputs:
-        kept = outcome.kept_by_group.get(out.charge)
+        kept = outcome.kept_by_group.get(plan.centers[out.center].charge)
         if kept is None:
             continue
         phi, values, right_conj = factors[out.center]
@@ -324,13 +335,14 @@ def two_site_update(
     return outcome.discarded_weight
 
 
-def _apply_gate_blocks(stacks: np.ndarray, sectors: list, gate_blocks: list[np.ndarray]) -> None:
+def _apply_gate_blocks(stacks: np.ndarray, sectors: tuple,
+                       gate_blocks: list[np.ndarray] | dict[Charge, np.ndarray]) -> None:
     """One gate-block matmul per sector, written over its stack (numpy buffers
-    an operand that overlaps the output)."""
-    cache: dict[Charge, np.ndarray] = {}
+    an operand that overlaps the output). A function of its own, so that no
+    stack view outlives it and keeps the buffer alive past ``del stacks``."""
     for n, start, shape in sectors:
         stack = stacks[start : start + shape[0] * shape[1]].reshape(shape)
-        np.matmul(_sector_block(gate_blocks, n, cache), stack, out=stack)
+        np.matmul(gate_blocks[n], stack, out=stack)
 
 
 def _kept_factors(phi: np.ndarray, right: np.ndarray,
@@ -381,24 +393,6 @@ def _from_real(x: np.ndarray, pairs: int) -> np.ndarray:
     return np.concatenate([lo, lo.conj(), x[2 * pairs :]])
 
 
-def _sector_block(blocks: list[np.ndarray], n: Hashable, cache: dict) -> np.ndarray:
-    """The gate block on photon-number sector n, cached.
-
-    A scalar sector is ``blocks[n]`` over occupations 0..n; a (ket, bra)
-    sector acts as U (x) conj(U), the Kronecker product of ket and conjugated
-    bra blocks, over the occupations (a, b) in row-major order.
-    """
-    if n not in cache:
-        if isinstance(n, tuple):
-            ket = _sector_block(blocks, n[0], cache)
-            bra = _sector_block(blocks, n[1], cache)
-            size = len(ket) * len(bra)
-            cache[n] = (ket[:, None, :, None] * bra.conj()[None, :, None, :]).reshape(size, size)
-        else:
-            cache[n] = blocks[n]
-    return cache[n]
-
-
 def contract_selected(
     state: TensorTrainState,
     labels: list[tuple[Hashable, ...]],
@@ -414,18 +408,19 @@ def contract_selected(
     """
     env = {c: lam.astype(np.complex128) for c, lam in state.bonds[0].items()}
     for k in range(state.num_modes):
-        env = _propagate(state, k, env, labels[k])
+        env = propagate(state, k, env, labels[k])
         if not env:
             return 0.0 + 0.0j
     return complex(sum(vec.sum() for vec in env.values()))
 
 
-def _propagate(
+def propagate(
     state: TensorTrainState,
     k: int,
     env: dict[Charge, np.ndarray],
     labels: tuple[Hashable, ...],
 ) -> dict[Charge, np.ndarray]:
+    """A left environment carried across site k (0-indexed), summed over the local ``labels``."""
     blocks = state.sites[k]
     nxt: dict[Charge, np.ndarray] = {}
     for cl, vec in env.items():
@@ -445,24 +440,19 @@ def _propagate(
 def prefix_environment(
     state: TensorTrainState,
     labels: list[tuple[Hashable, ...]],
-    start_env: dict[Charge, np.ndarray] | None = None,
-    start_site: int = 0,
 ) -> dict[Charge, np.ndarray]:
-    """Left environment after contracting sites start_site..start_site+len(labels)-1.
+    """Left environment after contracting sites 1..len(labels).
 
-    Site ``start_site + i`` is summed over the local labels ``labels[i]``
-    (see ``contract_selected``). The site tensors carry the singular values
+    Site i + 1 is summed over the local labels ``labels[i]`` (see
+    ``contract_selected``). The site tensors carry the singular values
     on their right, so the environment already includes the bond right of the
     last contracted site; with the remaining sites right-canonical, for a pure
     state the squared 2-norm of the result is the marginal probability of the
     selected prefix.
     """
-    if start_env is None:
-        env = {c: lam.astype(np.complex128) for c, lam in state.bonds[0].items()}
-    else:
-        env = start_env
-    for i, site_labels in enumerate(labels):
-        env = _propagate(state, start_site + i, env, site_labels)
+    env = {c: lam.astype(np.complex128) for c, lam in state.bonds[0].items()}
+    for k, site_labels in enumerate(labels):
+        env = propagate(state, k, env, site_labels)
         if not env:
             return {}
     return env

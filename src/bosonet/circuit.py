@@ -23,7 +23,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -119,13 +118,6 @@ class CircuitPlan:
             layer_boundaries=[int(x) for x in doc.get("layer_boundaries", [])],
             block_boundaries=[int(x) for x in doc.get("block_boundaries", [])],
         )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CircuitPlan":
-        return cls.from_json(Path(path).read_text())
 
 
 def plan_fingerprint(plan: CircuitPlan) -> str:

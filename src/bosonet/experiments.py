@@ -572,21 +572,14 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
             apply_gate = mps.apply_gate
 
         def on_layer(layer_index: int, st) -> list[dict[str, Any]]:
+            shared = {**base, "layer": layer_index + 1, "max_bond_dim": st.max_bond_dimension(),
+                      "discarded_weight": st.discarded_weight}
+            if lossy:
+                shared["trace"] = mpo.trace(st)
             out = []
             for alpha in config.alphas:
                 bond, value = chain.max_bond_entropy(st, alpha)
-                row = dict(base)
-                row.update({
-                    "layer": layer_index + 1,
-                    "alpha": alpha,
-                    "max_ee": value,
-                    "peak_bond": bond,
-                    "max_bond_dim": st.max_bond_dimension(),
-                    "discarded_weight": st.discarded_weight,
-                })
-                if lossy:
-                    row["trace"] = mpo.trace(st)
-                out.append(row)
+                out.append({**shared, "alpha": alpha, "max_ee": value, "peak_bond": bond})
             return out
 
         _, rows = _evolve_by_layers(

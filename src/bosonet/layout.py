@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Hashable
+from typing import Hashable
 
 import numpy as np
 
@@ -40,8 +40,14 @@ PLAN_CACHE_SIZE = 12
 
 @dataclass(frozen=True)
 class _Center:
-    """One decomposed center charge: where its Phi and row weights sit in their buffers."""
+    """One decomposed center charge: where its Phi and row weights sit in their buffers.
 
+    ``copies`` is 2 for an off-diagonal (a, b) of a mirrored train, whose
+    spectrum the (b, a) output copies, and 1 otherwise.
+    """
+
+    charge: Charge
+    copies: int
     shape: tuple[int, int]
     start: int  # first entry of Phi (row-major) in the Phi buffer
     weights: int  # first row weight in the weight buffer
@@ -54,8 +60,9 @@ class _Output:
 
     A decomposed charge slices its blocks out of its center's kept factors:
     ``left``/``right`` hold (key, first, end) row or column ranges. A mirror
-    charge (b, a) conjugates the blocks of (a, b), which sorts before it:
-    ``left``/``right`` hold (key, key of the block it conjugates).
+    charge (b, a) keeps the indices its center (a, b) keeps and conjugates
+    the blocks of (a, b), which sorts before it: ``left``/``right`` hold
+    (key, key of the block it conjugates).
     """
 
     charge: Charge
@@ -112,7 +119,7 @@ class UpdatePlan:
     buffer. ``stacks`` fills the sector stacks from that buffer, and
     ``sectors`` gives each sector's (start, shape) in them. ``phis`` fills
     every center's Phi from the gate outputs, and ``weights`` its row weights
-    from the left bond values in dict order.
+    from the left bond values in dict order. ``centers`` are in charge order.
     """
 
     products: tuple[tuple[tuple, tuple, int, tuple[int, int]], ...]
@@ -123,12 +130,6 @@ class UpdatePlan:
     weights: _Runs
     centers: tuple[_Center, ...]
     outputs: tuple[_Output, ...]
-    mirror: Callable[[Charge], Charge] | None
-
-
-def _mirror(c: tuple[int, int]) -> tuple[int, int]:
-    """The SK image (b, a) of a (ket, bra) charge or occupation (a, b)."""
-    return c[::-1]
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -269,12 +270,13 @@ def update_plan(
     plan_centers, outputs = [], []
     for c, co in enumerate(codes.decode(centers)):
         halves = (int(rows.halves[c]), int(cols.halves[c])) if real[c] else None
-        plan_centers.append(_Center((int(rows.totals[c]), int(cols.totals[c])),
+        copies = 2 if mirrored and co[0] != co[1] else 1
+        plan_centers.append(_Center(co, copies, (int(rows.totals[c]), int(cols.totals[c])),
                                     int(phi_start[c]), int(weight_start[c]), halves))
         left, right = rows.keys(c, co, left=True), cols.keys(c, co, left=False)
         outputs.append(_Output(co, c, False, tuple(zip(left, *rows.ranges(c))),
                                tuple(zip(right, *cols.ranges(c)))))
-        if mirrored and co[0] != co[1]:
+        if copies == 2:
             mc = co[::-1]
             outputs.append(_Output(mc, c, True,
                                    tuple(zip(rows.keys(c, mc, True, mirror=True), left)),
@@ -282,8 +284,7 @@ def update_plan(
     outputs.sort(key=lambda out: out.charge)
     return UpdatePlan(tuple(products), int(np.sum(total_h * total_w)), stack_gather,
                       tuple(sectors), phi_gather, weight_gather, tuple(plan_centers),
-                      tuple(outputs),
-                      _mirror if mirrored else None)
+                      tuple(outputs))
 
 
 class _ChargeCodes:

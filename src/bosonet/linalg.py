@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Hashable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -102,7 +102,7 @@ def svd(m: np.ndarray) -> SvdResult:
 def truncate_global(
     groups: Sequence[tuple[Hashable, np.ndarray]],
     policy: TruncationPolicy,
-    mirror: Callable[[Hashable], Hashable] | None = None,
+    units: Sequence[int] | None = None,
 ) -> TruncationOutcome:
     """Keep the globally largest singular values pooled across charge groups.
 
@@ -113,57 +113,38 @@ def truncate_global(
     exact zeros and are always dropped. The squared weight of everything
     dropped is returned.
 
-    ``mirror``, when given, maps a group label to the label of its mirror
-    partner (itself for a self-mirrored group). A group and its distinct
-    partner must hold bitwise equal values, and each value together with its
-    partner's copy is one unit of the cut: it counts 2 against chi_max and
-    2 v^2 in every weight, and the two are kept or dropped together, so a cut
-    at a pair that no longer fits stops there and keeps fewer than chi_max.
-    ``kept`` still lists every kept value, the partner's right after its
-    representative (the group with the smaller label).
+    ``units[g]`` is the number of copies of group g's values that the caller
+    keeps (1 for every group when not given): each value of group g counts
+    units[g] against chi_max and units[g] v^2 in every weight. The cut keeps
+    the longest prefix whose count fits chi_max, so a value that no longer
+    fits ends it and it can keep fewer than chi_max. ``kept`` lists each kept
+    value once, under its group's label.
     """
     arrays = [np.asarray(values, dtype=np.float64) for _, values in groups]
     if any(vals.ndim != 1 for vals in arrays):
         raise ValueError("each group must provide a 1-d value array")
+    units = np.ones(len(arrays), dtype=np.int64) if units is None else np.asarray(units)
+    if (units.shape != (len(arrays),) or units.dtype.kind not in "iu"
+            or min(units.tolist(), default=1) < 1):
+        raise ValueError("units must give one positive integer per group")
     labels = [label for label, _ in groups]
     label_rank = {label: r for r, label in enumerate(sorted(set(labels)))}
-    # With a mirror, only the representative of each pair (the smaller label)
-    # is pooled; partners[g] is the group that rides along with group g.
-    partners: dict[int, int] = {}
-    if mirror is not None:
-        position = {label: g for g, label in enumerate(labels)}
-        for g, label in enumerate(labels):
-            partner = mirror(label)
-            if partner == label:
-                continue
-            other = arrays[position[partner]] if partner in position else None
-            if other is None or not (other is arrays[g] or np.array_equal(other, arrays[g])):
-                raise ValueError(f"group {label!r} has no mirror partner with equal values")
-            if label_rank[label] < label_rank[partner]:
-                partners[g] = position[partner]
-    riders = set(partners.values())
-    reps = [g for g in range(len(arrays)) if g not in riders]
-    sizes = [arrays[g].size for g in reps]
-    values = np.concatenate([arrays[g] for g in reps]) if reps else np.zeros(0)
+    sizes = [vals.size for vals in arrays]
+    values = np.concatenate(arrays) if arrays else np.zeros(0)
     if np.any(values < 0) or not np.all(np.isfinite(values)):
         raise ValueError("singular values must be finite and nonnegative")
     if values.size == 0:
         return TruncationOutcome(kept=[], discarded_weight=0.0)
 
-    group = np.repeat(np.array(reps, dtype=np.intp), sizes)
+    group = np.repeat(np.arange(len(arrays)), sizes)
     ranks = np.array([label_rank[label] for label in labels])[group]
     # Within one group the pooled position orders entries by index.
     order = np.lexsort((np.arange(values.size), ranks, -values))
     pooled = values[order]
+    counts = units[group[order]]
     nonzero = int(np.count_nonzero(pooled > RANK_CUTOFF * pooled[0]))
-    if partners:
-        units = np.repeat([2 if g in partners else 1 for g in reps], sizes)[order]
-        # The longest prefix of whole units whose count fits the budget.
-        keep_count = min(nonzero, int(np.searchsorted(np.cumsum(units), policy.chi_max, "right")))
-        weights = units * pooled**2
-    else:
-        keep_count = min(policy.chi_max, nonzero)
-        weights = pooled**2
+    keep_count = min(nonzero, int(np.searchsorted(np.cumsum(counts), policy.chi_max, "right")))
+    weights = counts * pooled**2
 
     if policy.weight_threshold is not None and keep_count > 0:
         # Drop the longest tail whose total squared weight fits the budget.
@@ -174,19 +155,13 @@ def truncate_global(
     kept[order[:keep_count]] = True
     starts = list(accumulate(sizes, initial=0))
     kept_by_group = {}
-    for g, start, stop in zip(reps, starts, starts[1:]):
+    for label, start, stop in zip(labels, starts, starts[1:]):
         idx = np.flatnonzero(kept[start:stop])
         if idx.size:
-            kept_by_group[labels[g]] = idx
-            if g in partners:
-                kept_by_group[labels[partners[g]]] = idx
-    kept_list = []
-    for g, v in zip(group[order[:keep_count]].tolist(), pooled[:keep_count].tolist()):
-        kept_list.append((labels[g], v))
-        if g in partners:
-            kept_list.append((labels[partners[g]], v))
+            kept_by_group[label] = idx
     return TruncationOutcome(
-        kept=kept_list,
+        kept=[(labels[g], v) for g, v in zip(group[order[:keep_count]].tolist(),
+                                              pooled[:keep_count].tolist())],
         discarded_weight=float(sum(weights[keep_count:].tolist())),
         kept_by_group=kept_by_group,
     )

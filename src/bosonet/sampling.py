@@ -116,10 +116,7 @@ class _PureEngine:
 
     def step(self, env, site_idx: int):
         """(masses of every occupation, child environment by occupation)."""
-        children = [
-            chain.prefix_environment(self.state, [(n,)], start_env=env, start_site=site_idx)
-            for n in range(self.local_dim)
-        ]
+        children = [chain.propagate(self.state, site_idx, env, (n,)) for n in range(self.local_dim)]
         return [_squared_norm(c) for c in children], children.__getitem__
 
 
@@ -231,9 +228,9 @@ def sample_many(
     count: int,
 ) -> list[SamplingResult]:
     """Draw ``count`` independent outcomes reusing one cached engine."""
-    engine = _engine(state)
     if count < 0:
         raise ValueError("count must be nonnegative")
+    engine = _engine(state)
     return [_draw(engine, rng) for _ in range(count)]
 
 
@@ -278,9 +275,9 @@ def sample_counts(
     outcomes sharing a prefix share the conditional computation, and the
     counts are split multinomially at each mode.
     """
-    engine = _engine(state)
     if count < 0:
         raise ValueError("count must be nonnegative")
+    engine = _engine(state)
     frontier = [(engine.start, (), count)]
     for site_idx in range(engine.num_modes):
         nxt = []

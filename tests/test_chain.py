@@ -2,7 +2,9 @@
 
 Hypothesis builds small two-site trains with random charges and sector sizes,
 pure (int charges) and in the mirror gauge ((ket, bra) charges), with
-right-canonical site blocks. ``chain.two_site_update`` runs on each, and a
+right-canonical site blocks. ``chain.two_site_update`` runs on each, with
+the beam splitter's sector blocks for a pure train and the (ket, bra)
+blocks ``mpo.vectorized_blocks`` builds from them for a mirrored one, and a
 dense reference does the same math on a copy: contract the two sites,
 apply the dense two-site gate, SVD lambda_left Phi per center charge and cut
 the pooled spectrum. The tests compare the kept spectrum and the rebuilt
@@ -18,7 +20,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bosonet import chain
+from bosonet import chain, mpo
 from bosonet.circuit import BeamSplitterGate, fock_gate
 from bosonet.linalg import RANK_CUTOFF, TruncationPolicy
 
@@ -209,7 +211,8 @@ def _reference(state, blocks, policy):
 
 def _check_update(state, blocks, policy):
     reference = _reference(copy.deepcopy(state), blocks, policy)
-    chain.two_site_update(state, 1, blocks, policy)
+    mirrored = isinstance(next(iter(state.bonds[0])), tuple)
+    chain.two_site_update(state, 1, mpo.vectorized_blocks(blocks) if mirrored else blocks, policy)
     new_bond, new_left, new_right = state.bonds[1], state.sites[0], state.sites[1]
 
     # Kept spectrum, per center charge.

@@ -16,15 +16,21 @@ from bosonet.circuit import fock_gate, sample_haar_circuit
 from bosonet.linalg import TruncationPolicy
 
 
+def _blocks(state, gate):
+    """The gate blocks an update of ``state`` takes: vectorized for an MPO."""
+    blocks = fock_gate(gate, state.local_dim)
+    return mpo.vectorized_blocks(blocks) if isinstance(state, mpo.MpoState) else blocks
+
+
 def _evolved(kind, chi, gates):
     """A state after the first ``gates`` gates of a Haar circuit, and the next gate."""
     plan = sample_haar_circuit(6, np.random.default_rng(np.random.SeedSequence(17)))
     policy = TruncationPolicy(chi_max=chi)
     state = mpo.init_lossy(3, 6, 0.5) if kind == "mpo" else mps.init_fock((1, 1, 1, 0, 0, 0))
     for gate in plan.gates[:gates]:
-        chain.two_site_update(state, gate.site, fock_gate(gate, state.local_dim), policy)
+        chain.two_site_update(state, gate.site, _blocks(state, gate), policy)
     gate = plan.gates[gates]
-    return state, gate.site, fock_gate(gate, state.local_dim), policy
+    return state, gate.site, _blocks(state, gate), policy
 
 
 def _same_bits(a, b):
@@ -51,8 +57,7 @@ def test_plan_cache_never_exceeds_its_cap():
     plan = sample_haar_circuit(8, np.random.default_rng(np.random.SeedSequence(5)))
     state = mpo.init_lossy(3, 8, 0.5)
     for gate in plan.gates:
-        chain.two_site_update(state, gate.site, fock_gate(gate, state.local_dim),
-                              TruncationPolicy(chi_max=8))
+        chain.two_site_update(state, gate.site, _blocks(state, gate), TruncationPolicy(chi_max=8))
         assert layout.update_plan.cache_info().currsize <= layout.PLAN_CACHE_SIZE
     assert layout.update_plan.cache_info().misses > layout.PLAN_CACHE_SIZE
 

@@ -151,45 +151,57 @@ def test_truncate_ties_across_groups_match_sorted_reference(chi, data, values):
     assert out.kept == [(label, -v) for v, label, _ in entries[:chi]]
 
 
-def swap(label):
-    return label[::-1]
-
-
 def test_truncate_keeps_or_drops_a_mirror_pair_whole():
-    groups = [((0, 0), np.array([0.9, 0.2])),
-              ((0, 1), np.array([0.5, 0.3])),
-              ((1, 0), np.array([0.5, 0.3]))]
+    # Group (0, 1) stands for itself and its mirror copy: each value is two units.
+    groups = [((0, 0), np.array([0.9, 0.2])), ((0, 1), np.array([0.5, 0.3]))]
     # 0.9 takes one place; the 0.5 pair needs two, so at chi = 2 it is dropped
     # whole and the cut stops there, below chi.
-    out = truncate_global(groups, TruncationPolicy(chi_max=2), mirror=swap)
+    out = truncate_global(groups, TruncationPolicy(chi_max=2), units=[1, 2])
     assert out.kept == [((0, 0), 0.9)]
     assert set(out.kept_by_group) == {(0, 0)}
     assert out.discarded_weight == pytest.approx(0.2**2 + 2 * 0.5**2 + 2 * 0.3**2, abs=1e-15)
-    out = truncate_global(groups, TruncationPolicy(chi_max=3), mirror=swap)
-    assert out.kept == [((0, 0), 0.9), ((0, 1), 0.5), ((1, 0), 0.5)]
+    out = truncate_global(groups, TruncationPolicy(chi_max=3), units=[1, 2])
+    assert out.kept == [((0, 0), 0.9), ((0, 1), 0.5)]
     assert {label: idx.tolist() for label, idx in out.kept_by_group.items()} == {
-        (0, 0): [0], (0, 1): [0], (1, 0): [0]}
+        (0, 0): [0], (0, 1): [0]}
     assert out.discarded_weight == pytest.approx(0.2**2 + 2 * 0.3**2, abs=1e-15)
 
 
 def test_truncate_weight_threshold_counts_a_mirror_pair_twice():
-    groups = [((0, 0), np.array([1.0])), ((0, 1), np.array([0.1])), ((1, 0), np.array([0.1]))]
+    groups = [((0, 0), np.array([1.0])), ((0, 1), np.array([0.1]))]
     # The pair weighs 2 * 0.01: it fits a 0.025 budget but not a 0.015 one.
     dropped = truncate_global(groups, TruncationPolicy(chi_max=8, weight_threshold=0.025),
-                              mirror=swap)
+                              units=[1, 2])
     assert dropped.kept == [((0, 0), 1.0)]
     assert dropped.discarded_weight == pytest.approx(0.02, abs=1e-15)
     kept = truncate_global(groups, TruncationPolicy(chi_max=8, weight_threshold=0.015),
-                           mirror=swap)
-    assert len(kept.kept) == 3 and kept.discarded_weight == 0.0
+                           units=[1, 2])
+    assert len(kept.kept) == 2 and kept.discarded_weight == 0.0
 
 
-def test_truncate_rejects_a_broken_mirror_pair():
-    with pytest.raises(ValueError, match="mirror partner"):
-        truncate_global([((0, 1), np.array([0.5]))], TruncationPolicy(chi_max=2), mirror=swap)
-    with pytest.raises(ValueError, match="mirror partner"):
-        truncate_global([((0, 1), np.array([0.5])), ((1, 0), np.array([0.5 + 1e-16]))],
-                        TruncationPolicy(chi_max=2), mirror=swap)
+def test_truncate_rejects_bad_units():
+    groups = [((0, 0), np.array([0.9])), ((0, 1), np.array([0.5]))]
+    for units in ([1], [1, 2, 1], [[1, 2]], [1, 0], [2, -1], [1.0, 2.0], [True, True]):
+        with pytest.raises(ValueError, match="units"):
+            truncate_global(groups, TruncationPolicy(chi_max=2), units=units)
+
+
+@given(
+    chi=st.integers(1, 12),
+    values=st.lists(
+        st.lists(st.sampled_from([1.0, 0.5, 0.25, 0.0]), max_size=4), min_size=1, max_size=4),
+    threshold=st.sampled_from([None, 0.0, 0.1, 0.6]),
+)
+@settings(max_examples=60, deadline=None)
+def test_truncate_unit_counts_of_one_match_no_units(chi, values, threshold):
+    groups = [(label, np.array(vals, dtype=float)) for label, vals in enumerate(values)]
+    policy = TruncationPolicy(chi_max=chi, weight_threshold=threshold)
+    plain = truncate_global(groups, policy)
+    ones = truncate_global(groups, policy, units=[1] * len(groups))
+    assert ones.kept == plain.kept
+    assert ones.discarded_weight == plain.discarded_weight
+    assert {label: idx.tolist() for label, idx in ones.kept_by_group.items()} == {
+        label: idx.tolist() for label, idx in plain.kept_by_group.items()}
 
 
 @given(
@@ -204,31 +216,29 @@ def test_truncate_mirror_pairs_match_pair_unit_reference(seed, chi, diagonal, of
     # Few distinct values, so pairs and singles tie at the cut.
     draw = lambda k: np.sort(rng.choice([1.0, 0.5, 0.25], size=k))[::-1]
     groups = [((a, a), draw(k)) for a, k in enumerate(diagonal)]
-    for a, k in enumerate(off_diagonal):
-        values = draw(k)
-        groups += [((a, a + 1), values), ((a + 1, a), values.copy())]
-    out = truncate_global(groups, TruncationPolicy(chi_max=chi), mirror=swap)
+    groups += [((a, a + 1), draw(k)) for a, k in enumerate(off_diagonal)]
+    units = [1 if label[0] == label[1] else 2 for label, _ in groups]
+    out = truncate_global(groups, TruncationPolicy(chi_max=chi), units=units)
 
     # Reference: one unit per diagonal value and per pair, in (value, label,
     # index) order; the longest prefix whose count fits chi is kept.
-    units = sorted((-v, label, i, 1 if label[0] == label[1] else 2)
-                   for label, vals in groups if label[0] <= label[1]
-                   for i, v in enumerate(vals))
-    kept_units, count = [], 0
-    for unit in units:
-        if count + unit[3] > chi:
+    entries = sorted((-v, label, i, unit) for (label, vals), unit in zip(groups, units)
+                     for i, v in enumerate(vals))
+    kept, count = [], 0
+    for entry in entries:
+        if count + entry[3] > chi:
             break
-        kept_units.append(unit)
-        count += unit[3]
-    expect = []
-    for v, label, _, size in kept_units:
-        expect += [(label, -v)] + ([(swap(label), -v)] if size == 2 else [])
-    assert out.kept == expect
-    assert len(out.kept) <= chi
-    for label, idx in out.kept_by_group.items():
-        assert out.kept_by_group[swap(label)].tolist() == idx.tolist()
-    total = sum(float(np.sum(vals**2)) for _, vals in groups)
-    assert out.discarded_weight == pytest.approx(total - sum(v**2 for _, v in out.kept), abs=1e-12)
+        kept.append(entry)
+        count += entry[3]
+    assert out.kept == [(label, -v) for v, label, _, _ in kept]
+    expect: dict = {}
+    for _, label, i, _ in kept:
+        expect.setdefault(label, []).append(i)
+    assert {label: idx.tolist() for label, idx in out.kept_by_group.items()} == {
+        label: sorted(idx) for label, idx in expect.items()}
+    total = sum(unit * float(np.sum(vals**2)) for (_, vals), unit in zip(groups, units))
+    assert out.discarded_weight == pytest.approx(
+        total - sum(unit * v**2 for v, _, _, unit in kept), abs=1e-12)
 
 
 def test_policy_validation():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bosonet import chain, mpo, mps
-from bosonet.circuit import BeamSplitterGate, circuit_to_unitary, sample_haar_circuit
+from bosonet.circuit import BeamSplitterGate, circuit_to_unitary, fock_gate, sample_haar_circuit
 from bosonet.linalg import TruncationPolicy
 from bosonet.oracle import (
     dense_lossy_vectorized_spectrum,
@@ -98,6 +98,15 @@ def test_transparent_limit_matches_pure_state():
             assert chain.renyi_entropy(dense, k, alpha) == pytest.approx(
                 2.0 * chain.renyi_entropy(pure, k, alpha), abs=1e-8
             )
+
+
+@pytest.mark.parametrize("local_dim", [1, 3, 5])
+def test_vectorized_blocks_are_kronecker_products(local_dim):
+    blocks = fock_gate(BeamSplitterGate(site=1, theta=0.83, phi=2.1), local_dim)
+    vectorized = mpo.vectorized_blocks(blocks)
+    assert set(vectorized) == set(itertools.product(range(local_dim), repeat=2))
+    for (a, b), block in vectorized.items():
+        np.testing.assert_array_equal(block, np.kron(blocks[a], blocks[b].conj()))
 
 
 def test_identity_gate_leaves_state_unchanged():

@@ -178,9 +178,15 @@ def test_negative_count_is_rejected():
     state = evolved_mpo(2, 4, 0.6, seed=37)
     assert sampling.sample_many(state, np.random.default_rng(0), 0) == []
     assert sampling.sample_counts(state, np.random.default_rng(0), 0) == {}
+    degraded = copy.deepcopy(state)
+    degraded.norm_scale *= 1e-9
+    # The count is checked before the state, so a degraded state fails on it too.
     for draw in (sampling.sample_many, sampling.sample_counts):
-        with pytest.raises(ValueError, match="nonnegative"):
-            draw(state, np.random.default_rng(0), -1)
+        for s in (state, degraded):
+            with pytest.raises(ValueError, match="nonnegative"):
+                draw(s, np.random.default_rng(0), -1)
+        with pytest.raises(DegradedStateError):
+            draw(degraded, np.random.default_rng(0), 1)
 
 
 def test_opaque_loss_always_yields_vacuum():
@@ -242,8 +248,8 @@ def test_sample_counts_matches_per_sample_distribution():
 class PerCandidateSampler:
     """The density-operator sampler the precontracted maps replaced.
 
-    Every step contracts each candidate occupation's child environment with
-    ``chain.prefix_environment`` and closes it against complex right
+    Every step carries the environment across the site once per candidate
+    occupation with ``chain.propagate`` and closes it against complex right
     environments traced out by ``chain.suffix_trace_environments``. It draws
     with the same RNG use as ``sampling.sample``.
     """
@@ -269,10 +275,7 @@ class PerCandidateSampler:
         env, running = self.start, self.total
         outcome, joint, max_deficit = [], 1.0, 0.0
         for k in range(self.state.num_modes):
-            envs = [
-                chain.prefix_environment(self.state, [label], start_env=env, start_site=k)
-                for label in self.labels
-            ]
+            envs = [chain.propagate(self.state, k, env, label) for label in self.labels]
             weights = [self.close(e, k + 1) if e else 0.0 for e in envs]
             probs = sampling.normalize_conditionals(weights)
             total = sum(max(w, 0.0) for w in weights)
