@@ -75,6 +75,10 @@ CONFIGS = [
               "chi_max": 64, "n_circuits": 2,
               "outcomes": [[1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], [2, 0, 0, 0, 0, 1],
                            [0, 0, 1, 1, 1, 0]]}, False),
+    ("prob-pure", {"experiment": "prob", "num_modes": [6], "num_photons": [2, 3],
+                   "chi_max": 64, "n_circuits": 2,
+                   "outcomes": [[1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], [2, 0, 0, 0, 0, 1],
+                                [0, 0, 1, 1, 1, 0]]}, False),
     ("fock-ee", {"experiment": "fock-ee", "num_modes": [8, 12], "num_photons": [2, 3],
                  "alphas": [1.0, 2.0], "chi_max": 64, "n_circuits": 2}, False),
     ("analytic-ee", {"experiment": "analytic-ee", "num_modes": [32],

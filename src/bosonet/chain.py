@@ -136,27 +136,13 @@ def product_state(
                 raise ValueError(f"occupation labels must be non-negative, got {occ}")
 
     # Forward/backward squared-weight sweeps over reachable charges.
-    left_sq: list[dict[Charge, float]] = [{c: 1.0 for c in left_charges}]
-    for k in range(m):
-        nxt: dict[Charge, float] = {}
-        for cl, w in left_sq[k].items():
-            for occ, amp in site_vectors[k].items():
-                if amp == 0.0:
-                    continue
-                cr = _sub(cl, occ)
-                nxt[cr] = nxt.get(cr, 0.0) + w * abs(amp) ** 2
-        left_sq.append(nxt)
-    right_sq: list[dict[Charge, float]] = [dict() for _ in range(m + 1)]
-    right_sq[m] = {right_charge: 1.0}
-    for k in range(m - 1, -1, -1):
-        cur: dict[Charge, float] = {}
-        for cr, w in right_sq[k + 1].items():
-            for occ, amp in site_vectors[k].items():
-                if amp == 0.0:
-                    continue
-                cl = _add(cr, occ)
-                cur[cl] = cur.get(cl, 0.0) + w * abs(amp) ** 2
-        right_sq[k] = cur
+    left_sq = [{c: 1.0 for c in left_charges}]
+    for vector in site_vectors:
+        left_sq.append(_reach(left_sq[-1], vector, _sub))
+    right_sq = [{right_charge: 1.0}]
+    for vector in reversed(site_vectors):
+        right_sq.append(_reach(right_sq[-1], vector, _add))
+    right_sq.reverse()
 
     total_sq = sum(
         left_sq[0].get(c, 0.0) * right_sq[0].get(c, 0.0) for c in left_sq[0]
@@ -189,6 +175,20 @@ def product_state(
         sites.append(blocks)
 
     return sites, bonds, scale
+
+
+def _reach(weights: dict[Charge, float], vector: dict[Hashable, complex],
+           step) -> dict[Charge, float]:
+    """Squared weights one site on: charge ``step(c, occ)`` collects w_c |amp|^2
+    from every charge c and nonzero amplitude of the site's local vector."""
+    out: dict[Charge, float] = {}
+    for c, w in weights.items():
+        for occ, amp in vector.items():
+            if amp == 0.0:
+                continue
+            nxt = step(c, occ)
+            out[nxt] = out.get(nxt, 0.0) + w * abs(amp) ** 2
+    return out
 
 
 def _sub(a: Hashable, b: Hashable) -> Hashable:
@@ -404,14 +404,10 @@ def contract_selected(
     the diagonal ``((0, 0), ..., (d-1, d-1))`` traces the site out. A label
     with no block (out of range or not reachable) contributes nothing.
     Returns the scalar including the boundary singular values but NOT
-    ``norm_scale``.
+    ``norm_scale``: the entries of the ``prefix_environment`` of all M sites,
+    summed over the right boundary.
     """
-    env = {c: lam.astype(np.complex128) for c, lam in state.bonds[0].items()}
-    for k in range(state.num_modes):
-        env = propagate(state, k, env, labels[k])
-        if not env:
-            return 0.0 + 0.0j
-    return complex(sum(vec.sum() for vec in env.values()))
+    return complex(sum(vec.sum() for vec in prefix_environment(state, labels).values()))
 
 
 def propagate(

@@ -93,10 +93,6 @@ class CircuitPlan:
         b = self.layer_boundaries
         return [self.gates[b[i] : b[i + 1]] for i in range(len(b) - 1)]
 
-    def blocks(self) -> list[list[BeamSplitterGate]]:
-        b = self.block_boundaries
-        return [self.gates[b[i] : b[i + 1]] for i in range(len(b) - 1)]
-
     def to_json(self) -> str:
         doc = {
             "num_modes": self.num_modes,
@@ -106,18 +102,6 @@ class CircuitPlan:
             "block_boundaries": self.block_boundaries,
         }
         return json.dumps(doc, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CircuitPlan":
-        doc = json.loads(text)
-        gates = [BeamSplitterGate(int(g["site"]), float(g["theta"]), float(g["phi"]))
-                 for g in doc["gates"]]
-        return cls(
-            num_modes=int(doc["num_modes"]),
-            gates=gates,
-            layer_boundaries=[int(x) for x in doc.get("layer_boundaries", [])],
-            block_boundaries=[int(x) for x in doc.get("block_boundaries", [])],
-        )
 
 
 def plan_fingerprint(plan: CircuitPlan) -> str:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "PartitionAngles",
@@ -81,6 +80,8 @@ def partition_angles(unitary: np.ndarray, cut: int) -> PartitionAngles:
 
 def binomial_spectrum(n: int, p: float) -> np.ndarray:
     """Binomial(n, p) probabilities for k = 0..n."""
+    from scipy import stats  # here, not at module level: its import takes about a second
+
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if not 0.0 <= p <= 1.0:

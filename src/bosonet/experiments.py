@@ -47,7 +47,6 @@ from .linalg import DegradedStateError, NumericalFailure, TruncationPolicy
 from .oracle import (
     dense_evolve,
     dense_reduced_spectrum,
-    enumerate_occupations,
     exact_lossy_distribution,
 )
 from .snapshots import load_state, save_state
@@ -139,10 +138,7 @@ class ExperimentConfig:
     max_seconds: float | None = None
 
     def policy(self, chi: int | None = None) -> TruncationPolicy:
-        kwargs: dict[str, Any] = {"chi_max": chi if chi is not None else self.chi_max}
-        if self.weight_threshold is not None:
-            kwargs["weight_threshold"] = self.weight_threshold
-        return TruncationPolicy(**kwargs)
+        return TruncationPolicy(chi if chi is not None else self.chi_max, self.weight_threshold)
 
 
 def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
@@ -219,8 +215,10 @@ def _check_numeric_types(config: ExperimentConfig) -> None:
 def validate_config(config: ExperimentConfig) -> None:
     if config.experiment not in EXPERIMENTS:
         raise ConfigError("experiment", f"unknown experiment {config.experiment!r}")
-    if not isinstance(config.seed, int):
-        raise ConfigError("seed", "must be an integer")
+    if isinstance(config.seed, bool) or not isinstance(config.seed, int):
+        raise ConfigError("seed", f"expected an integer, got {config.seed!r}")
+    if config.seed < 0:
+        raise ConfigError("seed", f"must be >= 0, got {config.seed}")
     _check_numeric_types(config)
     if not config.num_modes:
         raise ConfigError("num_modes", "range must be nonempty")
@@ -254,6 +252,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("checkpoint_every", "must be >= 0 (0 disables)")
     if config.max_seconds is not None and config.max_seconds < 0:
         raise ConfigError("max_seconds", "must be >= 0")
+    if config.weight_threshold is not None and config.weight_threshold < 0:
+        raise ConfigError("weight_threshold", f"must be >= 0, got {config.weight_threshold}")
     if config.experiment in ("lossless-ee", "fock-ee"):
         for name in ("loss", "gammas", "betas"):
             if getattr(config, name) is not None:
@@ -559,17 +559,8 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
         base: dict[str, Any] = {"config_hash": digest, "M": m, "N": n, **loss,
                                 "chi": policy.chi_max, "circuit": c}
-        if lossy:
-            state = mpo.init_lossy(n, m, loss["mu"])
-            apply_gate = mpo.apply_gate_vec
-        else:
-            occ = [0] * m
-            if bunched:
-                occ[0] = n
-            else:
-                occ[:n] = [1] * n
-            state = mps.init_fock(tuple(occ))
-            apply_gate = mps.apply_gate
+        state = _initial_state(m, n, loss, bunched)
+        apply_gate = mpo.apply_gate_vec if lossy else mps.apply_gate
 
         def on_layer(layer_index: int, st) -> list[dict[str, Any]]:
             shared = {**base, "layer": layer_index + 1, "max_bond_dim": st.max_bond_dimension(),
@@ -647,15 +638,22 @@ def _trunc_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Run
                      timings=timings)
 
 
+def _initial_state(m: int, n: int, loss: dict[str, float], bunched: bool = False):
+    """The input of ``n`` photons, one in each of the first ``n`` of ``m`` modes
+    (all in mode 1 when ``bunched``): the lossy MPO at ``loss["mu"]``, or the
+    pure MPS when ``loss`` is empty."""
+    if loss:
+        return mpo.init_lossy(n, m, loss["mu"])
+    return mps.init_fock(tuple([n] + [0] * (m - 1) if bunched else [1] * n + [0] * (m - n)))
+
+
 def _build_state(m: int, n: int, loss: dict[str, float], plan: CircuitPlan,
                  policy: TruncationPolicy):
-    """The evolved input of ``n`` photons in the first of ``m`` modes: the lossy
-    MPO at ``loss["mu"]``, or the pure MPS when ``loss`` is empty."""
+    """The unbunched ``_initial_state`` evolved through ``plan``."""
+    state = _initial_state(m, n, loss)
     if loss:
-        state: Any = mpo.init_lossy(n, m, loss["mu"])
         mpo.apply_plan_vec(state, plan, policy)
     else:
-        state = mps.init_fock(tuple([1] * n + [0] * (m - n)))
         mps.apply_plan(state, plan, policy)
     return state
 

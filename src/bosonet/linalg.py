@@ -2,10 +2,10 @@
 
 Everything downstream (two-site updates, spectra, entropies) goes through
 ``svd`` and ``truncate_global``; the decomposition backend is LAPACK via
-numpy/scipy, wrapped so that failures surface as explicit errors instead of
-silently corrupted tensors. Nothing here inverts singular values: the tensor
-trains store right-canonical site tensors, so no update needs a division
-cutoff.
+numpy (and scipy's gesvd as a fallback), wrapped so that failures surface as
+explicit errors instead of silently corrupted tensors. Nothing here inverts
+singular values: the tensor trains store right-canonical site tensors, so no
+update needs a division cutoff.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from itertools import accumulate
 from typing import Hashable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 # Relative threshold below which a singular value counts as an exact zero
 # when deciding ranks.
@@ -83,15 +82,17 @@ def svd(m: np.ndarray) -> SvdResult:
     """Thin SVD with singular values sorted in descending order.
 
     A real matrix gets a real (float64) decomposition, a complex one a
-    complex128 one. Raises NumericalFailure if neither LAPACK driver
-    converges.
+    complex128 one. numpy's driver (gesdd) runs first; if it does not
+    converge, scipy's gesvd, slower but more robust, gets the same matrix.
+    scipy.linalg is imported only then, so a run whose SVDs all converge
+    never loads it. Raises NumericalFailure if neither driver converges.
     """
     a = _as_matrix(m)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
-        # gesdd occasionally fails on ill-conditioned input; gesvd is slower
-        # but more robust.
+        import scipy.linalg
+
         try:
             u, s, vh = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
         except Exception as exc:  # pragma: no cover - hard to trigger on purpose

@@ -111,7 +111,7 @@ class _PureEngine:
         self.state = state
         self.num_modes = state.num_modes
         self.local_dim = state.local_dim
-        self.start = {c: lam.astype(np.complex128) for c, lam in state.bonds[0].items()}
+        self.start = chain.prefix_environment(state, ())
         self.total = _squared_norm(self.start)
 
     def step(self, env, site_idx: int):

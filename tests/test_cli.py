@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bosonet
 from bosonet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from bosonet.snapshots import FORMAT_VERSION
 
@@ -89,12 +93,29 @@ class TestUsageErrors:
             ("weight_threshold", {"weight_threshold": float("inf")}),
             ("tolerance", {"tolerance": float("-inf")}),
             ("tolerance", {"tolerance": float("inf")}),
+            ("seed", {"seed": True}),
+            ("seed", {"seed": 5.0}),
         )
     ])
     def test_mistyped_config_value_names_the_field(self, tmp_path, capsys, field, overrides):
         config = write_config(tmp_path / "c.json", **overrides)
         assert main(["lossless-ee", "--config", str(config)]) == EXIT_USAGE
         assert f"bosonet: config field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, overrides, flags", [
+        pytest.param("seed", {}, ["--seed", "-1"], id="--seed -1"),
+        pytest.param("seed", {"seed": -1}, [], id="seed=-1"),
+        pytest.param("weight_threshold", {"weight_threshold": -0.5}, [],
+                     id="weight_threshold=-0.5"),
+    ])
+    def test_out_of_range_value_names_the_field(self, tmp_path, capsys, field, overrides,
+                                                flags):
+        config = write_config(tmp_path / "c.json", **overrides)
+        out = tmp_path / "out"
+        argv = ["lossless-ee", "--config", str(config), "--out", str(out), *flags]
+        assert main(argv) == EXIT_USAGE
+        assert f"bosonet: config field '{field}': must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestHappyPath:
@@ -302,3 +323,14 @@ class TestInstalledEntryPoint:
             for ep in dist.entry_points.select(group="console_scripts")
         }
         assert installed.get("bosonet") == "bosonet.cli:main"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy.stats and scipy.linalg load only where they run: in
+    ``entropy.binomial_spectrum`` and in the SVD fallback."""
+    code = ("import sys, bosonet.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(bosonet.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -28,6 +28,27 @@ def test_svd_matches_gram_eigenvalues():
     assert np.all(np.diff(res.singular_values) <= 1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_svd_falls_back_to_gesvd(monkeypatch, dtype):
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(6, 4)).astype(dtype)
+    if dtype is np.complex128:
+        a += 1j * rng.normal(size=(6, 4))
+
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", diverge)
+    res = svd(a)
+    assert res.left.dtype == res.right_conj.dtype == dtype
+    assert res.left.shape == (6, 4) and res.right_conj.shape == (4, 4)
+    assert np.all(np.diff(res.singular_values) <= 0.0)
+    assert np.allclose(res.left.conj().T @ res.left, np.eye(4), atol=1e-12)
+    assert np.allclose(res.right_conj @ res.right_conj.conj().T, np.eye(4), atol=1e-12)
+    rebuilt = res.left @ np.diag(res.singular_values) @ res.right_conj
+    assert np.allclose(rebuilt, a, atol=1e-12)
+
+
 @given(
     n=st.integers(1, 6),
     m=st.integers(1, 6),
