@@ -23,7 +23,8 @@ an update is given cover every such sector. It is given them in the form it
 multiplies: ``gate_blocks[n]`` is the block of sector n, the
 ``circuit.fock_gate`` block for an int n and, for a (ket, bra) sector, the
 U (x) conj(U) block that ``mpo.vectorized_blocks`` builds, so this module
-knows nothing of vectorization.
+knows nothing of vectorization: a state's ``gate_blocks(gate)`` supplies the
+form, and ``apply_gate``/``apply_plan`` are the one gate and plan loop.
 
 Layout for ``M`` sites (one per mode):
 
@@ -77,6 +78,7 @@ from typing import Hashable
 
 import numpy as np
 
+from .circuit import BeamSplitterGate, CircuitPlan
 from .layout import Charge, update_plan
 from .linalg import TruncationPolicy, svd, truncate_global
 
@@ -333,6 +335,20 @@ def two_site_update(
     state.sites[k + 1] = new_right
     state.discarded_weight += outcome.discarded_weight
     return outcome.discarded_weight
+
+
+def apply_gate(state: TensorTrainState, gate: BeamSplitterGate, policy: TruncationPolicy) -> float:
+    """Apply one beam splitter in the state's own block form; returns discarded weight."""
+    return two_site_update(state, gate.site, state.gate_blocks(gate), policy)
+
+
+def apply_plan(state: TensorTrainState, plan: CircuitPlan, policy: TruncationPolicy) -> float:
+    """Apply every gate of a plan in order; returns total discarded weight."""
+    if plan.num_modes != state.num_modes:
+        raise ValueError(
+            f"plan acts on {plan.num_modes} modes but state has {state.num_modes}"
+        )
+    return sum((apply_gate(state, gate, policy) for gate in plan.gates), 0.0)
 
 
 def _apply_gate_blocks(stacks: np.ndarray, sectors: tuple,

@@ -50,15 +50,16 @@ class CircuitPlan:
     """An ordered gate list plus its layer and block structure.
 
     ``layer_boundaries`` partitions gates into runs acting on pairwise
-    disjoint site pairs (safe to apply in parallel). ``block_boundaries``
-    partitions them into the coarser brickwork blocks used for depth
-    accounting; ``depth`` counts those blocks.
+    disjoint site pairs (safe to apply in parallel). It is derived from the
+    gates: a run ends before the first gate that shares a mode with it.
+    ``block_boundaries`` partitions them into the coarser brickwork blocks
+    used for depth accounting; ``depth`` counts those blocks.
     """
 
     num_modes: int
     gates: list[BeamSplitterGate]
-    layer_boundaries: list[int] = field(default_factory=list)
     block_boundaries: list[int] = field(default_factory=list)
+    layer_boundaries: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.num_modes < 2:
@@ -66,13 +67,12 @@ class CircuitPlan:
         for g in self.gates:
             if not 1 <= g.site <= self.num_modes - 1:
                 raise ValueError(f"gate site {g.site} outside [1, {self.num_modes - 1}]")
-        if not self.layer_boundaries:
-            self.layer_boundaries = self._disjoint_boundaries()
+        self.layer_boundaries = self._disjoint_boundaries()
         if not self.block_boundaries:
             self.block_boundaries = [0, len(self.gates)] if self.gates else [0]
-        for bounds in (self.layer_boundaries, self.block_boundaries):
-            if bounds[0] != 0 or bounds[-1] != len(self.gates) or any(np.diff(bounds) < 0):
-                raise ValueError("boundaries must be a nondecreasing prefix list over gates")
+        bounds = self.block_boundaries
+        if bounds[0] != 0 or bounds[-1] != len(self.gates) or any(np.diff(bounds) < 0):
+            raise ValueError("block boundaries must be a nondecreasing prefix list over gates")
 
     def _disjoint_boundaries(self) -> list[int]:
         bounds = [0]
@@ -138,34 +138,21 @@ def sample_haar_circuit(num_modes: int, rng: np.random.Generator) -> CircuitPlan
     half = num_modes // 2
     block_ns = [2 * j - 1 for j in range(1, half + 1)] + [num_modes - 2 * i for i in range(half)]
     gates: list[BeamSplitterGate] = []
-    layer_bounds = [0]
     block_bounds = [0]
     for n in block_ns:
-        if n >= 2:
-            seq = gen_index_sequence(n)
-            split = sum(1 for k in seq if k % 2 == 1)  # odd run, then even run
-            for pos, k in enumerate(seq):
-                # The gate at site k closes a nested splitting chain over
-                # modes 1..k+1, so its transmittance cos^2(theta) must carry
-                # the Beta(1, k) law; drawing with exponent n - (n - k) = k
-                # and assigning the variate to the kept fraction makes the
-                # composed unitary Haar (the literal site-keyed reflectivity
-                # assignment provably is not: mode M would be mixed by a
-                # single uniform-reflectivity gate).
-                t = sample_reflectivity(n, n - k, rng.random())
-                phi = rng.uniform(0.0, _TWO_PI)
-                gates.append(BeamSplitterGate(site=k, theta=math.acos(math.sqrt(t)), phi=phi))
-                if pos + 1 == split:
-                    layer_bounds.append(len(gates))
-            if split < len(seq):
-                layer_bounds.append(len(gates))
+        for k in gen_index_sequence(n) if n >= 2 else ():
+            # The gate at site k closes a nested splitting chain over
+            # modes 1..k+1, so its transmittance cos^2(theta) must carry
+            # the Beta(1, k) law; drawing with exponent n - (n - k) = k
+            # and assigning the variate to the kept fraction makes the
+            # composed unitary Haar (the literal site-keyed reflectivity
+            # assignment provably is not: mode M would be mixed by a
+            # single uniform-reflectivity gate).
+            t = sample_reflectivity(n, n - k, rng.random())
+            phi = rng.uniform(0.0, _TWO_PI)
+            gates.append(BeamSplitterGate(site=k, theta=math.acos(math.sqrt(t)), phi=phi))
         block_bounds.append(len(gates))
-    return CircuitPlan(
-        num_modes=num_modes,
-        gates=gates,
-        layer_boundaries=layer_bounds,
-        block_boundaries=block_bounds,
-    )
+    return CircuitPlan(num_modes=num_modes, gates=gates, block_boundaries=block_bounds)
 
 
 def circuit_to_unitary(plan: CircuitPlan) -> np.ndarray:

@@ -69,8 +69,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     try:
-        doc = json.loads(Path(args.config).read_text())
-    except OSError as exc:
+        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"bosonet: cannot read config {args.config}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:
@@ -96,12 +96,10 @@ def main(argv: list[str] | None = None) -> int:
         doc["out_dir"] = args.out
 
     try:
-        config = config_from_dict(doc)
+        record, out_dir = run_to_files(config_from_dict(doc))
     except ConfigError as exc:
         print(f"bosonet: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    record, out_dir = run_to_files(config)
 
     if record.message:
         print(record.message)

@@ -51,17 +51,6 @@ from .oracle import (
 )
 from .snapshots import load_state, save_state
 
-EXPERIMENTS = (
-    "lossless-ee",
-    "fock-ee",
-    "lossy-ee",
-    "analytic-ee",
-    "trunc-error",
-    "sample",
-    "prob",
-    "oracle-check",
-)
-
 #: Config fields that do not influence the science and are excluded from the
 #: config hash: where outputs go, how often to checkpoint, and when to stop.
 _PLUMBING_FIELDS = ("out_dir", "checkpoint_every", "max_seconds")
@@ -155,10 +144,12 @@ def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
     if parsed.get("loss") is not None:
         parsed["loss"] = _loss_from_dict(parsed["loss"])
     if parsed.get("outcomes") is not None:
-        try:
-            parsed["outcomes"] = [tuple(int(n) for n in o) for o in parsed["outcomes"]]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("outcomes", f"expected lists of integers: {exc}") from None
+        outcomes = parsed["outcomes"]
+        if not isinstance(outcomes, (list, tuple)) or not all(
+                isinstance(o, (list, tuple)) and all(_is_number(n, Integral) for n in o)
+                for o in outcomes):
+            raise ConfigError("outcomes", f"expected lists of integers, got {outcomes!r}")
+        parsed["outcomes"] = [tuple(int(n) for n in o) for o in outcomes]
     for rng_field in ("num_modes", "num_photons"):
         if rng_field in parsed and isinstance(parsed[rng_field], int):
             parsed[rng_field] = [parsed[rng_field]]
@@ -175,14 +166,23 @@ def _loss_from_dict(doc: Any) -> LossSpec:
         return doc
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError("loss", 'expected {"kind": "constant"|"power_law", ...}')
+    kind, params = doc["kind"], {"constant": ("mu",), "power_law": ("beta", "gamma")}
+    if not isinstance(kind, str) or kind not in params:
+        raise ConfigError("loss", f"unknown kind {kind!r}")
+    for name in params[kind]:
+        if not _is_number(doc.get(name), Real):
+            raise ConfigError("loss", f"{name} must be a finite real number, "
+                                      f"got {doc.get(name)!r}")
     try:
-        if doc["kind"] == "constant":
-            return LossSpec.constant(float(doc["mu"]))
-        if doc["kind"] == "power_law":
-            return LossSpec.power_law(float(doc["beta"]), float(doc["gamma"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        return LossSpec(kind=kind, **{name: float(doc[name]) for name in params[kind]})
+    except ValueError as exc:
         raise ConfigError("loss", str(exc)) from None
-    raise ConfigError("loss", f"unknown kind {doc['kind']!r}")
+
+
+def _is_number(value: Any, kind: type) -> bool:
+    """Whether ``value`` is a ``kind`` (``Integral`` or ``Real``), not a bool, and finite."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (not isinstance(value, float) or math.isfinite(value)))
 
 
 #: Numeric fields: name -> (element type, whether the field is a list).
@@ -204,12 +204,10 @@ def _check_numeric_types(config: ExperimentConfig) -> None:
             continue  # optional field left unset
         if is_list and not isinstance(value, (list, tuple)):
             raise ConfigError(name, f"must be a list, got {value!r}")
-        what = "an integer" if kind is Integral else "a real number"
+        what = "an integer" if kind is Integral else "a finite real number"
         for v in value if is_list else [value]:
-            if isinstance(v, bool) or not isinstance(v, kind):
+            if not _is_number(v, kind):
                 raise ConfigError(name, f"expected {what}, got {v!r}")
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ConfigError(name, f"must be finite, got {v!r}")
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -508,7 +506,6 @@ def _evolve_by_layers(
     state,
     plan: CircuitPlan,
     policy: TruncationPolicy,
-    apply_gate,
     on_layer: Callable[[int], list[dict[str, Any]]],
     budget: _Budget,
     ckpt: _Checkpointer,
@@ -529,7 +526,7 @@ def _evolve_by_layers(
             ckpt.save(point_index, circuit_index, state, layer_index, rows)
             raise
         for gate in layers[layer_index]:
-            apply_gate(state, gate, policy)
+            chain.apply_gate(state, gate, policy)
         rows.extend(on_layer(layer_index, state))
         if ckpt.every > 0 and (layer_index + 1) % ckpt.every == 0:
             ckpt.save(point_index, circuit_index, state, layer_index + 1, rows)
@@ -560,7 +557,6 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
         base: dict[str, Any] = {"config_hash": digest, "M": m, "N": n, **loss,
                                 "chi": policy.chi_max, "circuit": c}
         state = _initial_state(m, n, loss, bunched)
-        apply_gate = mpo.apply_gate_vec if lossy else mps.apply_gate
 
         def on_layer(layer_index: int, st) -> list[dict[str, Any]]:
             shared = {**base, "layer": layer_index + 1, "max_bond_dim": st.max_bond_dimension(),
@@ -573,9 +569,7 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
                 out.append({**shared, "alpha": alpha, "max_ee": value, "peak_bond": bond})
             return out
 
-        _, rows = _evolve_by_layers(
-            state, plan, policy, apply_gate, on_layer, budget, ckpt, point_index, c
-        )
+        _, rows = _evolve_by_layers(state, plan, policy, on_layer, budget, ckpt, point_index, c)
         return rows
 
     rows = _run_units(config, columns, run_unit)
@@ -651,10 +645,7 @@ def _build_state(m: int, n: int, loss: dict[str, float], plan: CircuitPlan,
                  policy: TruncationPolicy):
     """The unbunched ``_initial_state`` evolved through ``plan``."""
     state = _initial_state(m, n, loss)
-    if loss:
-        mpo.apply_plan_vec(state, plan, policy)
-    else:
-        mps.apply_plan(state, plan, policy)
+    chain.apply_plan(state, plan, policy)
     return state
 
 
@@ -802,6 +793,7 @@ _RECIPES: dict[str, Callable[[ExperimentConfig, str, _Budget], RunRecord]] = {
     "prob": _prob_recipe,
     "oracle-check": _oracle_recipe,
 }
+EXPERIMENTS = tuple(_RECIPES)
 
 
 def run(config: ExperimentConfig) -> RunRecord:
@@ -838,17 +830,22 @@ def run_to_files(config: ExperimentConfig) -> tuple[RunRecord, Path | None]:
     The two CSV tables are byte-identical across reruns of the same config;
     wall-clock information goes only to ``meta.json`` and ``timings.csv``.
     Earlier tables in ``out_dir`` are removed first; ``checkpoints/`` is kept.
+    ``out_dir`` is created before the recipe runs, and a directory that
+    cannot be created is a :class:`ConfigError`.
     """
+    out_dir = None if config.out_dir is None else Path(config.out_dir)
+    if out_dir is not None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("out_dir", f"cannot create directory {out_dir}: {exc}") from None
     try:
         record = run(config)
     except (NumericalFailure, DegradedStateError) as exc:
         record = RunRecord([], [], config_hash=config_hash(config),
                            experiment=config.experiment, status="numerical-failure",
                            message=str(exc))
-    out_dir: Path | None = None
-    if config.out_dir is not None:
-        out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         # A table left by an earlier run would sit beside this run's meta.json
         # as if this run had written it.
         for path in [out_dir / "results.csv", out_dir / "summary.csv",

@@ -8,8 +8,8 @@ sigma = (1-mu)|0><0| + mu|1><1|. The density operator is vectorized
 tensor train whose bond sectors are (ket, bra) photon-count pairs; a two-site
 unitary acts as U (x) conj(U) and conserves both charges independently.
 This module builds that gate's sector blocks (``vectorized_blocks``), once
-per gate, and hands them to ``chain.two_site_update``, which knows nothing
-of vectorization.
+per gate, and ``MpoState.gate_blocks`` hands them to ``chain.apply_gate``,
+which knows nothing of vectorization.
 
 The loss is given as the per-photon transmissivity mu, a plain float. The
 left boundary enumerates every total-photon sector (n, n), n = 0..N, in one
@@ -26,8 +26,7 @@ import numpy as np
 
 from . import chain
 from .chain import TensorTrainState
-from .circuit import BeamSplitterGate, CircuitPlan, fock_gate
-from .linalg import TruncationPolicy
+from .circuit import BeamSplitterGate, fock_gate
 
 
 @dataclass(kw_only=True)
@@ -35,6 +34,10 @@ class MpoState(TensorTrainState):
     """Vectorized density operator of up to ``num_photons`` photons on ``num_modes`` modes."""
 
     mu: float
+
+    def gate_blocks(self, gate: BeamSplitterGate) -> dict[tuple[int, int], np.ndarray]:
+        """The (ket, bra) sector blocks of U (x) conj(U) that ``chain.two_site_update`` takes."""
+        return vectorized_blocks(fock_gate(gate, self.local_dim))
 
 
 def init_lossy(num_photons: int, num_modes: int, mu: float) -> MpoState:
@@ -73,19 +76,8 @@ def vectorized_blocks(blocks: list[np.ndarray]) -> dict[tuple[int, int], np.ndar
             for a, ket in enumerate(blocks) for b, bra in enumerate(bras)}
 
 
-def apply_gate_vec(state: MpoState, gate: BeamSplitterGate, policy: TruncationPolicy) -> float:
-    """Apply U (x) conj(U) for one beam-splitter gate; returns discarded weight."""
-    blocks = vectorized_blocks(fock_gate(gate, state.local_dim))
-    return chain.two_site_update(state, gate.site, blocks, policy)
-
-
-def apply_plan_vec(state: MpoState, plan: CircuitPlan, policy: TruncationPolicy) -> float:
-    """Apply every gate of a plan in order; returns total discarded weight."""
-    if plan.num_modes != state.num_modes:
-        raise ValueError(
-            f"plan acts on {plan.num_modes} modes but state has {state.num_modes}"
-        )
-    return sum((apply_gate_vec(state, gate, policy) for gate in plan.gates), 0.0)
+# ``chain.apply_plan`` under its old name, which ``perfbench/workloads.py`` calls.
+apply_plan_vec = chain.apply_plan
 
 
 def trace_labels(local_dim: int) -> tuple[tuple[int, int], ...]:

@@ -10,14 +10,19 @@ Spectra and entropies come from ``chain`` (``schmidt_values``,
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import chain
 from .chain import TensorTrainState
-from .circuit import BeamSplitterGate, CircuitPlan, fock_gate
-from .linalg import TruncationPolicy
+from .circuit import BeamSplitterGate, fock_gate
 
 
 class MpsState(TensorTrainState):
     """Pure ``num_photons``-photon state on ``num_modes`` modes in canonical form."""
+
+    def gate_blocks(self, gate: BeamSplitterGate) -> list[np.ndarray]:
+        """The sector blocks of U that ``chain.two_site_update`` takes."""
+        return fock_gate(gate, self.local_dim)
 
 
 def init_fock(occupations: tuple[int, ...]) -> MpsState:
@@ -35,21 +40,6 @@ def init_fock(occupations: tuple[int, ...]) -> MpsState:
     )
     return MpsState(num_modes=len(occs), num_photons=total, sites=sites, bonds=bonds,
                     norm_scale=scale)
-
-
-def apply_gate(state: MpsState, gate: BeamSplitterGate, policy: TruncationPolicy) -> float:
-    """Apply one beam-splitter gate to adjacent modes; returns discarded weight."""
-    blocks = fock_gate(gate, state.local_dim)
-    return chain.two_site_update(state, gate.site, blocks, policy)
-
-
-def apply_plan(state: MpsState, plan: CircuitPlan, policy: TruncationPolicy) -> float:
-    """Apply every gate of a circuit plan in order; returns total discarded weight."""
-    if plan.num_modes != state.num_modes:
-        raise ValueError(
-            f"plan acts on {plan.num_modes} modes but state has {state.num_modes}"
-        )
-    return sum((apply_gate(state, gate, policy) for gate in plan.gates), 0.0)
 
 
 def amplitude(state: MpsState, occupations: tuple[int, ...]) -> complex:

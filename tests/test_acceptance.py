@@ -71,7 +71,7 @@ def evolve_mps_by_layers(plan, occupations, policy):
     max_bond = state.max_bond_dimension()
     for layer in plan.layers():
         for gate in layer:
-            mps.apply_gate(state, gate, policy)
+            chain.apply_gate(state, gate, policy)
         peak_s1 = max(peak_s1, chain.max_bond_entropy(state, 1.0)[1])
         max_s0 = max(max_s0, chain.max_bond_entropy(state, 0.0)[1])
         max_bond = max(max_bond, state.max_bond_dimension())
@@ -107,13 +107,13 @@ class TestPaperSize:
         self, tmp_path, monkeypatch
     ):
         evolved = {}
-        apply_gate = mpo.apply_gate_vec
+        apply_gate = chain.apply_gate
 
         def recording(state, gate, policy):
             evolved["state"] = state
             return apply_gate(state, gate, policy)
 
-        monkeypatch.setattr(mpo, "apply_gate_vec", recording)
+        monkeypatch.setattr(chain, "apply_gate", recording)
         config = config_from_dict({
             "experiment": "lossy-ee", "seed": 1000, "num_modes": [16], "num_photons": [4],
             "loss": {"kind": "constant", "mu": 0.5}, "chi_max": 256, "n_circuits": 1,
@@ -176,7 +176,7 @@ def equivalence_grid():
             occ_in = tuple([1] * n + [0] * (m - n))
 
             state = mps.init_fock(occ_in)
-            mps.apply_plan(state, plan, FULL_RANK)
+            chain.apply_plan(state, plan, FULL_RANK)
             lossless = exact_lossless_distribution(u, occ_in)
             inst = GridInstance(
                 num_modes=m, num_photons=n, circuit=c,
@@ -199,7 +199,7 @@ def equivalence_grid():
 
             for mu in GRID_MUS:
                 op = mpo.init_lossy(n, m, mu)
-                mpo.apply_plan_vec(op, plan, FULL_RANK)
+                chain.apply_plan(op, plan, FULL_RANK)
                 reference = exact_lossy_distribution(u, n, mu)
                 inst.mpo_deviation[mu] = max(
                     abs(mpo.outcome_prob(op, t) - p)
@@ -295,7 +295,7 @@ class TestNearSingularSpectra:
         for seed in self.SEEDS:
             plan = near_singular_plan(seed)
             state = mps.init_fock(self.OCC_IN)
-            mps.apply_plan(state, plan, FULL_RANK)
+            chain.apply_plan(state, plan, FULL_RANK)
             smallest = min(
                 float(chain.schmidt_values(state, k)[-1] / chain.schmidt_values(state, k)[0])
                 for k in range(1, 6)
@@ -314,7 +314,7 @@ class TestNearSingularSpectra:
             u = circuit_to_unitary(plan)
             for mu in GRID_MUS:
                 op = mpo.init_lossy(3, 6, mu)
-                mpo.apply_plan_vec(op, plan, FULL_RANK)
+                chain.apply_plan(op, plan, FULL_RANK)
                 reference = exact_lossy_distribution(u, 3, mu)
                 worst = max(
                     abs(mpo.outcome_prob(op, t) - p)
@@ -343,14 +343,14 @@ class TestTwoPhotonInterference:
 
     def test_pure_state_pipeline(self, splitter):
         state = mps.init_fock((1, 1))
-        mps.apply_plan(state, splitter, TruncationPolicy(chi_max=16))
+        chain.apply_plan(state, splitter, TruncationPolicy(chi_max=16))
         assert mps.probability(state, (1, 1)) <= 1e-12
         assert abs(mps.probability(state, (2, 0)) - 0.5) <= 1e-10
         assert abs(mps.probability(state, (0, 2)) - 0.5) <= 1e-10
 
     def test_operator_pipeline(self, splitter):
         op = mpo.init_lossy(2, 2, 1.0)
-        mpo.apply_plan_vec(op, splitter, TruncationPolicy(chi_max=64))
+        chain.apply_plan(op, splitter, TruncationPolicy(chi_max=64))
         assert mpo.outcome_prob(op, (1, 1)) <= 1e-12
         assert abs(mpo.outcome_prob(op, (2, 0)) - 0.5) <= 1e-10
         assert abs(mpo.outcome_prob(op, (0, 2)) - 0.5) <= 1e-10
@@ -448,7 +448,7 @@ class TestLossScalingTrends:
                 peak = 0.0
                 for layer in plan.layers():
                     for gate in layer:
-                        mpo.apply_gate_vec(op, gate, policy)
+                        chain.apply_gate(op, gate, policy)
                     peak = max(peak, chain.max_bond_entropy(op, 1.0)[1])
                 peaks.append(peak)
             means[n] = float(np.mean(peaks))
@@ -499,7 +499,7 @@ def sweeps():
         spectrum = None
         for chi in (2, 4, 8, 16, 32, 512):
             op = mpo.init_lossy(3, 8, 0.5)
-            mpo.apply_plan_vec(op, plan, TruncationPolicy(chi_max=chi))
+            chain.apply_plan(op, plan, TruncationPolicy(chi_max=chi))
             deficits[chi] = 1.0 - mpo.trace(op)
             if chi == 512:
                 spectrum = np.sort(np.asarray(chain.schmidt_values(op, 4)))[::-1]
@@ -536,7 +536,7 @@ class TestSamplingStatistics:
         num_samples = 100_000
         plan = sample_haar_circuit(4, circuit_rng(909, 0, 0))
         op = mpo.init_lossy(2, 4, 0.7)
-        mpo.apply_plan_vec(op, plan, FULL_RANK)
+        chain.apply_plan(op, plan, FULL_RANK)
         counts = sampling.sample_counts(
             op, circuit_rng(909, 0, 0, stream=1), num_samples
         )

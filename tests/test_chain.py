@@ -9,7 +9,8 @@ dense reference does the same math on a copy: contract the two sites,
 apply the dense two-site gate, SVD lambda_left Phi per center charge and cut
 the pooled spectrum. The tests compare the kept spectrum and the rebuilt
 two-site tensor, check that the new blocks are right-canonical and that a
-mirrored train keeps bitwise mirror copies.
+mirrored train keeps bitwise mirror copies. A last test checks that
+``chain.apply_plan`` takes each gate's blocks from the state's own module.
 """
 
 import copy
@@ -17,11 +18,12 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bosonet import chain, mpo
-from bosonet.circuit import BeamSplitterGate, fock_gate
+from bosonet import chain, mpo, mps
+from bosonet.circuit import BeamSplitterGate, fock_gate, sample_haar_circuit
 from bosonet.linalg import RANK_CUTOFF, TruncationPolicy
 
 TOL = 1e-10
@@ -261,3 +263,16 @@ def test_mirrored_update_matches_dense_reference_and_keeps_mirror_copies(train):
             else:
                 assert _bitwise_conj(site[(a[::-1], b[::-1])], block)
 
+
+@pytest.mark.parametrize("kind", ["mps", "mpo"])
+def test_apply_plan_builds_each_gate_once_in_the_states_module(monkeypatch, kind):
+    calls = {"mps": 0, "mpo": 0}
+    for name, module in (("mps", mps), ("mpo", mpo)):
+        def counting(gate, local_dim, name=name):
+            calls[name] += 1
+            return fock_gate(gate, local_dim)
+        monkeypatch.setattr(module, "fock_gate", counting)
+    plan = sample_haar_circuit(6, np.random.default_rng(11))
+    state = mps.init_fock((1, 1, 1, 0, 0, 0)) if kind == "mps" else mpo.init_lossy(3, 6, 0.5)
+    chain.apply_plan(state, plan, TruncationPolicy(chi_max=64))
+    assert calls == {"mps": 0, "mpo": 0, kind: len(plan.gates)}

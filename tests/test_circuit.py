@@ -69,6 +69,29 @@ def test_layers_are_disjoint():
             assert a + 1 not in sites
 
 
+def _brickwork_runs(m):
+    """Layer boundaries by the brickwork rule: within each block R_n, one run of
+    its odd sites and one of its even sites, each ending a layer."""
+    half = m // 2
+    bounds, done = [0], 0
+    for n in [2 * j - 1 for j in range(1, half + 1)] + [m - 2 * i for i in range(half)]:
+        if n < 2:
+            continue
+        seq = gen_index_sequence(n)
+        odd = sum(1 for k in seq if k % 2 == 1)
+        bounds.append(done + odd)
+        if odd < len(seq):
+            bounds.append(done + len(seq))
+        done += len(seq)
+    return bounds
+
+
+def test_derived_layers_are_the_brickwork_runs():
+    for m in range(2, 130, 2):
+        plan = sample_haar_circuit(m, np.random.default_rng(m))
+        assert plan.layer_boundaries == _brickwork_runs(m), m
+
+
 def test_unitary_single_gate():
     plan = CircuitPlan(num_modes=2, gates=[BeamSplitterGate(1, math.pi / 4, 0.0)])
     u = circuit_to_unitary(plan)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import bosonet
+from bosonet import experiments
 from bosonet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from bosonet.snapshots import FORMAT_VERSION
 
@@ -101,6 +102,47 @@ class TestUsageErrors:
         config = write_config(tmp_path / "c.json", **overrides)
         assert main(["lossless-ee", "--config", str(config)]) == EXIT_USAGE
         assert f"bosonet: config field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, field, overrides", [
+        pytest.param(experiment, field, overrides, id=f"{experiment}:{overrides[field]!r}")
+        for experiment, field, overrides in (
+            ("prob", "outcomes", {"outcomes": [[1.7, 0.2, 0, 0]]}),
+            ("prob", "outcomes", {"outcomes": [[True, True, 0, 0]]}),
+            ("prob", "outcomes", {"outcomes": [["1", "1", "0", "0"]]}),
+            ("lossy-ee", "loss", {"loss": {"kind": "constant", "mu": True}}),
+            ("lossy-ee", "loss", {"loss": {"kind": "constant", "mu": "0.5"}}),
+            ("lossy-ee", "loss", {"loss": {"kind": "power_law", "beta": "0.5", "gamma": 1}}),
+            ("lossy-ee", "loss", {"loss": {"kind": "power_law", "beta": 0.5, "gamma": True}}),
+        )
+    ])
+    def test_mistyped_outcome_or_loss_names_the_field(self, tmp_path, capsys, experiment,
+                                                      field, overrides):
+        config = write_config(tmp_path / "c.json", experiment=experiment, **overrides)
+        out = tmp_path / "out"
+        assert main([experiment, "--config", str(config), "--out", str(out)]) == EXIT_USAGE
+        assert f"bosonet: config field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        assert main(["lossless-ee", "--config", str(bad)]) == EXIT_USAGE
+        assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_dir_that_cannot_be_made_exits_one_before_the_run(self, tmp_path, capsys,
+                                                                  monkeypatch, below):
+        def must_not_run(config):
+            raise AssertionError("the recipe ran")
+
+        monkeypatch.setattr(experiments, "run", must_not_run)
+        config = write_config(tmp_path / "c.json")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / below if below else blocker
+        assert main(["lossless-ee", "--config", str(config), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config field 'out_dir'" in err and str(out) in err
 
     @pytest.mark.parametrize("field, overrides, flags", [
         pytest.param("seed", {}, ["--seed", "-1"], id="--seed -1"),

@@ -326,7 +326,7 @@ def test_lossless_tracks_mps_entropy_on_dilute_ensemble():
     for seed in range(6):
         plan = sample_haar_circuit(num_modes, np.random.default_rng(seed))
         state = mps.init_fock(occ)
-        mps.apply_plan(state, plan, policy)
+        chain.apply_plan(state, plan, policy)
         sim_vals.append(chain.renyi_entropy(state, num_modes // 2, 1.0))
         angles = partition_angles(circuit_to_unitary(plan), num_modes // 2)
         analytic_vals.append(lossless_ee(occ, angles, 1.0))

@@ -338,7 +338,7 @@ class TestLosslessRecipe:
         policy = config.policy()
         for layer_index, layer in enumerate(plan.layers()):
             for gate in layer:
-                mps.apply_gate(state, gate, policy)
+                chain.apply_gate(state, gate, policy)
             for alpha in (1.0, 2.0):
                 bond, value = chain.max_bond_entropy(state, alpha)
                 matches = [r for r in record.rows
@@ -515,7 +515,7 @@ class TestProbRecipe:
         record = run(config)
         plan = sample_haar_circuit(4, circuit_rng(config.seed, 0, 1))
         state = mps.init_fock((1, 1, 0, 0))
-        mps.apply_plan(state, plan, config.policy())
+        chain.apply_plan(state, plan, config.policy())
         expected = mps.probability(state, (0, 0, 1, 1))
         row = [r for r in record.rows
                if r["circuit"] == 1 and r["outcome"] == "0 0 1 1"]

@@ -84,9 +84,9 @@ def test_transparent_limit_matches_pure_state():
     occupations = (1, 1, 0, 0)
     plan = haar_plan(4, seed=17)
     pure = mps.init_fock(occupations)
-    mps.apply_plan(pure, plan, EXACT)
+    chain.apply_plan(pure, plan, EXACT)
     dense = mpo.init_lossy(2, 4, 1.0)
-    mpo.apply_plan_vec(dense, plan, EXACT)
+    chain.apply_plan(dense, plan, EXACT)
     assert mpo.trace(dense) == pytest.approx(1.0, abs=1e-10)
     for occs in all_outcomes(4, 2):
         assert mpo.outcome_prob(dense, occs) == pytest.approx(
@@ -111,10 +111,10 @@ def test_vectorized_blocks_are_kronecker_products(local_dim):
 
 def test_identity_gate_leaves_state_unchanged():
     state = mpo.init_lossy(2, 4, 0.6)
-    mpo.apply_plan_vec(state, haar_plan(4, seed=19), EXACT)
+    chain.apply_plan(state, haar_plan(4, seed=19), EXACT)
     trace_before = mpo.trace(state)
     spectra_before = [chain.schmidt_values(state, k).copy() for k in range(5)]
-    discarded = mpo.apply_gate_vec(
+    discarded = chain.apply_gate(
         state, BeamSplitterGate(site=2, theta=0.0, phi=0.7), EXACT
     )
     assert discarded == pytest.approx(0.0, abs=1e-14)
@@ -133,7 +133,7 @@ def test_outcome_probs_match_lossy_oracle():
     n, m, mu = 2, 4, 0.7
     plan = haar_plan(m, seed=29)
     state = mpo.init_lossy(n, m, mu)
-    mpo.apply_plan_vec(state, plan, EXACT)
+    chain.apply_plan(state, plan, EXACT)
     assert mpo.trace(state) == pytest.approx(1.0, abs=1e-10)
     oracle = exact_lossy_distribution(circuit_to_unitary(plan), n, mu)
     total = 0.0
@@ -146,7 +146,7 @@ def test_outcome_probs_match_lossy_oracle():
 
 def test_norm_weight_conserved_without_truncation():
     state = mpo.init_lossy(2, 4, 0.4)
-    mpo.apply_plan_vec(state, haar_plan(4, seed=37), EXACT)
+    chain.apply_plan(state, haar_plan(4, seed=37), EXACT)
     for k in range(5):
         assert state.total_weight(k) == pytest.approx(1.0, abs=1e-10)
     # Only structural zeros (below the rank floor) may have been dropped.
@@ -159,7 +159,7 @@ def test_site_tensors_are_right_canonical():
     state = mpo.init_lossy(2, 4, 0.4)
     for stage in ("initial", "evolved"):
         if stage == "evolved":
-            mpo.apply_plan_vec(state, haar_plan(4, seed=41), EXACT)
+            chain.apply_plan(state, haar_plan(4, seed=41), EXACT)
         for k in range(state.num_modes):
             grams: dict = {}
             for (cl, cr), block in state.sites[k].items():
@@ -175,7 +175,7 @@ def test_bond_spectrum_matches_dense_reference():
     n, m, mu = 2, 4, 0.5
     plan = haar_plan(m, seed=43)
     state = mpo.init_lossy(n, m, mu)
-    mpo.apply_plan_vec(state, plan, EXACT)
+    chain.apply_plan(state, plan, EXACT)
     for cut in (1, 2, 3):
         want = dense_lossy_vectorized_spectrum(plan, n, mu, cut)
         values = np.sort(chain.schmidt_values(state, cut) ** 2)
@@ -188,7 +188,7 @@ def test_dense_reconstruction_is_hermitian_and_positive():
     n, m, mu = 2, 4, 0.6
     plan = haar_plan(m, seed=47)
     state = mpo.init_lossy(n, m, mu)
-    mpo.apply_plan_vec(state, plan, EXACT)
+    chain.apply_plan(state, plan, EXACT)
     d = state.local_dim
     grid = list(itertools.product(range(d), repeat=m))
     rho = np.zeros((len(grid), len(grid)), dtype=np.complex128)
@@ -228,7 +228,7 @@ def test_evolution_keeps_the_mirror_gauge_and_hermiticity(chi):
     n, m = 3, 6
     state = mpo.init_lossy(n, m, 0.5)
     assert_mirror_gauge(state)
-    mpo.apply_plan_vec(state, haar_plan(m, seed=3), TruncationPolicy(chi_max=chi))
+    chain.apply_plan(state, haar_plan(m, seed=3), TruncationPolicy(chi_max=chi))
     assert_mirror_gauge(state)
     assert state.max_bond_dimension() <= chi
     if chi < 10_000:
@@ -250,7 +250,7 @@ def test_truncation_error_positive_and_decreasing_in_chi():
     errors = []
     for chi in (2, 4, 8, 16, 64):
         state = mpo.init_lossy(n, m, mu)
-        mpo.apply_plan_vec(state, plan, TruncationPolicy(chi_max=chi))
+        chain.apply_plan(state, plan, TruncationPolicy(chi_max=chi))
         errors.append(1.0 - mpo.trace(state))
     assert errors[0] > 0.0
     for lo, hi in zip(errors[1:], errors[:-1]):
@@ -262,7 +262,7 @@ def test_raw_outcome_prob_equals_unclamped_value():
     n, m, mu = 2, 4, 0.6
     plan = haar_plan(m, seed=59)
     state = mpo.init_lossy(n, m, mu)
-    mpo.apply_plan_vec(state, plan, TruncationPolicy(chi_max=3))
+    chain.apply_plan(state, plan, TruncationPolicy(chi_max=3))
     assert state.discarded_weight > 0.0
     for occs in all_outcomes(m, n):
         raw = mpo.outcome_prob(state, occs, raw=True)
@@ -274,7 +274,7 @@ def test_raw_outcome_prob_equals_unclamped_value():
 def test_outcome_prob_is_zero_beyond_photon_number():
     n, m = 2, 4
     state = mpo.init_lossy(n, m, 0.6)
-    mpo.apply_plan_vec(state, haar_plan(m, seed=71), EXACT)
+    chain.apply_plan(state, haar_plan(m, seed=71), EXACT)
     for occs in [(3, 0, 0, 0), (0, 0, 0, 5), (2, 1, 0, 0), (1, 1, 1, 0)]:
         assert mpo.outcome_prob(state, occs, raw=True) == 0.0
     with pytest.raises(ValueError, match="non-negative"):
@@ -290,7 +290,7 @@ def test_outcome_prob_is_zero_beyond_photon_number():
 def test_dual_charges_stay_in_range():
     n = 2
     state = mpo.init_lossy(n, 4, 0.8)
-    mpo.apply_plan_vec(state, haar_plan(4, seed=67), EXACT)
+    chain.apply_plan(state, haar_plan(4, seed=67), EXACT)
     for k in range(5):
         for ket, bra in state.bonds[k]:
             assert 0 <= ket <= n
@@ -304,7 +304,7 @@ def test_mean_peak_entropy_grows_with_photon_number():
         values = []
         for seed in range(3):
             state = mpo.init_lossy(n, m, mu)
-            mpo.apply_plan_vec(state, haar_plan(m, seed=200 + seed), EXACT)
+            chain.apply_plan(state, haar_plan(m, seed=200 + seed), EXACT)
             values.append(chain.max_bond_entropy(state, 1.0)[1])
         means.append(sum(values) / len(values))
     assert means[0] < means[1] < means[2]

@@ -75,7 +75,7 @@ def test_init_fock_charges_are_suffix_sums(occs):
 
 def test_balanced_splitter_schmidt_values():
     state = mps.init_fock((1, 0))
-    mps.apply_gate(state, BeamSplitterGate(site=1, theta=math.pi / 4, phi=0.0), EXACT)
+    chain.apply_gate(state, BeamSplitterGate(site=1, theta=math.pi / 4, phi=0.0), EXACT)
     assert sorted(state.bonds[1]) == [0, 1]
     pooled = np.sort(np.concatenate(list(state.bonds[1].values())))
     np.testing.assert_allclose(pooled, [1 / math.sqrt(2)] * 2, atol=1e-12)
@@ -95,10 +95,10 @@ def test_balanced_splitter_schmidt_values():
 def test_identity_gate_preserves_state():
     state = mps.init_fock((1, 1, 0, 0))
     plan = haar_plan(4, seed=11)
-    mps.apply_plan(state, plan, EXACT)
+    chain.apply_plan(state, plan, EXACT)
     before = {occs: mps.amplitude(state, occs) for occs in enumerate_occupations(4, 2)}
     spectra_before = [chain.schmidt_values(state, k).copy() for k in range(5)]
-    discarded = mps.apply_gate(
+    discarded = chain.apply_gate(
         state, BeamSplitterGate(site=2, theta=0.0, phi=1.23), EXACT
     )
     assert discarded == pytest.approx(0.0, abs=1e-14)
@@ -131,7 +131,7 @@ def test_amplitudes_match_dense_reference(occupations, seed):
     m = len(occupations)
     plan = haar_plan(m, seed)
     state = mps.init_fock(occupations)
-    mps.apply_plan(state, plan, EXACT)
+    chain.apply_plan(state, plan, EXACT)
     dense = dense_evolve(occupations, plan)
     assert state.discarded_weight <= 1e-30
     for occs in enumerate_occupations(m, sum(occupations)):
@@ -144,7 +144,7 @@ def test_schmidt_spectrum_matches_dense_reference():
     occupations = (1, 1, 0, 0)
     plan = haar_plan(4, seed=7)
     state = mps.init_fock(occupations)
-    mps.apply_plan(state, plan, EXACT)
+    chain.apply_plan(state, plan, EXACT)
     dense = dense_evolve(occupations, plan)
     for cut in (1, 2, 3):
         want = dense_reduced_spectrum(dense, cut)
@@ -156,14 +156,14 @@ def test_schmidt_spectrum_matches_dense_reference():
 
 def test_norm_conserved_without_truncation():
     state = mps.init_fock((1, 1, 1, 0, 0, 0))
-    mps.apply_plan(state, haar_plan(6, seed=9), EXACT)
+    chain.apply_plan(state, haar_plan(6, seed=9), EXACT)
     for k in range(state.num_modes + 1):
         assert state.total_weight(k) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_canonical_form_after_exact_evolution():
     state = mps.init_fock((1, 1, 0, 0))
-    mps.apply_plan(state, haar_plan(4, seed=13), EXACT)
+    chain.apply_plan(state, haar_plan(4, seed=13), EXACT)
     for k in range(state.num_modes):
         # Right isometry: sum over right charge/occupation of B B^dag.
         grams: dict = {}
@@ -188,9 +188,9 @@ def test_canonical_form_after_exact_evolution():
 def test_single_truncation_bookkeeping_is_exact():
     state = mps.init_fock((1, 1, 0, 0))
     plan = haar_plan(4, seed=21)
-    mps.apply_plan(state, plan, EXACT)
+    chain.apply_plan(state, plan, EXACT)
     extra = BeamSplitterGate(site=2, theta=0.9, phi=0.4)
-    discarded = mps.apply_gate(state, extra, TruncationPolicy(chi_max=2))
+    discarded = chain.apply_gate(state, extra, TruncationPolicy(chi_max=2))
     assert discarded > 0.0
     assert 1.0 - state.total_weight(2) == pytest.approx(discarded, abs=1e-10)
     assert state.discarded_weight == pytest.approx(discarded)
@@ -202,7 +202,7 @@ def test_cumulative_bookkeeping_first_order():
     # weight up to effects quadratic in the per-step losses.
     state = mps.init_fock((1, 1, 1, 0, 0, 0))
     plan = haar_plan(6, seed=23)
-    mps.apply_plan(state, plan, TruncationPolicy(chi_max=6))
+    chain.apply_plan(state, plan, TruncationPolicy(chi_max=6))
     total = state.discarded_weight
     assert total > 0.0
     deficit = 1.0 - state.total_weight(3)
@@ -214,9 +214,9 @@ def test_truncation_to_full_rank_is_identity():
     occupations = (1, 1, 0, 0)
     plan = haar_plan(4, seed=31)
     exact_state = mps.init_fock(occupations)
-    mps.apply_plan(exact_state, plan, EXACT)
+    chain.apply_plan(exact_state, plan, EXACT)
     capped = mps.init_fock(occupations)
-    mps.apply_plan(capped, plan, TruncationPolicy(chi_max=4))
+    chain.apply_plan(capped, plan, TruncationPolicy(chi_max=4))
     assert capped.discarded_weight <= 1e-30
     for occs in enumerate_occupations(4, 2):
         assert mps.amplitude(capped, occs) == pytest.approx(
@@ -230,7 +230,7 @@ def test_truncation_to_full_rank_is_identity():
 
 def test_renyi_entropy_frozen_values():
     state = mps.init_fock((1, 0))
-    mps.apply_gate(state, BeamSplitterGate(site=1, theta=math.pi / 6, phi=0.0), EXACT)
+    chain.apply_gate(state, BeamSplitterGate(site=1, theta=math.pi / 6, phi=0.0), EXACT)
     pooled = np.sort(chain.schmidt_values(state, 1) ** 2)
     np.testing.assert_allclose(pooled, [0.25, 0.75], atol=1e-12)
     assert chain.renyi_entropy(state, 1, 1.0) == pytest.approx(
@@ -260,7 +260,7 @@ def test_max_entropy_vacuum():
 
 def test_max_entropy_picks_entangled_bond():
     state = mps.init_fock((0, 1, 0))
-    mps.apply_gate(state, BeamSplitterGate(site=2, theta=math.pi / 4, phi=0.0), EXACT)
+    chain.apply_gate(state, BeamSplitterGate(site=2, theta=math.pi / 4, phi=0.0), EXACT)
     bond, value = chain.max_bond_entropy(state, 1.0)
     assert bond == 2
     assert value == pytest.approx(1.0, abs=1e-12)
@@ -270,7 +270,7 @@ def test_hartley_entropy_bounded_by_photon_number():
     for seed in range(5):
         occupations = (1, 1, 0, 0, 0, 0) if seed % 2 else (2, 0, 0, 0, 0, 0)
         state = mps.init_fock(occupations)
-        mps.apply_plan(state, haar_plan(6, seed=100 + seed), EXACT)
+        chain.apply_plan(state, haar_plan(6, seed=100 + seed), EXACT)
         n = state.num_photons
         for k in range(1, state.num_modes):
             assert chain.renyi_entropy(state, k, 0.0) <= n + 1e-12
@@ -282,7 +282,7 @@ def test_single_mode_input_is_binomial():
     occupations = (3, 0, 0, 0, 0, 0)
     plan = haar_plan(6, seed=41)
     state = mps.init_fock(occupations)
-    mps.apply_plan(state, plan, EXACT)
+    chain.apply_plan(state, plan, EXACT)
     u = circuit_to_unitary(plan)
     n = 3
     for cut in range(1, 6):

@@ -28,13 +28,13 @@ def haar_plan(num_modes: int, seed: int):
 
 def evolved_mps(occupations, seed):
     state = mps.init_fock(occupations)
-    mps.apply_plan(state, haar_plan(len(occupations), seed), EXACT)
+    chain.apply_plan(state, haar_plan(len(occupations), seed), EXACT)
     return state
 
 
 def evolved_mpo(n, m, mu, seed, policy=EXACT):
     state = mpo.init_lossy(n, m, mu)
-    mpo.apply_plan_vec(state, haar_plan(m, seed), policy)
+    chain.apply_plan(state, haar_plan(m, seed), policy)
     return state
 
 
@@ -89,7 +89,7 @@ def test_marginal_matches_lossy_oracle():
     n, m, mu, seed = 2, 4, 0.6, 13
     plan = haar_plan(m, seed)
     state = mpo.init_lossy(n, m, mu)
-    mpo.apply_plan_vec(state, plan, EXACT)
+    chain.apply_plan(state, plan, EXACT)
     oracle = exact_lossy_distribution(circuit_to_unitary(plan), n, mu)
     for prefix_len in (1, 2, 3):
         for prefix in itertools.product(range(n + 1), repeat=prefix_len):
@@ -109,7 +109,7 @@ def test_marginal_matches_lossless_oracle():
     occupations, seed = (1, 1, 0, 0), 17
     plan = haar_plan(4, seed)
     state = mps.init_fock(occupations)
-    mps.apply_plan(state, plan, EXACT)
+    chain.apply_plan(state, plan, EXACT)
     oracle = exact_lossless_distribution(circuit_to_unitary(plan), occupations)
     for prefix in itertools.product(range(3), repeat=2):
         if sum(prefix) > 2:
@@ -191,7 +191,7 @@ def test_negative_count_is_rejected():
 
 def test_opaque_loss_always_yields_vacuum():
     state = mpo.init_lossy(2, 4, 0.0)
-    mpo.apply_plan_vec(state, haar_plan(4, seed=41), EXACT)
+    chain.apply_plan(state, haar_plan(4, seed=41), EXACT)
     result = sampling.sample(state, np.random.default_rng(3))
     assert result.outcome == (0, 0, 0, 0)
     assert result.joint_probability == pytest.approx(1.0, abs=1e-10)
@@ -199,7 +199,7 @@ def test_opaque_loss_always_yields_vacuum():
 
 def test_balanced_splitter_frequency():
     state = mps.init_fock((1, 0))
-    mps.apply_gate(state, BeamSplitterGate(site=1, theta=math.pi / 4, phi=0.0), EXACT)
+    chain.apply_gate(state, BeamSplitterGate(site=1, theta=math.pi / 4, phi=0.0), EXACT)
     draws = 10_000
     counts = sampling.sample_counts(state, np.random.default_rng(11), draws)
     freq = counts.get((1, 0), 0) / draws
@@ -211,7 +211,7 @@ def test_empirical_distribution_total_variation():
     n, m, mu, seed = 2, 4, 0.7, 43
     plan = haar_plan(m, seed)
     state = mpo.init_lossy(n, m, mu)
-    mpo.apply_plan_vec(state, plan, EXACT)
+    chain.apply_plan(state, plan, EXACT)
     oracle = exact_lossy_distribution(circuit_to_unitary(plan), n, mu)
     draws = 100_000
     counts = sampling.sample_counts(state, np.random.default_rng(13), draws)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosonet import mpo, mps
+from bosonet import chain, mpo, mps
 from bosonet.circuit import sample_haar_circuit
 from bosonet.linalg import TruncationPolicy
 from bosonet.oracle import enumerate_occupations
@@ -22,14 +22,14 @@ from bosonet.snapshots import (
 def _evolved_mps(seed=0, num_modes=6, num_photons=2, chi=4):
     plan = sample_haar_circuit(num_modes, np.random.default_rng(seed))
     state = mps.init_fock(tuple([1] * num_photons + [0] * (num_modes - num_photons)))
-    mps.apply_plan(state, plan, TruncationPolicy(chi_max=chi))
+    chain.apply_plan(state, plan, TruncationPolicy(chi_max=chi))
     return state, plan
 
 
 def _evolved_mpo(seed=1, num_modes=4, num_photons=2, mu=0.7, chi=8):
     plan = sample_haar_circuit(num_modes, np.random.default_rng(seed))
     state = mpo.init_lossy(num_photons, num_modes, mu)
-    mpo.apply_plan_vec(state, plan, TruncationPolicy(chi_max=chi))
+    chain.apply_plan(state, plan, TruncationPolicy(chi_max=chi))
     return state, plan
 
 
@@ -78,10 +78,10 @@ def _stored_evolution(kind):
     plan = sample_haar_circuit(4, np.random.default_rng(41))
     if kind == "mps":
         state = mps.init_fock((1, 1, 0, 0))
-        mps.apply_plan(state, plan, TruncationPolicy(chi_max=3))
+        chain.apply_plan(state, plan, TruncationPolicy(chi_max=3))
     else:
         state = mpo.init_lossy(2, 4, 0.7)
-        mpo.apply_plan_vec(state, plan, TruncationPolicy(chi_max=6))
+        chain.apply_plan(state, plan, TruncationPolicy(chi_max=6))
     return state
 
 
@@ -196,16 +196,16 @@ def test_resumed_evolution_matches_uninterrupted(tmp_path):
     occ = tuple([1] * num_photons + [0] * (num_modes - num_photons))
 
     straight = mps.init_fock(occ)
-    mps.apply_plan(straight, plan, policy)
+    chain.apply_plan(straight, plan, policy)
 
     half = len(plan.gates) // 2
     first = mps.init_fock(occ)
     for gate in plan.gates[:half]:
-        mps.apply_gate(first, gate, policy)
+        chain.apply_gate(first, gate, policy)
     save_state(tmp_path / "mid.npz", first, extra={"gates_done": half})
     resumed, extra = load_state(tmp_path / "mid.npz")
     for gate in plan.gates[extra["gates_done"] :]:
-        mps.apply_gate(resumed, gate, policy)
+        chain.apply_gate(resumed, gate, policy)
 
     for occ_out in enumerate_occupations(num_modes, num_photons):
         assert mps.amplitude(resumed, occ_out) == mps.amplitude(straight, occ_out)
