@@ -79,6 +79,7 @@ from typing import Hashable
 import numpy as np
 
 from .circuit import BeamSplitterGate, CircuitPlan
+from .entropy import power_sum_renyi
 from .layout import Charge, update_plan
 from .linalg import TruncationPolicy, svd, truncate_global
 
@@ -532,7 +533,7 @@ def renyi_entropy(state: TensorTrainState, bond: int, alpha: float) -> float:
         return float(math.log2(p.size))
     if alpha == 1:
         return float(-(p * np.log2(p)).sum())
-    return float(math.log2((p**alpha).sum()) / (1.0 - alpha))
+    return power_sum_renyi(p, alpha, math.log2)
 
 
 def max_bond_entropy(state: TensorTrainState, alpha: float) -> tuple[int, float]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -114,7 +115,20 @@ def distribution_renyi(probs: np.ndarray, alpha: float) -> float:
     if abs(alpha - 1.0) < _VON_NEUMANN_WINDOW:
         nz = p[p > 0.0]
         return float(-(nz * np.log2(nz)).sum())
-    return float(np.log2((p**alpha).sum()) / (1.0 - alpha))
+    return power_sum_renyi(p, alpha, np.log2)
+
+
+def power_sum_renyi(p: np.ndarray, alpha: float, log2: Callable[[float], float]) -> float:
+    """Renyi entropy ``log2(sum(p**alpha)) / (1 - alpha)`` (bits) of a normalized positive
+    ``p``, ``alpha`` not 0 or 1.  A power sum that underflows to 0 (orders in the thousands
+    and up) takes the largest entry out, without forming ``alpha * log2(p_max)``, which
+    overflows near ``alpha = 1e300``."""
+    total = (p**alpha).sum()
+    if total > 0.0:
+        return float(log2(total) / (1.0 - alpha))
+    p_max = p.max()
+    return float(alpha / (alpha - 1.0) * -np.log2(p_max)
+                 - np.log2(((p / p_max) ** alpha).sum()) / (alpha - 1.0))
 
 
 def lossless_ee(

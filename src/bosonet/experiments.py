@@ -10,6 +10,11 @@ directory.  The data tables are byte-identical across reruns of the
 same (config, seed, software version); wall-clock timings never enter them —
 the total lives in ``meta.json`` and per-row timings in ``timings.csv``.
 
+:func:`validate_config` checks each field against its row of one table, ``_FIELDS``:
+type, range, and the experiments that read it (the others must leave it at its
+default, as it enters the config hash); then the rules that span fields.  Each
+failure is a :class:`ConfigError` naming the field, a missing required one included.
+
 A sweep point is ``(M, N, loss)``: ``loss`` holds the ``gamma``, ``beta`` and
 ``mu`` columns of a lossy point, is empty for a lossless one, and every row of
 the point carries it.  Each ensemble summary row is the mean, standard error
@@ -33,7 +38,7 @@ import json
 import math
 import time
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -120,7 +125,7 @@ class ExperimentConfig:
     weight_threshold: float | None = None
     n_circuits: int = 1
     num_samples: int = 0
-    outcomes: list[tuple[int, ...]] | None = None
+    outcomes: list[list[int]] | None = None
     tolerance: float = 1e-8
     out_dir: str | None = None
     checkpoint_every: int = 0
@@ -132,162 +137,133 @@ class ExperimentConfig:
 
 def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
     """Build and validate a config from a parsed JSON document."""
-    known = set(ExperimentConfig.__dataclass_fields__)
+    fields = ExperimentConfig.__dataclass_fields__
     for key in doc:
-        if key not in known:
+        if key not in fields:
             raise ConfigError(key, "unknown field")
-    if "experiment" not in doc:
-        raise ConfigError("experiment", "missing (one of %s)" % ", ".join(EXPERIMENTS))
-    if "seed" not in doc:
-        raise ConfigError("seed", "missing: runs never default to wall-clock seeds")
-    parsed = dict(doc)
+    parsed = {name: MISSING for name, f in fields.items()
+              if f.default is MISSING and f.default_factory is MISSING}
+    parsed.update(doc)
     if parsed.get("loss") is not None:
         parsed["loss"] = _loss_from_dict(parsed["loss"])
-    if parsed.get("outcomes") is not None:
-        outcomes = parsed["outcomes"]
-        if not isinstance(outcomes, (list, tuple)) or not all(
-                isinstance(o, (list, tuple)) and all(_is_number(n, Integral) for n in o)
-                for o in outcomes):
-            raise ConfigError("outcomes", f"expected lists of integers, got {outcomes!r}")
-        parsed["outcomes"] = [tuple(int(n) for n in o) for o in outcomes]
     for rng_field in ("num_modes", "num_photons"):
-        if rng_field in parsed and isinstance(parsed[rng_field], int):
+        if isinstance(parsed[rng_field], int):
             parsed[rng_field] = [parsed[rng_field]]
-    try:
-        config = ExperimentConfig(**parsed)
-    except TypeError as exc:
-        raise ConfigError("experiment", f"bad config structure: {exc}") from None
+    config = ExperimentConfig(**parsed)
     validate_config(config)
     return config
 
 
 def _loss_from_dict(doc: Any) -> LossSpec:
-    if isinstance(doc, LossSpec):
-        return doc
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError("loss", 'expected {"kind": "constant"|"power_law", ...}')
     kind, params = doc["kind"], {"constant": ("mu",), "power_law": ("beta", "gamma")}
     if not isinstance(kind, str) or kind not in params:
         raise ConfigError("loss", f"unknown kind {kind!r}")
+    if set(doc) != {"kind", *params[kind]}:
+        raise ConfigError("loss", f"{kind} loss takes kind and {' and '.join(params[kind])}, "
+                                  f"got {sorted(doc)}")
     for name in params[kind]:
-        if not _is_number(doc.get(name), Real):
-            raise ConfigError("loss", f"{name} must be a finite real number, "
-                                      f"got {doc.get(name)!r}")
+        if not _is_a(doc[name], Real):
+            raise ConfigError("loss", f"{name} must be a finite real number, got {doc[name]!r}")
     try:
         return LossSpec(kind=kind, **{name: float(doc[name]) for name in params[kind]})
     except ValueError as exc:
         raise ConfigError("loss", str(exc)) from None
 
 
-def _is_number(value: Any, kind: type) -> bool:
-    """Whether ``value`` is a ``kind`` (``Integral`` or ``Real``), not a bool, and finite."""
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and (not isinstance(value, float) or math.isfinite(value)))
+#: What each element type of :data:`_FIELDS` accepts, in words.
+_KINDS = {Integral: "a 64-bit integer", Real: "a finite real number", str: "a string",
+          list: "a list of 64-bit integers"}
 
 
-#: Numeric fields: name -> (element type, whether the field is a list).
-_NUMERIC_FIELDS: dict[str, tuple[type, bool]] = {
-    "num_modes": (Integral, True), "num_photons": (Integral, True),
-    "chis": (Integral, True), "chi_max": (Integral, False),
-    "n_circuits": (Integral, False), "num_samples": (Integral, False),
-    "checkpoint_every": (Integral, False), "alphas": (Real, True),
-    "gammas": (Real, True), "betas": (Real, True), "tolerance": (Real, False),
-    "max_seconds": (Real, False), "weight_threshold": (Real, False),
+def _is_a(value: Any, kind: type) -> bool:
+    """Whether ``value`` is a ``kind`` of :data:`_KINDS`.  A bool is no number, and a
+    number must fit its machine type: an int64, or a finite float."""
+    if kind is list:
+        return isinstance(value, (list, tuple)) and all(_is_a(n, Integral) for n in value)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    if kind is Integral:
+        return -2**63 <= value < 2**63
+    return kind is str or abs(value) < 2**1024  # no float reaches 2**1024; nan fails too
+
+
+#: One row per checked config field: element type (a key of :data:`_KINDS`),
+#: whether the field is a nonempty list of distinct values, the allowed range of
+#: one value and that range in words, and the experiments that read the field
+#: (empty: all of them).  Every field outside ``_PLUMBING_FIELDS`` enters the
+#: config hash, so an experiment that does not read a field requires its default.
+_FIELDS: dict[str, tuple[type, bool, Callable[[Any], bool], str, tuple[str, ...]]] = {
+    "experiment": (str, False, lambda v: v in _RECIPES, "a known experiment", ()),
+    "seed": (Integral, False, lambda v: v >= 0, ">= 0", ()),
+    "num_modes": (Integral, True, lambda v: v >= 2 and v % 2 == 0, "even and >= 2", ()),
+    "num_photons": (Integral, True, lambda v: v >= 0, ">= 0", ()),
+    "gammas": (Real, True, lambda v: 0 < v <= 1, "in (0, 1]", ()),
+    "betas": (Real, True, lambda v: v > 0, "> 0", ()),
+    "alphas": (Real, True, lambda v: v >= 0, ">= 0", ()),
+    "chi_max": (Integral, False, lambda v: v >= 1, ">= 1", ()),
+    "chis": (Integral, True, lambda v: v >= 1, ">= 1", ("trunc-error",)),
+    "weight_threshold": (Real, False, lambda v: v >= 0, ">= 0", ()),
+    "n_circuits": (Integral, False, lambda v: v >= 1, ">= 1", ()),
+    "num_samples": (Integral, False, lambda v: v >= 1, ">= 1", ("sample",)),
+    "outcomes": (list, True, lambda v: min(v, default=0) >= 0, "nonnegative occupations",
+                 ("prob",)),
+    "tolerance": (Real, False, lambda v: v > 0, "> 0", ("oracle-check",)),
+    "out_dir": (str, False, lambda v: True, "a path", ()),
+    "checkpoint_every": (Integral, False, lambda v: v >= 0, ">= 0 (0 disables)", ()),
+    "max_seconds": (Real, False, lambda v: v >= 0, ">= 0", ()),
 }
 
 
-def _check_numeric_types(config: ExperimentConfig) -> None:
-    """Reject strings, bools, nulls, non-integral and non-finite floats before any comparison."""
-    for name, (kind, is_list) in _NUMERIC_FIELDS.items():
-        value = getattr(config, name)
-        if value is None and ExperimentConfig.__dataclass_fields__[name].default is None:
-            continue  # optional field left unset
-        if is_list and not isinstance(value, (list, tuple)):
-            raise ConfigError(name, f"must be a list, got {value!r}")
-        what = "an integer" if kind is Integral else "a finite real number"
-        for v in value if is_list else [value]:
-            if not _is_number(v, kind):
-                raise ConfigError(name, f"expected {what}, got {v!r}")
-
-
 def validate_config(config: ExperimentConfig) -> None:
-    if config.experiment not in EXPERIMENTS:
-        raise ConfigError("experiment", f"unknown experiment {config.experiment!r}")
-    if isinstance(config.seed, bool) or not isinstance(config.seed, int):
-        raise ConfigError("seed", f"expected an integer, got {config.seed!r}")
-    if config.seed < 0:
-        raise ConfigError("seed", f"must be >= 0, got {config.seed}")
-    _check_numeric_types(config)
-    if not config.num_modes:
-        raise ConfigError("num_modes", "range must be nonempty")
-    if not config.num_photons:
-        raise ConfigError("num_photons", "range must be nonempty")
-    for m in config.num_modes:
-        if m < 2 or m % 2 != 0:
-            raise ConfigError("num_modes", f"mode counts must be even and >= 2, got {m}")
-    for n in config.num_photons:
-        if n < 0 or n > max(config.num_modes):
-            raise ConfigError(
-                "num_photons", f"photon counts must be in [0, max(num_modes)], got {n}"
-            )
-        # Rectangular (M, N) grids simply skip the points with N > M.
-    if not config.alphas:
-        raise ConfigError("alphas", "range must be nonempty")
-    if any(a < 0 for a in config.alphas):
-        raise ConfigError("alphas", "entropy orders must be nonnegative")
-    if config.chi_max < 1:
-        raise ConfigError("chi_max", "bond budget must be at least 1")
-    if config.chis is not None and (not config.chis or any(x < 1 for x in config.chis)):
-        raise ConfigError("chis", "bond sweep must be a nonempty list of positive ints")
-    if config.n_circuits < 1:
-        raise ConfigError("n_circuits", "ensemble needs at least one circuit")
-    for sweep in ("num_modes", "num_photons", "alphas", "chis", "gammas", "betas", "outcomes"):
-        values = getattr(config, sweep) or []
+    """Check each field against its :data:`_FIELDS` row, then the rules that span fields."""
+    fields = ExperimentConfig.__dataclass_fields__
+    for name, (kind, is_list, ok, words, readers) in _FIELDS.items():
+        value, default = getattr(config, name), fields[name].default
+        if value is MISSING:
+            raise ConfigError(name, "missing")
+        if value is None and default is None:
+            continue  # optional field left unset
+        if is_list and (not isinstance(value, (list, tuple)) or not value):
+            raise ConfigError(name, f"must be a nonempty list, got {value!r}")
+        values = value if is_list else [value]
+        for v in values:
+            if not _is_a(v, kind):
+                raise ConfigError(name, f"expected {_KINDS[kind]}, got {v!r}")
+        if readers and config.experiment not in readers:
+            if value != default:
+                raise ConfigError(name, f"{config.experiment} does not read {name}")
+            continue
+        for v in values:
+            if not ok(v):
+                raise ConfigError(name, f"must be {words}, got {v!r}")
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
-            raise ConfigError(sweep, f"sweep values must be distinct, {repeated[0]!r} repeats")
-    if config.checkpoint_every < 0:
-        raise ConfigError("checkpoint_every", "must be >= 0 (0 disables)")
-    if config.max_seconds is not None and config.max_seconds < 0:
-        raise ConfigError("max_seconds", "must be >= 0")
-    if config.weight_threshold is not None and config.weight_threshold < 0:
-        raise ConfigError("weight_threshold", f"must be >= 0, got {config.weight_threshold}")
+            raise ConfigError(name, f"sweep values must be distinct, {repeated[0]!r} repeats")
+
+    if max(config.num_photons) > max(config.num_modes):  # grids skip the points with N > M
+        raise ConfigError("num_photons", f"photon counts must be <= max(num_modes), "
+                                         f"got {max(config.num_photons)}")
     if config.experiment in ("lossless-ee", "fock-ee"):
         for name in ("loss", "gammas", "betas"):
             if getattr(config, name) is not None:
                 raise ConfigError(name, f"{config.experiment} is lossless and takes no {name}")
     if (config.gammas is None) != (config.betas is None):
         raise ConfigError("gammas", "gammas and betas must be given together")
-    if config.gammas is not None:
-        if config.loss is not None:
-            raise ConfigError("loss", "give either loss or gammas/betas, not both")
-        if not config.gammas or not config.betas:
-            raise ConfigError("gammas", "sweep lists must be nonempty")
-        for g in config.gammas:
-            if not 0.0 < g <= 1.0:
-                raise ConfigError("gammas", f"loss exponents must be in (0, 1], got {g}")
-        for b in config.betas:
-            if b <= 0:
-                raise ConfigError("betas", f"loss prefactors must be positive, got {b}")
+    if config.gammas is not None and config.loss is not None:
+        raise ConfigError("loss", "give either loss or gammas/betas, not both")
     needs_loss = config.experiment in ("lossy-ee", "analytic-ee", "trunc-error")
     if needs_loss and config.loss is None and config.gammas is None:
         raise ConfigError("loss", f"{config.experiment} needs loss or gammas/betas")
-    for gamma, beta in _loss_points(config):
-        for n in config.num_photons:
-            mu = _mu_at(gamma, beta, n)
-            if not 0.0 <= mu <= 1.0:
-                raise ConfigError(
-                    "betas",
-                    f"survival probability {mu:.4g} outside [0, 1] "
-                    f"at N={n}, gamma={gamma}, beta={beta}",
-                )
-    if config.experiment == "sample":
-        if config.num_samples < 1:
-            raise ConfigError("num_samples", "sample experiment needs num_samples >= 1")
-        if len(config.num_modes) != 1 or len(config.num_photons) != 1:
-            raise ConfigError("num_modes", "sample runs use a single (M, N) point")
+    for _, n, loss in _sweep_points(config):
+        if loss and not 0.0 <= loss["mu"] <= 1.0:
+            raise ConfigError("betas", f"survival probability {loss['mu']:.4g} outside [0, 1] "
+                                       f"at N={n}, gamma={loss['gamma']}, beta={loss['beta']}")
     if config.experiment in ("sample", "prob", "oracle-check") and len(_loss_points(config)) > 1:
         raise ConfigError("gammas", f"{config.experiment} runs use a single loss point")
+    if config.experiment == "sample" and len(_sweep_points(config)) != 1:
+        raise ConfigError("num_modes", "sample runs use a single (M, N) point")
     if config.experiment == "prob":
         if not config.outcomes:
             raise ConfigError("outcomes", "prob experiment needs a list of outcomes")
@@ -295,18 +271,11 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError("num_modes", "prob runs use a single mode count")
         for occ in config.outcomes:
             if len(occ) != config.num_modes[0]:
-                raise ConfigError(
-                    "outcomes", f"outcome {occ} does not have {config.num_modes[0]} modes"
-                )
-            if any(n < 0 for n in occ):
-                raise ConfigError("outcomes", f"outcome {occ} has negative occupations")
-    if config.experiment == "oracle-check":
-        if max(config.num_modes) > 6 or max(config.num_photons) > 3:
-            raise ConfigError(
-                "num_modes", "oracle-check grid is limited to M <= 6, N <= 3"
-            )
-    if config.tolerance <= 0:
-        raise ConfigError("tolerance", "must be positive")
+                raise ConfigError("outcomes", f"outcome {occ} does not have "
+                                              f"{config.num_modes[0]} modes")
+    if config.experiment == "oracle-check" and (
+            max(config.num_modes) > 6 or max(config.num_photons) > 3):
+        raise ConfigError("num_modes", "oracle-check grid is limited to M <= 6, N <= 3")
 
 
 def _loss_points(config: ExperimentConfig) -> list[tuple[float, float]]:

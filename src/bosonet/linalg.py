@@ -44,7 +44,7 @@ class TruncationPolicy:
 
     chi_max caps the total number kept across all charge sectors.
     weight_threshold, when set, additionally drops the longest tail whose
-    total squared weight stays at or below it.
+    total squared weight stays at or below it, short of the largest value.
     """
 
     chi_max: int
@@ -148,9 +148,9 @@ def truncate_global(
     weights = counts * pooled**2
 
     if policy.weight_threshold is not None and keep_count > 0:
-        # Drop the longest tail whose total squared weight fits the budget.
+        # Drop the longest tail whose total squared weight fits the budget, short of the head.
         tail = np.cumsum(weights[:keep_count][::-1])[::-1]  # weight of entries j..end
-        keep_count = int(np.count_nonzero(tail > policy.weight_threshold))
+        keep_count = max(1, int(np.count_nonzero(tail > policy.weight_threshold)))
 
     kept = np.zeros(values.size, dtype=bool)
     kept[order[:keep_count]] = True

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bosonet
 from bosonet import experiments
@@ -96,6 +98,9 @@ class TestUsageErrors:
             ("tolerance", {"tolerance": float("inf")}),
             ("seed", {"seed": True}),
             ("seed", {"seed": 5.0}),
+            ("out_dir", {"out_dir": 5}),
+            ("num_samples", {"num_samples": -3}),
+            ("chis", {"chis": [4]}),
         )
     ])
     def test_mistyped_config_value_names_the_field(self, tmp_path, capsys, field, overrides):
@@ -113,6 +118,7 @@ class TestUsageErrors:
             ("lossy-ee", "loss", {"loss": {"kind": "constant", "mu": "0.5"}}),
             ("lossy-ee", "loss", {"loss": {"kind": "power_law", "beta": "0.5", "gamma": 1}}),
             ("lossy-ee", "loss", {"loss": {"kind": "power_law", "beta": 0.5, "gamma": True}}),
+            ("lossy-ee", "loss", {"loss": {"kind": "constant", "mu": 0.5, "zzz": 1}}),
         )
     ])
     def test_mistyped_outcome_or_loss_names_the_field(self, tmp_path, capsys, experiment,
@@ -376,3 +382,100 @@ def test_cli_import_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+#: An accepted tiny config per experiment, which the fuzz test below mutates.
+BASE_DOCS = {name: {"experiment": name, "seed": 5, "num_modes": [4], "num_photons": [2],
+                    **extra} for name, extra in {
+    "lossless-ee": {}, "fock-ee": {}, "oracle-check": {},
+    "lossy-ee": {"loss": {"kind": "constant", "mu": 0.5}},
+    "analytic-ee": {"gammas": [0.5], "betas": [0.7]},
+    "trunc-error": {"loss": {"kind": "constant", "mu": 0.5}, "chis": [2, 4]},
+    "sample": {"num_samples": 5},
+    "prob": {"outcomes": [[1, 1, 0, 0], [2, 0, 0, 0]]},
+}.items()}
+#: Values in and around the range of each config field.
+NEAR = {
+    "experiment": st.sampled_from(experiments.EXPERIMENTS),
+    "seed": st.sampled_from([0, 7, 2**63 - 1, -1, 2**63]),
+    "num_modes": st.sampled_from([2, 4, [2], [2, 4], [4, 2], [3], [6], [2, 2], []]),
+    "num_photons": st.one_of(st.integers(-1, 3),
+                             st.lists(st.integers(-1, 3), min_size=1, max_size=3)),
+    "loss": st.one_of(
+        st.fixed_dictionaries({"kind": st.just("constant"),
+                               "mu": st.sampled_from([0.0, 0.3, 1.0, 1.5])}),
+        st.fixed_dictionaries({"kind": st.just("power_law"),
+                               "beta": st.sampled_from([0.0, 0.3, 2.0]),
+                               "gamma": st.sampled_from([0.25, 1.0, 1.5])}),
+        st.fixed_dictionaries({"kind": st.just("constant"), "mu": st.just(0.5),
+                               "zzz": st.just(1)})),
+    "gammas": st.lists(st.sampled_from([0.25, 0.5, 1.0, 0.0, 1.5]), min_size=1, max_size=2),
+    "betas": st.lists(st.sampled_from([0.3, 0.7, 1.0, 0.0, 2.0]), min_size=1, max_size=2),
+    "alphas": st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2000.0, 1e300, 10**30, -1.0]),
+                       min_size=1, max_size=3),
+    "chi_max": st.sampled_from([1, 4, 2**63 - 1, 0]),
+    "chis": st.lists(st.sampled_from([1, 2, 8, 2**63 - 1, 0]), min_size=1, max_size=3),
+    "weight_threshold": st.sampled_from([0.0, 1e-3, 0.6, 1e300, -0.5]),
+    "n_circuits": st.sampled_from([1, 2, 0]),
+    "num_samples": st.sampled_from([1, 20, 0, -3]),
+    "outcomes": st.lists(st.lists(st.integers(-1, 2), min_size=2, max_size=4), min_size=1,
+                         max_size=3),
+    "tolerance": st.sampled_from([5e-324, 1e-8, 1e300, 0.0, -1.0]),
+    "out_dir": st.sampled_from(["out", "out/sub"]),
+    "checkpoint_every": st.sampled_from([0, 1, -1]),
+    "max_seconds": st.sampled_from([0.0, 5.0, -1.0]),
+}
+#: Values of the wrong type, or out of every range, for any field.
+JUNK = st.sampled_from([None, True, False, float("nan"), float("inf"), float("-inf"),
+                        5, 10**30, -(10**30), 10**400, "4", [], [[]], [[1, 2]], [True],
+                        [float("nan")], {"kind": "constant"}])
+
+
+@st.composite
+def config_docs(draw):
+    """A tiny accepted config with up to two fields set in or near their ranges;
+    then, in half of the draws, one field (or an unknown key) set to junk or one
+    required field dropped."""
+    doc = dict(BASE_DOCS[draw(st.sampled_from(experiments.EXPERIMENTS))])
+    for name in draw(st.lists(st.sampled_from(sorted(NEAR)), max_size=2, unique=True)):
+        doc[name] = draw(NEAR[name])
+    damage = draw(st.sampled_from([None, None, "junk", "drop"]))
+    if damage == "junk":
+        doc[draw(st.sampled_from([*NEAR, "zzz"]))] = draw(JUNK)
+    elif damage == "drop":
+        doc.pop(draw(st.sampled_from(["experiment", "seed", "num_modes"])), None)
+    return doc
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(doc=config_docs())
+def test_config_boundary_fuzz(tmp_path_factory, doc):
+    """A JSON config is rejected by a ConfigError that names a field it carries or
+    lacks, or accepted with a hash that key order, a scalar range and defaults
+    spelled out or left out leave alone; an accepted tiny config runs through the
+    CLI to an exit code, never a traceback."""
+    fields = experiments.ExperimentConfig.__dataclass_fields__
+    try:
+        config = experiments.config_from_dict(doc)
+    except experiments.ConfigError as exc:
+        assert exc.field in fields or exc.field in doc
+        return
+    digest = experiments.config_hash(config)
+    spelled_out = {**{name: getattr(config, name) for name in fields if name not in doc}, **doc}
+    left_out = {name: value for name, value in doc.items() if value != fields[name].default}
+    equal_docs = [dict(reversed(list(doc.items()))), spelled_out, left_out,
+                  {**doc, "num_modes": config.num_modes[0]}]
+    for equal in equal_docs[: 3 + (len(config.num_modes) == 1)]:
+        assert experiments.config_hash(experiments.config_from_dict(equal)) == digest
+
+    tiny = (max(config.num_modes) <= 4 and max(config.num_photons) <= 2
+            and config.n_circuits == 1 and config.num_samples <= 20
+            and len(config.chis or []) <= 3 and (config.max_seconds or 0.0) <= 5.0)
+    if tiny:
+        root = tmp_path_factory.mktemp("fuzz")
+        if config.out_dir is not None:
+            doc = {**doc, "out_dir": str(root / config.out_dir)}
+        path = root / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main([config.experiment, "--config", str(path)]) in (
+            EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_RESOURCE)

@@ -152,8 +152,9 @@ def test_distribution_renyi_validation():
 
 
 def test_distribution_renyi_decreasing_in_alpha():
+    # Orders 2000 and 1e300 underflow sum(p**alpha) to 0; the last value is H_inf.
     p = np.array([0.5, 0.3, 0.15, 0.05])
-    values = [distribution_renyi(p, a) for a in ALPHAS]
+    values = [distribution_renyi(p, a) for a in (*ALPHAS, 2000.0, 1e300)] + [1.0]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 

@@ -115,6 +115,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="'seed'"):
             config_from_dict(doc)
 
+    def test_missing_range_names_itself(self):
+        doc = make_doc()
+        del doc["num_modes"]
+        with pytest.raises(ConfigError, match="'num_modes': missing"):
+            config_from_dict(doc)
+
     def test_unknown_experiment_name(self):
         with pytest.raises(ConfigError, match="'experiment'"):
             config_from_dict(make_doc(experiment="frobnicate"))
@@ -583,6 +589,8 @@ class TestReproducibility:
         *(pytest.param(RECIPE_DOCS[name], id=name) for name in EXPERIMENTS),
         pytest.param(make_doc(num_modes=[2, 4], num_photons=[1, 2], n_circuits=2),
                      id="lossless-ee-grid"),
+        pytest.param(make_doc(num_modes=[8], num_photons=[3], alphas=[2.0, 2000.0, 1e300]),
+                     id="lossless-ee-large-alpha"),
     ])
     def test_rerun_is_byte_identical(self, tmp_path, doc):
         blobs = []

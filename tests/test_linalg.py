@@ -111,6 +111,9 @@ def test_truncate_weight_threshold_drops_tail():
     # Only the 0.01 value fits in the 2e-4 budget (0.01^2 = 1e-4; adding 0.1^2 overshoots).
     assert out.kept == [("A", 1.0), ("A", 0.1)]
     assert out.discarded_weight == pytest.approx(1e-4, rel=1e-12)
+    # A budget above the whole weight still keeps the largest value.
+    out = truncate_global([("A", np.array([0.6, 0.8]))], TruncationPolicy(10, 2.0))
+    assert out.kept == [("A", 0.8)]
 
 
 def test_truncate_zero_floor():

@@ -243,6 +243,11 @@ def test_renyi_entropy_frozen_values():
     assert chain.renyi_entropy(state, 1, 0.5) == pytest.approx(
         2.0 * math.log2(math.sqrt(0.75) + math.sqrt(0.25)), abs=1e-12
     )
+    # 0.75**5000 underflows to 0; the order-1e300 entropy is H_inf = -log2(0.75).
+    assert chain.renyi_entropy(state, 1, 5000.0) == pytest.approx(
+        -5000.0 / 4999.0 * math.log2(0.75), abs=1e-12
+    )
+    assert chain.renyi_entropy(state, 1, 1e300) == pytest.approx(-math.log2(0.75), abs=1e-12)
     with pytest.raises(ValueError):
         chain.renyi_entropy(state, 1, -0.5)
 
