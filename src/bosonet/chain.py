@@ -73,13 +73,14 @@ vectorized operators: matmuls, gathers, SVDs and the pooled cut.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Hashable
 
 import numpy as np
 
 from .circuit import BeamSplitterGate, CircuitPlan
-from .entropy import power_sum_renyi
+from .entropy import normalized_renyi
 from .layout import Charge, update_plan
 from .linalg import TruncationPolicy, svd, truncate_global
 
@@ -410,6 +411,25 @@ def _from_real(x: np.ndarray, pairs: int) -> np.ndarray:
     return np.concatenate([lo, lo.conj(), x[2 * pairs :]])
 
 
+def occupation_pattern(occupations, num_modes: int, prefix: bool = False) -> tuple[int, ...]:
+    """``occupations`` as ints, one per mode (at most one per mode for a ``prefix``).
+
+    A wrong length, a negative entry, a bool or a non-integer is a ``ValueError``.
+    """
+    entries = tuple(occupations)
+    try:
+        occs = tuple(map(operator.index, entries))
+    except TypeError:
+        occs = None
+    if occs is None or bool in map(type, entries):
+        raise ValueError(f"occupations must be integers, got {entries}")
+    if len(occs) > num_modes or (len(occs) < num_modes and not prefix):
+        raise ValueError(f"expected {'at most ' * prefix}{num_modes} occupations, got {len(occs)}")
+    if min(occs, default=0) < 0:
+        raise ValueError(f"occupations must be non-negative, got {occs}")
+    return occs
+
+
 def contract_selected(
     state: TensorTrainState,
     labels: list[tuple[Hashable, ...]],
@@ -516,24 +536,18 @@ def renyi_entropy(state: TensorTrainState, bond: int, alpha: float) -> float:
 
     The entanglement entropy of a pure state, the operator-space entanglement
     of a vectorized density operator. Computed on a 2-norm-renormalized copy
-    of the spectrum; the stored singular values are untouched.
+    of the spectrum (the stored singular values are untouched), with the
+    order read by ``entropy.normalized_renyi``.
     """
     if not 0 <= bond <= state.num_modes:
         raise ValueError(f"bond must be in [0, {state.num_modes}], got {bond}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
     spectrum = state.bonds[bond]
     values = np.concatenate([v for v in spectrum.values()]) if spectrum else np.array([])
     p = values.astype(float) ** 2
     p = p[p > 0.0]
     if p.size == 0:
         return 0.0
-    p = p / p.sum()
-    if alpha == 0:
-        return float(math.log2(p.size))
-    if alpha == 1:
-        return float(-(p * np.log2(p)).sum())
-    return power_sum_renyi(p, alpha, math.log2)
+    return normalized_renyi(p / p.sum(), alpha)
 
 
 def max_bond_entropy(state: TensorTrainState, alpha: float) -> tuple[int, float]:

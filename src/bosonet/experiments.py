@@ -36,6 +36,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import time
 import zipfile
 from dataclasses import MISSING, asdict, dataclass, field
@@ -151,6 +152,11 @@ def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
             parsed[rng_field] = [parsed[rng_field]]
     config = ExperimentConfig(**parsed)
     validate_config(config)
+    # A real is hashed as a float however it was spelled, so 1 and 1.0 name one run.
+    for name, (kind, is_list, *_) in _FIELDS.items():
+        value = getattr(config, name)
+        if kind is Real and value is not None:
+            setattr(config, name, [float(v) for v in value] if is_list else float(value))
     return config
 
 
@@ -186,7 +192,7 @@ def _is_a(value: Any, kind: type) -> bool:
         return False
     if kind is Integral:
         return -2**63 <= value < 2**63
-    return kind is str or abs(value) < 2**1024  # no float reaches 2**1024; nan fails too
+    return kind is str or abs(value) <= sys.float_info.max  # a finite float; nan fails too
 
 
 #: One row per checked config field: element type (a key of :data:`_KINDS`),

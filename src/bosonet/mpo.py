@@ -96,30 +96,22 @@ def trace(state: MpoState) -> float:
     return float(value.real) * state.norm_scale
 
 
-def outcome_prob(state: MpoState, occupations: tuple[int, ...], raw: bool = False) -> float:
+def outcome_prob(state: MpoState, occupations: tuple[int, ...]) -> float:
     """Probability of measuring one output occupation pattern, Tr[rho |n><n|].
 
     A pattern with more photons on a mode (or in total) than the state holds
     has probability 0. Truncation can push tiny probabilities slightly
-    negative; the returned value is clamped to [0, 1] unless ``raw=True``
-    (diagnostics).
+    negative; the returned value is clamped to [0, 1] (``sampling.marginal_prob``
+    of the full pattern is the unclamped value).
     """
-    occs = tuple(int(n) for n in occupations)
-    if len(occs) != state.num_modes:
-        raise ValueError(f"expected {state.num_modes} occupations, got {len(occs)}")
-    if any(n < 0 for n in occs):
-        raise ValueError(f"occupations must be non-negative, got {occs}")
+    occs = chain.occupation_pattern(occupations, state.num_modes)
     value = chain.contract_selected(state, [((n, n),) for n in occs])
-    result = float(value.real) * state.norm_scale
-    if raw:
-        return result
-    return min(max(result, 0.0), 1.0)
+    return min(max(float(value.real) * state.norm_scale, 0.0), 1.0)
 
 
 def matrix_element(state: MpoState, ket: tuple[int, ...], bra: tuple[int, ...]) -> complex:
     """<ket| rho |bra> for one pair of Fock basis states (small-instance diagnostics)."""
-    if len(ket) != state.num_modes or len(bra) != state.num_modes:
-        raise ValueError("ket and bra must list one occupation per mode")
-    labels = [((int(nk), int(nb)),) for nk, nb in zip(ket, bra)]
-    value = chain.contract_selected(state, labels)
+    ket = chain.occupation_pattern(ket, state.num_modes)
+    bra = chain.occupation_pattern(bra, state.num_modes)
+    value = chain.contract_selected(state, [((nk, nb),) for nk, nb in zip(ket, bra)])
     return complex(value) * state.norm_scale

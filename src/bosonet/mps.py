@@ -27,11 +27,7 @@ class MpsState(TensorTrainState):
 
 def init_fock(occupations: tuple[int, ...]) -> MpsState:
     """Exact canonical form of the Fock basis state with the given occupations."""
-    occs = tuple(int(n) for n in occupations)
-    if len(occs) < 1:
-        raise ValueError("need at least one mode")
-    if any(n < 0 for n in occs):
-        raise ValueError(f"occupations must be non-negative, got {occs}")
+    occs = chain.occupation_pattern(occupations, len(occupations))
     total = sum(occs)
     sites, bonds, scale = chain.product_state(
         site_vectors=[{n: 1.0} for n in occs],
@@ -43,16 +39,8 @@ def init_fock(occupations: tuple[int, ...]) -> MpsState:
 
 
 def amplitude(state: MpsState, occupations: tuple[int, ...]) -> complex:
-    """Amplitude of one Fock basis state in the represented (normalized) state."""
-    occs = tuple(int(n) for n in occupations)
-    if len(occs) != state.num_modes:
-        raise ValueError(
-            f"expected {state.num_modes} occupations, got {len(occs)}"
-        )
-    if any(n < 0 for n in occs):
-        raise ValueError(f"occupations must be non-negative, got {occs}")
-    if sum(occs) != state.num_photons:
-        return 0.0 + 0.0j
+    """Amplitude of one Fock basis state in the (normalized) state; 0 off its photon number."""
+    occs = chain.occupation_pattern(occupations, state.num_modes)
     return chain.contract_selected(state, [(n,) for n in occs])
 
 

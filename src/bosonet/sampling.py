@@ -6,13 +6,17 @@ observed occupations (``(n,)`` for a pure state, the diagonal pair
 ``((n, n),)`` for a density operator), then close the remainder of the
 chain — with the orthogonality of the right part (pure states) or right
 environments cached once with the trace labels (density operators).
-``marginal_prob`` does exactly that, independently of the samplers below.
+``marginal_prob`` does exactly that, independently of the samplers below;
+its prefix is checked by ``chain.occupation_pattern``, like every other
+occupation pattern a reader takes. For a full pattern of a density operator
+it is the unclamped value of ``mpo.outcome_prob``.
 
 Sampling walks mode 1 to M, drawing each occupation from the ratio of running
 marginals; the conditional distribution at each step is renormalized by its
 own total so that truncation-induced deficits do not bias the draw (the
 deficit is reported on the result for diagnostics). Every step forms its
-masses and normalizes them in one place, ``_step``.
+masses and normalizes them in one place, ``_step``, and every draw goes
+through ``sample_many``: ``sample`` is one draw of it.
 
 A pure state needs each child environment for its weight ||env B_n||^2, so
 its sampler contracts every candidate occupation. A density operator's
@@ -196,10 +200,8 @@ def marginal_prob(state: MpsState | MpoState, prefix: tuple[int, ...]) -> float:
     empty prefix returns Tr rho and single-mode marginals sum to it.
     """
     _check_degraded(state_norm(state))
-    prefix = tuple(int(n) for n in prefix)
-    if len(prefix) > state.num_modes:
-        raise ValueError(f"prefix longer than the {state.num_modes}-mode register")
-    if any(n < 0 or n >= state.local_dim for n in prefix):
+    prefix = chain.occupation_pattern(prefix, state.num_modes, prefix=True)
+    if any(n >= state.local_dim for n in prefix):
         raise ValueError(
             f"occupations must lie in [0, {state.local_dim - 1}], got {prefix}"
         )
@@ -219,7 +221,7 @@ def sample(
     rng: np.random.Generator,
 ) -> SamplingResult:
     """Draw one output pattern by the sequential chain rule (modes 1 to M)."""
-    return _draw(_engine(state), rng)
+    return sample_many(state, rng, 1)[0]
 
 
 def sample_many(

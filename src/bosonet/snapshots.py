@@ -129,7 +129,9 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
     """Rebuild a state from a snapshot; returns ``(state, extra)``.
 
     A header field that is missing or of the wrong type raises ``ValueError``
-    naming the field, like every other malformed snapshot.
+    naming the field, like every other malformed snapshot. So does a bond that
+    is not a 1-D real array, and a site block whose charges are not in the
+    bonds on its two sides or whose shape is not their sizes.
     """
     header = load_header(path)
     paired = _field(path, header, "kind", {"mps": False, "mpo": True}.__getitem__)
@@ -143,6 +145,7 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
         )
     bonds: list[dict[Any, np.ndarray]] = [{} for _ in range(num_modes + 1)]
     sites: list[dict[tuple[Any, Any], np.ndarray]] = [{} for _ in range(num_modes)]
+    site_members = []
     with np.load(path, allow_pickle=False) as data:
         for key in data.files:
             if key == "header":
@@ -159,6 +162,17 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
             if not 0 <= k < len(blocks):
                 raise ValueError(f"{path}: member {key!r} lies outside num_modes {num_modes}")
             blocks[k][charge] = data[key]
+            if blocks is sites:
+                site_members.append((key, k, charge))
+            elif blocks[k][charge].ndim != 1 or blocks[k][charge].dtype.kind != "f":
+                raise ValueError(f"{path}: member {key!r} is not a 1-D real array")
+    for key, k, (cl, cr) in site_members:
+        if cl not in bonds[k] or cr not in bonds[k + 1]:
+            raise ValueError(f"{path}: member {key!r} has a charge its bonds do not hold")
+        shape = (len(bonds[k][cl]), len(bonds[k + 1][cr]))
+        if sites[k][(cl, cr)].shape != shape:
+            raise ValueError(f"{path}: member {key!r} has shape {sites[k][(cl, cr)].shape}, "
+                             f"its bonds give {shape}")
     fields = dict(num_modes=num_modes, num_photons=num_photons, sites=sites, bonds=bonds,
                   norm_scale=_field(path, header, "norm_scale", float),
                   discarded_weight=_field(path, header, "discarded_weight", float))

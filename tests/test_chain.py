@@ -9,8 +9,9 @@ dense reference does the same math on a copy: contract the two sites,
 apply the dense two-site gate, SVD lambda_left Phi per center charge and cut
 the pooled spectrum. The tests compare the kept spectrum and the rebuilt
 two-site tensor, check that the new blocks are right-canonical and that a
-mirrored train keeps bitwise mirror copies. A last test checks that
-``chain.apply_plan`` takes each gate's blocks from the state's own module.
+mirrored train keeps bitwise mirror copies. The last tests check that
+``chain.apply_plan`` takes each gate's blocks from the state's own module,
+and that every reader of an occupation pattern rejects a malformed entry.
 """
 
 import copy
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bosonet import chain, mpo, mps
+from bosonet import chain, mpo, mps, sampling
 from bosonet.circuit import BeamSplitterGate, fock_gate, sample_haar_circuit
 from bosonet.linalg import RANK_CUTOFF, TruncationPolicy
 
@@ -276,3 +277,25 @@ def test_apply_plan_builds_each_gate_once_in_the_states_module(monkeypatch, kind
     state = mps.init_fock((1, 1, 1, 0, 0, 0)) if kind == "mps" else mpo.init_lossy(3, 6, 0.5)
     chain.apply_plan(state, plan, TruncationPolicy(chi_max=64))
     assert calls == {"mps": 0, "mpo": 0, kind: len(plan.gates)}
+
+
+#: Each reader of an occupation pattern, called with ``pattern`` on a lossless
+#: or lossy state of 4 modes and 2 photons.
+READERS = {
+    "amplitude": lambda pattern: mps.amplitude(mps.init_fock((1, 1, 0, 0)), pattern),
+    "outcome_prob": lambda pattern: mpo.outcome_prob(mpo.init_lossy(2, 4, 0.5), pattern),
+    "marginal_prob": lambda pattern: sampling.marginal_prob(mpo.init_lossy(2, 4, 0.5), pattern),
+    "matrix_element-ket": lambda pattern: mpo.matrix_element(
+        mpo.init_lossy(2, 4, 0.5), pattern, (1, 1, 0, 0)),
+    "matrix_element-bra": lambda pattern: mpo.matrix_element(
+        mpo.init_lossy(2, 4, 0.5), (1, 1, 0, 0), pattern),
+}
+
+
+@pytest.mark.parametrize("entry", [-1, 1.5, True, np.float64(1.0)],
+                         ids=["negative", "fractional", "bool", "float"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_occupation_readers_reject_a_malformed_entry(reader, entry):
+    assert READERS[reader]((1, 1, 0, 0)) != 0.0
+    with pytest.raises(ValueError, match="integers|non-negative"):
+        READERS[reader]((entry, 1, 0, 0))

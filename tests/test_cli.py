@@ -262,15 +262,23 @@ class TestStaleOutputs:
         assert sorted(p.name for p in out.glob("samples_c*.csv")) == ["samples_c0.csv"]
 
 
-def _edit_header(path, edit):
-    """Rewrite the JSON header of the snapshot at ``path`` with ``edit(header)``."""
+def _edit_members(path, edit):
+    """Rewrite the snapshot at ``path`` with ``edit(arrays)`` applied to its members."""
     with np.load(path, allow_pickle=False) as data:
         arrays = {key: data[key] for key in data.files}
-    header = json.loads(str(arrays["header"][()]))
-    edit(header)
-    arrays["header"] = np.array(json.dumps(header))
+    edit(arrays)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+
+
+def _edit_header(path, edit):
+    """Rewrite the JSON header of the snapshot at ``path`` with ``edit(header)``."""
+    def edit_members(arrays):
+        header = json.loads(str(arrays["header"][()]))
+        edit(header)
+        arrays["header"] = np.array(json.dumps(header))
+
+    _edit_members(path, edit_members)
 
 
 def assert_resume_ignores_planted_checkpoint(tmp_path, plant):
@@ -318,6 +326,16 @@ class TestCheckpointResume:
     def test_checkpoint_with_mismatched_local_dim_is_ignored(self, tmp_path):
         assert_resume_ignores_planted_checkpoint(tmp_path, lambda path: _edit_header(
             path, lambda h: h.update(local_dim=h["local_dim"] + 1)))
+
+    def test_checkpoint_with_misshaped_block_is_ignored(self, tmp_path):
+        # Without the shape check the block loads and the next gate dies in
+        # two_site_update instead of restarting the circuit.
+        def misshape(arrays):
+            key = next(key for key in arrays if key.startswith("site2/"))
+            arrays[key] = np.zeros((7, 9), dtype=complex)
+
+        assert_resume_ignores_planted_checkpoint(tmp_path, lambda path: _edit_members(
+            path, misshape))
 
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda h: h.update(loss=None), id="null-loss"),

@@ -294,8 +294,16 @@ class TestConfigHash:
         ({"experiment": "prob", "seed": 3, "num_modes": [4], "num_photons": [2],
           "outcomes": [[1, 1, 0, 0], [2, 0, 0, 0]], "loss": {"kind": "constant", "mu": 0.7}},
          "9044dd2740c6181d"),
+        # Reals spelled as ints hash as the floats they equal.
+        ({"experiment": "analytic-ee", "seed": 1, "num_modes": [8], "num_photons": [2],
+          "gammas": [1, 0.5], "betas": [1], "alphas": [0, 2]}, "c02c59ac3fbccbc1"),
+        ({"experiment": "lossless-ee", "seed": 1, "num_modes": [8], "num_photons": [2],
+          "weight_threshold": 0}, "bff069b793f68413"),
+        ({"experiment": "oracle-check", "seed": 1, "num_modes": [4], "num_photons": [2],
+          "tolerance": 1}, "5398537e1077aae7"),
     ], ids=["lossless_bunched", "lossless_spread", "lossy_peaks_analytic",
-            "lossy_peaks_simulated", "prob_with_outcomes"])
+            "lossy_peaks_simulated", "prob_with_outcomes", "int_gammas_betas_alphas",
+            "int_weight_threshold", "int_tolerance"])
     def test_pinned_digests(self, source, digest):
         # Checkpoints are keyed by these digests; a change to how the config
         # is serialized must not orphan them.

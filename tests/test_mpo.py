@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bosonet import chain, mpo, mps
+from bosonet import chain, mpo, mps, sampling
 from bosonet.circuit import BeamSplitterGate, circuit_to_unitary, fock_gate, sample_haar_circuit
 from bosonet.linalg import TruncationPolicy
 from bosonet.oracle import (
@@ -265,7 +265,7 @@ def test_raw_outcome_prob_equals_unclamped_value():
     chain.apply_plan(state, plan, TruncationPolicy(chi_max=3))
     assert state.discarded_weight > 0.0
     for occs in all_outcomes(m, n):
-        raw = mpo.outcome_prob(state, occs, raw=True)
+        raw = sampling.marginal_prob(state, occs)
         clamped = mpo.outcome_prob(state, occs)
         assert clamped == min(max(raw, 0.0), 1.0)
         assert 0.0 <= clamped <= 1.0
@@ -276,7 +276,8 @@ def test_outcome_prob_is_zero_beyond_photon_number():
     state = mpo.init_lossy(n, m, 0.6)
     chain.apply_plan(state, haar_plan(m, seed=71), EXACT)
     for occs in [(3, 0, 0, 0), (0, 0, 0, 5), (2, 1, 0, 0), (1, 1, 1, 0)]:
-        assert mpo.outcome_prob(state, occs, raw=True) == 0.0
+        value = chain.contract_selected(state, [((n, n),) for n in occs])
+        assert float(value.real) * state.norm_scale == 0.0
     with pytest.raises(ValueError, match="non-negative"):
         mpo.outcome_prob(state, (-1, 1, 0, 0))
     with pytest.raises(ValueError, match="expected 4"):

@@ -236,6 +236,11 @@ def test_renyi_entropy_frozen_values():
     assert chain.renyi_entropy(state, 1, 1.0) == pytest.approx(
         0.8112781244591328, abs=1e-12
     )
+    # Orders within 1e-12 of 1 are the von Neumann point, not a cancelling power sum.
+    for alpha in (1.0 + 1e-13, 1.0 - 1e-13):
+        assert chain.renyi_entropy(state, 1, alpha) == pytest.approx(
+            0.8112781244591328, abs=1e-9
+        )
     assert chain.renyi_entropy(state, 1, 0.0) == pytest.approx(1.0, abs=1e-12)
     assert chain.renyi_entropy(state, 1, 2.0) == pytest.approx(
         -math.log2(0.75**2 + 0.25**2), abs=1e-12

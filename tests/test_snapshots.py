@@ -139,15 +139,27 @@ def test_header_records_kind_and_loss(tmp_path):
     assert lossy_header["loss"] == {"mu": 0.35}
 
 
-def _edit_header(path, edit):
-    """Rewrite the JSON header of the snapshot at ``path`` with ``edit(header)``."""
+def _edit_members(path, edit):
+    """Rewrite the snapshot at ``path`` with ``edit(arrays)`` applied to its members."""
     with np.load(path, allow_pickle=False) as data:
         arrays = {k: data[k] for k in data.files}
-    header = json.loads(str(arrays["header"][()]))
-    edit(header)
-    arrays["header"] = np.array(json.dumps(header))
+    edit(arrays)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+
+
+def _edit_header(path, edit):
+    """Rewrite the JSON header of the snapshot at ``path`` with ``edit(header)``."""
+    def edit_members(arrays):
+        header = json.loads(str(arrays["header"][()]))
+        edit(header)
+        arrays["header"] = np.array(json.dumps(header))
+
+    _edit_members(path, edit_members)
+
+
+def _member(arrays, prefix):
+    return next(key for key in arrays if key.startswith(prefix))
 
 
 def test_unsupported_version_is_rejected(tmp_path):
@@ -183,6 +195,38 @@ def test_malformed_header_raises_value_error_naming_the_field(tmp_path, edit, me
     path = tmp_path / "op.npz"
     save_state(path, state)
     _edit_header(path, edit)
+    with pytest.raises(ValueError, match=message):
+        load_state(path)
+
+
+def _replace(prefix, value):
+    """An edit that replaces the first member under ``prefix`` by ``value(array)``."""
+    def edit(arrays):
+        key = _member(arrays, prefix)
+        arrays[key] = value(arrays[key])
+    return edit
+
+
+def _move_block(arrays):
+    key = _member(arrays, "site1/")
+    arrays["site1/9,9;9,9"] = arrays.pop(key)
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_replace("site2/", lambda b: np.zeros((7, 9), complex)),
+                 r"'site2/.*' has shape \(7, 9\)", id="misshaped-block"),
+    pytest.param(_move_block, r"'site1/9,9;9,9' has a charge its bonds do not hold",
+                 id="block-off-its-bonds"),
+    pytest.param(_replace("bond2/", lambda lam: lam[:, None]), r"'bond2/.*' is not a 1-D real",
+                 id="matrix-bond"),
+    pytest.param(_replace("bond2/", lambda lam: lam.astype(complex)),
+                 r"'bond2/.*' is not a 1-D real", id="complex-bond"),
+])
+def test_malformed_member_raises_value_error_naming_it(tmp_path, edit, message):
+    state, _ = _evolved_mpo()
+    path = tmp_path / "op.npz"
+    save_state(path, state)
+    _edit_members(path, edit)
     with pytest.raises(ValueError, match=message):
         load_state(path)
 
