@@ -8,10 +8,14 @@ process each) and keeps every config's ``results.csv``, ``summary.csv`` and
 second time into ``OUT/<name>-resumed/``: first with a wall-clock budget of
 half the uninterrupted run, so it aborts mid-circuit and leaves a checkpoint,
 then again without one, so it resumes from that checkpoint in a new process.
+It also writes ``OUT/src_lines.json``, the line count of every
+``bosonet/*.py`` of the build (as ``wc -l`` counts them).
 
 ``compare`` checks two such directories byte for byte, and each resumed run
 against its uninterrupted run. For a file that differs it prints the largest
-deviation of every float column. It exits 1 if anything differs.
+deviation of every float column. It exits 1 if anything differs. It also
+prints both builds' total line counts and their difference, for information:
+they do not change the exit code.
 
 Usage:
     python3 scripts/compare_outputs.py run OUT [--src DIR]
@@ -100,8 +104,14 @@ def _bosonet(src: Path, experiment: str, config: Path, out: Path) -> tuple[int, 
     return done.returncode, time.perf_counter() - start
 
 
+def _src_lines(src: Path) -> dict[str, int]:
+    """Newline count of every ``bosonet/*.py`` under ``src``, by file name."""
+    return {p.name: p.read_bytes().count(b"\n") for p in sorted((src / "bosonet").glob("*.py"))}
+
+
 def run(out: Path, src: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
+    (out / "src_lines.json").write_text(json.dumps(_src_lines(src), indent=1) + "\n")
     failed = 0
     for name, doc, resumable in CONFIGS:
         config = out / f"{name}.json"
@@ -162,7 +172,15 @@ def _compare(label: str, a: dict[str, Path], b: dict[str, Path]) -> int:
     return differ
 
 
+def _src_total(directory: Path) -> int | None:
+    """Total of a run's ``src_lines.json``; None for a run made without one."""
+    path = directory / "src_lines.json"
+    return sum(json.loads(path.read_text()).values()) if path.exists() else None
+
+
 def compare(first: Path, second: Path) -> int:
+    a, b = _src_total(first), _src_total(second)
+    print(f"src lines: {a} vs {b}" + ("" if None in (a, b) else f" ({b - a:+d})"))
     differ = _compare(f"{first} vs {second}", _tables(first), _tables(second))
     for directory in (first, second):
         for name, _, resumable in CONFIGS:

@@ -73,7 +73,6 @@ vectorized operators: matmuls, gathers, SVDs and the pooled cut.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Hashable
 
@@ -158,7 +157,7 @@ def product_state(
     bonds: list[dict[Charge, np.ndarray]] = []
     for k in range(m + 1):
         spectrum: dict[Charge, np.ndarray] = {}
-        for c in sorted(left_sq[k], key=_charge_sort_key):
+        for c in sorted(left_sq[k]):
             w = left_sq[k][c] * right_sq[k].get(c, 0.0)
             if w > 0.0:
                 spectrum[c] = np.array([math.sqrt(w) / scale])
@@ -206,10 +205,6 @@ def _add(a: Hashable, b: Hashable) -> Hashable:
     if isinstance(a, tuple):
         return (a[0] + b[0], a[1] + b[1])
     return a + b
-
-
-def _charge_sort_key(c: Charge):
-    return c if isinstance(c, tuple) else (c,)
 
 
 def two_site_update(
@@ -411,25 +406,6 @@ def _from_real(x: np.ndarray, pairs: int) -> np.ndarray:
     return np.concatenate([lo, lo.conj(), x[2 * pairs :]])
 
 
-def occupation_pattern(occupations, num_modes: int, prefix: bool = False) -> tuple[int, ...]:
-    """``occupations`` as ints, one per mode (at most one per mode for a ``prefix``).
-
-    A wrong length, a negative entry, a bool or a non-integer is a ``ValueError``.
-    """
-    entries = tuple(occupations)
-    try:
-        occs = tuple(map(operator.index, entries))
-    except TypeError:
-        occs = None
-    if occs is None or bool in map(type, entries):
-        raise ValueError(f"occupations must be integers, got {entries}")
-    if len(occs) > num_modes or (len(occs) < num_modes and not prefix):
-        raise ValueError(f"expected {'at most ' * prefix}{num_modes} occupations, got {len(occs)}")
-    if min(occs, default=0) < 0:
-        raise ValueError(f"occupations must be non-negative, got {occs}")
-    return occs
-
-
 def contract_selected(
     state: TensorTrainState,
     labels: list[tuple[Hashable, ...]],
@@ -500,7 +476,8 @@ def suffix_trace_environments(
     With the diagonal labels ``((0, 0), ..., (d-1, d-1))`` this traces the
     sites out. The vectors exclude the bond-l singular values (the left
     environment carries those), so marginal(prefix of length l) =
-    sum_c envL[c] . right_envs[l][c].
+    sum_c envL[c] . right_envs[l][c]. The package reads marginals through
+    ``mpo.marginal``; this is the reference of a test sampler.
     """
     m = state.num_modes
     envs: list[dict[Charge, np.ndarray]] = [dict() for _ in range(m + 1)]

@@ -14,6 +14,7 @@ sphere-point-picking recursion behind Haar measure.
 The mode unitary U is defined by how gates move creation operators,
 a_j^dag -> sum_k U_jk a_k^dag (rows are inputs), so a gate applied earlier
 sits further left in the matrix product returned by ``circuit_to_unitary``.
+``occupation_pattern`` checks every occupation pattern the package reads.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -165,6 +167,25 @@ def circuit_to_unitary(plan: CircuitPlan) -> np.ndarray:
         u[:, k] = cols[:, 0] * b[0, 0] + cols[:, 1] * b[1, 0]
         u[:, k + 1] = cols[:, 0] * b[0, 1] + cols[:, 1] * b[1, 1]
     return u
+
+
+def occupation_pattern(occupations, num_modes: int, prefix: bool = False) -> tuple[int, ...]:
+    """``occupations`` as ints, one per mode (at most one per mode for a ``prefix``).
+
+    A wrong length, a negative entry, a bool or a non-integer is a ``ValueError``.
+    """
+    entries = tuple(occupations)
+    try:
+        occs = tuple(map(operator.index, entries))
+    except TypeError:
+        occs = None
+    if occs is None or bool in map(type, entries):
+        raise ValueError(f"occupations must be integers, got {entries}")
+    if len(occs) > num_modes or (len(occs) < num_modes and not prefix):
+        raise ValueError(f"expected {'at most ' * prefix}{num_modes} occupations, got {len(occs)}")
+    if min(occs, default=0) < 0:
+        raise ValueError(f"occupations must be non-negative, got {occs}")
+    return occs
 
 
 def fock_gate(gate: BeamSplitterGate, local_dim: int) -> list[np.ndarray]:

@@ -12,7 +12,8 @@ model for brute-force sampling that the scaling laws are compared against.
 Entropies are in bits throughout (base-2 logarithms). ``normalized_renyi`` is
 the one place a Renyi order is read, for these closed forms and for the
 simulated bond entropies of ``chain.renyi_entropy`` alike: an order within
-1e-12 of 1 is the von Neumann point for both.
+1e-12 of 1 is the von Neumann point for both, and a negative, NaN or
+infinite order is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .circuit import occupation_pattern
 
 __all__ = [
     "PartitionAngles",
@@ -111,6 +114,11 @@ def distribution_renyi(probs: np.ndarray, alpha: float) -> float:
     return normalized_renyi(p / total, alpha)
 
 
+def _check_order(alpha: float) -> None:
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
+
+
 def normalized_renyi(p: np.ndarray, alpha: float) -> float:
     """Renyi entropy (bits) of a normalized nonnegative ``p``; every entropy reads its order here.
 
@@ -120,8 +128,7 @@ def normalized_renyi(p: np.ndarray, alpha: float) -> float:
     to 0 (orders in the thousands and up) takes the largest entry out, without
     forming ``alpha * log2(p_max)``, which overflows near ``alpha = 1e300``.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    _check_order(alpha)
     if alpha == 0:
         return math.log2(np.count_nonzero(p))
     if abs(alpha - 1.0) < _VON_NEUMANN_WINDOW:
@@ -146,17 +153,11 @@ def lossless_ee(
     cut, so the left-of-cut photon count in that photon group is
     Binomial(``N_j``, ``cos_squared[j]``) and the Schmidt spectrum is the
     product of those binomials.  Renyi entropies are therefore additive over
-    input modes; empty modes contribute nothing.
+    input modes; empty modes contribute nothing. The occupations are checked
+    by ``circuit.occupation_pattern``.
     """
-    occ = list(occupations)
-    if len(occ) != angles.num_modes:
-        raise ValueError(
-            f"expected {angles.num_modes} occupations, got {len(occ)}"
-        )
-    if any(n < 0 for n in occ):
-        raise ValueError("occupations must be nonnegative")
     total = 0.0
-    for n, c2 in zip(occ, angles.cos_squared):
+    for n, c2 in zip(occupation_pattern(occupations, angles.num_modes), angles.cos_squared):
         if n > 0:
             total += distribution_renyi(binomial_spectrum(n, float(c2)), alpha)
     return total
@@ -262,8 +263,7 @@ def asymptotic_scaling(gamma: float, alpha: float) -> ScalingLaw:
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    _check_order(alpha)
     if abs(alpha - 1.0) < _VON_NEUMANN_WINDOW:
         return ScalingLaw(exponent=2.0 * gamma - 1.0, has_log_factor=True)
     return ScalingLaw(exponent=1.0 - 2.0 * (1.0 - gamma) * alpha, has_log_factor=False)

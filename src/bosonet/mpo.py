@@ -15,7 +15,9 @@ The loss is given as the per-photon transmissivity mu, a plain float. The
 left boundary enumerates every total-photon sector (n, n), n = 0..N, in one
 combined state. Singular vectors are normalized at initialization and kept
 unrenormalized afterwards so that 1 - trace() reports accumulated truncation
-error; ``chain.renyi_entropy`` renormalizes a copy of the spectrum.
+error; ``chain.renyi_entropy`` renormalizes a copy of the spectrum. Every read
+of rho's diagonal is one ``marginal`` contraction: ``trace`` is its empty
+prefix and ``outcome_prob`` its full pattern, clamped.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import chain
 from .chain import TensorTrainState
-from .circuit import BeamSplitterGate, fock_gate
+from .circuit import BeamSplitterGate, fock_gate, occupation_pattern
 
 
 @dataclass(kw_only=True)
@@ -85,15 +87,23 @@ def trace_labels(local_dim: int) -> tuple[tuple[int, int], ...]:
     return tuple((n, n) for n in range(local_dim))
 
 
+def marginal(state: MpoState, prefix: tuple[int, ...]) -> float:
+    """Tr[rho P_prefix], unclamped: one walk reads each prefix site at its label
+    (n, n) and traces every later site out with ``trace_labels``."""
+    prefix = occupation_pattern(prefix, state.num_modes, prefix=True)
+    labels = [((n, n),) for n in prefix]
+    if len(prefix) < state.num_modes:
+        labels += [trace_labels(state.local_dim)] * (state.num_modes - len(prefix))
+    return float(chain.contract_selected(state, labels).real) * state.norm_scale
+
+
 def trace(state: MpoState) -> float:
-    """Tr rho, by contracting every site against the vectorized identity.
+    """Tr rho, the ``marginal`` of the empty prefix.
 
     Exactly 1 for a fresh or unitarily evolved state; decreases when
     truncation discards weight, so 1 - trace() is the simulation error.
     """
-    labels = [trace_labels(state.local_dim)] * state.num_modes
-    value = chain.contract_selected(state, labels)
-    return float(value.real) * state.norm_scale
+    return marginal(state, ())
 
 
 def outcome_prob(state: MpoState, occupations: tuple[int, ...]) -> float:
@@ -101,17 +111,14 @@ def outcome_prob(state: MpoState, occupations: tuple[int, ...]) -> float:
 
     A pattern with more photons on a mode (or in total) than the state holds
     has probability 0. Truncation can push tiny probabilities slightly
-    negative; the returned value is clamped to [0, 1] (``sampling.marginal_prob``
-    of the full pattern is the unclamped value).
+    negative; the returned value is ``marginal`` clamped to [0, 1].
     """
-    occs = chain.occupation_pattern(occupations, state.num_modes)
-    value = chain.contract_selected(state, [((n, n),) for n in occs])
-    return min(max(float(value.real) * state.norm_scale, 0.0), 1.0)
+    return min(max(marginal(state, occupation_pattern(occupations, state.num_modes)), 0.0), 1.0)
 
 
 def matrix_element(state: MpoState, ket: tuple[int, ...], bra: tuple[int, ...]) -> complex:
     """<ket| rho |bra> for one pair of Fock basis states (small-instance diagnostics)."""
-    ket = chain.occupation_pattern(ket, state.num_modes)
-    bra = chain.occupation_pattern(bra, state.num_modes)
+    ket = occupation_pattern(ket, state.num_modes)
+    bra = occupation_pattern(bra, state.num_modes)
     value = chain.contract_selected(state, [((nk, nb),) for nk, nb in zip(ket, bra)])
     return complex(value) * state.norm_scale

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import chain
 from .chain import TensorTrainState
-from .circuit import BeamSplitterGate, fock_gate
+from .circuit import BeamSplitterGate, fock_gate, occupation_pattern
 
 
 class MpsState(TensorTrainState):
@@ -27,7 +27,7 @@ class MpsState(TensorTrainState):
 
 def init_fock(occupations: tuple[int, ...]) -> MpsState:
     """Exact canonical form of the Fock basis state with the given occupations."""
-    occs = chain.occupation_pattern(occupations, len(occupations))
+    occs = occupation_pattern(occupations, len(occupations))
     total = sum(occs)
     sites, bonds, scale = chain.product_state(
         site_vectors=[{n: 1.0} for n in occs],
@@ -40,7 +40,7 @@ def init_fock(occupations: tuple[int, ...]) -> MpsState:
 
 def amplitude(state: MpsState, occupations: tuple[int, ...]) -> complex:
     """Amplitude of one Fock basis state in the (normalized) state; 0 off its photon number."""
-    occs = chain.occupation_pattern(occupations, state.num_modes)
+    occs = occupation_pattern(occupations, state.num_modes)
     return chain.contract_selected(state, [(n,) for n in occs])
 
 

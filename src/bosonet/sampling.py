@@ -3,13 +3,12 @@
 Both the pure-state and density-operator representations admit efficient
 prefix marginals: contract the first ``l`` sites at the local labels of the
 observed occupations (``(n,)`` for a pure state, the diagonal pair
-``((n, n),)`` for a density operator), then close the remainder of the
-chain — with the orthogonality of the right part (pure states) or right
-environments cached once with the trace labels (density operators).
-``marginal_prob`` does exactly that, independently of the samplers below;
-its prefix is checked by ``chain.occupation_pattern``, like every other
-occupation pattern a reader takes. For a full pattern of a density operator
-it is the unclamped value of ``mpo.outcome_prob``.
+``((n, n),)`` for a density operator), then close the rest of the chain, by
+the orthogonality of the right part (pure states) or by tracing it out in the
+same walk (density operators: ``mpo.marginal``, the one read of rho's
+diagonal). ``marginal_prob`` does exactly that, independently of the samplers
+below; its prefix is checked by ``circuit.occupation_pattern``. For a full
+pattern of a density operator it is the unclamped ``mpo.outcome_prob``.
 
 Sampling walks mode 1 to M, drawing each occupation from the ratio of running
 marginals; the conditional distribution at each step is renormalized by its
@@ -51,8 +50,9 @@ from pathlib import Path
 import numpy as np
 
 from . import chain
+from .circuit import occupation_pattern
 from .linalg import DegradedStateError, NumericalFailure
-from .mpo import MpoState, trace_labels
+from .mpo import MpoState, marginal
 from .mpo import trace as mpo_trace
 from .mps import MpsState
 
@@ -196,24 +196,18 @@ def _step(engine: _PureEngine | _LossyEngine, env, site_idx: int):
 def marginal_prob(state: MpsState | MpoState, prefix: tuple[int, ...]) -> float:
     """Probability of observing ``prefix`` on modes 1..len(prefix).
 
-    For density operators this is the raw (trace-weighted) marginal, so the
-    empty prefix returns Tr rho and single-mode marginals sum to it.
+    For density operators this is the raw (trace-weighted) ``mpo.marginal``,
+    so the empty prefix returns Tr rho and single-mode marginals sum to it.
     """
     _check_degraded(state_norm(state))
-    prefix = chain.occupation_pattern(prefix, state.num_modes, prefix=True)
+    prefix = occupation_pattern(prefix, state.num_modes, prefix=True)
     if any(n >= state.local_dim for n in prefix):
         raise ValueError(
             f"occupations must lie in [0, {state.local_dim - 1}], got {prefix}"
         )
     if isinstance(state, MpsState):
         return _squared_norm(chain.prefix_environment(state, [(n,) for n in prefix]))
-    env = chain.prefix_environment(state, [((n, n),) for n in prefix])
-    right = chain.suffix_trace_environments(state, trace_labels(state.local_dim))[len(prefix)]
-    total = 0.0 + 0.0j
-    for c, vec in env.items():
-        if c in right:
-            total += vec @ right[c]
-    return float(total.real) * state.norm_scale
+    return marginal(state, prefix)
 
 
 def sample(

@@ -24,7 +24,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bosonet import chain, mpo, mps, sampling
-from bosonet.circuit import BeamSplitterGate, fock_gate, sample_haar_circuit
+from bosonet.circuit import BeamSplitterGate, circuit_to_unitary, fock_gate, sample_haar_circuit
+from bosonet.entropy import lossless_ee, partition_angles
 from bosonet.linalg import RANK_CUTOFF, TruncationPolicy
 
 TOL = 1e-10
@@ -280,15 +281,19 @@ def test_apply_plan_builds_each_gate_once_in_the_states_module(monkeypatch, kind
 
 
 #: Each reader of an occupation pattern, called with ``pattern`` on a lossless
-#: or lossy state of 4 modes and 2 photons.
+#: or lossy state of 4 modes and 2 photons, or on the angles of a 4-mode Haar unitary.
+HAAR_ANGLES = partition_angles(
+    circuit_to_unitary(sample_haar_circuit(4, np.random.default_rng(3))), 2)
 READERS = {
     "amplitude": lambda pattern: mps.amplitude(mps.init_fock((1, 1, 0, 0)), pattern),
     "outcome_prob": lambda pattern: mpo.outcome_prob(mpo.init_lossy(2, 4, 0.5), pattern),
+    "marginal": lambda pattern: mpo.marginal(mpo.init_lossy(2, 4, 0.5), pattern),
     "marginal_prob": lambda pattern: sampling.marginal_prob(mpo.init_lossy(2, 4, 0.5), pattern),
     "matrix_element-ket": lambda pattern: mpo.matrix_element(
         mpo.init_lossy(2, 4, 0.5), pattern, (1, 1, 0, 0)),
     "matrix_element-bra": lambda pattern: mpo.matrix_element(
         mpo.init_lossy(2, 4, 0.5), (1, 1, 0, 0), pattern),
+    "lossless_ee": lambda pattern: lossless_ee(pattern, HAAR_ANGLES, 1.0),
 }
 
 

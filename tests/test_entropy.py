@@ -141,8 +141,9 @@ def test_distribution_renyi_frozen_values():
 
 
 def test_distribution_renyi_validation():
-    with pytest.raises(ValueError):
-        distribution_renyi(np.array([0.5, 0.5]), -0.5)
+    for alpha in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            distribution_renyi(np.array([0.5, 0.5]), alpha)
     with pytest.raises(ValueError):
         distribution_renyi(np.array([0.7, -0.2]), 1.0)
     with pytest.raises(ValueError):
@@ -379,8 +380,9 @@ def test_asymptotic_scaling_validation():
         asymptotic_scaling(0.0, 1.0)
     with pytest.raises(ValueError):
         asymptotic_scaling(1.2, 1.0)
-    with pytest.raises(ValueError):
-        asymptotic_scaling(0.5, -1.0)
+    for alpha in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            asymptotic_scaling(0.5, alpha)
 
 
 def test_naive_cost_values():

@@ -271,6 +271,25 @@ def test_raw_outcome_prob_equals_unclamped_value():
         assert 0.0 <= clamped <= 1.0
 
 
+def test_diagonal_reads_go_through_marginal(monkeypatch):
+    state = mpo.init_lossy(2, 4, 0.6)
+    chain.apply_plan(state, haar_plan(4, seed=59), TruncationPolicy(chi_max=3))
+    original = mpo.marginal
+    seen = []
+
+    def recording(st, prefix):
+        seen.append(tuple(prefix))
+        return original(st, prefix)
+
+    monkeypatch.setattr(mpo, "marginal", recording)
+    monkeypatch.setattr(sampling, "marginal", recording)
+    mpo.trace(state)
+    mpo.outcome_prob(state, (1, 0, 1, 0))
+    sampling.marginal_prob(state, (1,))
+    # marginal_prob reads the trace for its degraded-state check first.
+    assert seen == [(), (1, 0, 1, 0), (), (1,)]
+
+
 def test_outcome_prob_is_zero_beyond_photon_number():
     n, m = 2, 4
     state = mpo.init_lossy(n, m, 0.6)
@@ -315,5 +334,6 @@ def test_entropy_validation():
     state = mpo.init_lossy(1, 2, 0.5)
     with pytest.raises(ValueError):
         chain.renyi_entropy(state, 5, 1.0)
-    with pytest.raises(ValueError):
-        chain.renyi_entropy(state, 1, -1.0)
+    for alpha in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            chain.renyi_entropy(state, 1, alpha)
