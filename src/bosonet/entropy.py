@@ -156,6 +156,7 @@ def lossless_ee(
     input modes; empty modes contribute nothing. The occupations are checked
     by ``circuit.occupation_pattern``.
     """
+    _check_order(alpha)
     total = 0.0
     for n, c2 in zip(occupation_pattern(occupations, angles.num_modes), angles.cos_squared):
         if n > 0:
@@ -226,6 +227,7 @@ def lossy_mpo_ee(
     photon yields twice its pure-state entropy; at ``mu = 0`` the state is
     the vacuum and every contribution vanishes.
     """
+    _check_order(alpha)
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
     if not 0 <= num_photons <= angles.num_modes:
@@ -280,14 +282,18 @@ def naive_cost(num_photons: int, mu: float, cost_base: float) -> float:
     return math.exp(log_naive_cost(num_photons, mu, cost_base))
 
 
-def log_naive_cost(num_photons: int, mu: float, cost_base: float) -> float:
-    """Natural log of :func:`naive_cost`, safe for large photon numbers."""
+def _check_cost_args(num_photons: int, mu: float, cost_base: float) -> None:
     if num_photons < 0:
         raise ValueError(f"num_photons must be nonnegative, got {num_photons}")
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
     if cost_base <= 1.0:
         raise ValueError(f"cost_base must exceed 1, got {cost_base}")
+
+
+def log_naive_cost(num_photons: int, mu: float, cost_base: float) -> float:
+    """Natural log of :func:`naive_cost`, safe for large photon numbers."""
+    _check_cost_args(num_photons, mu, cost_base)
     return num_photons * math.log1p(mu * (cost_base - 1.0))
 
 
@@ -299,10 +305,5 @@ def log_asymptotic_cost(num_photons: int, mu: float, cost_base: float) -> float:
     tends to one as ``mu`` shrinks, which is the regime where power-law
     loss keeps brute-force sampling tractable.
     """
-    if num_photons < 0:
-        raise ValueError(f"num_photons must be nonnegative, got {num_photons}")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
-    if cost_base <= 1.0:
-        raise ValueError(f"cost_base must exceed 1, got {cost_base}")
+    _check_cost_args(num_photons, mu, cost_base)
     return (cost_base - 1.0) * mu * num_photons

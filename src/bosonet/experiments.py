@@ -704,7 +704,7 @@ def _oracle_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
         checks["completeness"] = abs(
             sum(mps.probability(state, occ) for occ in dense.basis) - 1.0
         )
-        if m >= 2 and n >= 1:
+        if n >= 1:
             sim_spec = np.asarray(chain.schmidt_values(state, m // 2)) ** 2
             ref_spec = dense_reduced_spectrum(dense, m // 2)
             width = max(len(sim_spec), len(ref_spec))

@@ -11,7 +11,8 @@ This module builds that gate's sector blocks (``vectorized_blocks``), once
 per gate, and ``MpoState.gate_blocks`` hands them to ``chain.apply_gate``,
 which knows nothing of vectorization.
 
-The loss is given as the per-photon transmissivity mu, a plain float. The
+The loss is given as the per-photon transmissivity mu, a plain float that
+only ``init_lossy`` reads: once rho is prepared, the state is its train. The
 left boundary enumerates every total-photon sector (n, n), n = 0..N, in one
 combined state. Singular vectors are normalized at initialization and kept
 unrenormalized afterwards so that 1 - trace() reports accumulated truncation
@@ -22,8 +23,6 @@ prefix and ``outcome_prob`` its full pattern, clamped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import chain
@@ -31,11 +30,8 @@ from .chain import TensorTrainState
 from .circuit import BeamSplitterGate, fock_gate, occupation_pattern
 
 
-@dataclass(kw_only=True)
 class MpoState(TensorTrainState):
     """Vectorized density operator of up to ``num_photons`` photons on ``num_modes`` modes."""
-
-    mu: float
 
     def gate_blocks(self, gate: BeamSplitterGate) -> dict[tuple[int, int], np.ndarray]:
         """The (ket, bra) sector blocks of U (x) conj(U) that ``chain.two_site_update`` takes."""
@@ -62,7 +58,7 @@ def init_lossy(num_photons: int, num_modes: int, mu: float) -> MpoState:
     left = [(n, n) for n in range(num_photons + 1)]
     sites, bonds, scale = chain.product_state(site_vectors, left, (0, 0))
     return MpoState(num_modes=num_modes, num_photons=num_photons, sites=sites, bonds=bonds,
-                    norm_scale=scale, mu=mu)
+                    norm_scale=scale)
 
 
 def vectorized_blocks(blocks: list[np.ndarray]) -> dict[tuple[int, int], np.ndarray]:

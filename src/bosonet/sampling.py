@@ -39,6 +39,9 @@ in float64; the engine raises ``NumericalFailure`` if one is not.
 shared prefixes, which is distribution-identical to independent sequential
 draws and exponentially faster when outcomes collide; only children that
 receive draws are advanced.
+
+``write_samples_csv`` writes drawn outcomes as plain CSV. Nothing in the
+package reads such a file back.
 """
 
 from __future__ import annotations
@@ -311,29 +314,3 @@ def write_samples_csv(
         for r in results:
             writer.writerow(list(r.outcome) + [f"{r.joint_probability:.17g}"])
 
-
-def load_samples_csv(path: str | Path) -> tuple[dict[str, str], list[SamplingResult]]:
-    """Inverse of write_samples_csv; returns (metadata, results)."""
-    metadata: dict[str, str] = {}
-    rows: list[SamplingResult] = []
-    with Path(path).open() as fh:
-        lines = []
-        for line in fh:
-            if line.startswith("# "):
-                key, _, value = line[2:].strip().partition("=")
-                metadata[key] = value
-            else:
-                lines.append(line)
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is not None:
-        for row in reader:
-            if not row:
-                continue
-            rows.append(
-                SamplingResult(
-                    outcome=tuple(int(x) for x in row[:-1]),
-                    joint_probability=float(row[-1]),
-                )
-            )
-    return metadata, rows

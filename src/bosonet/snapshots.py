@@ -10,11 +10,11 @@ Vidal Gamma blocks, and a format-2 operator, written without the gauge,
 would evolve wrongly under the current update. The header records the format
 version, whether the state is a pure state or a vectorized operator, its
 local dimension (always num_photons + 1; a header that says otherwise is
-rejected) and — for lossy states — the loss parameters, so a checkpointed
-sweep can be resumed without the original configuration in hand.  Older
-builds also wrote a ``sector`` key for post-selected operators; it is
-ignored on load, because the stored bond-0 charges already carry any
-post-selection.  Arrays are stored in their native binary form, which makes
+rejected), its norm scale and its discarded weight. Older builds also wrote
+a ``sector`` key for post-selected operators and a ``loss`` key with the
+transmissivity of lossy ones; both are ignored on load, because the stored
+bond-0 charges already carry any post-selection and the loss acted when rho
+was prepared. Arrays are stored in their native binary form, which makes
 save/load round trips bit-exact and resumed evolutions identical to
 uninterrupted ones.
 """
@@ -22,6 +22,7 @@ uninterrupted ones.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 from typing import Any, Callable
@@ -62,9 +63,9 @@ def save_state(
 ) -> None:
     """Write a state snapshot atomically; ``extra`` must be a JSON-serializable dict."""
     if isinstance(state, MpoState):
-        kind, loss = "mpo", {"mu": state.mu}
+        kind = "mpo"
     elif isinstance(state, MpsState):
-        kind, loss = "mps", None
+        kind = "mps"
     else:
         raise TypeError(f"cannot snapshot object of type {type(state).__name__}")
     header = {
@@ -76,7 +77,6 @@ def save_state(
         "local_dim": state.local_dim,
         "norm_scale": state.norm_scale,
         "discarded_weight": state.discarded_weight,
-        "loss": loss,
         "extra": extra or {},
     }
     arrays: dict[str, np.ndarray] = {"header": np.array(json.dumps(header))}
@@ -121,15 +121,24 @@ def _field(path: str | Path, header: dict[str, Any], name: str,
     """``convert(header[name])``; a missing or malformed field is a ``ValueError``."""
     try:
         return convert(header[name])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: bad snapshot header field {name!r}: {exc!r}") from None
+
+
+def _finite(value: Any) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
 
 
 def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
     """Rebuild a state from a snapshot; returns ``(state, extra)``.
 
     A header field that is missing or of the wrong type raises ``ValueError``
-    naming the field, like every other malformed snapshot. So does a bond that
+    naming the field, like every other malformed snapshot; so does a
+    ``norm_scale`` or ``discarded_weight`` that is not finite. A member that
+    is not a finite float or complex array raises it too, as does a bond that
     is not a 1-D real array, and a site block whose charges are not in the
     bonds on its two sides or whose shape is not their sizes.
     """
@@ -161,10 +170,13 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
             k = int(prefix[4:])
             if not 0 <= k < len(blocks):
                 raise ValueError(f"{path}: member {key!r} lies outside num_modes {num_modes}")
-            blocks[k][charge] = data[key]
+            member = blocks[k][charge] = data[key]
+            if member.dtype.kind not in "fc" or not np.isfinite(member).all():
+                raise ValueError(f"{path}: member {key!r} is not a finite float or "
+                                 "complex array")
             if blocks is sites:
                 site_members.append((key, k, charge))
-            elif blocks[k][charge].ndim != 1 or blocks[k][charge].dtype.kind != "f":
+            elif member.ndim != 1 or member.dtype.kind != "f":
                 raise ValueError(f"{path}: member {key!r} is not a 1-D real array")
     for key, k, (cl, cr) in site_members:
         if cl not in bonds[k] or cr not in bonds[k + 1]:
@@ -174,10 +186,6 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
             raise ValueError(f"{path}: member {key!r} has shape {sites[k][(cl, cr)].shape}, "
                              f"its bonds give {shape}")
     fields = dict(num_modes=num_modes, num_photons=num_photons, sites=sites, bonds=bonds,
-                  norm_scale=_field(path, header, "norm_scale", float),
-                  discarded_weight=_field(path, header, "discarded_weight", float))
-    if paired:
-        state = MpoState(**fields, mu=_field(path, header, "loss", lambda loss: float(loss["mu"])))
-    else:
-        state = MpsState(**fields)
-    return state, _field(path, header, "extra", dict)
+                  norm_scale=_field(path, header, "norm_scale", _finite),
+                  discarded_weight=_field(path, header, "discarded_weight", _finite))
+    return (MpoState if paired else MpsState)(**fields), _field(path, header, "extra", dict)

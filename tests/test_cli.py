@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import bosonet
 from bosonet import experiments
 from bosonet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
-from bosonet.snapshots import FORMAT_VERSION
+from bosonet.snapshots import FORMAT_VERSION, load_state
 
 
 def write_config(path, **overrides):
@@ -281,6 +281,11 @@ def _edit_header(path, edit):
     _edit_members(path, edit_members)
 
 
+def _nan_site_block(arrays):
+    key = next(key for key in arrays if key.startswith("site2/"))
+    arrays[key] = np.full_like(arrays[key], np.nan)
+
+
 def assert_resume_ignores_planted_checkpoint(tmp_path, plant):
     """Abort a checkpointed lossy-ee run at layer 0, damage its checkpoint with
     ``plant(path)`` and rerun: exit 0, tables byte-identical to an uninterrupted
@@ -338,12 +343,31 @@ class TestCheckpointResume:
             path, misshape))
 
     @pytest.mark.parametrize("edit", [
-        pytest.param(lambda h: h.update(loss=None), id="null-loss"),
+        pytest.param(lambda h: h.update(norm_scale=None), id="null-norm_scale"),
         pytest.param(lambda h: h.pop("num_photons"), id="no-num_photons"),
     ])
     def test_checkpoint_with_malformed_header_is_ignored(self, tmp_path, edit):
         assert_resume_ignores_planted_checkpoint(
             tmp_path, lambda path: _edit_header(path, edit))
+
+    @pytest.mark.parametrize("plant", [
+        # Without the finiteness check the NaN block loads and the next SVD
+        # fails, or the NaN scale resumes into a table of NaN traces.
+        pytest.param(lambda path: _edit_members(path, _nan_site_block), id="nan-block"),
+        pytest.param(lambda path: _edit_header(path, lambda h: h.update(norm_scale=float("nan"))),
+                     id="nan-norm_scale"),
+    ])
+    def test_checkpoint_with_non_finite_entries_is_ignored(self, tmp_path, plant):
+        assert_resume_ignores_planted_checkpoint(tmp_path, plant)
+
+    def test_checkpoint_with_loss_key_of_older_builds_resumes(self, tmp_path):
+        # Older format-3 builds wrote the transmissivity into the header; such a
+        # checkpoint still loads, and the resume finishes it.
+        def plant(path):
+            _edit_header(path, lambda h: h.update(loss={"mu": 0.6}))
+            assert load_state(path)[1]["config_hash"]
+
+        assert_resume_ignores_planted_checkpoint(tmp_path, plant)
 
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda extra: extra.pop("layers_done"), id="no-layers_done"),

@@ -220,6 +220,12 @@ def test_lossless_validation():
         lossless_ee((1,), angles, 1.0)
     with pytest.raises(ValueError):
         lossless_ee((1, -1), angles, 1.0)
+    # The order is checked up front, also when no mode is occupied.
+    wide = PartitionAngles(cut=2, cos_squared=np.array([0.5, 0.3, 0.8, 0.1]))
+    for alpha in (-1.0, math.nan, math.inf):
+        for occupations in ((1, 1, 0, 0), (0, 0, 0, 0)):
+            with pytest.raises(ValueError, match="alpha"):
+                lossless_ee(occupations, wide, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +312,10 @@ def test_lossy_validation():
         lossy_mpo_ee(angles, 1.5, 1.0, 1)
     with pytest.raises(ValueError):
         lossy_mpo_ee(angles, 0.5, 1.0, 3)
+    for alpha in (-1.0, math.nan, math.inf):
+        for num_photons in (1, 0):
+            with pytest.raises(ValueError, match="alpha"):
+                lossy_mpo_ee(angles, 0.5, alpha, num_photons)
     with pytest.raises(ValueError):
         lossy_mode_spectrum(1.2, 0.5)
     with pytest.raises(ValueError):
@@ -394,9 +404,12 @@ def test_naive_cost_values():
 
 
 def test_naive_cost_validation():
-    for bad in ((10, 1.1, 2.0), (10, -0.1, 2.0), (10, 0.5, 1.0), (-1, 0.5, 2.0)):
-        with pytest.raises(ValueError):
-            naive_cost(*bad)
+    for bad, message in (((10, 1.1, 2.0), "mu must be in"), ((10, -0.1, 2.0), "mu must be in"),
+                         ((10, 0.5, 1.0), "cost_base must exceed 1"),
+                         ((-1, 0.5, 2.0), "num_photons must be nonnegative")):
+        for cost in (naive_cost, log_asymptotic_cost):
+            with pytest.raises(ValueError, match=message):
+                cost(*bad)
 
 
 def test_log_cost_ratio_approaches_one_in_dilute_limit():

@@ -402,13 +402,12 @@ def test_samples_csv_round_trip(tmp_path):
     path = tmp_path / "samples.csv"
     metadata = {"seed": 5, "chi": 10_000, "circuit": plan_fingerprint(plan)}
     sampling.write_samples_csv(path, results, metadata)
-    text = path.read_text()
-    assert text.startswith("# chi=10000\n# circuit=")
-    loaded_meta, loaded = sampling.load_samples_csv(path)
-    assert loaded_meta["seed"] == "5"
-    assert loaded_meta["circuit"] == plan_fingerprint(plan)
-    assert [r.outcome for r in loaded] == [r.outcome for r in results]
-    for got, want in zip(loaded, results):
-        assert got.joint_probability == pytest.approx(
-            want.joint_probability, abs=1e-15
-        )
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["# chi=10000", f"# circuit={plan_fingerprint(plan)}", "# seed=5"]
+    assert lines[3] == "n1,n2,n3,n4,joint_probability"
+    assert len(lines) == 4 + len(results)
+    for line, want in zip(lines[4:], results):
+        *outcome, probability = line.split(",")
+        assert tuple(int(n) for n in outcome) == want.outcome
+        assert probability == f"{want.joint_probability:.17g}"
+        assert float(probability) == want.joint_probability
