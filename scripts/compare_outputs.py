@@ -8,8 +8,13 @@ process each) and keeps every config's ``results.csv``, ``summary.csv`` and
 second time into ``OUT/<name>-resumed/``: first with a wall-clock budget of
 half the uninterrupted run, so it aborts mid-circuit and leaves a checkpoint,
 then again without one, so it resumes from that checkpoint in a new process.
-It also writes ``OUT/src_lines.json``, the line count of every
-``bosonet/*.py`` of the build (as ``wc -l`` counts them).
+After the budgeted run it prints the ``layers_done`` of every checkpoint
+header. A checkpoint taken before layer 1 would make the resume a fresh run,
+so if no header has ``layers_done >= 1`` the budgeted run is repeated, from
+no checkpoint, at 0.4 and then at 0.6 of the measured time; if none of the
+three leaves such a checkpoint, the config counts as failed. It also writes
+``OUT/src_lines.json``, the line count of every ``bosonet/*.py`` of the
+build (as ``wc -l`` counts them).
 
 ``compare`` checks two such directories byte for byte, and each resumed run
 against its uninterrupted run. For a file that differs it prints the largest
@@ -30,10 +35,13 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLES = ("results.csv", "summary.csv", "samples_c*.csv")
@@ -121,15 +129,35 @@ def run(out: Path, src: Path) -> int:
         failed += code != 0
         if not resumable:
             continue
-        resumed = out / f"{name}-resumed.json"
-        budget = {"max_seconds": round(seconds / 2, 3), "checkpoint_every": 1}
-        resumed.write_text(json.dumps({**doc, "seed": SEED, **budget}))
-        aborted, _ = _bosonet(src, doc["experiment"], resumed, out / f"{name}-resumed")
+        resumed, resumed_out = out / f"{name}-resumed.json", out / f"{name}-resumed"
+        for fraction in (0.5, 0.4, 0.6):
+            shutil.rmtree(resumed_out / "checkpoints", ignore_errors=True)
+            budget = {"max_seconds": round(seconds * fraction, 3), "checkpoint_every": 1}
+            resumed.write_text(json.dumps({**doc, "seed": SEED, **budget}))
+            aborted, _ = _bosonet(src, doc["experiment"], resumed, resumed_out)
+            layers = _layers_done(resumed_out / "checkpoints")
+            print(f"{name}-resumed: exit {aborted} at {fraction} of {seconds:.1f}s, "
+                  f"checkpoints at layers_done {layers}")
+            if aborted == 3 and max(layers, default=0) >= 1:
+                break
+        else:
+            print(f"{name}-resumed: no budget left a checkpoint past layer 0")
+            failed += 1
+            continue
         resumed.write_text(json.dumps({**doc, "seed": SEED, "checkpoint_every": 1}))
-        code, _ = _bosonet(src, doc["experiment"], resumed, out / f"{name}-resumed")
-        print(f"{name}-resumed: exit {aborted} with a budget, then exit {code}")
-        failed += aborted != 3 or code != 0
+        code, _ = _bosonet(src, doc["experiment"], resumed, resumed_out)
+        print(f"{name}-resumed: exit {code} after resuming")
+        failed += code != 0
     return 1 if failed else 0
+
+
+def _layers_done(directory: Path) -> list[int]:
+    """``layers_done`` of every checkpoint header under ``directory``, sorted."""
+    layers = []
+    for path in directory.glob("*.npz"):
+        with np.load(path, allow_pickle=False) as data:
+            layers.append(json.loads(str(data["header"][()]))["extra"]["layers_done"])
+    return sorted(layers)
 
 
 def _tables(directory: Path, depth: str = "*/") -> dict[str, Path]:

@@ -125,18 +125,20 @@ def product_state(
     """Exact right-canonical form of a product state, one local vector per site.
 
     ``site_vectors[k]`` maps local occupation labels (ints for pure states,
-    (ket, bra) pairs for vectorized operators) to amplitudes. The left
-    boundary enumerates the allowed total-charge sectors. Returns
+    (ket, bra) pairs for vectorized operators) to amplitudes; a zero
+    amplitude adds no charge and no block. The left boundary enumerates the
+    allowed total-charge sectors. Returns
     ``(sites, bonds, norm_scale)``: the singular values are normalized so the
     squared total is 1 and ``norm_scale`` is the raw 2-norm.
     """
     m = len(site_vectors)
     if m < 1:
         raise ValueError("need at least one site")
-    for vector in site_vectors:
-        for occ in vector:
-            if np.min(occ) < 0:
-                raise ValueError(f"occupation labels must be non-negative, got {occ}")
+    negative = [occ for vector in site_vectors for occ in vector if np.min(occ) < 0]
+    if negative:
+        raise ValueError(f"occupation labels must be non-negative, got {negative[0]}")
+    site_vectors = [{occ: amp for occ, amp in vector.items() if amp != 0.0}
+                    for vector in site_vectors]
 
     # Forward/backward squared-weight sweeps over reachable charges.
     left_sq = [{c: 1.0 for c in left_charges}]
@@ -168,8 +170,6 @@ def product_state(
         blocks: dict[tuple[Charge, Charge], np.ndarray] = {}
         for cl in bonds[k]:
             for occ, amp in site_vectors[k].items():
-                if amp == 0.0:
-                    continue
                 cr = _sub(cl, occ)
                 if cr not in bonds[k + 1]:
                     continue
@@ -183,12 +183,10 @@ def product_state(
 def _reach(weights: dict[Charge, float], vector: dict[Hashable, complex],
            step) -> dict[Charge, float]:
     """Squared weights one site on: charge ``step(c, occ)`` collects w_c |amp|^2
-    from every charge c and nonzero amplitude of the site's local vector."""
+    from every charge c and amplitude of the site's local vector."""
     out: dict[Charge, float] = {}
     for c, w in weights.items():
         for occ, amp in vector.items():
-            if amp == 0.0:
-                continue
             nxt = step(c, occ)
             out[nxt] = out.get(nxt, 0.0) + w * abs(amp) ** 2
     return out

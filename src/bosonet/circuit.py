@@ -6,9 +6,10 @@ the nearest-neighbor brickwork whose composed mode unitary is Haar-random up
 to mode phases: blocks R_1, R_3, ..., R_(M-1), R_M, R_(M-2), ..., R_2, where
 block R_n applies beam splitters at the sites listed by
 ``gen_index_sequence(n)``. The gate at site k keeps a Beta(1, k)-distributed
-fraction of the incident amplitude (transmittance cos^2 theta drawn by
-``sample_reflectivity`` with exponent k) and its phase is uniform on
-[0, 2pi); composing the blocks then reproduces the nested
+fraction of the incident amplitude: its transmittance cos^2 theta is
+1 - (1 - u)^(1/k) for a uniform u, the inverse of that law's CDF (Russell,
+Chakhmakhsazyan & Matthews, New J. Phys. 19, 033007 (2017)), and its phase is
+uniform on [0, 2pi); composing the blocks then reproduces the nested
 sphere-point-picking recursion behind Haar measure.
 
 The mode unitary U is defined by how gates move creation operators,
@@ -120,19 +121,10 @@ def gen_index_sequence(n: int) -> tuple[int, ...]:
     return tuple(odds + evens)
 
 
-def sample_reflectivity(n: int, s: int, u: float) -> float:
-    """Invert the reflectivity law for block n at site s: r = 1 - (1-u)^(1/(n-s))."""
-    if not 1 <= s < n:
-        raise ValueError(f"site {s} invalid for block {n}")
-    if not 0.0 <= u < 1.0:
-        raise ValueError("u must lie in [0, 1)")
-    return 1.0 - (1.0 - u) ** (1.0 / (n - s))
-
-
 def sample_haar_circuit(num_modes: int, rng: np.random.Generator) -> CircuitPlan:
     """Draw the brickwork circuit whose composed unitary is Haar up to mode phases.
 
-    num_modes must be even. Per gate the reflectivity variate is drawn before
+    num_modes must be even. Per gate the transmittance variate is drawn before
     the phase, so a fixed generator state fixes the circuit.
     """
     if num_modes < 2 or num_modes % 2 != 0:
@@ -143,14 +135,11 @@ def sample_haar_circuit(num_modes: int, rng: np.random.Generator) -> CircuitPlan
     block_bounds = [0]
     for n in block_ns:
         for k in gen_index_sequence(n) if n >= 2 else ():
-            # The gate at site k closes a nested splitting chain over
-            # modes 1..k+1, so its transmittance cos^2(theta) must carry
-            # the Beta(1, k) law; drawing with exponent n - (n - k) = k
-            # and assigning the variate to the kept fraction makes the
-            # composed unitary Haar (the literal site-keyed reflectivity
-            # assignment provably is not: mode M would be mixed by a
-            # single uniform-reflectivity gate).
-            t = sample_reflectivity(n, n - k, rng.random())
+            # The gate at site k closes a nested splitting chain over modes
+            # 1..k+1, so its kept fraction cos^2(theta) carries the Beta(1, k)
+            # law (a reflectivity keyed on n - k is not Haar: mode M would be
+            # mixed by a single uniform-reflectivity gate).
+            t = 1.0 - (1.0 - rng.random()) ** (1.0 / k)
             phi = rng.uniform(0.0, _TWO_PI)
             gates.append(BeamSplitterGate(site=k, theta=math.acos(math.sqrt(t)), phi=phi))
         block_bounds.append(len(gates))

@@ -3,11 +3,12 @@
 Every experiment follows the same shape: a declarative :class:`ExperimentConfig`
 (usually parsed from a JSON file) names a recipe, the sweep ranges, and one
 master seed; :func:`run` executes the recipe over an ensemble of circuits and
-returns a :class:`RunRecord`; :func:`run_to_files` additionally writes
-``results.csv`` (per-circuit rows), ``summary.csv`` (ensemble aggregates),
-and ``meta.json``, after removing the tables an earlier run left in the same
-directory.  The data tables are byte-identical across reruns of the
-same (config, seed, software version); wall-clock timings never enter them —
+returns a :class:`RunRecord`, an aborted or numerically failed run's too;
+:func:`run_to_files` additionally writes ``results.csv`` (per-circuit rows),
+``summary.csv`` (ensemble aggregates), and ``meta.json``, after removing the
+tables an earlier run left in the same directory.  The data tables are
+byte-identical across reruns of the same (config, seed, software version);
+wall-clock timings never enter them —
 the total lives in ``meta.json`` and per-row timings in ``timings.csv``.
 
 :func:`validate_config` checks each field against its row of one table, ``_FIELDS``:
@@ -772,7 +773,12 @@ EXPERIMENTS = tuple(_RECIPES)
 
 
 def run(config: ExperimentConfig) -> RunRecord:
-    """Execute the configured recipe and return its record (no files)."""
+    """Execute the configured recipe and return its record (no files).
+
+    An exhausted budget gives status ``aborted`` and the completed units' rows;
+    a :class:`NumericalFailure` or :class:`DegradedStateError` gives status
+    ``numerical-failure``, no tables, and the error as the message.
+    """
     validate_config(config)
     digest = config_hash(config)
     budget = _Budget(config.max_seconds)
@@ -780,6 +786,8 @@ def run(config: ExperimentConfig) -> RunRecord:
         record = _RECIPES[config.experiment](config, digest, budget)
     except ResourceAbort as abort:
         record = RunRecord(abort.columns, abort.rows, status="aborted", message=str(abort))
+    except (NumericalFailure, DegradedStateError) as exc:
+        record = RunRecord([], [], status="numerical-failure", message=str(exc))
     record.config_hash, record.experiment = digest, config.experiment
     record.wall_time = budget.elapsed()
     return record
@@ -800,13 +808,13 @@ def _write_csv(path: Path, columns: list[str], rows: Iterable[dict[str, Any]]) -
 
 
 def run_to_files(config: ExperimentConfig) -> tuple[RunRecord, Path | None]:
-    """Run the recipe and write results.csv / summary.csv / meta.json.
+    """:func:`run` the recipe and write its record's tables and ``meta.json``.
 
     The two CSV tables are byte-identical across reruns of the same config;
     wall-clock information goes only to ``meta.json`` and ``timings.csv``.
-    Earlier tables in ``out_dir`` are removed first; ``checkpoints/`` is kept.
-    ``out_dir`` is created before the recipe runs, and a directory that
-    cannot be created is a :class:`ConfigError`.
+    Earlier tables in ``out_dir`` are removed first (``checkpoints/`` is
+    kept), so a failed run, which has none, leaves none.  ``out_dir`` is
+    created before the recipe runs; one that cannot be is a :class:`ConfigError`.
     """
     out_dir = None if config.out_dir is None else Path(config.out_dir)
     if out_dir is not None:
@@ -814,12 +822,7 @@ def run_to_files(config: ExperimentConfig) -> tuple[RunRecord, Path | None]:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError("out_dir", f"cannot create directory {out_dir}: {exc}") from None
-    try:
-        record = run(config)
-    except (NumericalFailure, DegradedStateError) as exc:
-        record = RunRecord([], [], config_hash=config_hash(config),
-                           experiment=config.experiment, status="numerical-failure",
-                           message=str(exc))
+    record = run(config)
     if out_dir is not None:
         # A table left by an earlier run would sit beside this run's meta.json
         # as if this run had written it.

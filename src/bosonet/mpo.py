@@ -48,11 +48,7 @@ def init_lossy(num_photons: int, num_modes: int, mu: float) -> MpoState:
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"transmissivity mu must be in [0, 1], got {mu}")
 
-    occupied: dict = {}
-    if 1.0 - mu != 0.0:
-        occupied[(0, 0)] = 1.0 - mu
-    if mu != 0.0:
-        occupied[(1, 1)] = mu
+    occupied = {(0, 0): 1.0 - mu, (1, 1): mu}  # ``product_state`` drops a zero amplitude
     vacuum = {(0, 0): 1.0}
     site_vectors = [occupied] * num_photons + [vacuum] * (num_modes - num_photons)
     left = [(n, n) for n in range(num_photons + 1)]

@@ -7,8 +7,9 @@ observed occupations (``(n,)`` for a pure state, the diagonal pair
 the orthogonality of the right part (pure states) or by tracing it out in the
 same walk (density operators: ``mpo.marginal``, the one read of rho's
 diagonal). ``marginal_prob`` does exactly that, independently of the samplers
-below; its prefix is checked by ``circuit.occupation_pattern``. For a full
-pattern of a density operator it is the unclamped ``mpo.outcome_prob``.
+below; of its checks only the degraded-state one is its own, and an occupation
+above N reads 0. For a full pattern of a density operator it is the unclamped
+``mpo.outcome_prob``.
 
 Sampling walks mode 1 to M, drawing each occupation from the ratio of running
 marginals; the conditional distribution at each step is renormalized by its
@@ -201,16 +202,13 @@ def marginal_prob(state: MpsState | MpoState, prefix: tuple[int, ...]) -> float:
 
     For density operators this is the raw (trace-weighted) ``mpo.marginal``,
     so the empty prefix returns Tr rho and single-mode marginals sum to it.
+    An occupation above the state's photon number reads 0, as in every reader.
     """
     _check_degraded(state_norm(state))
+    if isinstance(state, MpoState):
+        return marginal(state, prefix)
     prefix = occupation_pattern(prefix, state.num_modes, prefix=True)
-    if any(n >= state.local_dim for n in prefix):
-        raise ValueError(
-            f"occupations must lie in [0, {state.local_dim - 1}], got {prefix}"
-        )
-    if isinstance(state, MpsState):
-        return _squared_norm(chain.prefix_environment(state, [(n,) for n in prefix]))
-    return marginal(state, prefix)
+    return _squared_norm(chain.prefix_environment(state, [(n,) for n in prefix]))
 
 
 def sample(

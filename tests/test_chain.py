@@ -11,7 +11,9 @@ the pooled spectrum. The tests compare the kept spectrum and the rebuilt
 two-site tensor, check that the new blocks are right-canonical and that a
 mirrored train keeps bitwise mirror copies. The last tests check that
 ``chain.apply_plan`` takes each gate's blocks from the state's own module,
-and that every reader of an occupation pattern rejects a malformed entry.
+that a gate or plan off the chain is rejected, and that every reader of an
+occupation pattern rejects a malformed entry and reads an occupation above N
+as 0.
 """
 
 import copy
@@ -280,6 +282,25 @@ def test_apply_plan_builds_each_gate_once_in_the_states_module(monkeypatch, kind
     assert calls == {"mps": 0, "mpo": 0, kind: len(plan.gates)}
 
 
+GATE = BeamSplitterGate(1, 0.7, 1.3)
+TWO_MODE_PLAN = sample_haar_circuit(2, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("apply, message", [
+    pytest.param(lambda s, p: chain.two_site_update(s, 0, s.gate_blocks(GATE), p),
+                 r"site must be in \[1, 3\], got 0", id="site-0"),
+    pytest.param(lambda s, p: chain.two_site_update(s, 4, s.gate_blocks(GATE), p),
+                 r"site must be in \[1, 3\], got 4", id="site-M"),
+    pytest.param(lambda s, p: chain.apply_plan(s, TWO_MODE_PLAN, p),
+                 "plan acts on 2 modes but state has 4", id="plan-of-2-modes"),
+])
+@pytest.mark.parametrize("kind", ["mps", "mpo"])
+def test_gate_or_plan_off_the_chain_is_rejected(kind, apply, message):
+    state = mps.init_fock((1, 1, 0, 0)) if kind == "mps" else mpo.init_lossy(2, 4, 0.5)
+    with pytest.raises(ValueError, match=message):
+        apply(state, TruncationPolicy(chi_max=16))
+
+
 #: Each reader of an occupation pattern, called with ``pattern`` on a lossless
 #: or lossy state of 4 modes and 2 photons, or on the angles of a 4-mode Haar unitary.
 HAAR_ANGLES = partition_angles(
@@ -304,3 +325,13 @@ def test_occupation_readers_reject_a_malformed_entry(reader, entry):
     assert READERS[reader]((1, 1, 0, 0)) != 0.0
     with pytest.raises(ValueError, match="integers|non-negative"):
         READERS[reader]((entry, 1, 0, 0))
+
+
+# ``lossless_ee`` reads an input pattern, which may hold any number of photons.
+@pytest.mark.parametrize("read", [
+    *(pytest.param(READERS[name], id=name) for name in sorted(READERS) if name != "lossless_ee"),
+    pytest.param(lambda pattern: sampling.marginal_prob(mps.init_fock((1, 1, 0, 0)), pattern),
+                 id="marginal_prob-mps"),
+])
+def test_occupation_readers_read_an_occupation_above_n_as_zero(read):
+    assert read((3, 0, 0, 0)) == 0.0

@@ -13,7 +13,6 @@ from bosonet.circuit import (
     gen_index_sequence,
     plan_fingerprint,
     sample_haar_circuit,
-    sample_reflectivity,
 )
 from bosonet.oracle import build_submatrix, permanent
 
@@ -31,17 +30,20 @@ def test_index_sequence_covers_all_sites():
         assert sorted(gen_index_sequence(n)) == list(range(1, n))
 
 
-def test_reflectivity_identity_case():
-    # With a unit exponent the inverse CDF is the identity map.
-    for u in (0.0, 0.3, 0.99):
-        assert sample_reflectivity(5, 4, u) == pytest.approx(u)
-
-
-def test_reflectivity_mean():
-    # Density k (1-r)^(k-1) has mean 1/(k+1); here k = n - s = 3.
+def test_haar_gate_transmittance_follows_beta_1_k():
+    # The gate at site k keeps a Beta(1, k) fraction cos^2(theta), of mean
+    # 1/(k+1) and variance k/((k+1)^2 (k+2)). Site 7 of M=8 appears once per
+    # circuit, so 2000 circuits give every site at least 2000 gates.
     rng = np.random.default_rng(5)
-    draws = np.array([sample_reflectivity(5, 2, u) for u in rng.random(4000)])
-    assert abs(draws.mean() - 0.25) < 0.012  # 4 sigma for this sample size
+    kept: dict[int, list[float]] = {}
+    for _ in range(2000):
+        for g in sample_haar_circuit(8, rng).gates:
+            kept.setdefault(g.site, []).append(math.cos(g.theta) ** 2)
+    assert sorted(kept) == list(range(1, 8))
+    for k, values in kept.items():
+        assert len(values) >= 2000
+        sigma = math.sqrt(k / ((k + 1) ** 2 * (k + 2)) / len(values))
+        assert abs(np.mean(values) - 1 / (k + 1)) < 4 * sigma, k
 
 
 def test_haar_circuit_counts():
@@ -144,6 +146,18 @@ def test_two_mode_entry_distribution():
     )
     ecdf = np.arange(1, 2001) / 2000
     assert np.max(np.abs(vals - ecdf)) < 0.05
+
+
+@pytest.mark.parametrize("num_modes, gates, blocks, message", [
+    pytest.param(1, [], [], "at least two modes", id="one-mode"),
+    pytest.param(4, [BeamSplitterGate(4, 0.3, 0.1)], [], r"gate site 4 outside \[1, 3\]",
+                 id="site-M"),
+    pytest.param(4, [BeamSplitterGate(1, 0.3, 0.1), BeamSplitterGate(3, 0.2, 0.4)], [0, 1],
+                 "block boundaries", id="blocks-short-of-the-gates"),
+])
+def test_malformed_plan_is_rejected(num_modes, gates, blocks, message):
+    with pytest.raises(ValueError, match=message):
+        CircuitPlan(num_modes=num_modes, gates=gates, block_boundaries=blocks)
 
 
 def test_plan_fingerprint_is_pinned():

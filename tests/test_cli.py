@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bosonet
-from bosonet import experiments
+from bosonet import chain, experiments
 from bosonet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from bosonet.linalg import DegradedStateError, NumericalFailure
 from bosonet.snapshots import FORMAT_VERSION, load_state
 
 
@@ -238,6 +239,32 @@ class TestFailureExitCodes:
         assert code == EXIT_NUMERICAL
         assert "exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [NumericalFailure, DegradedStateError])
+    def test_raised_failure_exits_two_and_leaves_no_tables(self, tmp_path, capsys, monkeypatch,
+                                                           error):
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "c.json")
+        assert main(["lossless-ee", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert (out / "results.csv").exists() and (out / "summary.csv").exists()
+
+        calls = []
+
+        def fail_on_third_gate(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise error("third gate went wrong")
+            return 0.0
+
+        monkeypatch.setattr(chain, "apply_gate", fail_on_third_gate)
+        capsys.readouterr()
+        code = main(["lossless-ee", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert "bosonet: numerical-failure: third gate went wrong" in capsys.readouterr().err
+        meta = json.loads((out / "meta.json").read_text())
+        assert (meta["status"], meta["message"]) == ("numerical-failure", "third gate went wrong")
+        assert not (out / "results.csv").exists()
+        assert not (out / "summary.csv").exists()
+
 
 class TestStaleOutputs:
     def test_aborted_rerun_removes_the_summary_of_the_run_before(self, tmp_path):
@@ -376,10 +403,13 @@ class TestCheckpointResume:
         pytest.param(lambda extra: extra.update(layers_done=1.5), id="float-layers_done"),
         pytest.param(lambda extra: extra.update(rows={"M": 4}), id="dict-rows"),
         pytest.param(lambda extra: extra.update(rows=[7]), id="int-row"),
+        # A resume that trusted this progress would write no rows.
+        pytest.param(lambda extra: extra.update(config_hash="0" * 16, layers_done=10_000,
+                                                rows=[]), id="other-config_hash"),
     ])
     def test_checkpoint_with_malformed_progress_is_ignored(self, tmp_path, edit):
-        # The header is well formed and carries the run's config hash; only the
-        # progress fields are missing or of the wrong type.
+        # The header is well formed; only the progress fields are missing, of
+        # the wrong type, or another config's.
         assert_resume_ignores_planted_checkpoint(
             tmp_path, lambda path: _edit_header(path, lambda h: edit(h["extra"])))
 

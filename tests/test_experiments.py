@@ -21,6 +21,8 @@ from bosonet.experiments import (
     run_to_files,
     validate_config,
 )
+from bosonet.linalg import DegradedStateError, NumericalFailure
+from bosonet.snapshots import load_header
 
 
 def make_doc(**overrides):
@@ -242,6 +244,11 @@ class TestConfigParsing:
             config_from_dict(make_doc(experiment="prob", outcomes=[[1, 1, 0]]))
         with pytest.raises(ConfigError, match="'outcomes'"):
             config_from_dict(make_doc(experiment="prob", outcomes=[[1, -1, 0, 2]]))
+
+    def test_prob_needs_a_single_mode_count(self):
+        with pytest.raises(ConfigError, match="'num_modes'.*single mode count"):
+            config_from_dict(make_doc(experiment="prob", num_modes=[4, 6],
+                                      outcomes=[[1, 1, 0, 0]]))
 
     def test_oracle_check_grid_is_bounded(self):
         with pytest.raises(ConfigError, match="'num_modes'"):
@@ -680,6 +687,59 @@ class TestAbortAndResume:
         assert record.status == "aborted"
         assert "config_hash" in record.columns
 
+    @pytest.mark.parametrize("experiment, extra", [
+        ("lossy-ee", {"loss": {"kind": "constant", "mu": 0.6}}),
+        ("lossless-ee", {}),
+    ])
+    def test_resume_from_a_mid_circuit_checkpoint(self, tmp_path, monkeypatch, experiment,
+                                                  extra):
+        # Abort inside circuit 0 after k layers: the resume must restore them,
+        # so it applies k layers' worth fewer gates than a fresh run and still
+        # writes the uninterrupted run's tables.
+        k = 2
+        doc = make_doc(experiment=experiment, num_modes=[6], alphas=[1.0, 2.0],
+                       checkpoint_every=1, **extra)
+        gates = []
+        apply_gate = chain.apply_gate
+
+        def counting(state, gate, policy):
+            gates.append(gate)
+            return apply_gate(state, gate, policy)
+
+        monkeypatch.setattr(chain, "apply_gate", counting)
+        first_layers = sample_haar_circuit(6, circuit_rng(7, 0, 0)).layers()[:k]
+
+        record, clean = run_to_files(config_from_dict({**doc, "out_dir": str(tmp_path / "a")}))
+        assert record.status == "ok"
+        fresh_calls = len(gates)
+
+        checks = []
+
+        def exhaust_after_k_layers(budget):
+            checks.append(None)
+            if len(checks) > k:
+                raise experiments.ResourceAbort("wall-clock budget exhausted")
+
+        resumed = config_from_dict({**doc, "out_dir": str(tmp_path / "b")})
+        gates.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments._Budget, "check", exhaust_after_k_layers)
+            record, out = run_to_files(resumed)
+        assert record.status == "aborted"
+        assert gates == [g for layer in first_layers for g in layer]
+        [path] = (out / "checkpoints").glob("*.npz")
+        progress = load_header(path)["extra"]
+        assert progress["layers_done"] == k
+        assert len(progress["rows"]) == k * len(doc["alphas"])
+
+        gates.clear()
+        record, out = run_to_files(resumed)
+        assert record.status == "ok"
+        for table in ("results.csv", "summary.csv"):
+            assert (out / table).read_bytes() == (clean / table).read_bytes()
+        assert len(gates) == fresh_calls - sum(map(len, first_layers))
+        assert not list((out / "checkpoints").glob("*.npz"))
+
     def test_abort_keeps_rows_of_completed_units(self, monkeypatch):
         checks = []
 
@@ -694,6 +754,24 @@ class TestAbortAndResume:
         record = run(config_from_dict(RECIPE_DOCS["analytic-ee"]))
         assert record.status == "aborted"
         assert [(r["circuit"], r["alpha"]) for r in record.rows] == [(0, 1.0), (0, 2.0)]
+
+
+@pytest.mark.parametrize("error", [NumericalFailure, DegradedStateError])
+def test_raised_failure_is_a_numerical_failure_record(monkeypatch, error):
+    calls = []
+
+    def fail_on_third_gate(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise error("third gate went wrong")
+        return 0.0
+
+    monkeypatch.setattr(chain, "apply_gate", fail_on_third_gate)
+    config = config_from_dict(make_doc())
+    record = run(config)
+    assert (record.status, record.message) == ("numerical-failure", "third gate went wrong")
+    assert (record.columns, record.rows, record.summary) == ([], [], [])
+    assert (record.config_hash, record.experiment) == (config_hash(config), "lossless-ee")
 
 
 # ---------------------------------------------------------------------------

@@ -129,11 +129,13 @@ def test_budget_exceeding_prefix_is_exactly_zero():
 
 
 def test_marginal_validation():
-    state = evolved_mps((1, 1, 0, 0), seed=23)
-    with pytest.raises(ValueError):
-        sampling.marginal_prob(state, (3,))
-    with pytest.raises(ValueError):
-        sampling.marginal_prob(state, (0,) * 5)
+    # An occupation above N reads 0, as in every reader; a malformed prefix raises.
+    for state in (evolved_mps((1, 1, 0, 0), seed=23), evolved_mpo(2, 4, 0.5, seed=23)):
+        assert sampling.marginal_prob(state, (3,)) == 0.0
+        with pytest.raises(ValueError):
+            sampling.marginal_prob(state, (0,) * 5)
+        with pytest.raises(ValueError):
+            sampling.marginal_prob(state, (-1,))
 
 
 # ---------------------------------------------------------------------------

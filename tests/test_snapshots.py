@@ -121,6 +121,13 @@ def test_failed_save_keeps_the_previous_snapshot(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]
 
 
+def test_save_of_a_non_state_is_rejected(tmp_path):
+    state, _ = _evolved_mps()
+    with pytest.raises(TypeError, match="cannot snapshot object of type list"):
+        save_state(tmp_path / "state.npz", state.sites)
+    assert not list(tmp_path.iterdir())
+
+
 def test_header_records_kind_and_loss(tmp_path):
     pure, _ = _evolved_mps()
     lossy, _ = _evolved_mpo(mu=0.35)
@@ -232,6 +239,9 @@ def _move_block(arrays):
                  r"'bond2/.*' is not a finite", id="inf-bond"),
     pytest.param(_replace("site1/", lambda b: b.astype(str)), r"'site1/.*' is not a finite",
                  id="text-block"),
+    pytest.param(lambda arrays: arrays.pop("header"), "not a state snapshot", id="no-header"),
+    pytest.param(lambda arrays: arrays.update(notes=np.zeros(2)),
+                 "unexpected snapshot member 'notes'", id="unexpected-member"),
 ])
 def test_malformed_member_raises_value_error_naming_it(tmp_path, edit, message):
     state, _ = _evolved_mpo()
