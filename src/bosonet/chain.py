@@ -29,8 +29,8 @@ form, and ``apply_gate``/``apply_plan`` are the one gate and plan loop.
 Layout for ``M`` sites (one per mode):
 
 - ``bonds[k]``, k = 0..M: dict charge -> descending positive float array, the
-  singular values across cut k. ``bonds[0]``/``bonds[M]`` carry the boundary
-  sector decomposition.
+  singular values across cut k; no bond is empty. ``bonds[0]``/``bonds[M]``
+  carry the boundary sector decomposition.
 - ``sites[k]``, k = 0..M-1 (site k+1): dict (cl, cr) -> complex matrix B of
   shape (len(bonds[k][cl]), len(bonds[k+1][cr])).
 
@@ -305,8 +305,8 @@ def two_site_update(
     new_left: dict[tuple[Charge, Charge], np.ndarray] = {}
     new_right: dict[tuple[Charge, Charge], np.ndarray] = {}
     for out in plan.outputs:
-        kept = outcome.kept_by_group.get(plan.centers[out.center].charge)
-        if kept is None:
+        kept = outcome.kept_by_group[out.center]
+        if not kept.size:
             continue
         phi, values, right_conj = factors[out.center]
         new_bond[out.charge] = values[kept]
@@ -500,28 +500,20 @@ def suffix_trace_environments(
 
 def schmidt_values(state: TensorTrainState, bond: int) -> np.ndarray:
     """All singular values at a bond, pooled over charge sectors, descending."""
-    spectra = list(state.bonds[bond].values())
-    if not spectra:
-        return np.array([])
-    return np.sort(np.concatenate(spectra))[::-1]
+    return np.sort(np.concatenate(list(state.bonds[bond].values())))[::-1]
 
 
 def renyi_entropy(state: TensorTrainState, bond: int, alpha: float) -> float:
     """Renyi-``alpha`` entropy (bits) across bond ``bond`` (0..M).
 
     The entanglement entropy of a pure state, the operator-space entanglement
-    of a vectorized density operator. Computed on a 2-norm-renormalized copy
-    of the spectrum (the stored singular values are untouched), with the
-    order read by ``entropy.normalized_renyi``.
+    of a vectorized density operator, of the 2-norm-renormalized spectrum as
+    stored (never empty, every value positive), with the order read by
+    ``entropy.normalized_renyi``.
     """
     if not 0 <= bond <= state.num_modes:
         raise ValueError(f"bond must be in [0, {state.num_modes}], got {bond}")
-    spectrum = state.bonds[bond]
-    values = np.concatenate([v for v in spectrum.values()]) if spectrum else np.array([])
-    p = values.astype(float) ** 2
-    p = p[p > 0.0]
-    if p.size == 0:
-        return 0.0
+    p = np.concatenate(list(state.bonds[bond].values())) ** 2
     return normalized_renyi(p / p.sum(), alpha)
 
 

@@ -127,16 +127,17 @@ def normalized_renyi(p: np.ndarray, alpha: float) -> float:
     orders use ``log2(sum p^alpha) / (1 - alpha)``. A power sum that underflows
     to 0 (orders in the thousands and up) takes the largest entry out, without
     forming ``alpha * log2(p_max)``, which overflows near ``alpha = 1e300``.
+    A zero entropy is +0.0: ``+ 0.0`` clears the -0.0 of a one-value ``p``.
     """
     _check_order(alpha)
     if alpha == 0:
         return math.log2(np.count_nonzero(p))
     if abs(alpha - 1.0) < _VON_NEUMANN_WINDOW:
         nz = p[p > 0.0]
-        return float(-(nz * np.log2(nz)).sum())
+        return float(-(nz * np.log2(nz)).sum()) + 0.0
     total = (p**alpha).sum()
     if total > 0.0:
-        return float(math.log2(total) / (1.0 - alpha))
+        return float(math.log2(total) / (1.0 - alpha)) + 0.0
     p_max = p.max()
     return float(alpha / (alpha - 1.0) * -math.log2(p_max)
                  - math.log2(((p / p_max) ** alpha).sum()) / (alpha - 1.0))

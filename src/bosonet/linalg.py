@@ -10,7 +10,7 @@ update needs a division cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Hashable, Sequence
 
@@ -59,11 +59,11 @@ class TruncationPolicy:
 
 @dataclass
 class TruncationOutcome:
-    """Kept (group label, value) pairs in keep order plus the dropped weight."""
+    """Kept (group label, value) pairs in keep order, dropped weight, kept indices per group."""
 
     kept: list[tuple[Hashable, float]]
     discarded_weight: float
-    kept_by_group: dict[Hashable, np.ndarray] = field(default_factory=dict)
+    kept_by_group: list[np.ndarray]
 
 
 def _as_matrix(m: np.ndarray) -> np.ndarray:
@@ -108,18 +108,19 @@ def truncate_global(
     """Keep the globally largest singular values pooled across charge groups.
 
     All values are pooled into one list and the top policy.chi_max survive;
-    there are no per-group quotas. Ties break deterministically: larger value
-    first, then smaller group label, then smaller original index within the
-    group. Values below RANK_CUTOFF times the largest pooled value count as
-    exact zeros and are always dropped. The squared weight of everything
-    dropped is returned.
+    there are no per-group quotas. Ties break by pooled position (earlier
+    group, then smaller index), so callers list groups in tie-break order.
+    Values below RANK_CUTOFF times the largest pooled value count as exact
+    zeros and are always dropped. The dropped squared weight is returned.
 
     ``units[g]`` is the number of copies of group g's values that the caller
     keeps (1 for every group when not given): each value of group g counts
     units[g] against chi_max and units[g] v^2 in every weight. The cut keeps
-    the longest prefix whose count fits chi_max, so a value that no longer
-    fits ends it and it can keep fewer than chi_max. ``kept`` lists each kept
-    value once, under its group's label.
+    the longest prefix whose count fits chi_max (so maybe fewer than chi_max)
+    and always the largest value, so no cut empties a bond: at chi_max = 1 a
+    mirror pair at the head keeps both copies. ``kept`` lists each kept value
+    once, under its group's label; ``kept_by_group[g]`` holds group g's kept
+    indices, maybe none.
     """
     arrays = [np.asarray(values, dtype=np.float64) for _, values in groups]
     if any(vals.ndim != 1 for vals in arrays):
@@ -128,23 +129,18 @@ def truncate_global(
     if (units.shape != (len(arrays),) or units.dtype.kind not in "iu"
             or min(units.tolist(), default=1) < 1):
         raise ValueError("units must give one positive integer per group")
-    labels = [label for label, _ in groups]
-    label_rank = {label: r for r, label in enumerate(sorted(set(labels)))}
     sizes = [vals.size for vals in arrays]
     values = np.concatenate(arrays) if arrays else np.zeros(0)
     if np.any(values < 0) or not np.all(np.isfinite(values)):
         raise ValueError("singular values must be finite and nonnegative")
-    if values.size == 0:
-        return TruncationOutcome(kept=[], discarded_weight=0.0)
 
     group = np.repeat(np.arange(len(arrays)), sizes)
-    ranks = np.array([label_rank[label] for label in labels])[group]
-    # Within one group the pooled position orders entries by index.
-    order = np.lexsort((np.arange(values.size), ranks, -values))
+    order = np.argsort(-values, kind="stable")
     pooled = values[order]
     counts = units[group[order]]
-    nonzero = int(np.count_nonzero(pooled > RANK_CUTOFF * pooled[0]))
-    keep_count = min(nonzero, int(np.searchsorted(np.cumsum(counts), policy.chi_max, "right")))
+    nonzero = int(np.count_nonzero(pooled > RANK_CUTOFF * pooled.max(initial=0.0)))
+    fits = int(np.searchsorted(np.cumsum(counts), policy.chi_max, "right"))
+    keep_count = min(nonzero, max(1, fits))
     weights = counts * pooled**2
 
     if policy.weight_threshold is not None and keep_count > 0:
@@ -155,14 +151,9 @@ def truncate_global(
     kept = np.zeros(values.size, dtype=bool)
     kept[order[:keep_count]] = True
     starts = list(accumulate(sizes, initial=0))
-    kept_by_group = {}
-    for label, start, stop in zip(labels, starts, starts[1:]):
-        idx = np.flatnonzero(kept[start:stop])
-        if idx.size:
-            kept_by_group[label] = idx
     return TruncationOutcome(
-        kept=[(labels[g], v) for g, v in zip(group[order[:keep_count]].tolist(),
-                                              pooled[:keep_count].tolist())],
+        kept=[(groups[g][0], v) for g, v in zip(group[order[:keep_count]].tolist(),
+                                                 pooled[:keep_count].tolist())],
         discarded_weight=float(sum(weights[keep_count:].tolist())),
-        kept_by_group=kept_by_group,
+        kept_by_group=[np.flatnonzero(kept[start:stop]) for start, stop in zip(starts, starts[1:])],
     )

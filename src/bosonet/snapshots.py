@@ -138,9 +138,10 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
     A header field that is missing or of the wrong type raises ``ValueError``
     naming the field, like every other malformed snapshot; so does a
     ``norm_scale`` or ``discarded_weight`` that is not finite. A member that
-    is not a finite float or complex array raises it too, as does a bond that
-    is not a 1-D real array, and a site block whose charges are not in the
-    bonds on its two sides or whose shape is not their sizes.
+    is not a finite float or complex array raises it too, as do a bond with
+    no member, a bond member that is not a nonempty 1-D array of positive
+    reals (the ``chain`` readers trust neither to occur), and a site block
+    whose charges or shape do not fit its bonds.
     """
     header = load_header(path)
     paired = _field(path, header, "kind", {"mps": False, "mpo": True}.__getitem__)
@@ -176,8 +177,11 @@ def load_state(path: str | Path) -> tuple[MpsState | MpoState, dict[str, Any]]:
                                  "complex array")
             if blocks is sites:
                 site_members.append((key, k, charge))
-            elif member.ndim != 1 or member.dtype.kind != "f":
-                raise ValueError(f"{path}: member {key!r} is not a 1-D real array")
+            elif (member.ndim != 1 or member.dtype.kind != "f" or not member.size
+                  or member.min() <= 0):
+                raise ValueError(f"{path}: member {key!r} is not a nonempty positive 1-D array")
+    if {} in bonds:
+        raise ValueError(f"{path}: bond {bonds.index({})} holds no charge")
     for key, k, (cl, cr) in site_members:
         if cl not in bonds[k] or cr not in bonds[k + 1]:
             raise ValueError(f"{path}: member {key!r} has a charge its bonds do not hold")

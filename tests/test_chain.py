@@ -179,7 +179,8 @@ def _reference(state, blocks, policy):
         weights = np.concatenate([left_bond[c] for c in rows])
         _, s, vh = np.linalg.svd(weights[:, None] * phi, full_matrices=False)
         factors[co] = (rows, cols, phi, s, vh)
-    # Pooled cut: a mirror pair of centers is one unit that counts twice.
+    # Pooled cut: a mirror pair of centers is one unit that counts twice, and
+    # the head unit stays even when it alone exceeds chi.
     pool = sorted(((s[i], co, i) for co, (*_, s, _) in factors.items() for i in range(len(s))
                    if not mirrored or co[0] <= co[1]), reverse=True)
     top = pool[0][0] if pool else 0.0
@@ -188,7 +189,7 @@ def _reference(state, blocks, policy):
     kept, count = [], 0
     for value, co, i in pool:
         units = 2 if mirrored and co[0] != co[1] else 1
-        if value <= RANK_CUTOFF * top or count + units > policy.chi_max:
+        if value <= RANK_CUTOFF * top or (kept and count + units > policy.chi_max):
             break
         kept.append((value, co, i))
         count += units

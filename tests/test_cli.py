@@ -14,10 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bosonet
-from bosonet import chain, experiments
+from bosonet import chain, experiments, mpo
+from bosonet.circuit import sample_haar_circuit
 from bosonet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
-from bosonet.linalg import DegradedStateError, NumericalFailure
+from bosonet.experiments import circuit_rng
+from bosonet.linalg import DegradedStateError, NumericalFailure, TruncationPolicy
 from bosonet.snapshots import FORMAT_VERSION, load_state
+
+from helpers import _edit_header, _edit_members
 
 
 def write_config(path, **overrides):
@@ -222,6 +226,39 @@ class TestHappyPath:
         assert "max deviation" in capsys.readouterr().out
 
 
+# (M, N, mu, seed) of chi = 1 lossy evolutions with a cut whose largest value
+# is a mirror pair, two units against chi = 1: a cut that kept nothing there
+# would empty the bond.
+CHI_ONE_PROBES = [
+    (4, 4, 0.9, 3), (4, 4, 1.0, 1), (4, 4, 1.0, 3), (6, 2, 0.9, 0), (6, 2, 1.0, 0),
+    (6, 4, 0.9, 3), (6, 4, 1.0, 1), (6, 4, 1.0, 3), (8, 3, 0.9, 0), (8, 3, 0.9, 4),
+    (8, 3, 1.0, 0), (8, 3, 1.0, 4), (8, 4, 0.9, 3), (8, 4, 0.9, 4), (8, 4, 1.0, 0),
+    (8, 4, 1.0, 1), (8, 4, 1.0, 3), (8, 4, 1.0, 4),
+]
+
+
+def test_lossy_ee_at_chi_one_keeps_every_bond(tmp_path, monkeypatch):
+    smallest = []
+    apply_gate = chain.apply_gate
+
+    def recording(state, gate, policy):
+        weight = apply_gate(state, gate, policy)
+        smallest.append(min(map(len, state.bonds)))
+        return weight
+
+    monkeypatch.setattr(chain, "apply_gate", recording)
+    config = write_config(tmp_path / "c.json", experiment="lossy-ee", seed=0, num_modes=[6],
+                          num_photons=[2], loss={"kind": "constant", "mu": 0.9}, chi_max=1)
+    assert main(["lossy-ee", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert smallest and min(smallest) >= 1
+    for m, n, mu, seed in CHI_ONE_PROBES:
+        smallest.clear()
+        state = mpo.init_lossy(n, m, mu)
+        chain.apply_plan(state, sample_haar_circuit(m, circuit_rng(seed, 0, 0)),
+                         TruncationPolicy(chi_max=1))
+        assert min(smallest) >= 1, (m, n, mu, seed)
+
+
 class TestFailureExitCodes:
     def test_budget_abort_exits_three(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", max_seconds=0.0)
@@ -289,28 +326,14 @@ class TestStaleOutputs:
         assert sorted(p.name for p in out.glob("samples_c*.csv")) == ["samples_c0.csv"]
 
 
-def _edit_members(path, edit):
-    """Rewrite the snapshot at ``path`` with ``edit(arrays)`` applied to its members."""
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {key: data[key] for key in data.files}
-    edit(arrays)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def _edit_header(path, edit):
-    """Rewrite the JSON header of the snapshot at ``path`` with ``edit(header)``."""
-    def edit_members(arrays):
-        header = json.loads(str(arrays["header"][()]))
-        edit(header)
-        arrays["header"] = np.array(json.dumps(header))
-
-    _edit_members(path, edit_members)
-
-
 def _nan_site_block(arrays):
     key = next(key for key in arrays if key.startswith("site2/"))
     arrays[key] = np.full_like(arrays[key], np.nan)
+
+
+def _zero_bond0_member(arrays):
+    key = next(key for key in arrays if key.startswith("bond0/"))
+    arrays[key] = np.zeros_like(arrays[key])
 
 
 def assert_resume_ignores_planted_checkpoint(tmp_path, plant):
@@ -386,6 +409,12 @@ class TestCheckpointResume:
     ])
     def test_checkpoint_with_non_finite_entries_is_ignored(self, tmp_path, plant):
         assert_resume_ignores_planted_checkpoint(tmp_path, plant)
+
+    def test_checkpoint_with_a_zero_bond_value_is_ignored(self, tmp_path):
+        # Bond 0 weighs the first gate's Theta, so a zero there would resume
+        # into other numbers.
+        assert_resume_ignores_planted_checkpoint(
+            tmp_path, lambda path: _edit_members(path, _zero_bond0_member))
 
     def test_checkpoint_with_loss_key_of_older_builds_resumes(self, tmp_path):
         # Older format-3 builds wrote the transmissivity into the header; such a

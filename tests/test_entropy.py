@@ -24,6 +24,7 @@ from bosonet.entropy import (
     lossy_mode_spectrum,
     lossy_mpo_ee,
     naive_cost,
+    normalized_renyi,
     partition_angles,
 )
 from bosonet.linalg import TruncationPolicy
@@ -138,6 +139,15 @@ def test_distribution_renyi_frozen_values():
     )
     # Hartley entropy counts support, ignoring zero entries.
     assert distribution_renyi(np.array([0.5, 0.5, 0.0]), 0.0) == pytest.approx(1.0)
+
+
+def test_order_just_outside_the_von_neumann_window_is_a_power_sum():
+    # 1 + 1e-7 lies outside the 1e-12 window, so it takes the power-sum branch
+    # bit for bit and is not the Shannon value.
+    p = np.array([0.75, 0.25])
+    alpha = 1.0 + 1e-7
+    assert normalized_renyi(p, alpha) == math.log2((p**alpha).sum()) / (1.0 - alpha)
+    assert normalized_renyi(p, alpha) != normalized_renyi(p, 1.0)
 
 
 def test_distribution_renyi_validation():

@@ -415,6 +415,17 @@ class TestLossyRecipe:
         assert mus[1] == pytest.approx(0.8)
         assert mus[2] == pytest.approx(0.8 * 2 ** (-0.5))
 
+    def test_power_law_without_photons_is_lossless(self):
+        # N**(gamma - 1) at N = 0 would divide by zero for gamma < 1; an empty
+        # input has nothing to lose.
+        record = run(config_from_dict(
+            make_doc(experiment="lossy-ee", num_photons=[0, 2], gammas=[0.5], betas=[0.6],
+                     n_circuits=1)
+        ))
+        assert record.status == "ok"
+        empty = [row for row in record.rows if row["N"] == 0]
+        assert empty and all(row["mu"] == 1.0 and row["trace"] == 1 for row in empty)
+
 
 # ---------------------------------------------------------------------------
 # recipe: analytic-ee
@@ -739,6 +750,41 @@ class TestAbortAndResume:
             assert (out / table).read_bytes() == (clean / table).read_bytes()
         assert len(gates) == fresh_calls - sum(map(len, first_layers))
         assert not list((out / "checkpoints").glob("*.npz"))
+
+    def test_resume_after_a_crash_inside_a_layer(self, tmp_path, monkeypatch):
+        # An exception that is not bosonet's ends the run partway through layer
+        # k + 1 of circuit 0; the checkpoint taken after layer k must resume
+        # into the uninterrupted run's tables.
+        k = 2
+        doc = make_doc(experiment="lossy-ee", num_modes=[6], loss={"kind": "constant", "mu": 0.6},
+                       checkpoint_every=1)
+        layers = sample_haar_circuit(6, circuit_rng(7, 0, 0)).layers()
+        assert len(layers[k]) >= 2
+        crash_at = sum(map(len, layers[:k])) + 2  # the second gate of layer k + 1
+        record, clean = run_to_files(config_from_dict({**doc, "out_dir": str(tmp_path / "a")}))
+        assert record.status == "ok"
+
+        calls = []
+        apply_gate = chain.apply_gate
+
+        def crashing(state, gate, policy):
+            calls.append(None)
+            if len(calls) == crash_at:
+                raise RuntimeError("crash inside a layer")
+            return apply_gate(state, gate, policy)
+
+        resumed = config_from_dict({**doc, "out_dir": str(tmp_path / "b")})
+        with monkeypatch.context() as patch:
+            patch.setattr(chain, "apply_gate", crashing)
+            with pytest.raises(RuntimeError, match="crash inside a layer"):
+                run_to_files(resumed)
+        [path] = (tmp_path / "b" / "checkpoints").glob("*.npz")
+        assert load_header(path)["extra"]["layers_done"] == k
+
+        record, out = run_to_files(resumed)
+        assert record.status == "ok"
+        for table in ("results.csv", "summary.csv"):
+            assert (out / table).read_bytes() == (clean / table).read_bytes()
 
     def test_abort_keeps_rows_of_completed_units(self, monkeypatch):
         checks = []

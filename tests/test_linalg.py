@@ -86,8 +86,7 @@ def test_truncate_two_groups():
     out = truncate_global([("A", np.array([0.9, 0.3])), ("B", np.array([0.5]))], pol)
     assert out.kept == [("A", 0.9), ("B", 0.5)]
     assert out.discarded_weight == pytest.approx(0.09, abs=1e-15)
-    assert list(out.kept_by_group["A"]) == [0]
-    assert list(out.kept_by_group["B"]) == [0]
+    assert [idx.tolist() for idx in out.kept_by_group] == [[0], [0]]
 
 
 def test_truncate_keeps_everything_when_roomy():
@@ -96,13 +95,13 @@ def test_truncate_keeps_everything_when_roomy():
     assert out.discarded_weight == 0.0
 
 
-def test_truncate_tie_breaks_on_group_label_then_index():
+def test_truncate_tie_breaks_on_group_position_then_index():
     out = truncate_global(
         [("B", np.array([1.0])), ("A", np.array([1.0]))], TruncationPolicy(chi_max=1)
     )
-    assert out.kept == [("A", 1.0)]
+    assert out.kept == [("B", 1.0)]
     out2 = truncate_global([("A", np.array([0.5, 0.5, 0.5]))], TruncationPolicy(chi_max=2))
-    assert list(out2.kept_by_group["A"]) == [0, 1]
+    assert out2.kept_by_group[0].tolist() == [0, 1]
 
 
 def test_truncate_weight_threshold_drops_tail():
@@ -114,6 +113,16 @@ def test_truncate_weight_threshold_drops_tail():
     # A budget above the whole weight still keeps the largest value.
     out = truncate_global([("A", np.array([0.6, 0.8]))], TruncationPolicy(10, 2.0))
     assert out.kept == [("A", 0.8)]
+
+
+def test_truncate_weight_threshold_drops_a_tail_equal_to_it():
+    # Squared weights 1, 1/4, 1/16 and 1/16 are exact, so the tails from the
+    # second value on weigh exactly 0.375, 0.125 and 0.0625: the tail at the
+    # 0.125 threshold is dropped and the one above it is kept.
+    out = truncate_global([("A", np.array([1.0, 0.5, 0.25, 0.25]))],
+                          TruncationPolicy(chi_max=8, weight_threshold=0.125))
+    assert out.kept == [("A", 1.0), ("A", 0.5)]
+    assert out.discarded_weight == 0.125
 
 
 def test_truncate_zero_floor():
@@ -162,17 +171,16 @@ def test_truncate_matches_pooled_sort(seed, chi, sizes):
 @settings(max_examples=60, deadline=None)
 def test_truncate_ties_across_groups_match_sorted_reference(chi, data, values):
     # Few distinct values, so most cuts run through a tie shared by several groups;
-    # labels are shuffled so the input order is not the tie-break order.
-    labels = data.draw(st.permutations(range(len(values))))
-    groups = [(label, np.array(vals)) for label, vals in zip(labels, values)]
+    # the groups come in shuffled order, so the labels are not the tie-break order.
+    order = data.draw(st.permutations(range(len(values))))
+    groups = [(label, np.array(values[label])) for label in order]
     out = truncate_global(groups, TruncationPolicy(chi_max=chi))
-    entries = sorted((-v, label, i) for label, vals in groups for i, v in enumerate(vals))
-    expect: dict[int, list[int]] = {}
-    for _, label, i in entries[:chi]:
-        expect.setdefault(label, []).append(i)
-    got = {label: idx.tolist() for label, idx in out.kept_by_group.items()}
-    assert got == {label: sorted(idx) for label, idx in expect.items()}
-    assert out.kept == [(label, -v) for v, label, _ in entries[:chi]]
+    entries = sorted((-v, g, i) for g, (_, vals) in enumerate(groups) for i, v in enumerate(vals))
+    expect: list[list[int]] = [[] for _ in groups]
+    for _, g, i in entries[:chi]:
+        expect[g].append(i)
+    assert [idx.tolist() for idx in out.kept_by_group] == [sorted(idx) for idx in expect]
+    assert out.kept == [(groups[g][0], -v) for v, g, _ in entries[:chi]]
 
 
 def test_truncate_keeps_or_drops_a_mirror_pair_whole():
@@ -182,13 +190,22 @@ def test_truncate_keeps_or_drops_a_mirror_pair_whole():
     # whole and the cut stops there, below chi.
     out = truncate_global(groups, TruncationPolicy(chi_max=2), units=[1, 2])
     assert out.kept == [((0, 0), 0.9)]
-    assert set(out.kept_by_group) == {(0, 0)}
+    assert [idx.tolist() for idx in out.kept_by_group] == [[0], []]
     assert out.discarded_weight == pytest.approx(0.2**2 + 2 * 0.5**2 + 2 * 0.3**2, abs=1e-15)
     out = truncate_global(groups, TruncationPolicy(chi_max=3), units=[1, 2])
     assert out.kept == [((0, 0), 0.9), ((0, 1), 0.5)]
-    assert {label: idx.tolist() for label, idx in out.kept_by_group.items()} == {
-        (0, 0): [0], (0, 1): [0]}
+    assert [idx.tolist() for idx in out.kept_by_group] == [[0], [0]]
     assert out.discarded_weight == pytest.approx(0.2**2 + 2 * 0.3**2, abs=1e-15)
+
+
+def test_truncate_keeps_a_head_mirror_pair_at_chi_one():
+    # The largest value is a mirror pair, two units against chi_max = 1: it
+    # stays whole, so the bond is not emptied.
+    groups = [((0, 0), np.array([0.3])), ((0, 1), np.array([0.6, 0.1]))]
+    out = truncate_global(groups, TruncationPolicy(chi_max=1), units=[1, 2])
+    assert out.kept == [((0, 1), 0.6)]
+    assert [idx.tolist() for idx in out.kept_by_group] == [[], [0]]
+    assert out.discarded_weight == pytest.approx(0.3**2 + 2 * 0.1**2, abs=1e-15)
 
 
 def test_truncate_weight_threshold_counts_a_mirror_pair_twice():
@@ -224,8 +241,8 @@ def test_truncate_unit_counts_of_one_match_no_units(chi, values, threshold):
     ones = truncate_global(groups, policy, units=[1] * len(groups))
     assert ones.kept == plain.kept
     assert ones.discarded_weight == plain.discarded_weight
-    assert {label: idx.tolist() for label, idx in ones.kept_by_group.items()} == {
-        label: idx.tolist() for label, idx in plain.kept_by_group.items()}
+    assert [idx.tolist() for idx in ones.kept_by_group] == [
+        idx.tolist() for idx in plain.kept_by_group]
 
 
 @given(
@@ -244,22 +261,22 @@ def test_truncate_mirror_pairs_match_pair_unit_reference(seed, chi, diagonal, of
     units = [1 if label[0] == label[1] else 2 for label, _ in groups]
     out = truncate_global(groups, TruncationPolicy(chi_max=chi), units=units)
 
-    # Reference: one unit per diagonal value and per pair, in (value, label,
-    # index) order; the longest prefix whose count fits chi is kept.
-    entries = sorted((-v, label, i, unit) for (label, vals), unit in zip(groups, units)
+    # Reference: one unit per diagonal value and per pair, in (value, group
+    # position, index) order; the longest prefix whose count fits chi is kept,
+    # and the head unit always is.
+    entries = sorted((-v, g, i, unit) for g, ((_, vals), unit) in enumerate(zip(groups, units))
                      for i, v in enumerate(vals))
     kept, count = [], 0
     for entry in entries:
-        if count + entry[3] > chi:
+        if kept and count + entry[3] > chi:
             break
         kept.append(entry)
         count += entry[3]
-    assert out.kept == [(label, -v) for v, label, _, _ in kept]
-    expect: dict = {}
-    for _, label, i, _ in kept:
-        expect.setdefault(label, []).append(i)
-    assert {label: idx.tolist() for label, idx in out.kept_by_group.items()} == {
-        label: sorted(idx) for label, idx in expect.items()}
+    assert out.kept == [(groups[g][0], -v) for v, g, _, _ in kept]
+    expect: list[list[int]] = [[] for _ in groups]
+    for _, g, i, _ in kept:
+        expect[g].append(i)
+    assert [idx.tolist() for idx in out.kept_by_group] == [sorted(idx) for idx in expect]
     total = sum(unit * float(np.sum(vals**2)) for (_, vals), unit in zip(groups, units))
     assert out.discarded_weight == pytest.approx(
         total - sum(unit * v**2 for v, _, _, unit in kept), abs=1e-12)

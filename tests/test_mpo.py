@@ -7,27 +7,16 @@ import numpy as np
 import pytest
 
 from bosonet import chain, mpo, mps, sampling
-from bosonet.circuit import BeamSplitterGate, circuit_to_unitary, fock_gate, sample_haar_circuit
+from bosonet.circuit import BeamSplitterGate, circuit_to_unitary, fock_gate
 from bosonet.linalg import TruncationPolicy
 from bosonet.oracle import (
     dense_lossy_vectorized_spectrum,
     exact_lossy_distribution,
 )
 
+from helpers import all_outcomes, haar_plan
+
 EXACT = TruncationPolicy(chi_max=10_000)
-
-
-def haar_plan(num_modes: int, seed: int):
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return sample_haar_circuit(num_modes, rng)
-
-
-def all_outcomes(num_modes: int, max_total: int):
-    return [
-        occs
-        for occs in itertools.product(range(max_total + 1), repeat=num_modes)
-        if sum(occs) <= max_total
-    ]
 
 
 # ---------------------------------------------------------------------------

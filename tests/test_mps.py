@@ -8,16 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonet import chain, mps
-from bosonet.circuit import BeamSplitterGate, CircuitPlan, circuit_to_unitary, sample_haar_circuit
+from bosonet.circuit import BeamSplitterGate, CircuitPlan, circuit_to_unitary
 from bosonet.linalg import TruncationPolicy
 from bosonet.oracle import dense_evolve, dense_reduced_spectrum, enumerate_occupations
 
+from helpers import haar_plan
+
 EXACT = TruncationPolicy(chi_max=10_000)
-
-
-def haar_plan(num_modes: int, seed: int) -> CircuitPlan:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return sample_haar_circuit(num_modes, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +263,9 @@ def test_trivial_bond_entropy_is_zero():
 def test_max_entropy_vacuum():
     state = mps.init_fock((0, 0, 0))
     assert chain.max_bond_entropy(state, 1.0) == (1, 0.0)
+    # N = 0 leaves one value per bond, whose entropy is +0.0 at every order, not -0.0.
+    for alpha in (0.0, 0.5, 1.0, 2.0):
+        assert math.copysign(1.0, chain.max_bond_entropy(state, alpha)[1]) == 1.0
 
 
 def test_max_entropy_picks_entangled_bond():

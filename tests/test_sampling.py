@@ -13,17 +13,13 @@ from bosonet.circuit import (
     BeamSplitterGate,
     circuit_to_unitary,
     plan_fingerprint,
-    sample_haar_circuit,
 )
 from bosonet.linalg import DegradedStateError, NumericalFailure, TruncationPolicy
 from bosonet.oracle import exact_lossy_distribution, exact_lossless_distribution
 
+from helpers import all_outcomes, haar_plan
+
 EXACT = TruncationPolicy(chi_max=10_000)
-
-
-def haar_plan(num_modes: int, seed: int):
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return sample_haar_circuit(num_modes, rng)
 
 
 def evolved_mps(occupations, seed):
@@ -36,14 +32,6 @@ def evolved_mpo(n, m, mu, seed, policy=EXACT):
     state = mpo.init_lossy(n, m, mu)
     chain.apply_plan(state, haar_plan(m, seed), policy)
     return state
-
-
-def all_outcomes(num_modes, max_total):
-    return [
-        occs
-        for occs in itertools.product(range(max_total + 1), repeat=num_modes)
-        if sum(occs) <= max_total
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Round-trip tests for the state snapshot container."""
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +16,8 @@ from bosonet.snapshots import (
     load_state,
     save_state,
 )
+
+from helpers import _edit_header, _edit_members
 
 
 def _evolved_mps(seed=0, num_modes=6, num_photons=2, chi=4):
@@ -145,25 +146,6 @@ def test_header_records_kind_and_loss(tmp_path):
     assert "loss" not in lossy_header
 
 
-def _edit_members(path, edit):
-    """Rewrite the snapshot at ``path`` with ``edit(arrays)`` applied to its members."""
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {k: data[k] for k in data.files}
-    edit(arrays)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def _edit_header(path, edit):
-    """Rewrite the JSON header of the snapshot at ``path`` with ``edit(header)``."""
-    def edit_members(arrays):
-        header = json.loads(str(arrays["header"][()]))
-        edit(header)
-        arrays["header"] = np.array(json.dumps(header))
-
-    _edit_members(path, edit_members)
-
-
 def _member(arrays, prefix):
     return next(key for key in arrays if key.startswith(prefix))
 
@@ -229,10 +211,21 @@ def _move_block(arrays):
                  r"'site2/.*' has shape \(7, 9\)", id="misshaped-block"),
     pytest.param(_move_block, r"'site1/9,9;9,9' has a charge its bonds do not hold",
                  id="block-off-its-bonds"),
-    pytest.param(_replace("bond2/", lambda lam: lam[:, None]), r"'bond2/.*' is not a 1-D real",
-                 id="matrix-bond"),
+    pytest.param(_replace("bond2/", lambda lam: lam[:, None]),
+                 r"'bond2/.*' is not a nonempty positive 1-D array", id="matrix-bond"),
     pytest.param(_replace("bond2/", lambda lam: lam.astype(complex)),
-                 r"'bond2/.*' is not a 1-D real", id="complex-bond"),
+                 r"'bond2/.*' is not a nonempty positive 1-D array", id="complex-bond"),
+    pytest.param(_replace("bond2/", lambda lam: np.append(lam[:-1], 0.0)),
+                 r"'bond2/.*' is not a nonempty positive 1-D array", id="zero-bond-value"),
+    pytest.param(_replace("bond2/", lambda lam: -lam),
+                 r"'bond2/.*' is not a nonempty positive 1-D array",
+                 id="negative-bond-value"),
+    pytest.param(_replace("bond2/", lambda lam: lam[:0]),
+                 r"'bond2/.*' is not a nonempty positive 1-D array",
+                 id="zero-length-bond-member"),
+    pytest.param(lambda arrays: [arrays.pop(key) for key in list(arrays)
+                                 if key.startswith("bond2/")],
+                 "bond 2 holds no charge", id="empty-bond"),
     pytest.param(_replace("site2/", lambda b: np.full_like(b, np.nan)),
                  r"'site2/.*' is not a finite", id="nan-block"),
     pytest.param(_replace("bond2/", lambda lam: np.full_like(lam, np.inf)),
