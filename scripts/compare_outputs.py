@@ -60,6 +60,10 @@ CONFIGS = [
     ("lossy-ee-power-law", {"experiment": "lossy-ee", "num_modes": [8, 10],
                             "num_photons": [2, 3], "gammas": [0.25, 1.0], "betas": [0.6],
                             "chi_max": 64, "n_circuits": 2}, False),
+    # The paper's operator-entanglement size: the one config whose last bits
+    # depend on the BLAS thread count, so compare it against a one-thread run.
+    ("lossy-ee-paper", {"experiment": "lossy-ee", "num_modes": [16], "num_photons": [4],
+                        **LOSSY, "chi_max": 256, "n_circuits": 1}, False),
     ("lossy-ee-chi8", {"experiment": "lossy-ee", "num_modes": [12], "num_photons": [3, 4],
                        **LOSSY, "chi_max": 8, "n_circuits": 3}, True),
     ("lossless-ee-exact", {"experiment": "lossless-ee", "num_modes": [12, 16],

@@ -7,7 +7,8 @@ returns a :class:`RunRecord`, an aborted or numerically failed run's too;
 :func:`run_to_files` additionally writes ``results.csv`` (per-circuit rows),
 ``summary.csv`` (ensemble aggregates), and ``meta.json``, after removing the
 tables an earlier run left in the same directory.  The data tables are
-byte-identical across reruns of the same (config, seed, software version);
+byte-identical across reruns of the same (config, seed, software version),
+whatever the BLAS thread count the caller set, as :func:`run` pins one;
 wall-clock timings never enter them —
 the total lives in ``meta.json`` and per-row timings in ``timings.csv``.
 
@@ -50,7 +51,7 @@ import numpy as np
 from . import __version__, chain, mpo, mps, sampling
 from .circuit import CircuitPlan, circuit_to_unitary, plan_fingerprint, sample_haar_circuit
 from .entropy import lossy_mpo_ee, partition_angles
-from .linalg import DegradedStateError, NumericalFailure, TruncationPolicy
+from .linalg import DegradedStateError, NumericalFailure, TruncationPolicy, single_blas_thread
 from .oracle import (
     dense_evolve,
     dense_reduced_spectrum,
@@ -326,7 +327,7 @@ class RunRecord:
     """Everything one run produced, before any files are written.
 
     Recipes fill in the tables; :func:`run` adds the config hash, experiment
-    name and wall time.
+    name, wall time and the BLAS the recipe ran with.
     """
 
     columns: list[str]
@@ -343,6 +344,8 @@ class RunRecord:
     #: ``(circuit, draws, metadata)`` per ``samples_c<circuit>.csv`` to write.
     sample_files: list[tuple[int, list[sampling.SamplingResult], dict[str, str]]] = field(
         default_factory=list)
+    #: ``{"vendor", "threads"}`` of numpy's OpenBLAS during the run; None if none was found.
+    blas: dict[str, Any] | None = None
 
 
 def circuit_rng(seed: int, point_index: int, circuit_index: int, stream: int = 0
@@ -538,7 +541,12 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
             shared = {**base, "layer": layer_index + 1, "max_bond_dim": st.max_bond_dimension(),
                       "discarded_weight": st.discarded_weight}
             if lossy:
-                shared["trace"] = mpo.trace(st)
+                shared["trace"] = trace = mpo.trace(st)
+                if trace < sampling.DEGRADED_NORM_THRESHOLD:
+                    raise DegradedStateError(
+                        f"lossy-ee: trace {trace:.3e} after layer {layer_index + 1} of circuit "
+                        f"{c} (M={m}, N={n}) is below {sampling.DEGRADED_NORM_THRESHOLD:.0e}; "
+                        "the state is over-truncated")
             out = []
             for alpha in config.alphas:
                 bond, value = chain.max_bond_entropy(st, alpha)
@@ -778,17 +786,23 @@ def run(config: ExperimentConfig) -> RunRecord:
     An exhausted budget gives status ``aborted`` and the completed units' rows;
     a :class:`NumericalFailure` or :class:`DegradedStateError` gives status
     ``numerical-failure``, no tables, and the error as the message.
+
+    The recipe runs with numpy's OpenBLAS on one thread, so its tables do not
+    depend on the host's thread count, and the caller's count is restored on
+    every exit. The count is process-wide, so ``run`` is not meant to be
+    called from several threads at once.
     """
     validate_config(config)
     digest = config_hash(config)
     budget = _Budget(config.max_seconds)
-    try:
-        record = _RECIPES[config.experiment](config, digest, budget)
-    except ResourceAbort as abort:
-        record = RunRecord(abort.columns, abort.rows, status="aborted", message=str(abort))
-    except (NumericalFailure, DegradedStateError) as exc:
-        record = RunRecord([], [], status="numerical-failure", message=str(exc))
-    record.config_hash, record.experiment = digest, config.experiment
+    with single_blas_thread() as blas:
+        try:
+            record = _RECIPES[config.experiment](config, digest, budget)
+        except ResourceAbort as abort:
+            record = RunRecord(abort.columns, abort.rows, status="aborted", message=str(abort))
+        except (NumericalFailure, DegradedStateError) as exc:
+            record = RunRecord([], [], status="numerical-failure", message=str(exc))
+    record.config_hash, record.experiment, record.blas = digest, config.experiment, blas
     record.wall_time = budget.elapsed()
     return record
 
@@ -843,6 +857,7 @@ def run_to_files(config: ExperimentConfig) -> tuple[RunRecord, Path | None]:
             "experiment": record.experiment,
             "version": record.version,
             "numpy_version": np.__version__,
+            "blas": record.blas,
             "seed": config.seed,
             "status": record.status,
             "message": record.message,

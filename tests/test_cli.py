@@ -249,7 +249,9 @@ def test_lossy_ee_at_chi_one_keeps_every_bond(tmp_path, monkeypatch):
     monkeypatch.setattr(chain, "apply_gate", recording)
     config = write_config(tmp_path / "c.json", experiment="lossy-ee", seed=0, num_modes=[6],
                           num_photons=[2], loss={"kind": "constant", "mu": 0.9}, chi_max=1)
-    assert main(["lossy-ee", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+    # The run stops at layer 8, whose trace is 0 (see the test below).
+    assert main(["lossy-ee", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
     assert smallest and min(smallest) >= 1
     for m, n, mu, seed in CHI_ONE_PROBES:
         smallest.clear()
@@ -257,6 +259,39 @@ def test_lossy_ee_at_chi_one_keeps_every_bond(tmp_path, monkeypatch):
         chain.apply_plan(state, sample_haar_circuit(m, circuit_rng(seed, 0, 0)),
                          TruncationPolicy(chi_max=1))
         assert min(smallest) >= 1, (m, n, mu, seed)
+
+
+def test_lossy_ee_layer_with_zero_trace_is_a_numerical_failure(tmp_path, capsys):
+    """At chi = 1 this circuit's cut keeps only an off-diagonal mirror pair at
+    layer 8, which carries no trace: the run fails there instead of writing
+    rows of a state with no weight."""
+    config = write_config(tmp_path / "c.json", experiment="lossy-ee", seed=0, num_modes=[6],
+                          num_photons=[2], loss={"kind": "constant", "mu": 0.9}, chi_max=1)
+    out = tmp_path / "out"
+    assert main(["lossy-ee", "--config", str(config), "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "bosonet: numerical-failure: lossy-ee: trace 0.000e+00 after layer 8 " in err
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["status"] == "numerical-failure" and "layer 8" in meta["message"]
+    assert not (out / "results.csv").exists()
+
+
+def test_lossy_ee_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """At M=16, N=4, chi=256 the last bits of a product depend on OpenBLAS's
+    thread count; run pins one thread, so 1 and 2 give the same file."""
+    config = write_config(tmp_path / "c.json", experiment="lossy-ee", seed=1000,
+                          num_modes=[16], num_photons=[4],
+                          loss={"kind": "constant", "mu": 0.5}, chi_max=256)
+    code = "import sys; from bosonet.cli import main; sys.exit(main(sys.argv[1:]))"
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(bosonet.__file__).resolve().parents[1]))
+        subprocess.run([sys.executable, "-c", code, "lossy-ee", "--config", str(config),
+                        "--out", str(out)], env=env, capture_output=True, check=True)
+        tables.append((out / "results.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 class TestFailureExitCodes:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosonet import chain, experiments, mps
+from bosonet import chain, experiments, linalg, mps
 from bosonet.circuit import circuit_to_unitary, sample_haar_circuit
 from bosonet.entropy import lossy_mpo_ee, partition_angles
 from bosonet.experiments import (
@@ -644,6 +644,7 @@ class TestReproducibility:
         assert meta["num_rows"] == len(record.rows)
         assert meta["config"]["chi_max"] == 16
         assert meta["wall_time_seconds"] >= 0.0
+        assert meta["blas"] == record.blas
 
     def test_float_cells_survive_round_trip_exactly(self, tmp_path):
         config = config_from_dict(make_doc(out_dir=str(tmp_path), n_circuits=1))
@@ -818,6 +819,77 @@ def test_raised_failure_is_a_numerical_failure_record(monkeypatch, error):
     assert (record.status, record.message) == ("numerical-failure", "third gate went wrong")
     assert (record.columns, record.rows, record.summary) == ([], [], [])
     assert (record.config_hash, record.experiment) == (config_hash(config), "lossless-ee")
+
+
+# ---------------------------------------------------------------------------
+# the BLAS thread pin
+# ---------------------------------------------------------------------------
+
+OPENBLAS = linalg._openblas_threads()
+needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy's OpenBLAS not found")
+
+
+@pytest.fixture
+def caller_threads():
+    """numpy's OpenBLAS set to 2 threads for the test, and back afterwards."""
+    get, set_ = OPENBLAS
+    before = get()
+    set_(2)
+    yield 2
+    set_(before)
+
+
+def recording_recipe(monkeypatch, raised=None):
+    """Patch the lossless-ee recipe to record the OpenBLAS thread count it runs
+    with, then raise ``raised`` or run the real recipe."""
+    seen, real = [], experiments._RECIPES["lossless-ee"]
+
+    def recipe(config, digest, budget):
+        seen.append(OPENBLAS[0]())
+        if raised is not None:
+            raise raised
+        return real(config, digest, budget)
+
+    monkeypatch.setitem(experiments._RECIPES, "lossless-ee", recipe)
+    return seen
+
+
+@needs_openblas
+@pytest.mark.parametrize("overrides, raised, status", [
+    pytest.param({}, None, "ok", id="ok"),
+    pytest.param({}, NumericalFailure("patched failure"), "numerical-failure",
+                 id="numerical-failure"),
+    pytest.param({"max_seconds": 0.0}, None, "aborted", id="aborted"),
+])
+def test_run_pins_one_blas_thread_and_restores_the_callers_count(
+        monkeypatch, caller_threads, overrides, raised, status):
+    seen = recording_recipe(monkeypatch, raised)
+    record = run(config_from_dict(make_doc(**overrides)))
+    assert record.status == status
+    assert seen == [1]
+    assert record.blas == {"vendor": "OpenBLAS", "threads": 1}
+    assert OPENBLAS[0]() == caller_threads
+
+
+@needs_openblas
+def test_run_restores_the_callers_count_after_a_foreign_exception(monkeypatch, caller_threads):
+    seen = recording_recipe(monkeypatch, KeyError("not bosonet's"))
+    with pytest.raises(KeyError):
+        run(config_from_dict(make_doc()))
+    assert seen == [1]
+    assert OPENBLAS[0]() == caller_threads
+
+
+@needs_openblas
+def test_pin_does_nothing_without_openblas(tmp_path, monkeypatch, caller_threads):
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+    seen = recording_recipe(monkeypatch)
+    record, out_dir = run_to_files(config_from_dict(make_doc(out_dir=str(tmp_path))))
+    assert record.status == "ok"
+    assert seen == [caller_threads]
+    assert record.blas is None
+    assert json.loads((out_dir / "meta.json").read_text())["blas"] is None
+    assert OPENBLAS[0]() == caller_threads
 
 
 # ---------------------------------------------------------------------------
