@@ -27,9 +27,9 @@ Randomness policy: the generator for ensemble member ``c`` of sweep point
 streams (e.g. the sampler) append one more integer to the spawn key.  The
 derivation is counter-based, so running circuits in any order or resuming
 after a checkpoint cannot change any result.  Sweep points are numbered in
-the deterministic order the config enumerates them; recipes that
-must reuse one circuit across a sweep axis (the bond-dimension sweep) key the
-circuit stream on the point index with that axis removed.
+the order the config enumerates them.  Only ``prob`` reuses a circuit across
+a point axis: circuit ``c`` of every N is stream ``(0, c)``.  chi is no point
+axis; ``trunc-error`` runs each chi on its unit's one circuit.
 """
 
 from __future__ import annotations
@@ -101,14 +101,6 @@ class LossSpec:
                 raise ValueError(f"power-law loss needs gamma in (0, 1], got {self.gamma}")
         else:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-
-    @staticmethod
-    def constant(mu: float) -> "LossSpec":
-        return LossSpec(kind="constant", mu=mu)
-
-    @staticmethod
-    def power_law(beta: float, gamma: float) -> "LossSpec":
-        return LossSpec(kind="power_law", beta=beta, gamma=gamma)
 
 
 @dataclass
@@ -541,12 +533,10 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
             shared = {**base, "layer": layer_index + 1, "max_bond_dim": st.max_bond_dimension(),
                       "discarded_weight": st.discarded_weight}
             if lossy:
-                shared["trace"] = trace = mpo.trace(st)
-                if trace < sampling.DEGRADED_NORM_THRESHOLD:
-                    raise DegradedStateError(
-                        f"lossy-ee: trace {trace:.3e} after layer {layer_index + 1} of circuit "
-                        f"{c} (M={m}, N={n}) is below {sampling.DEGRADED_NORM_THRESHOLD:.0e}; "
-                        "the state is over-truncated")
+                shared["trace"] = mpo.trace(st)
+                sampling.check_degraded(shared["trace"], "lossy-ee: trace",
+                                        f"after layer {layer_index + 1} of circuit {c} "
+                                        f"(M={m}, N={n})")
             out = []
             for alpha in config.alphas:
                 bond, value = chain.max_bond_entropy(st, alpha)
@@ -585,9 +575,9 @@ def _analytic_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> 
 def _trunc_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRecord:
     """Bond-budget sweep: final norm deficit per chi, one circuit per index.
 
-    The circuit stream is keyed on the (M, N, loss) point only, so every chi
-    in the sweep sees the same circuit and the norm-deficit column is
-    comparable across the chi axis.
+    Every chi runs on its unit's one circuit, so the deficit column is comparable
+    across chi.  A degraded state is not refused: a ``one_minus_trace`` of 1 is
+    the measurement itself.
     """
     chis = config.chis if config.chis is not None else [config.chi_max]
     keys = ["config_hash", "M", "N", "gamma", "beta", "mu", "chi"]
@@ -681,6 +671,8 @@ def _prob_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunR
         budget.check()
         plan = sample_haar_circuit(m, circuit_rng(config.seed, 0, c))
         state = _build_state(m, n, loss, plan, config.policy())
+        sampling.check_degraded(sampling.state_norm(state), "prob: state norm",
+                                f"of circuit {c} (M={m}, N={n})")
         probability = mpo.outcome_prob if loss else mps.probability
         return [{"config_hash": digest, "M": m, "N": n, **loss, "chi": config.chi_max,
                  "circuit": c, "outcome": key, "probability": probability(state, occ)}
@@ -716,12 +708,9 @@ def _oracle_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
         if n >= 1:
             sim_spec = np.asarray(chain.schmidt_values(state, m // 2)) ** 2
             ref_spec = dense_reduced_spectrum(dense, m // 2)
-            width = max(len(sim_spec), len(ref_spec))
-            sim_pad = np.zeros(width)
-            sim_pad[: len(sim_spec)] = sim_spec
-            ref_pad = np.zeros(width)
-            ref_pad[: len(ref_spec)] = ref_spec
-            checks["pure-spectrum"] = float(np.max(np.abs(sim_pad - ref_pad)))
+            short, full = sorted((sim_spec, ref_spec), key=len)
+            short = np.pad(short, (0, len(full) - len(short)))
+            checks["pure-spectrum"] = float(np.max(np.abs(short - full)))
         draws = sampling.sample_many(state, circuit_rng(config.seed, point_index, c, 1), 3)
         checks["pure-chain-rule"] = max(
             abs(d.joint_probability - sampling.marginal_prob(state, d.outcome))

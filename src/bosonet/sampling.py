@@ -11,6 +11,11 @@ below; of its checks only the degraded-state one is its own, and an occupation
 above N reads 0. For a full pattern of a density operator it is the unclamped
 ``mpo.outcome_prob``.
 
+``check_degraded`` is the one rule that refuses a state too degraded to read
+(a norm or Tr rho below 1e-6). The samplers, ``marginal_prob`` and the
+``lossy-ee``, ``sample`` and ``prob`` recipes call it; ``trunc-error`` does
+not, as its ``one_minus_trace`` of 1 is the measurement itself.
+
 Sampling walks mode 1 to M, drawing each occupation from the ratio of running
 marginals; the conditional distribution at each step is renormalized by its
 own total so that truncation-induced deficits do not bias the draw (the
@@ -80,10 +85,13 @@ def state_norm(state: MpsState | MpoState) -> float:
     return mpo_trace(state)
 
 
-def _check_degraded(norm: float) -> None:
-    if norm < DEGRADED_NORM_THRESHOLD:
+def check_degraded(value: float, what: str = "state norm", where: str = "") -> None:
+    """Raise :class:`DegradedStateError` if ``value``, a norm or Tr rho named ``what``
+    and read ``where``, is below ``DEGRADED_NORM_THRESHOLD``."""
+    if value < DEGRADED_NORM_THRESHOLD:
+        at = f" {where}" if where else ""
         raise DegradedStateError(
-            f"state norm {norm:.3e} is below {DEGRADED_NORM_THRESHOLD:.0e}; "
+            f"{what} {value:.3e}{at} is below {DEGRADED_NORM_THRESHOLD:.0e}; "
             "the state is over-truncated and probabilities are meaningless"
         )
 
@@ -184,10 +192,10 @@ def _diagonal_offsets(bond: dict) -> tuple[dict, int]:
 def _engine(state: MpsState | MpoState) -> _PureEngine | _LossyEngine:
     """The sampling engine of a state that passes the degraded-state check."""
     if isinstance(state, MpsState):
-        _check_degraded(state_norm(state))
+        check_degraded(state_norm(state))
         return _PureEngine(state)
     engine = _LossyEngine(state)
-    _check_degraded(engine.total)
+    check_degraded(engine.total)
     return engine
 
 
@@ -204,7 +212,7 @@ def marginal_prob(state: MpsState | MpoState, prefix: tuple[int, ...]) -> float:
     so the empty prefix returns Tr rho and single-mode marginals sum to it.
     An occupation above the state's photon number reads 0, as in every reader.
     """
-    _check_degraded(state_norm(state))
+    check_degraded(state_norm(state))
     if isinstance(state, MpoState):
         return marginal(state, prefix)
     prefix = occupation_pattern(prefix, state.num_modes, prefix=True)

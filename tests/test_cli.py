@@ -261,18 +261,34 @@ def test_lossy_ee_at_chi_one_keeps_every_bond(tmp_path, monkeypatch):
         assert min(smallest) >= 1, (m, n, mu, seed)
 
 
-def test_lossy_ee_layer_with_zero_trace_is_a_numerical_failure(tmp_path, capsys):
+@pytest.mark.parametrize("experiment", ["lossy-ee", "sample", "prob", "trunc-error"])
+def test_lossy_ee_layer_with_zero_trace_is_a_numerical_failure(experiment, tmp_path, capsys):
     """At chi = 1 this circuit's cut keeps only an off-diagonal mirror pair at
     layer 8, which carries no trace: the run fails there instead of writing
-    rows of a state with no weight."""
-    config = write_config(tmp_path / "c.json", experiment="lossy-ee", seed=0, num_modes=[6],
-                          num_photons=[2], loss={"kind": "constant", "mu": 0.9}, chi_max=1)
+    rows of a state with no weight.  ``sample`` and ``prob`` refuse the evolved
+    state the same way; ``trunc-error`` reads it, as its ``one_minus_trace``
+    of 1 is the measurement itself."""
+    extra = {"sample": {"num_samples": 5},
+             "prob": {"outcomes": [[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]}}
+    config = write_config(tmp_path / "c.json", experiment=experiment, seed=0, num_modes=[6],
+                          num_photons=[2], loss={"kind": "constant", "mu": 0.9}, chi_max=1,
+                          **extra.get(experiment, {}))
     out = tmp_path / "out"
-    assert main(["lossy-ee", "--config", str(config), "--out", str(out)]) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert "bosonet: numerical-failure: lossy-ee: trace 0.000e+00 after layer 8 " in err
+    code = main([experiment, "--config", str(config), "--out", str(out)])
     meta = json.loads((out / "meta.json").read_text())
-    assert meta["status"] == "numerical-failure" and "layer 8" in meta["message"]
+    if experiment == "trunc-error":
+        assert code == EXIT_OK and meta["status"] == "ok"
+        with open(out / "results.csv", newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert float(row["one_minus_trace"]) == 1.0
+        return
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "bosonet: numerical-failure: " in err and " 0.000e+00 " in err
+    if experiment == "lossy-ee":
+        assert "bosonet: numerical-failure: lossy-ee: trace 0.000e+00 after layer 8 " in err
+        assert "layer 8" in meta["message"]
+    assert meta["status"] == "numerical-failure"
     assert not (out / "results.csv").exists()
 
 

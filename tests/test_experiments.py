@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosonet import chain, experiments, linalg, mps
+from bosonet import chain, experiments, linalg, mpo, mps
 from bosonet.circuit import circuit_to_unitary, sample_haar_circuit
 from bosonet.entropy import lossy_mpo_ee, partition_angles
 from bosonet.experiments import (
@@ -131,7 +131,7 @@ class TestConfigParsing:
         config = config_from_dict(
             make_doc(experiment="lossy-ee", loss={"kind": "constant", "mu": 0.5})
         )
-        assert config.loss == LossSpec.constant(0.5)
+        assert config.loss == LossSpec(kind="constant", mu=0.5)
         config = config_from_dict(
             make_doc(experiment="lossy-ee",
                      loss={"kind": "power_law", "beta": 0.6, "gamma": 0.25})
@@ -139,19 +139,19 @@ class TestConfigParsing:
         assert config.loss.beta == 0.6 and config.loss.gamma == 0.25
 
     def test_loss_spec_constant(self):
-        assert LossSpec.constant(0.3).mu == 0.3
+        assert LossSpec(kind="constant", mu=0.3).mu == 0.3
         with pytest.raises(ValueError):
-            LossSpec.constant(1.2)
+            LossSpec(kind="constant", mu=1.2)
         with pytest.raises(ValueError):
-            LossSpec.constant(-0.1)
+            LossSpec(kind="constant", mu=-0.1)
 
     def test_loss_spec_power_law(self):
-        spec = LossSpec.power_law(beta=0.6, gamma=0.25)
+        spec = LossSpec(kind="power_law", beta=0.6, gamma=0.25)
         assert (spec.kind, spec.beta, spec.gamma) == ("power_law", 0.6, 0.25)
         with pytest.raises(ValueError):
-            LossSpec.power_law(beta=0.0, gamma=0.5)
+            LossSpec(kind="power_law", beta=0.0, gamma=0.5)
         with pytest.raises(ValueError):
-            LossSpec.power_law(beta=0.5, gamma=1.5)
+            LossSpec(kind="power_law", beta=0.5, gamma=1.5)
         with pytest.raises(ValueError):
             LossSpec(kind="linear", mu=0.5)
         # A power law whose mu = beta * N**(gamma - 1) leaves [0, 1] is a config error.
@@ -898,6 +898,35 @@ def test_pin_does_nothing_without_openblas(tmp_path, monkeypatch, caller_threads
 
 
 class TestCircuitRng:
+    @pytest.mark.parametrize("experiment", ["analytic-ee", "lossless-ee", "trunc-error", "prob"])
+    def test_second_point_draws_its_documented_circuit(self, experiment):
+        """A row of sweep point 1 (N = 2) comes from circuit stream (1, c); prob
+        draws circuit c of every N from stream (0, c)."""
+        lossy = {"loss": {"kind": "constant", "mu": 0.6}}
+        doc = {"analytic-ee": {"gammas": [0.5], "betas": [0.7]},
+               "lossless-ee": {},
+               "trunc-error": {**lossy, "chis": [2, 4]},
+               "prob": {**lossy, "outcomes": [[1, 1, 0, 0]], "chi_max": 64}}[experiment]
+        config = config_from_dict(make_doc(experiment=experiment, num_photons=[1, 2], **doc))
+        record = run(config)
+        point = 0 if experiment == "prob" else 1
+        plan = sample_haar_circuit(4, circuit_rng(config.seed, point, 1))
+        rows = [r for r in record.rows if r["N"] == 2 and r["circuit"] == 1]
+        if experiment == "analytic-ee":
+            angles = partition_angles(circuit_to_unitary(plan), 2)
+            assert rows[0]["ee"] == lossy_mpo_ee(angles, 0.7 * 2 ** (0.5 - 1.0), 1.0, 2)
+            return
+        state = (mps.init_fock((1, 1, 0, 0)) if experiment == "lossless-ee"
+                 else mpo.init_lossy(2, 4, 0.6))
+        chi = 4 if experiment == "trunc-error" else None
+        chain.apply_plan(state, plan, config.policy(chi))
+        if experiment == "lossless-ee":
+            assert rows[-1]["max_ee"] == chain.max_bond_entropy(state, 1.0)[1]
+        elif experiment == "trunc-error":
+            assert rows[-1]["chi"] == 4 and rows[-1]["one_minus_trace"] == 1.0 - mpo.trace(state)
+        else:
+            assert rows[0]["probability"] == mpo.outcome_prob(state, (1, 1, 0, 0))
+
     def test_streams_are_counter_based_and_disjoint(self):
         a = circuit_rng(3, 0, 0).standard_normal(4)
         b = circuit_rng(3, 0, 0).standard_normal(4)

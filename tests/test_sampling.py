@@ -370,6 +370,14 @@ def test_degraded_state_raises():
         sampling.sample(pure, np.random.default_rng(0))
 
 
+def test_check_degraded_is_one_threshold_with_the_callers_words():
+    sampling.check_degraded(sampling.DEGRADED_NORM_THRESHOLD)  # the threshold itself reads
+    with pytest.raises(DegradedStateError, match=r"^state norm 9\.000e-07 is below 1e-06; "):
+        sampling.check_degraded(9e-7)
+    with pytest.raises(DegradedStateError, match=r"^trace 0\.000e\+00 after layer 2 is below "):
+        sampling.check_degraded(0.0, "trace", "after layer 2")
+
+
 def test_normalize_conditionals():
     assert sampling.normalize_conditionals([0.5, 0.5]) == [0.5, 0.5]
     cleaned = sampling.normalize_conditionals([0.6, -5e-9])
