@@ -18,7 +18,9 @@ build (as ``wc -l`` counts them).
 
 ``compare`` checks two such directories byte for byte, and each resumed run
 against its uninterrupted run. For a file that differs it prints the largest
-deviation of every float column. It exits 1 if anything differs. It also
+deviation of every float column, or, where the two differ only in their line
+ends (``\r\n`` against ``\n``), says so. It exits 1 if anything differs, a
+line-end-only difference included. It also
 prints both builds' total line counts and their difference, for information:
 they do not change the exit code.
 
@@ -172,9 +174,12 @@ def _tables(directory: Path, depth: str = "*/") -> dict[str, Path]:
 
 
 def _float_deviations(a: Path, b: Path) -> dict[str, float]:
-    """Largest |a - b| of every column that parses as float in both files (rows in order)."""
+    """Largest |a - b| of every column that parses as float in both files (rows in order).
+
+    The ``# key=value`` lines above a sample file's header are skipped."""
     with a.open(newline="") as fa, b.open(newline="") as fb:
-        rows_a, rows_b = list(csv.DictReader(fa)), list(csv.DictReader(fb))
+        rows_a, rows_b = (list(csv.DictReader(line for line in f if not line.startswith("#")))
+                          for f in (fa, fb))
     worst: dict[str, float] = {}
     for ra, rb in zip(rows_a, rows_b):
         for col, va in ra.items():
@@ -195,9 +200,12 @@ def _compare(label: str, a: dict[str, Path], b: dict[str, Path]) -> int:
         if rel not in a or rel not in b:
             print(f"{label}: {rel} only in {'the first' if rel in a else 'the second'}")
             differ += 1
-        elif a[rel].read_bytes() != b[rel].read_bytes():
-            deviations = _float_deviations(a[rel], b[rel])
-            detail = ", ".join(f"{col} {dev:.3g}" for col, dev in sorted(deviations.items()))
+        elif (bytes_a := a[rel].read_bytes()) != (bytes_b := b[rel].read_bytes()):
+            if bytes_a.replace(b"\r\n", b"\n") == bytes_b.replace(b"\r\n", b"\n"):
+                detail = "only in line ends"
+            else:
+                deviations = _float_deviations(a[rel], b[rel])
+                detail = ", ".join(f"{col} {dev:.3g}" for col, dev in sorted(deviations.items()))
             print(f"{label}: {rel} differs ({detail or 'no float column moved'})")
             differ += 1
     print(f"{label}: {len(set(a) | set(b)) - differ} of {len(set(a) | set(b))} files identical")

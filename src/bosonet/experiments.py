@@ -5,8 +5,10 @@ Every experiment follows the same shape: a declarative :class:`ExperimentConfig`
 master seed; :func:`run` executes the recipe over an ensemble of circuits and
 returns a :class:`RunRecord`, an aborted or numerically failed run's too;
 :func:`run_to_files` additionally writes ``results.csv`` (per-circuit rows),
-``summary.csv`` (ensemble aggregates), and ``meta.json``, after removing the
-tables an earlier run left in the same directory.  The data tables are
+``summary.csv`` (ensemble aggregates), every further table of the record
+(``timings.csv``, ``samples_c<k>.csv``) and ``meta.json``, after removing the
+tables an earlier run left in the same directory.  One writer, ``_write_csv``,
+writes every table, with LF line ends.  The data tables are
 byte-identical across reruns of the same (config, seed, software version),
 whatever the BLAS thread count the caller set, as :func:`run` pins one;
 wall-clock timings never enter them —
@@ -314,12 +316,19 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+#: One table to write: its columns, its rows, and its ``# key=value`` comments.
+Table = tuple[list[str], list[dict[str, Any]], dict[str, Any]]
+
+
 @dataclass
 class RunRecord:
     """Everything one run produced, before any files are written.
 
     Recipes fill in the tables; :func:`run` adds the config hash, experiment
-    name, wall time and the BLAS the recipe ran with.
+    name, wall time and the BLAS the recipe ran with.  ``tables`` holds the
+    tables beside ``results.csv`` and ``summary.csv``, by file name:
+    ``(columns, rows, comments)``, where each item of ``comments`` is written
+    as a ``# key=value`` line above the header, in key order.
     """
 
     columns: list[str]
@@ -329,13 +338,9 @@ class RunRecord:
     config_hash: str = ""
     experiment: str = ""
     wall_time: float = 0.0
-    version: str = __version__
     status: str = "ok"
     message: str = ""
-    timings: list[dict[str, Any]] = field(default_factory=list)
-    #: ``(circuit, draws, metadata)`` per ``samples_c<circuit>.csv`` to write.
-    sample_files: list[tuple[int, list[sampling.SamplingResult], dict[str, str]]] = field(
-        default_factory=list)
+    tables: dict[str, Table] = field(default_factory=dict)
     #: ``{"vendor", "threads"}`` of numpy's OpenBLAS during the run; None if none was found.
     blas: dict[str, Any] | None = None
 
@@ -603,7 +608,8 @@ def _trunc_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Run
     return RunRecord(columns, rows, keys + ["mean_one_minus_trace", "stderr", "n_circuits"],
                      _summarize(rows, keys, "one_minus_trace", "mean_one_minus_trace",
                                 "n_circuits"),
-                     timings=timings)
+                     tables={"timings.csv": (["M", "N", "chi", "circuit", "wall_seconds"],
+                                             timings, {})})
 
 
 def _initial_state(m: int, n: int, loss: dict[str, float], bunched: bool = False):
@@ -628,24 +634,28 @@ def _sample_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
     columns = ["config_hash", "M", "N", "mu", "chi", "circuit", "num_samples",
                "state_norm", "min_joint", "max_joint", "max_step_deficit",
                "circuit_fingerprint"]
-    sample_files: list[tuple[int, list[sampling.SamplingResult], dict[str, str]]] = []
+    draw_columns = [f"n{k + 1}" for k in range(m)] + ["joint_probability"]
+    tables: dict[str, Table] = {}
 
     def run_unit(point_index: int, c: int, *_) -> list[dict[str, Any]]:
         budget.check()
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
         state = _build_state(m, n, loss, plan, config.policy())
+        norm = sampling.state_norm(state)
+        sampling.check_degraded(norm, "sample: state norm", f"of circuit {c} (M={m}, N={n})")
         rng = circuit_rng(config.seed, point_index, c, stream=1)
         results = sampling.sample_many(state, rng, config.num_samples)
         joints = [r.joint_probability for r in results]
-        metadata = {"config_hash": digest, "experiment": config.experiment,
-                    "circuit": str(c), "chi": str(config.chi_max),
-                    "seed": str(config.seed), "circuit_fingerprint": plan_fingerprint(plan)}
+        comments = {"config_hash": digest, "experiment": config.experiment, "circuit": c,
+                    "chi": config.chi_max, "seed": config.seed,
+                    "circuit_fingerprint": plan_fingerprint(plan)}
         if loss:
-            metadata["mu"] = repr(loss["mu"])
-        sample_files.append((c, results, metadata))
+            comments["mu"] = loss["mu"]
+        tables[f"samples_c{c}.csv"] = (draw_columns, [
+            dict(zip(draw_columns, (*r.outcome, r.joint_probability))) for r in results],
+            comments)
         return [{"config_hash": digest, "M": m, "N": n, **loss, "chi": config.chi_max,
-                 "circuit": c, "num_samples": len(results),
-                 "state_norm": sampling.state_norm(state),
+                 "circuit": c, "num_samples": len(results), "state_norm": norm,
                  "min_joint": min(joints), "max_joint": max(joints),
                  "max_step_deficit": max(r.max_step_deficit for r in results),
                  "circuit_fingerprint": plan_fingerprint(plan)}]
@@ -658,7 +668,7 @@ def _sample_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
                 "n_circuits": config.n_circuits,
                 "total_samples": sum(r["num_samples"] for r in rows),
                 "mean_state_norm": float(np.mean([r["state_norm"] for r in rows]))}]
-    return RunRecord(columns, rows, summary_columns, summary, sample_files=sample_files)
+    return RunRecord(columns, rows, summary_columns, summary, tables=tables)
 
 
 def _prob_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRecord:
@@ -802,8 +812,13 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, columns: list[str], rows: Iterable[dict[str, Any]]) -> None:
+def _write_csv(path: Path, columns: list[str], rows: Iterable[dict[str, Any]],
+               comments: dict[str, Any]) -> None:
+    """The one table writer: a ``# key=value`` line per item of ``comments``, in key
+    order, then the header and one line per row, every line ending in LF."""
     with open(path, "w", newline="") as fh:
+        for key in sorted(comments):
+            fh.write(f"# {key}={comments[key]}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -813,8 +828,8 @@ def _write_csv(path: Path, columns: list[str], rows: Iterable[dict[str, Any]]) -
 def run_to_files(config: ExperimentConfig) -> tuple[RunRecord, Path | None]:
     """:func:`run` the recipe and write its record's tables and ``meta.json``.
 
-    The two CSV tables are byte-identical across reruns of the same config;
-    wall-clock information goes only to ``meta.json`` and ``timings.csv``.
+    Every table but ``timings.csv`` is byte-identical across reruns of the same
+    config; wall-clock information goes only to ``meta.json`` and ``timings.csv``.
     Earlier tables in ``out_dir`` are removed first (``checkpoints/`` is
     kept), so a failed run, which has none, leaves none.  ``out_dir`` is
     created before the recipe runs; one that cannot be is a :class:`ConfigError`.
@@ -832,19 +847,16 @@ def run_to_files(config: ExperimentConfig) -> tuple[RunRecord, Path | None]:
         for path in [out_dir / "results.csv", out_dir / "summary.csv",
                      out_dir / "timings.csv", *out_dir.glob("samples_c*.csv")]:
             path.unlink(missing_ok=True)
-        if record.columns:
-            _write_csv(out_dir / "results.csv", record.columns, record.rows)
-        if record.summary_columns:
-            _write_csv(out_dir / "summary.csv", record.summary_columns, record.summary)
-        if record.timings:
-            _write_csv(out_dir / "timings.csv",
-                       list(record.timings[0].keys()), record.timings)
-        for c, results, metadata in record.sample_files:
-            sampling.write_samples_csv(out_dir / f"samples_c{c}.csv", results, metadata)
+        tables = {"results.csv": (record.columns, record.rows, {}),
+                  "summary.csv": (record.summary_columns, record.summary, {}),
+                  **record.tables}
+        for name, (columns, rows, comments) in tables.items():
+            if columns:
+                _write_csv(out_dir / name, columns, rows, comments)
         meta = {
             "config_hash": record.config_hash,
             "experiment": record.experiment,
-            "version": record.version,
+            "version": __version__,
             "numpy_version": np.__version__,
             "blas": record.blas,
             "seed": config.seed,

@@ -45,16 +45,11 @@ in float64; the engine raises ``NumericalFailure`` if one is not.
 shared prefixes, which is distribution-identical to independent sequential
 draws and exponentially faster when outcomes collide; only children that
 receive draws are advanced.
-
-``write_samples_csv`` writes drawn outcomes as plain CSV. Nothing in the
-package reads such a file back.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -297,26 +292,4 @@ def sample_counts(
     for _, outcome, n in frontier:
         results[outcome] = results.get(outcome, 0) + n
     return results
-
-
-def write_samples_csv(
-    path: str | Path,
-    results: list[SamplingResult],
-    metadata: dict[str, object] | None = None,
-) -> None:
-    """Write one outcome per row with the joint probability in the last column.
-
-    Metadata (seed, chi, circuit hash, ...) goes into leading '# key=value'
-    comment lines so the body stays plain CSV.
-    """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        for key in sorted(metadata or {}):
-            fh.write(f"# {key}={metadata[key]}\n")
-        writer = csv.writer(fh)
-        if results:
-            modes = len(results[0].outcome)
-            writer.writerow([f"n{k + 1}" for k in range(modes)] + ["joint_probability"])
-        for r in results:
-            writer.writerow(list(r.outcome) + [f"{r.joint_probability:.17g}"])
 

@@ -288,6 +288,9 @@ def test_lossy_ee_layer_with_zero_trace_is_a_numerical_failure(experiment, tmp_p
     if experiment == "lossy-ee":
         assert "bosonet: numerical-failure: lossy-ee: trace 0.000e+00 after layer 8 " in err
         assert "layer 8" in meta["message"]
+    if experiment == "sample":
+        assert ("bosonet: numerical-failure: sample: state norm 0.000e+00 of circuit 0 "
+                "(M=6, N=2) is below 1e-06") in err
     assert meta["status"] == "numerical-failure"
     assert not (out / "results.csv").exists()
 

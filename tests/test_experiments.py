@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosonet import chain, experiments, linalg, mpo, mps
-from bosonet.circuit import circuit_to_unitary, sample_haar_circuit
+from bosonet import chain, experiments, linalg, mpo, mps, sampling
+from bosonet.circuit import circuit_to_unitary, plan_fingerprint, sample_haar_circuit
 from bosonet.entropy import lossy_mpo_ee, partition_angles
 from bosonet.experiments import (
     EXPERIMENTS,
@@ -518,6 +518,30 @@ class TestSampleRecipe:
             paths.append(out_dir / "samples_c0.csv")
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_samples_file_holds_every_draw(self, tmp_path):
+        """Sorted ``# key=value`` lines, the header, then one row per draw of
+        stream (p, c, 1) with its joint probability at full precision."""
+        config = config_from_dict(make_doc(
+            experiment="sample", num_samples=10, n_circuits=1, chi_max=64,
+            loss={"kind": "constant", "mu": 0.8}, out_dir=str(tmp_path)))
+        record, out_dir = run_to_files(config)
+        plan = sample_haar_circuit(4, circuit_rng(config.seed, 0, 0))
+        state = mpo.init_lossy(2, 4, 0.8)
+        chain.apply_plan(state, plan, config.policy())
+        draws = sampling.sample_many(state, circuit_rng(config.seed, 0, 0, stream=1), 10)
+        lines = (out_dir / "samples_c0.csv").read_text().splitlines()
+        assert lines[:7] == ["# chi=64", "# circuit=0",
+                             f"# circuit_fingerprint={plan_fingerprint(plan)}",
+                             f"# config_hash={record.config_hash}", "# experiment=sample",
+                             "# mu=0.8", "# seed=7"]
+        assert lines[7] == "n1,n2,n3,n4,joint_probability"
+        assert len(lines) == 8 + len(draws)
+        for line, want in zip(lines[8:], draws):
+            *outcome, probability = line.split(",")
+            assert tuple(int(n) for n in outcome) == want.outcome
+            assert probability == f"{want.joint_probability:.17g}"
+            assert float(probability) == want.joint_probability
+
     def test_sample_row_diagnostics(self):
         record = run(config_from_dict(
             make_doc(experiment="sample", num_samples=10, n_circuits=2)
@@ -624,6 +648,8 @@ class TestReproducibility:
             config = config_from_dict({**doc, "out_dir": str(tmp_path / name)})
             record, out_dir = run_to_files(config)
             assert record.status == "ok"
+            for path in out_dir.glob("*.csv"):
+                assert b"\r" not in path.read_bytes(), path.name
             # timings.csv holds wall-clock seconds, the one table that may differ.
             blobs.append({path.name: path.read_bytes() for path in out_dir.glob("*.csv")
                           if path.name != "timings.csv"})

@@ -260,6 +260,13 @@ def test_raw_outcome_prob_equals_unclamped_value():
         assert 0.0 <= clamped <= 1.0
 
 
+def test_outcome_prob_clamps_a_marginal_above_one():
+    state = mpo.init_lossy(2, 4, 0.9)
+    state.norm_scale *= 3.0  # every read triples: the (1, 1, 0, 0) marginal becomes 2.43
+    assert mpo.marginal(state, (1, 1, 0, 0)) > 1.0
+    assert mpo.outcome_prob(state, (1, 1, 0, 0)) == 1.0
+
+
 def test_diagonal_reads_go_through_marginal(monkeypatch):
     state = mpo.init_lossy(2, 4, 0.6)
     chain.apply_plan(state, haar_plan(4, seed=59), TruncationPolicy(chi_max=3))

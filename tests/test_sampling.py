@@ -9,11 +9,7 @@ import numpy as np
 import pytest
 
 from bosonet import chain, mpo, mps, sampling
-from bosonet.circuit import (
-    BeamSplitterGate,
-    circuit_to_unitary,
-    plan_fingerprint,
-)
+from bosonet.circuit import BeamSplitterGate, circuit_to_unitary
 from bosonet.linalg import DegradedStateError, NumericalFailure, TruncationPolicy
 from bosonet.oracle import exact_lossy_distribution, exact_lossless_distribution
 
@@ -387,25 +383,3 @@ def test_normalize_conditionals():
         sampling.normalize_conditionals([0.6, -1e-7])
     with pytest.raises(NumericalFailure):
         sampling.normalize_conditionals([0.0, 0.0])
-
-
-# ---------------------------------------------------------------------------
-# CSV round trip
-
-
-def test_samples_csv_round_trip(tmp_path):
-    state = evolved_mpo(2, 4, 0.8, seed=59)
-    plan = haar_plan(4, 59)
-    results = sampling.sample_many(state, np.random.default_rng(5), 10)
-    path = tmp_path / "samples.csv"
-    metadata = {"seed": 5, "chi": 10_000, "circuit": plan_fingerprint(plan)}
-    sampling.write_samples_csv(path, results, metadata)
-    lines = path.read_text().splitlines()
-    assert lines[:3] == ["# chi=10000", f"# circuit={plan_fingerprint(plan)}", "# seed=5"]
-    assert lines[3] == "n1,n2,n3,n4,joint_probability"
-    assert len(lines) == 4 + len(results)
-    for line, want in zip(lines[4:], results):
-        *outcome, probability = line.split(",")
-        assert tuple(int(n) for n in outcome) == want.outcome
-        assert probability == f"{want.joint_probability:.17g}"
-        assert float(probability) == want.joint_probability
