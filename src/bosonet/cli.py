@@ -54,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, metavar="S",
                         help="override the master seed")
     parser.add_argument("--chi", type=int, metavar="X",
-                        help="override the bond-dimension budget chi_max")
+                        help="override the bond-dimension budget chi_max (only an "
+                             "experiment that reads chi_max takes it)")
     parser.add_argument("--out", metavar="DIR",
                         help="override the output directory")
     return parser

@@ -15,9 +15,9 @@ wall-clock timings never enter them —
 the total lives in ``meta.json`` and per-row timings in ``timings.csv``.
 
 :func:`validate_config` checks each field against its row of one table, ``_FIELDS``:
-type, range, and the experiments that read it (the others must leave it at its
-default, as it enters the config hash); then the rules that span fields.  Each
-failure is a :class:`ConfigError` naming the field, a missing required one included.
+type, range, and exactly the experiments that read it (the others must leave it
+at its default, as it enters the config hash); then the rules that span fields.
+Each failure is a :class:`ConfigError` naming the field, a missing required one included.
 
 A sweep point is ``(M, N, loss)``: ``loss`` holds the ``gamma``, ``beta`` and
 ``mu`` columns of a lossy point, is empty for a lossless one, and every row of
@@ -176,7 +176,7 @@ def _loss_from_dict(doc: Any) -> LossSpec:
 
 #: What each element type of :data:`_FIELDS` accepts, in words.
 _KINDS = {Integral: "a 64-bit integer", Real: "a finite real number", str: "a string",
-          list: "a list of 64-bit integers"}
+          list: "a list of 64-bit integers", LossSpec: "a LossSpec"}
 
 
 def _is_a(value: Any, kind: type) -> bool:
@@ -188,25 +188,34 @@ def _is_a(value: Any, kind: type) -> bool:
         return False
     if kind is Integral:
         return -2**63 <= value < 2**63
-    return kind is str or abs(value) <= sys.float_info.max  # a finite float; nan fails too
+    return kind is not Real or abs(value) <= sys.float_info.max  # a finite float; nan fails too
 
+
+#: Experiment groups that more than one rule names.  ``analytic-ee`` evolves no
+#: state and ``oracle-check`` evolves at exact rank, so neither truncates.
+_LOSSLESS = ("lossless-ee", "fock-ee")
+_NEEDS_LOSS = ("lossy-ee", "analytic-ee", "trunc-error")
+_ONE_LOSS_POINT = ("sample", "prob", "oracle-check")
+_LOSSY = _NEEDS_LOSS + _ONE_LOSS_POINT
+_TRUNCATING = (*_LOSSLESS, "lossy-ee", "trunc-error", "sample", "prob")
 
 #: One row per checked config field: element type (a key of :data:`_KINDS`),
 #: whether the field is a nonempty list of distinct values, the allowed range of
-#: one value and that range in words, and the experiments that read the field
-#: (empty: all of them).  Every field outside ``_PLUMBING_FIELDS`` enters the
-#: config hash, so an experiment that does not read a field requires its default.
+#: one value and that range in words, and exactly the experiments that read the
+#: field (empty: all of them).  Every field outside ``_PLUMBING_FIELDS`` enters
+#: the config hash, so an experiment that does not read a field requires its default.
 _FIELDS: dict[str, tuple[type, bool, Callable[[Any], bool], str, tuple[str, ...]]] = {
     "experiment": (str, False, lambda v: v in _RECIPES, "a known experiment", ()),
     "seed": (Integral, False, lambda v: v >= 0, ">= 0", ()),
     "num_modes": (Integral, True, lambda v: v >= 2 and v % 2 == 0, "even and >= 2", ()),
     "num_photons": (Integral, True, lambda v: v >= 0, ">= 0", ()),
-    "gammas": (Real, True, lambda v: 0 < v <= 1, "in (0, 1]", ()),
-    "betas": (Real, True, lambda v: v > 0, "> 0", ()),
-    "alphas": (Real, True, lambda v: v >= 0, ">= 0", ()),
-    "chi_max": (Integral, False, lambda v: v >= 1, ">= 1", ()),
+    "loss": (LossSpec, False, lambda v: True, "a LossSpec", _LOSSY),
+    "gammas": (Real, True, lambda v: 0 < v <= 1, "in (0, 1]", _LOSSY),
+    "betas": (Real, True, lambda v: v > 0, "> 0", _LOSSY),
+    "alphas": (Real, True, lambda v: v >= 0, ">= 0", (*_LOSSLESS, "lossy-ee", "analytic-ee")),
+    "chi_max": (Integral, False, lambda v: v >= 1, ">= 1", _TRUNCATING),
     "chis": (Integral, True, lambda v: v >= 1, ">= 1", ("trunc-error",)),
-    "weight_threshold": (Real, False, lambda v: v >= 0, ">= 0", ()),
+    "weight_threshold": (Real, False, lambda v: v >= 0, ">= 0", _TRUNCATING),
     "n_circuits": (Integral, False, lambda v: v >= 1, ">= 1", ()),
     "num_samples": (Integral, False, lambda v: v >= 1, ">= 1", ("sample",)),
     "outcomes": (list, True, lambda v: min(v, default=0) >= 0, "nonnegative occupations",
@@ -220,9 +229,10 @@ _FIELDS: dict[str, tuple[type, bool, Callable[[Any], bool], str, tuple[str, ...]
 
 def validate_config(config: ExperimentConfig) -> None:
     """Check each field against its :data:`_FIELDS` row, then the rules that span fields."""
-    fields = ExperimentConfig.__dataclass_fields__
+    defaults = {name: f.default if f.default_factory is MISSING else f.default_factory()
+                for name, f in ExperimentConfig.__dataclass_fields__.items()}
     for name, (kind, is_list, ok, words, readers) in _FIELDS.items():
-        value, default = getattr(config, name), fields[name].default
+        value, default = getattr(config, name), defaults[name]
         if value is MISSING:
             raise ConfigError(name, "missing")
         if value is None and default is None:
@@ -247,22 +257,19 @@ def validate_config(config: ExperimentConfig) -> None:
     if max(config.num_photons) > max(config.num_modes):  # grids skip the points with N > M
         raise ConfigError("num_photons", f"photon counts must be <= max(num_modes), "
                                          f"got {max(config.num_photons)}")
-    if config.experiment in ("lossless-ee", "fock-ee"):
-        for name in ("loss", "gammas", "betas"):
-            if getattr(config, name) is not None:
-                raise ConfigError(name, f"{config.experiment} is lossless and takes no {name}")
+    if config.chis is not None and config.chi_max != defaults["chi_max"]:
+        raise ConfigError("chi_max", f"{config.experiment} does not read chi_max with chis")
     if (config.gammas is None) != (config.betas is None):
         raise ConfigError("gammas", "gammas and betas must be given together")
     if config.gammas is not None and config.loss is not None:
         raise ConfigError("loss", "give either loss or gammas/betas, not both")
-    needs_loss = config.experiment in ("lossy-ee", "analytic-ee", "trunc-error")
-    if needs_loss and config.loss is None and config.gammas is None:
+    if config.experiment in _NEEDS_LOSS and config.loss is None and config.gammas is None:
         raise ConfigError("loss", f"{config.experiment} needs loss or gammas/betas")
     for _, n, loss in _sweep_points(config):
         if loss and not 0.0 <= loss["mu"] <= 1.0:
             raise ConfigError("betas", f"survival probability {loss['mu']:.4g} outside [0, 1] "
                                        f"at N={n}, gamma={loss['gamma']}, beta={loss['beta']}")
-    if config.experiment in ("sample", "prob", "oracle-check") and len(_loss_points(config)) > 1:
+    if config.experiment in _ONE_LOSS_POINT and len(_loss_points(config)) > 1:
         raise ConfigError("gammas", f"{config.experiment} runs use a single loss point")
     if config.experiment == "sample" and len(_sweep_points(config)) != 1:
         raise ConfigError("num_modes", "sample runs use a single (M, N) point")

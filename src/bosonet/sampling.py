@@ -76,7 +76,7 @@ class SamplingResult:
 def state_norm(state: MpsState | MpoState) -> float:
     """Norm proxy guarding against over-truncated states: sqrt(sum lambda^2) or trace."""
     if isinstance(state, MpsState):
-        return float(np.sqrt(max(state.total_weight(), 0.0)))
+        return float(np.sqrt(state.total_weight()))
     return mpo_trace(state)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import MISSING
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -25,15 +26,17 @@ from helpers import _edit_header, _edit_members
 
 
 def write_config(path, **overrides):
+    """A small config file; ``chi_max`` is 16 unless its experiment does not read it."""
     doc = {
         "experiment": "lossless-ee",
         "seed": 5,
         "num_modes": [4],
         "num_photons": [2],
-        "chi_max": 16,
         "n_circuits": 1,
     }
     doc.update(overrides)
+    if doc["experiment"] not in ("analytic-ee", "oracle-check") and "chis" not in doc:
+        doc.setdefault("chi_max", 16)
     path.write_text(json.dumps(doc))
     return path
 
@@ -92,7 +95,7 @@ class TestUsageErrors:
             ("alphas", {"alphas": ["1"]}),
             ("alphas", {"alphas": 1.0}),
             ("gammas", {"gammas": ["0.5"], "betas": [0.5]}),
-            ("betas", {"gammas": [0.5], "betas": [None]}),
+            ("betas", {"betas": [None]}),
             ("tolerance", {"tolerance": "1e-8"}),
             ("max_seconds", {"max_seconds": "10"}),
             ("weight_threshold", {"weight_threshold": False}),
@@ -132,6 +135,38 @@ class TestUsageErrors:
         out = tmp_path / "out"
         assert main([experiment, "--config", str(config), "--out", str(out)]) == EXIT_USAGE
         assert f"bosonet: config field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, field, overrides, flags", [
+        pytest.param(experiment, field, overrides, flags, id=f"{experiment}:{field}")
+        for experiment, field, overrides, flags in (
+            # --chi on an M=8 sweep would change the config hash and no row.
+            ("analytic-ee", "chi_max", {"num_modes": [8], "num_photons": [1, 2, 4]},
+             ["--chi", "8"]),
+            ("analytic-ee", "weight_threshold", {"weight_threshold": 1e-3}, []),
+            ("oracle-check", "alphas", {"alphas": [2.0]}, []),
+            ("oracle-check", "chi_max", {}, ["--chi", "8"]),
+            ("oracle-check", "weight_threshold", {"weight_threshold": 1e-3}, []),
+            ("sample", "alphas", {"alphas": [2.0]}, []),
+            ("prob", "alphas", {"alphas": [2.0]}, []),
+            ("trunc-error", "alphas", {"alphas": [2.0]}, []),
+            ("trunc-error", "chi_max", {"chis": [2, 4]}, ["--chi", "8"]),
+        )
+    ])
+    def test_field_the_experiment_does_not_read_exits_one(self, tmp_path, capsys, experiment,
+                                                          field, overrides, flags):
+        """A field, or ``--chi``, that the experiment does not read would change the
+        config hash and nothing else: exit 1 before any output is written."""
+        needs = {"analytic-ee": {"gammas": [0.5], "betas": [0.6]},
+                 "sample": {"num_samples": 5}, "prob": {"outcomes": [[1, 1, 0, 0]]},
+                 "trunc-error": {"loss": {"kind": "constant", "mu": 0.5}}}
+        config = write_config(tmp_path / "c.json", experiment=experiment,
+                              **needs.get(experiment, {}), **overrides)
+        out = tmp_path / "out"
+        argv = [experiment, "--config", str(config), "--out", str(out), *flags]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"bosonet: config field '{field}': {experiment} does not read {field}" in err
         assert not out.exists()
 
     def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
@@ -610,6 +645,8 @@ def test_config_boundary_fuzz(tmp_path_factory, doc):
     spelled out or left out leave alone; an accepted tiny config runs through the
     CLI to an exit code, never a traceback."""
     fields = experiments.ExperimentConfig.__dataclass_fields__
+    defaults = {name: f.default if f.default_factory is MISSING else f.default_factory()
+                for name, f in fields.items()}
     try:
         config = experiments.config_from_dict(doc)
     except experiments.ConfigError as exc:
@@ -617,7 +654,7 @@ def test_config_boundary_fuzz(tmp_path_factory, doc):
         return
     digest = experiments.config_hash(config)
     spelled_out = {**{name: getattr(config, name) for name in fields if name not in doc}, **doc}
-    left_out = {name: value for name, value in doc.items() if value != fields[name].default}
+    left_out = {name: value for name, value in doc.items() if value != defaults[name]}
     equal_docs = [dict(reversed(list(doc.items()))), spelled_out, left_out,
                   {**doc, "num_modes": config.num_modes[0]}]
     for equal in equal_docs[: 3 + (len(config.num_modes) == 1)]:

@@ -1,6 +1,8 @@
 """Tests for the experiment driver: configs, hashing, recipes, reproducibility."""
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,17 +26,31 @@ from bosonet.experiments import (
 from bosonet.linalg import DegradedStateError, NumericalFailure
 from bosonet.snapshots import load_header
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_by_path(path):
+    """The module in the file at ``path``, which is on no import path.  It is
+    registered under ``tooling_<stem>``, as its dataclasses look their module up."""
+    spec = importlib.util.spec_from_file_location(f"tooling_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
 
 def make_doc(**overrides):
+    """A small config; ``chi_max`` is 16 unless its experiment does not read it."""
     doc = {
         "experiment": "lossless-ee",
         "seed": 7,
         "num_modes": [4],
         "num_photons": [2],
-        "chi_max": 16,
         "n_circuits": 2,
     }
     doc.update(overrides)
+    if doc["experiment"] not in ("analytic-ee", "oracle-check") and "chis" not in doc:
+        doc.setdefault("chi_max", 16)
     return doc
 
 
@@ -224,7 +240,7 @@ class TestConfigParsing:
         ("betas", {"betas": [0.3]}),
     ])
     def test_lossless_experiments_reject_loss_settings(self, experiment, name, loss):
-        with pytest.raises(ConfigError, match=f"'{name}'.*lossless"):
+        with pytest.raises(ConfigError, match=f"'{name}': {experiment} does not read {name}"):
             config_from_dict(make_doc(experiment=experiment, **loss))
 
     def test_sample_needs_num_samples(self):
@@ -258,13 +274,75 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="'tolerance'"):
             config_from_dict(make_doc(tolerance=0.0))
 
-    def test_checked_in_configs_parse(self):
-        paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    def test_checked_in_configs_parse(self, tmp_path):
+        """The configs under ``configs/``, every config ``scripts/compare_outputs.py``
+        sends (with its seed) and the benchmark's evolution workloads parse."""
+        paths = sorted((ROOT / "configs").glob("*.json"))
         assert paths, "configs/ holds no *.json"
-        for path in paths:
-            doc = json.loads(path.read_text())
+        docs = {path.name: json.loads(path.read_text()) for path in paths}
+        compare = load_by_path(ROOT / "scripts" / "compare_outputs.py")
+        assert compare.CONFIGS, "compare_outputs.py sends no config"
+        docs.update({name: {**doc, "seed": compare.SEED} for name, doc, _ in compare.CONFIGS})
+        workloads = load_by_path(ROOT / "perfbench" / "workloads.py")
+        for name in ("lossy_ee", "lossless_ee"):
+            docs[name] = {**workloads.WORKLOADS[name](1, tmp_path).config,
+                          "seed": workloads.unit_seed(1, 0)}
+        for name, doc in docs.items():
             config = config_from_dict(doc)
-            assert config.experiment == doc["experiment"], path.name
+            assert config.experiment == doc["experiment"], name
+
+
+#: A value other than the recipe doc's of each hashed optional field, and the
+#: fields it replaces: ``loss`` and ``gammas``/``betas`` are two spellings of
+#: one loss description.
+VARIED = {
+    "loss": ({"loss": {"kind": "constant", "mu": 0.5}}, ("gammas", "betas")),
+    "gammas": ({"gammas": [0.5], "betas": [0.8]}, ("loss",)),
+    "alphas": ({"alphas": [0.5]}, ()),
+    "chi_max": ({"chi_max": 8}, ()),
+    "chis": ({"chis": [2, 4]}, ()),
+    "weight_threshold": ({"weight_threshold": 0.1}, ()),
+    "num_samples": ({"num_samples": 5}, ()),
+    "outcomes": ({"outcomes": [[1, 1, 0, 0]]}, ()),
+    "tolerance": ({"tolerance": 1e-3}, ()),
+}
+
+
+def computed(doc):
+    """What a run of ``doc`` computed: its rows and every table but ``timings.csv``,
+    less the config hash."""
+    record = run(config_from_dict(doc))
+    assert record.status == "ok", record.message
+
+    def strip(rows):
+        return [{k: v for k, v in row.items() if k != "config_hash"} for row in rows]
+
+    return strip(record.rows), {name: strip(rows) for name, (_, rows, _) in record.tables.items()
+                                if name != "timings.csv"}
+
+
+@pytest.fixture(scope="module")
+def recipe_outputs():
+    return {}
+
+
+@pytest.mark.parametrize("field", VARIED)
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_accepted_field_changes_what_the_recipe_computes(recipe_outputs, experiment,
+                                                               field):
+    """Each hashed optional field is refused by name or read: with it varied, the
+    run's rows or sample files differ from the recipe doc's run."""
+    setting, replaced = VARIED[field]
+    doc = {**{k: v for k, v in RECIPE_DOCS[experiment].items() if k not in replaced},
+           **setting}
+    try:
+        config_from_dict(doc)
+    except ConfigError as exc:
+        assert exc.field in setting
+        return
+    if experiment not in recipe_outputs:
+        recipe_outputs[experiment] = computed(RECIPE_DOCS[experiment])
+    assert computed(doc) != recipe_outputs[experiment]
 
 
 # ---------------------------------------------------------------------------
