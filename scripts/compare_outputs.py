@@ -12,7 +12,10 @@ After the budgeted run it prints the ``layers_done`` of every checkpoint
 header. A checkpoint taken before layer 1 would make the resume a fresh run,
 so if no header has ``layers_done >= 1`` the budgeted run is repeated, from
 no checkpoint, at 0.4 and then at 0.6 of the measured time; if none of the
-three leaves such a checkpoint, the config counts as failed. It also writes
+three leaves such a checkpoint, the config counts as failed. Then it runs
+each paper-size config of this checkout, ``configs/<stem>.json``, as checked in
+(its own seed) into ``OUT/<stem>/``, so its ``results.csv`` and ``summary.csv``
+are compared too (a few seconds to about 20 s each). It also writes
 ``OUT/src_lines.json``, the line count of every ``bosonet/*.py`` of the
 build (as ``wc -l`` counts them).
 
@@ -104,6 +107,8 @@ CONFIGS = [
                      "n_circuits": 4}, False),
 ]
 SEED = 7
+#: The paper-size configs, run as checked in (their own seeds).
+PAPER_CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 
 def _bosonet(src: Path, experiment: str, config: Path, out: Path) -> tuple[int, float]:
@@ -153,6 +158,11 @@ def run(out: Path, src: Path) -> int:
         resumed.write_text(json.dumps({**doc, "seed": SEED, "checkpoint_every": 1}))
         code, _ = _bosonet(src, doc["experiment"], resumed, resumed_out)
         print(f"{name}-resumed: exit {code} after resuming")
+        failed += code != 0
+    for config in PAPER_CONFIGS:
+        experiment = json.loads(config.read_text())["experiment"]
+        code, seconds = _bosonet(src, experiment, config, out / config.stem)
+        print(f"{config.stem}: exit {code} in {seconds:.1f}s")
         failed += code != 0
     return 1 if failed else 0
 

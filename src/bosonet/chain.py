@@ -521,11 +521,6 @@ def max_bond_entropy(state: TensorTrainState, alpha: float) -> tuple[int, float]
     """(bond index, value) of the maximum interior-bond entropy; ties -> smallest bond."""
     if state.num_modes < 2:
         return 1, 0.0
-    best_bond = 1
-    best = -1.0
-    for k in range(1, state.num_modes):
-        s = renyi_entropy(state, k, alpha)
-        if s > best + 1e-15:
-            best = s
-            best_bond = k
-    return best_bond, best
+    values = [renyi_entropy(state, k, alpha) for k in range(1, state.num_modes)]
+    best = max(values)
+    return values.index(best) + 1, best

@@ -3,20 +3,20 @@
 Every experiment follows the same shape: a declarative :class:`ExperimentConfig`
 (usually parsed from a JSON file) names a recipe, the sweep ranges, and one
 master seed; :func:`run` executes the recipe over an ensemble of circuits and
-returns a :class:`RunRecord`, an aborted or numerically failed run's too;
-:func:`run_to_files` additionally writes ``results.csv`` (per-circuit rows),
-``summary.csv`` (ensemble aggregates), every further table of the record
-(``timings.csv``, ``samples_c<k>.csv``) and ``meta.json``, after removing the
-tables an earlier run left in the same directory.  One writer, ``_write_csv``,
-writes every table, with LF line ends.  The data tables are
-byte-identical across reruns of the same (config, seed, software version),
-whatever the BLAS thread count the caller set, as :func:`run` pins one;
-wall-clock timings never enter them —
-the total lives in ``meta.json`` and per-row timings in ``timings.csv``.
+returns a :class:`RunRecord`, an aborted or numerically failed run's too.  Each
+unit (one circuit of one sweep point) returns its rows and tables, and one loop
+joins them, so an aborted run keeps its completed units' rows, sample files and
+timings, though no summary.  :func:`run_to_files` writes the record's tables,
+``results.csv``, ``summary.csv``, ``timings.csv`` and ``samples_c<k>.csv``, and
+``meta.json``, after removing those an earlier run left in the same directory;
+one writer, ``_write_csv``, writes every table, with LF line ends.  The data
+tables are byte-identical across reruns of the same (config, seed, software
+version), whatever the BLAS thread count the caller set, as :func:`run` pins
+one; wall-clock timings go only to ``meta.json`` and ``timings.csv``.
 
 :func:`validate_config` checks each field against its row of one table, ``_FIELDS``:
 type, range, and exactly the experiments that read it (the others must leave it
-at its default, as it enters the config hash); then the rules that span fields.
+at its default); then the rules that span fields.
 Each failure is a :class:`ConfigError` naming the field, a missing required one included.
 
 A sweep point is ``(M, N, loss)``: ``loss`` holds the ``gamma``, ``beta`` and
@@ -75,12 +75,7 @@ class ConfigError(ValueError):
 
 
 class ResourceAbort(RuntimeError):
-    """Raised when the wall-clock budget is exhausted; carries partial rows."""
-
-    def __init__(self, message: str, rows: list[dict[str, Any]] | None = None):
-        super().__init__(message)
-        self.rows = rows or []
-        self.columns: list[str] = []
+    """The wall-clock budget is exhausted; the unit loop attaches the aborted ``record``."""
 
 
 @dataclass(frozen=True)
@@ -202,8 +197,8 @@ _TRUNCATING = (*_LOSSLESS, "lossy-ee", "trunc-error", "sample", "prob")
 #: One row per checked config field: element type (a key of :data:`_KINDS`),
 #: whether the field is a nonempty list of distinct values, the allowed range of
 #: one value and that range in words, and exactly the experiments that read the
-#: field (empty: all of them).  Every field outside ``_PLUMBING_FIELDS`` enters
-#: the config hash, so an experiment that does not read a field requires its default.
+#: field (empty: all of them).  An experiment that does not read a field requires
+#: its default: a hashed field would change only the hash, a plumbing one nothing.
 _FIELDS: dict[str, tuple[type, bool, Callable[[Any], bool], str, tuple[str, ...]]] = {
     "experiment": (str, False, lambda v: v in _RECIPES, "a known experiment", ()),
     "seed": (Integral, False, lambda v: v >= 0, ">= 0", ()),
@@ -222,7 +217,8 @@ _FIELDS: dict[str, tuple[type, bool, Callable[[Any], bool], str, tuple[str, ...]
                  ("prob",)),
     "tolerance": (Real, False, lambda v: v > 0, "> 0", ("oracle-check",)),
     "out_dir": (str, False, lambda v: True, "a path", ()),
-    "checkpoint_every": (Integral, False, lambda v: v >= 0, ">= 0 (0 disables)", ()),
+    "checkpoint_every": (Integral, False, lambda v: v >= 0, ">= 0 (0 disables)",
+                         (*_LOSSLESS, "lossy-ee")),
     "max_seconds": (Real, False, lambda v: v >= 0, ">= 0", ()),
 }
 
@@ -325,6 +321,8 @@ def config_hash(config: ExperimentConfig) -> str:
 
 #: One table to write: its columns, its rows, and its ``# key=value`` comments.
 Table = tuple[list[str], list[dict[str, Any]], dict[str, Any]]
+#: What one unit returns: its ``results.csv`` rows, and its tables by file name.
+UnitOutput = tuple[list[dict[str, Any]], dict[str, Table]]
 
 
 @dataclass
@@ -380,22 +378,28 @@ def _sweep_points(config: ExperimentConfig) -> list[tuple[int, int, dict[str, fl
 
 
 def _run_units(config: ExperimentConfig, columns: list[str],
-               run_unit: Callable[..., list[dict[str, Any]]]) -> list[dict[str, Any]]:
-    """Run ``run_unit(point_index, circuit, M, N, loss)`` per unit of the sweep, in order.
+               run_unit: Callable[..., UnitOutput]) -> RunRecord:
+    """Run ``run_unit(point_index, circuit, M, N, loss)`` per unit of the sweep, in order,
+    and join what the units return, ``(rows, tables)``, into a record without a summary.
 
-    Each unit makes its own budget checks.  When one raises
-    :class:`ResourceAbort`, the abort leaves carrying the rows of the units
-    that completed and the recipe's columns.
+    A unit's ``tables`` are by file name; rows of a name several units return are
+    joined in unit order.  Each unit makes its own budget checks.  When one raises
+    :class:`ResourceAbort`, the abort leaves carrying the record of the units that
+    completed, their rows and tables, with status ``aborted``.
     """
-    rows: list[dict[str, Any]] = []
+    record = RunRecord(columns, [])
     try:
         for point_index, (m, n, loss) in enumerate(_sweep_points(config)):
             for c in range(config.n_circuits):
-                rows.extend(run_unit(point_index, c, m, n, loss))
+                rows, tables = run_unit(point_index, c, m, n, loss)
+                record.rows.extend(rows)
+                for name, (table_columns, table_rows, comments) in tables.items():
+                    joined = record.tables.setdefault(name, (table_columns, [], comments))
+                    joined[1].extend(table_rows)
     except ResourceAbort as abort:
-        abort.rows, abort.columns = rows, columns
+        record.status, record.message, abort.record = "aborted", str(abort), record
         raise
-    return rows
+    return record
 
 
 def _groups(rows: list[dict[str, Any]], keys: list[str]) -> list[list[dict[str, Any]]]:
@@ -535,7 +539,7 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
     ckpt = _Checkpointer(config, digest)
     policy = config.policy()
 
-    def run_unit(point_index: int, c: int, m: int, n: int, loss) -> list[dict[str, Any]]:
+    def run_unit(point_index: int, c: int, m: int, n: int, loss) -> UnitOutput:
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
         base: dict[str, Any] = {"config_hash": digest, "M": m, "N": n, **loss,
                                 "chi": policy.chi_max, "circuit": c}
@@ -556,32 +560,34 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
             return out
 
         _, rows = _evolve_by_layers(state, plan, policy, on_layer, budget, ckpt, point_index, c)
-        return rows
+        return rows, {}
 
-    rows = _run_units(config, columns, run_unit)
+    record = _run_units(config, columns, run_unit)
     peaks = [max(group, key=lambda r: r["max_ee"])
-             for group in _groups(rows, keys + ["circuit"])]
-    return RunRecord(columns, rows, keys + ["mean_peak_ee", "stderr", "n_circuits"],
-                     _summarize(peaks, keys, "max_ee", "mean_peak_ee", "n_circuits"))
+             for group in _groups(record.rows, keys + ["circuit"])]
+    record.summary_columns = keys + ["mean_peak_ee", "stderr", "n_circuits"]
+    record.summary = _summarize(peaks, keys, "max_ee", "mean_peak_ee", "n_circuits")
+    return record
 
 
 def _analytic_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRecord:
     """Closed-form lossy entropy averaged over an ensemble of circuits."""
     columns = ["config_hash", "M", "N", "gamma", "beta", "mu", "alpha", "circuit", "ee"]
 
-    def run_unit(point_index: int, c: int, m: int, n: int, loss) -> list[dict[str, Any]]:
+    def run_unit(point_index: int, c: int, m: int, n: int, loss) -> UnitOutput:
         budget.check()
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
         angles = partition_angles(circuit_to_unitary(plan), m // 2)
         return [{"config_hash": digest, "M": m, "N": n, **loss, "alpha": alpha,
                  "circuit": c, "ee": lossy_mpo_ee(angles, loss["mu"], alpha, n)}
-                for alpha in config.alphas]
+                for alpha in config.alphas], {}
 
-    rows = _run_units(config, columns, run_unit)
-    summary = _summarize(rows, ["config_hash", "M", "N", "gamma", "beta", "alpha"], "ee",
-                         "mean_ee", "n_samples")
-    return RunRecord(columns, rows, ["N", "M", "gamma", "beta", "alpha", "mean_ee",
-                                     "stderr", "n_samples", "config_hash"], summary)
+    record = _run_units(config, columns, run_unit)
+    record.summary_columns = ["N", "M", "gamma", "beta", "alpha", "mean_ee", "stderr",
+                              "n_samples", "config_hash"]
+    record.summary = _summarize(record.rows, ["config_hash", "M", "N", "gamma", "beta",
+                                              "alpha"], "ee", "mean_ee", "n_samples")
+    return record
 
 
 def _trunc_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRecord:
@@ -594,11 +600,10 @@ def _trunc_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Run
     chis = config.chis if config.chis is not None else [config.chi_max]
     keys = ["config_hash", "M", "N", "gamma", "beta", "mu", "chi"]
     columns = keys + ["circuit", "one_minus_trace", "discarded_weight", "max_bond_dim"]
-    timings: list[dict[str, Any]] = []
 
-    def run_unit(point_index: int, c: int, m: int, n: int, loss) -> list[dict[str, Any]]:
+    def run_unit(point_index: int, c: int, m: int, n: int, loss) -> UnitOutput:
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
-        out = []
+        out, timings = [], []
         for chi in chis:
             budget.check()
             t0 = time.perf_counter()
@@ -609,14 +614,13 @@ def _trunc_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Run
                         "discarded_weight": state.discarded_weight,
                         "max_bond_dim": state.max_bond_dimension()})
             timings.append({"M": m, "N": n, "chi": chi, "circuit": c, "wall_seconds": wall})
-        return out
+        return out, {"timings.csv": (["M", "N", "chi", "circuit", "wall_seconds"], timings, {})}
 
-    rows = _run_units(config, columns, run_unit)
-    return RunRecord(columns, rows, keys + ["mean_one_minus_trace", "stderr", "n_circuits"],
-                     _summarize(rows, keys, "one_minus_trace", "mean_one_minus_trace",
-                                "n_circuits"),
-                     tables={"timings.csv": (["M", "N", "chi", "circuit", "wall_seconds"],
-                                             timings, {})})
+    record = _run_units(config, columns, run_unit)
+    record.summary_columns = keys + ["mean_one_minus_trace", "stderr", "n_circuits"]
+    record.summary = _summarize(record.rows, keys, "one_minus_trace", "mean_one_minus_trace",
+                                "n_circuits")
+    return record
 
 
 def _initial_state(m: int, n: int, loss: dict[str, float], bunched: bool = False):
@@ -642,9 +646,8 @@ def _sample_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
                "state_norm", "min_joint", "max_joint", "max_step_deficit",
                "circuit_fingerprint"]
     draw_columns = [f"n{k + 1}" for k in range(m)] + ["joint_probability"]
-    tables: dict[str, Table] = {}
 
-    def run_unit(point_index: int, c: int, *_) -> list[dict[str, Any]]:
+    def run_unit(point_index: int, c: int, *_) -> UnitOutput:
         budget.check()
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
         state = _build_state(m, n, loss, plan, config.policy())
@@ -658,24 +661,22 @@ def _sample_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
                     "circuit_fingerprint": plan_fingerprint(plan)}
         if loss:
             comments["mu"] = loss["mu"]
-        tables[f"samples_c{c}.csv"] = (draw_columns, [
-            dict(zip(draw_columns, (*r.outcome, r.joint_probability))) for r in results],
-            comments)
+        draws = [dict(zip(draw_columns, (*r.outcome, r.joint_probability))) for r in results]
+        tables = {f"samples_c{c}.csv": (draw_columns, draws, comments)}
         return [{"config_hash": digest, "M": m, "N": n, **loss, "chi": config.chi_max,
                  "circuit": c, "num_samples": len(results), "state_norm": norm,
                  "min_joint": min(joints), "max_joint": max(joints),
                  "max_step_deficit": max(r.max_step_deficit for r in results),
-                 "circuit_fingerprint": plan_fingerprint(plan)}]
+                 "circuit_fingerprint": plan_fingerprint(plan)}], tables
 
-    rows = _run_units(config, columns, run_unit)
-
-    summary_columns = ["config_hash", "M", "N", "mu", "chi", "n_circuits",
-                       "total_samples", "mean_state_norm"]
-    summary = [{"config_hash": digest, "M": m, "N": n, **loss, "chi": config.chi_max,
-                "n_circuits": config.n_circuits,
-                "total_samples": sum(r["num_samples"] for r in rows),
-                "mean_state_norm": float(np.mean([r["state_norm"] for r in rows]))}]
-    return RunRecord(columns, rows, summary_columns, summary, tables=tables)
+    record = _run_units(config, columns, run_unit)
+    record.summary_columns = ["config_hash", "M", "N", "mu", "chi", "n_circuits",
+                              "total_samples", "mean_state_norm"]
+    record.summary = [{"config_hash": digest, "M": m, "N": n, **loss, "chi": config.chi_max,
+                       "n_circuits": config.n_circuits,
+                       "total_samples": sum(r["num_samples"] for r in record.rows),
+                       "mean_state_norm": float(np.mean([r["state_norm"] for r in record.rows]))}]
+    return record
 
 
 def _prob_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRecord:
@@ -684,7 +685,7 @@ def _prob_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunR
     columns = ["config_hash", "M", "N", "mu", "chi", "circuit", "outcome", "probability"]
     outcomes = [(occ, " ".join(str(x) for x in occ)) for occ in config.outcomes or []]
 
-    def run_unit(point_index: int, c: int, m: int, n: int, loss) -> list[dict[str, Any]]:
+    def run_unit(point_index: int, c: int, m: int, n: int, loss) -> UnitOutput:
         budget.check()
         plan = sample_haar_circuit(m, circuit_rng(config.seed, 0, c))
         state = _build_state(m, n, loss, plan, config.policy())
@@ -693,11 +694,13 @@ def _prob_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunR
         probability = mpo.outcome_prob if loss else mps.probability
         return [{"config_hash": digest, "M": m, "N": n, **loss, "chi": config.chi_max,
                  "circuit": c, "outcome": key, "probability": probability(state, occ)}
-                for occ, key in outcomes]
+                for occ, key in outcomes], {}
 
-    rows = _run_units(config, columns, run_unit)
-    return RunRecord(columns, rows, keys + ["mean_probability", "stderr", "n_circuits"],
-                     _summarize(rows, keys, "probability", "mean_probability", "n_circuits"))
+    record = _run_units(config, columns, run_unit)
+    record.summary_columns = keys + ["mean_probability", "stderr", "n_circuits"]
+    record.summary = _summarize(record.rows, keys, "probability", "mean_probability",
+                                "n_circuits")
+    return record
 
 
 def _oracle_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRecord:
@@ -707,7 +710,7 @@ def _oracle_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
     columns = ["config_hash", "M", "N", "circuit", "check", "deviation",
                "tolerance", "status"]
 
-    def run_unit(point_index: int, c: int, m: int, n: int, loss) -> list[dict[str, Any]]:
+    def run_unit(point_index: int, c: int, m: int, n: int, loss) -> UnitOutput:
         budget.check()
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
         occ_in = tuple([1] * n + [0] * (m - n))
@@ -752,20 +755,17 @@ def _oracle_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
         return [{"config_hash": digest, "M": m, "N": n, "circuit": c,
                  "check": name, "deviation": deviation, "tolerance": tol,
                  "status": "pass" if deviation <= tol else "fail"}
-                for name, deviation in checks.items()]
+                for name, deviation in checks.items()], {}
 
-    rows = _run_units(config, columns, run_unit)
-
-    summary_columns = ["config_hash", "check", "max_deviation", "tolerance", "status"]
-    summary = []
-    for group in sorted(_groups(rows, ["check"]), key=lambda group: group[0]["check"]):
+    record = _run_units(config, columns, run_unit)
+    record.summary_columns = ["config_hash", "check", "max_deviation", "tolerance", "status"]
+    for group in sorted(_groups(record.rows, ["check"]), key=lambda group: group[0]["check"]):
         worst = max(r["deviation"] for r in group)
-        summary.append({"config_hash": digest, "check": group[0]["check"],
-                        "max_deviation": worst, "tolerance": tol,
-                        "status": "pass" if worst <= tol else "fail"})
-    record = RunRecord(columns, rows, summary_columns, summary)
-    worst = max(r["deviation"] for r in rows)
-    if any(r["status"] == "fail" for r in rows):
+        record.summary.append({"config_hash": digest, "check": group[0]["check"],
+                               "max_deviation": worst, "tolerance": tol,
+                               "status": "pass" if worst <= tol else "fail"})
+    worst = max(r["deviation"] for r in record.rows)
+    if any(r["status"] == "fail" for r in record.rows):
         record.status = "failed"
         record.message = f"oracle-check: max deviation {worst:.3e} exceeds {tol:g}"
     else:
@@ -789,7 +789,8 @@ EXPERIMENTS = tuple(_RECIPES)
 def run(config: ExperimentConfig) -> RunRecord:
     """Execute the configured recipe and return its record (no files).
 
-    An exhausted budget gives status ``aborted`` and the completed units' rows;
+    An exhausted budget gives status ``aborted`` and the completed units' rows and
+    tables, but no summary;
     a :class:`NumericalFailure` or :class:`DegradedStateError` gives status
     ``numerical-failure``, no tables, and the error as the message.
 
@@ -805,7 +806,7 @@ def run(config: ExperimentConfig) -> RunRecord:
         try:
             record = _RECIPES[config.experiment](config, digest, budget)
         except ResourceAbort as abort:
-            record = RunRecord(abort.columns, abort.rows, status="aborted", message=str(abort))
+            record = abort.record
         except (NumericalFailure, DegradedStateError) as exc:
             record = RunRecord([], [], status="numerical-failure", message=str(exc))
     record.config_hash, record.experiment, record.blas = digest, config.experiment, blas

@@ -14,11 +14,13 @@ which knows nothing of vectorization.
 The loss is given as the per-photon transmissivity mu, a plain float that
 only ``init_lossy`` reads: once rho is prepared, the state is its train. The
 left boundary enumerates every total-photon sector (n, n), n = 0..N, in one
-combined state. Singular vectors are normalized at initialization and kept
-unrenormalized afterwards so that 1 - trace() reports accumulated truncation
-error; ``chain.renyi_entropy`` renormalizes a copy of the spectrum. Every read
-of rho's diagonal is one ``marginal`` contraction: ``trace`` is its empty
-prefix and ``outcome_prob`` its full pattern, clamped.
+combined state, so the train stores the direct sum of rho's fixed-number parts,
+not their sum rho: its bond entropy, ``lossy-ee``'s ``max_ee``, equals rho's
+operator entanglement only at mu = 1. Singular vectors are normalized at
+initialization and kept unrenormalized afterwards so that 1 - trace() reports
+accumulated truncation error; ``chain.renyi_entropy`` renormalizes a copy of
+the spectrum. Every read of rho's diagonal is one ``marginal`` contraction:
+``trace`` is its empty prefix and ``outcome_prob`` its full pattern, clamped.
 """
 
 from __future__ import annotations

@@ -151,6 +151,10 @@ class TestUsageErrors:
             ("prob", "alphas", {"alphas": [2.0]}, []),
             ("trunc-error", "alphas", {"alphas": [2.0]}, []),
             ("trunc-error", "chi_max", {"chis": [2, 4]}, ["--chi", "8"]),
+            # Only the layer-evolution experiments checkpoint.
+            *((experiment, "checkpoint_every", {"checkpoint_every": 1}, [])
+              for experiment in ("analytic-ee", "trunc-error", "sample", "prob",
+                                 "oracle-check")),
         )
     ])
     def test_field_the_experiment_does_not_read_exits_one(self, tmp_path, capsys, experiment,

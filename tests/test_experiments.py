@@ -1,5 +1,6 @@
 """Tests for the experiment driver: configs, hashing, recipes, reproducibility."""
 
+import csv
 import importlib.util
 import json
 import sys
@@ -765,6 +766,18 @@ class TestReproducibility:
 # ---------------------------------------------------------------------------
 
 
+def exhaust_budget_on_check(monkeypatch, k):
+    """Patch ``_Budget.check`` to raise :class:`ResourceAbort` from its ``k``-th call on."""
+    checks = []
+
+    def check(budget):
+        checks.append(None)
+        if len(checks) >= k:
+            raise experiments.ResourceAbort("wall-clock budget exhausted")
+
+    monkeypatch.setattr(experiments._Budget, "check", check)
+
+
 class TestAbortAndResume:
     def test_zero_budget_aborts_with_checkpoint(self, tmp_path):
         config = config_from_dict(
@@ -829,17 +842,10 @@ class TestAbortAndResume:
         assert record.status == "ok"
         fresh_calls = len(gates)
 
-        checks = []
-
-        def exhaust_after_k_layers(budget):
-            checks.append(None)
-            if len(checks) > k:
-                raise experiments.ResourceAbort("wall-clock budget exhausted")
-
         resumed = config_from_dict({**doc, "out_dir": str(tmp_path / "b")})
         gates.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(experiments._Budget, "check", exhaust_after_k_layers)
+            exhaust_budget_on_check(patch, k + 1)
             record, out = run_to_files(resumed)
         assert record.status == "aborted"
         assert gates == [g for layer in first_layers for g in layer]
@@ -892,19 +898,40 @@ class TestAbortAndResume:
             assert (out / table).read_bytes() == (clean / table).read_bytes()
 
     def test_abort_keeps_rows_of_completed_units(self, monkeypatch):
-        checks = []
-
-        def check_then_exhaust(budget):
-            checks.append(None)
-            if len(checks) > 1:
-                raise experiments.ResourceAbort("wall-clock budget exhausted")
-
         # analytic-ee checks the budget once per (point, circuit) unit, so the
         # second check aborts after exactly one unit of len(alphas) rows.
-        monkeypatch.setattr(experiments._Budget, "check", check_then_exhaust)
+        exhaust_budget_on_check(monkeypatch, 2)
         record = run(config_from_dict(RECIPE_DOCS["analytic-ee"]))
         assert record.status == "aborted"
         assert [(r["circuit"], r["alpha"]) for r in record.rows] == [(0, 1.0), (0, 2.0)]
+
+    def test_abort_keeps_sample_files_of_completed_units(self, tmp_path, monkeypatch):
+        doc = {**RECIPE_DOCS["sample"], "n_circuits": 3}
+        record, clean = run_to_files(config_from_dict({**doc, "out_dir": str(tmp_path / "a")}))
+        assert record.status == "ok"
+        # sample checks the budget once per circuit: the third check aborts after two.
+        exhaust_budget_on_check(monkeypatch, 3)
+        record, out = run_to_files(config_from_dict({**doc, "out_dir": str(tmp_path / "b")}))
+        assert record.status == "aborted"
+        assert [r["circuit"] for r in record.rows] == [0, 1]
+        for name in ("samples_c0.csv", "samples_c1.csv"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+        assert not (out / "samples_c2.csv").exists()
+        assert not (out / "summary.csv").exists()
+
+    def test_abort_keeps_timings_of_completed_units(self, tmp_path, monkeypatch):
+        doc = {**RECIPE_DOCS["trunc-error"], "n_circuits": 3, "chis": [2, 4],
+               "out_dir": str(tmp_path)}
+        # trunc-error checks the budget once per chi: the fifth check aborts after two circuits.
+        exhaust_budget_on_check(monkeypatch, 5)
+        record, out = run_to_files(config_from_dict(doc))
+        assert record.status == "aborted"
+        with (out / "timings.csv").open() as fh:
+            timings = list(csv.DictReader(fh))
+        assert [(t["circuit"], t["chi"]) for t in timings] == [
+            ("0", "2"), ("0", "4"), ("1", "2"), ("1", "4")]
+        assert [(r["circuit"], r["chi"]) for r in record.rows] == [(0, 2), (0, 4), (1, 2), (1, 4)]
+        assert not (out / "summary.csv").exists()
 
 
 @pytest.mark.parametrize("error", [NumericalFailure, DegradedStateError])
