@@ -76,12 +76,6 @@ CONFIGS = [
                            "n_circuits": 3}, True),
     ("lossless-ee-chi8", {"experiment": "lossless-ee", "num_modes": [16],
                           "num_photons": [4, 6], "chi_max": 8, "n_circuits": 3}, False),
-    ("lossy-ee-threshold", {"experiment": "lossy-ee", "num_modes": [10], "num_photons": [3],
-                            **LOSSY, "chi_max": 64, "weight_threshold": 1e-3,
-                            "n_circuits": 2}, False),
-    ("lossless-ee-threshold", {"experiment": "lossless-ee", "num_modes": [16],
-                               "num_photons": [4], "chi_max": 64, "weight_threshold": 1e-3,
-                               "n_circuits": 2}, False),
     ("trunc-error-small-chi", {"experiment": "trunc-error", "num_modes": [10],
                                "num_photons": [3], **LOSSY, "chis": [4, 8, 16],
                                "n_circuits": 3}, False),

@@ -114,7 +114,6 @@ class ExperimentConfig:
     alphas: list[float] = field(default_factory=lambda: [1.0])
     chi_max: int = 256
     chis: list[int] | None = None
-    weight_threshold: float | None = None
     n_circuits: int = 1
     num_samples: int = 0
     outcomes: list[list[int]] | None = None
@@ -122,9 +121,6 @@ class ExperimentConfig:
     out_dir: str | None = None
     checkpoint_every: int = 0
     max_seconds: float | None = None
-
-    def policy(self, chi: int | None = None) -> TruncationPolicy:
-        return TruncationPolicy(chi if chi is not None else self.chi_max, self.weight_threshold)
 
 
 def config_from_dict(doc: dict[str, Any]) -> ExperimentConfig:
@@ -192,7 +188,6 @@ _LOSSLESS = ("lossless-ee", "fock-ee")
 _NEEDS_LOSS = ("lossy-ee", "analytic-ee", "trunc-error")
 _ONE_LOSS_POINT = ("sample", "prob", "oracle-check")
 _LOSSY = _NEEDS_LOSS + _ONE_LOSS_POINT
-_TRUNCATING = (*_LOSSLESS, "lossy-ee", "trunc-error", "sample", "prob")
 
 #: One row per checked config field: element type (a key of :data:`_KINDS`),
 #: whether the field is a nonempty list of distinct values, the allowed range of
@@ -208,9 +203,9 @@ _FIELDS: dict[str, tuple[type, bool, Callable[[Any], bool], str, tuple[str, ...]
     "gammas": (Real, True, lambda v: 0 < v <= 1, "in (0, 1]", _LOSSY),
     "betas": (Real, True, lambda v: v > 0, "> 0", _LOSSY),
     "alphas": (Real, True, lambda v: v >= 0, ">= 0", (*_LOSSLESS, "lossy-ee", "analytic-ee")),
-    "chi_max": (Integral, False, lambda v: v >= 1, ">= 1", _TRUNCATING),
+    "chi_max": (Integral, False, lambda v: v >= 1, ">= 1",
+                (*_LOSSLESS, "lossy-ee", "sample", "prob")),
     "chis": (Integral, True, lambda v: v >= 1, ">= 1", ("trunc-error",)),
-    "weight_threshold": (Real, False, lambda v: v >= 0, ">= 0", _TRUNCATING),
     "n_circuits": (Integral, False, lambda v: v >= 1, ">= 1", ()),
     "num_samples": (Integral, False, lambda v: v >= 1, ">= 1", ("sample",)),
     "outcomes": (list, True, lambda v: min(v, default=0) >= 0, "nonnegative occupations",
@@ -253,8 +248,6 @@ def validate_config(config: ExperimentConfig) -> None:
     if max(config.num_photons) > max(config.num_modes):  # grids skip the points with N > M
         raise ConfigError("num_photons", f"photon counts must be <= max(num_modes), "
                                          f"got {max(config.num_photons)}")
-    if config.chis is not None and config.chi_max != defaults["chi_max"]:
-        raise ConfigError("chi_max", f"{config.experiment} does not read chi_max with chis")
     if (config.gammas is None) != (config.betas is None):
         raise ConfigError("gammas", "gammas and betas must be given together")
     if config.gammas is not None and config.loss is not None:
@@ -269,6 +262,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("gammas", f"{config.experiment} runs use a single loss point")
     if config.experiment == "sample" and len(_sweep_points(config)) != 1:
         raise ConfigError("num_modes", "sample runs use a single (M, N) point")
+    if config.experiment == "trunc-error" and not config.chis:
+        raise ConfigError("chis", "trunc-error needs chis")
     if config.experiment == "prob":
         if not config.outcomes:
             raise ConfigError("outcomes", "prob experiment needs a list of outcomes")
@@ -315,6 +310,9 @@ def config_hash(config: ExperimentConfig) -> str:
     doc = asdict(config)
     for key in _PLUMBING_FIELDS:
         doc.pop(key, None)
+    # The removed tail-cut field was null in every config ever accepted; hashing
+    # it as null keeps their digests, and so their checkpoint names.
+    doc["weight_threshold"] = None
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -442,11 +440,15 @@ class _Budget:
 
 
 class _Checkpointer:
-    """Per-(point, circuit) snapshot files under ``out_dir/checkpoints``."""
+    """Per-(point, circuit) snapshot files under ``out_dir/checkpoints``.
+
+    A snapshot after layer k holds the rows of layers 1..k, ``len(alphas)`` per layer.
+    """
 
     def __init__(self, config: ExperimentConfig, digest: str):
         self.every = config.checkpoint_every
         self.digest = digest
+        self.rows_per_layer = len(config.alphas)
         self.root: Path | None = None
         if config.out_dir is not None and config.checkpoint_every > 0:
             self.root = Path(config.out_dir) / "checkpoints"
@@ -456,7 +458,7 @@ class _Checkpointer:
             return None
         return self.root / f"{self.digest}_p{point_index}_c{circuit_index}.npz"
 
-    def restore(self, point_index: int, circuit_index: int):
+    def restore(self, point_index: int, circuit_index: int, num_layers: int):
         path = self.path(point_index, circuit_index)
         if path is None or not path.exists():
             return None
@@ -470,6 +472,9 @@ class _Checkpointer:
         if type(layers_done) is not int or layers_done < 0 or not (
                 isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
             return None  # progress fields missing or of the wrong type
+        if layers_done > num_layers or [row.get("layer") for row in rows] != [
+                layer for layer in range(1, layers_done + 1) for _ in range(self.rows_per_layer)]:
+            return None  # progress that this circuit of num_layers layers cannot have
         return state, layers_done, rows
 
     def save(self, point_index: int, circuit_index: int, state, layers_done: int,
@@ -503,7 +508,7 @@ def _evolve_by_layers(
     layers = plan.layers()
     rows: list[dict[str, Any]] = []
     start_layer = 0
-    restored = ckpt.restore(point_index, circuit_index)
+    restored = ckpt.restore(point_index, circuit_index, len(layers))
     if restored is not None:
         state, start_layer, rows = restored
     for layer_index in range(start_layer, len(layers)):
@@ -537,7 +542,7 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
                   "max_bond_dim", "discarded_weight"]
                + (["trace"] if lossy else []))
     ckpt = _Checkpointer(config, digest)
-    policy = config.policy()
+    policy = TruncationPolicy(config.chi_max)
 
     def run_unit(point_index: int, c: int, m: int, n: int, loss) -> UnitOutput:
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
@@ -597,17 +602,16 @@ def _trunc_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Run
     across chi.  A degraded state is not refused: a ``one_minus_trace`` of 1 is
     the measurement itself.
     """
-    chis = config.chis if config.chis is not None else [config.chi_max]
     keys = ["config_hash", "M", "N", "gamma", "beta", "mu", "chi"]
     columns = keys + ["circuit", "one_minus_trace", "discarded_weight", "max_bond_dim"]
 
     def run_unit(point_index: int, c: int, m: int, n: int, loss) -> UnitOutput:
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
         out, timings = [], []
-        for chi in chis:
+        for chi in config.chis:
             budget.check()
             t0 = time.perf_counter()
-            state = _build_state(m, n, loss, plan, config.policy(chi))
+            state = _build_state(m, n, loss, plan, TruncationPolicy(chi))
             wall = time.perf_counter() - t0
             out.append({"config_hash": digest, "M": m, "N": n, **loss, "chi": chi,
                         "circuit": c, "one_minus_trace": 1.0 - mpo.trace(state),
@@ -650,7 +654,7 @@ def _sample_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
     def run_unit(point_index: int, c: int, *_) -> UnitOutput:
         budget.check()
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
-        state = _build_state(m, n, loss, plan, config.policy())
+        state = _build_state(m, n, loss, plan, TruncationPolicy(config.chi_max))
         norm = sampling.state_norm(state)
         sampling.check_degraded(norm, "sample: state norm", f"of circuit {c} (M={m}, N={n})")
         rng = circuit_rng(config.seed, point_index, c, stream=1)
@@ -688,7 +692,7 @@ def _prob_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunR
     def run_unit(point_index: int, c: int, m: int, n: int, loss) -> UnitOutput:
         budget.check()
         plan = sample_haar_circuit(m, circuit_rng(config.seed, 0, c))
-        state = _build_state(m, n, loss, plan, config.policy())
+        state = _build_state(m, n, loss, plan, TruncationPolicy(config.chi_max))
         sampling.check_degraded(sampling.state_norm(state), "prob: state norm",
                                 f"of circuit {c} (M={m}, N={n})")
         probability = mpo.outcome_prob if loss else mps.probability

@@ -47,21 +47,14 @@ class SvdResult:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How many singular values survive a two-site update.
-
-    chi_max caps the total number kept across all charge sectors.
-    weight_threshold, when set, additionally drops the longest tail whose
-    total squared weight stays at or below it, short of the largest value.
-    """
+    """How many singular values survive a two-site update: at most chi_max,
+    counted across all charge sectors."""
 
     chi_max: int
-    weight_threshold: float | None = None
 
     def __post_init__(self) -> None:
         if self.chi_max < 1:
             raise ValueError(f"chi_max must be at least 1, got {self.chi_max}")
-        if self.weight_threshold is not None and self.weight_threshold < 0:
-            raise ValueError("weight_threshold must be nonnegative")
 
 
 @dataclass
@@ -196,11 +189,6 @@ def truncate_global(
     fits = int(np.searchsorted(np.cumsum(counts), policy.chi_max, "right"))
     keep_count = min(nonzero, max(1, fits))
     weights = counts * pooled**2
-
-    if policy.weight_threshold is not None and keep_count > 0:
-        # Drop the longest tail whose total squared weight fits the budget, short of the head.
-        tail = np.cumsum(weights[:keep_count][::-1])[::-1]  # weight of entries j..end
-        keep_count = max(1, int(np.count_nonzero(tail > policy.weight_threshold)))
 
     kept = np.zeros(values.size, dtype=bool)
     kept[order[:keep_count]] = True

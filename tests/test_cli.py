@@ -35,7 +35,7 @@ def write_config(path, **overrides):
         "n_circuits": 1,
     }
     doc.update(overrides)
-    if doc["experiment"] not in ("analytic-ee", "oracle-check") and "chis" not in doc:
+    if doc["experiment"] not in ("analytic-ee", "oracle-check", "trunc-error"):
         doc.setdefault("chi_max", 16)
     path.write_text(json.dumps(doc))
     return path
@@ -73,6 +73,24 @@ class TestUsageErrors:
         assert main(["lossless-ee", "--config", str(config)]) == EXIT_USAGE
         assert "bond_budget" in capsys.readouterr().err
 
+    def test_removed_weight_threshold_is_an_unknown_field(self, tmp_path, capsys):
+        # chi is the one truncation control; the tail cut this field set is gone.
+        config = write_config(tmp_path / "c.json", weight_threshold=1e-3)
+        out = tmp_path / "out"
+        assert main(["lossless-ee", "--config", str(config), "--out", str(out)]) == EXIT_USAGE
+        assert ("bosonet: config field 'weight_threshold': unknown field"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_trunc_error_without_chis_exits_one(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json", experiment="trunc-error",
+                              loss={"kind": "constant", "mu": 0.5})
+        out = tmp_path / "out"
+        assert main(["trunc-error", "--config", str(config), "--out", str(out)]) == EXIT_USAGE
+        assert ("bosonet: config field 'chis': trunc-error needs chis"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_experiment_mismatch_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", experiment="fock-ee")
         assert main(["lossless-ee", "--config", str(config)]) == EXIT_USAGE
@@ -98,6 +116,7 @@ class TestUsageErrors:
             ("betas", {"betas": [None]}),
             ("tolerance", {"tolerance": "1e-8"}),
             ("max_seconds", {"max_seconds": "10"}),
+            # A removed field is refused by name, whatever its value.
             ("weight_threshold", {"weight_threshold": False}),
             ("max_seconds", {"max_seconds": float("nan")}),
             ("alphas", {"alphas": [float("nan")]}),
@@ -143,14 +162,13 @@ class TestUsageErrors:
             # --chi on an M=8 sweep would change the config hash and no row.
             ("analytic-ee", "chi_max", {"num_modes": [8], "num_photons": [1, 2, 4]},
              ["--chi", "8"]),
-            ("analytic-ee", "weight_threshold", {"weight_threshold": 1e-3}, []),
             ("oracle-check", "alphas", {"alphas": [2.0]}, []),
             ("oracle-check", "chi_max", {}, ["--chi", "8"]),
-            ("oracle-check", "weight_threshold", {"weight_threshold": 1e-3}, []),
             ("sample", "alphas", {"alphas": [2.0]}, []),
             ("prob", "alphas", {"alphas": [2.0]}, []),
             ("trunc-error", "alphas", {"alphas": [2.0]}, []),
-            ("trunc-error", "chi_max", {"chis": [2, 4]}, ["--chi", "8"]),
+            # trunc-error reads its chi values from chis alone.
+            ("trunc-error", "chi_max", {}, ["--chi", "8"]),
             # Only the layer-evolution experiments checkpoint.
             *((experiment, "checkpoint_every", {"checkpoint_every": 1}, [])
               for experiment in ("analytic-ee", "trunc-error", "sample", "prob",
@@ -197,8 +215,6 @@ class TestUsageErrors:
     @pytest.mark.parametrize("field, overrides, flags", [
         pytest.param("seed", {}, ["--seed", "-1"], id="--seed -1"),
         pytest.param("seed", {"seed": -1}, [], id="seed=-1"),
-        pytest.param("weight_threshold", {"weight_threshold": -0.5}, [],
-                     id="weight_threshold=-0.5"),
     ])
     def test_out_of_range_value_names_the_field(self, tmp_path, capsys, field, overrides,
                                                 flags):
@@ -310,7 +326,8 @@ def test_lossy_ee_layer_with_zero_trace_is_a_numerical_failure(experiment, tmp_p
     extra = {"sample": {"num_samples": 5},
              "prob": {"outcomes": [[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]}}
     config = write_config(tmp_path / "c.json", experiment=experiment, seed=0, num_modes=[6],
-                          num_photons=[2], loss={"kind": "constant", "mu": 0.9}, chi_max=1,
+                          num_photons=[2], loss={"kind": "constant", "mu": 0.9},
+                          **{"chis": [1]} if experiment == "trunc-error" else {"chi_max": 1},
                           **extra.get(experiment, {}))
     out = tmp_path / "out"
     code = main([experiment, "--config", str(config), "--out", str(out)])
@@ -528,10 +545,19 @@ class TestCheckpointResume:
         # A resume that trusted this progress would write no rows.
         pytest.param(lambda extra: extra.update(config_hash="0" * 16, layers_done=10_000,
                                                 rows=[]), id="other-config_hash"),
+        # This run's own progress, but more layers than the circuit has, or
+        # not one row per alpha for each layer it claims: a resume that
+        # trusted any of these would write another table.
+        pytest.param(lambda extra: extra.update(layers_done=10_000, rows=[]),
+                     id="layers_done-past-the-circuit"),
+        pytest.param(lambda extra: extra.update(layers_done=3, rows=[]),
+                     id="rows-missing-for-layers_done"),
+        pytest.param(lambda extra: extra.update(layers_done=1, rows=[{"layer": 1}] * 2),
+                     id="rows-repeated-for-a-layer"),
     ])
     def test_checkpoint_with_malformed_progress_is_ignored(self, tmp_path, edit):
         # The header is well formed; only the progress fields are missing, of
-        # the wrong type, or another config's.
+        # the wrong type, another config's, or inconsistent with the circuit.
         assert_resume_ignores_planted_checkpoint(
             tmp_path, lambda path: _edit_header(path, lambda h: edit(h["extra"])))
 
@@ -609,7 +635,6 @@ NEAR = {
                        min_size=1, max_size=3),
     "chi_max": st.sampled_from([1, 4, 2**63 - 1, 0]),
     "chis": st.lists(st.sampled_from([1, 2, 8, 2**63 - 1, 0]), min_size=1, max_size=3),
-    "weight_threshold": st.sampled_from([0.0, 1e-3, 0.6, 1e300, -0.5]),
     "n_circuits": st.sampled_from([1, 2, 0]),
     "num_samples": st.sampled_from([1, 20, 0, -3]),
     "outcomes": st.lists(st.lists(st.integers(-1, 2), min_size=2, max_size=4), min_size=1,

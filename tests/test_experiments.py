@@ -15,7 +15,6 @@ from bosonet.entropy import lossy_mpo_ee, partition_angles
 from bosonet.experiments import (
     EXPERIMENTS,
     ConfigError,
-    ExperimentConfig,
     LossSpec,
     circuit_rng,
     config_from_dict,
@@ -24,7 +23,7 @@ from bosonet.experiments import (
     run_to_files,
     validate_config,
 )
-from bosonet.linalg import DegradedStateError, NumericalFailure
+from bosonet.linalg import DegradedStateError, NumericalFailure, TruncationPolicy
 from bosonet.snapshots import load_header
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,7 +49,7 @@ def make_doc(**overrides):
         "n_circuits": 2,
     }
     doc.update(overrides)
-    if doc["experiment"] not in ("analytic-ee", "oracle-check") and "chis" not in doc:
+    if doc["experiment"] not in ("analytic-ee", "oracle-check", "trunc-error"):
         doc.setdefault("chi_max", 16)
     return doc
 
@@ -100,7 +99,7 @@ class TestConfigParsing:
         assert config.num_modes == [4]
         assert config.num_photons == [2]
 
-    @pytest.mark.parametrize("name", ["bond_budget", "workers"])
+    @pytest.mark.parametrize("name", ["bond_budget", "workers", "weight_threshold"])
     def test_unknown_field_names_the_field(self, name):
         with pytest.raises(ConfigError, match=f"'{name}'"):
             config_from_dict(make_doc(**{name: 3}))
@@ -121,6 +120,14 @@ class TestConfigParsing:
     def test_repeated_sweep_value_names_the_field(self, sweep, overrides):
         with pytest.raises(ConfigError, match=f"'{sweep}'.*repeats"):
             config_from_dict(make_doc(**overrides))
+
+    def test_readme_field_table_names_exactly_the_checked_fields(self):
+        """README's config-field table has one row per ``_FIELDS`` row, in its order."""
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = text.split("| field | type | range | default | read by |", 1)[1]
+        rows = table.split("\n\n", 1)[0].splitlines()[2:]
+        assert [row.split("|")[1].strip().strip("`") for row in rows] == list(
+            experiments._FIELDS)
 
     def test_missing_experiment(self):
         doc = make_doc()
@@ -295,7 +302,8 @@ class TestConfigParsing:
 
 #: A value other than the recipe doc's of each hashed optional field, and the
 #: fields it replaces: ``loss`` and ``gammas``/``betas`` are two spellings of
-#: one loss description.
+#: one loss description.  ``weight_threshold`` is hashed, always as null, but is
+#: no config field: every experiment refuses it by name.
 VARIED = {
     "loss": ({"loss": {"kind": "constant", "mu": 0.5}}, ("gammas", "betas")),
     "gammas": ({"gammas": [0.5], "betas": [0.8]}, ("loss",)),
@@ -383,13 +391,15 @@ class TestConfigHash:
         # Reals spelled as ints hash as the floats they equal.
         ({"experiment": "analytic-ee", "seed": 1, "num_modes": [8], "num_photons": [2],
           "gammas": [1, 0.5], "betas": [1], "alphas": [0, 2]}, "c02c59ac3fbccbc1"),
-        ({"experiment": "lossless-ee", "seed": 1, "num_modes": [8], "num_photons": [2],
-          "weight_threshold": 0}, "bff069b793f68413"),
         ({"experiment": "oracle-check", "seed": 1, "num_modes": [4], "num_photons": [2],
           "tolerance": 1}, "5398537e1077aae7"),
+        # The bond sweep of scripts/run_scaling_table.py at its default seed.
+        ({"experiment": "trunc-error", "seed": 2024, "num_modes": [8], "num_photons": [3],
+          "loss": {"kind": "constant", "mu": 0.5}, "chis": [2, 4, 8, 16, 32, 64],
+          "n_circuits": 5}, "2c46565ff470c74e"),
     ], ids=["lossless_bunched", "lossless_spread", "lossy_peaks_analytic",
             "lossy_peaks_simulated", "prob_with_outcomes", "int_gammas_betas_alphas",
-            "int_weight_threshold", "int_tolerance"])
+            "int_tolerance", "scaling_table_trunc_error"])
     def test_pinned_digests(self, source, digest):
         # Checkpoints are keyed by these digests; a change to how the config
         # is serialized must not orphan them.
@@ -435,7 +445,7 @@ class TestLosslessRecipe:
         config = config_from_dict(make_doc(alphas=[1.0, 2.0]))
         plan = sample_haar_circuit(4, circuit_rng(config.seed, 0, 1))
         state = mps.init_fock((1, 1, 0, 0))
-        policy = config.policy()
+        policy = TruncationPolicy(config.chi_max)
         for layer_index, layer in enumerate(plan.layers()):
             for gate in layer:
                 chain.apply_gate(state, gate, policy)
@@ -606,7 +616,7 @@ class TestSampleRecipe:
         record, out_dir = run_to_files(config)
         plan = sample_haar_circuit(4, circuit_rng(config.seed, 0, 0))
         state = mpo.init_lossy(2, 4, 0.8)
-        chain.apply_plan(state, plan, config.policy())
+        chain.apply_plan(state, plan, TruncationPolicy(config.chi_max))
         draws = sampling.sample_many(state, circuit_rng(config.seed, 0, 0, stream=1), 10)
         lines = (out_dir / "samples_c0.csv").read_text().splitlines()
         assert lines[:7] == ["# chi=64", "# circuit=0",
@@ -650,7 +660,7 @@ class TestProbRecipe:
         record = run(config)
         plan = sample_haar_circuit(4, circuit_rng(config.seed, 0, 1))
         state = mps.init_fock((1, 1, 0, 0))
-        chain.apply_plan(state, plan, config.policy())
+        chain.apply_plan(state, plan, TruncationPolicy(config.chi_max))
         expected = mps.probability(state, (0, 0, 1, 1))
         row = [r for r in record.rows
                if r["circuit"] == 1 and r["outcome"] == "0 0 1 1"]
@@ -1049,8 +1059,8 @@ class TestCircuitRng:
             return
         state = (mps.init_fock((1, 1, 0, 0)) if experiment == "lossless-ee"
                  else mpo.init_lossy(2, 4, 0.6))
-        chi = 4 if experiment == "trunc-error" else None
-        chain.apply_plan(state, plan, config.policy(chi))
+        chi = 4 if experiment == "trunc-error" else config.chi_max
+        chain.apply_plan(state, plan, TruncationPolicy(chi))
         if experiment == "lossless-ee":
             assert rows[-1]["max_ee"] == chain.max_bond_entropy(state, 1.0)[1]
         elif experiment == "trunc-error":
@@ -1067,13 +1077,3 @@ class TestCircuitRng:
         e = circuit_rng(3, 0, 0, stream=1).standard_normal(4)
         for other in (c, d, e):
             assert not np.array_equal(a, other)
-
-    def test_policy_helper_passes_weight_threshold(self):
-        config = ExperimentConfig(
-            experiment="lossless-ee", seed=1, num_modes=[4], num_photons=[1],
-            weight_threshold=1e-8,
-        )
-        policy = config.policy()
-        assert policy.chi_max == 256
-        assert policy.weight_threshold == 1e-8
-        assert config.policy(chi=32).chi_max == 32

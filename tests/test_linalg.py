@@ -104,27 +104,6 @@ def test_truncate_tie_breaks_on_group_position_then_index():
     assert out2.kept_by_group[0].tolist() == [0, 1]
 
 
-def test_truncate_weight_threshold_drops_tail():
-    pol = TruncationPolicy(chi_max=10, weight_threshold=2e-4)
-    out = truncate_global([("A", np.array([1.0, 0.1, 0.01]))], pol)
-    # Only the 0.01 value fits in the 2e-4 budget (0.01^2 = 1e-4; adding 0.1^2 overshoots).
-    assert out.kept == [("A", 1.0), ("A", 0.1)]
-    assert out.discarded_weight == pytest.approx(1e-4, rel=1e-12)
-    # A budget above the whole weight still keeps the largest value.
-    out = truncate_global([("A", np.array([0.6, 0.8]))], TruncationPolicy(10, 2.0))
-    assert out.kept == [("A", 0.8)]
-
-
-def test_truncate_weight_threshold_drops_a_tail_equal_to_it():
-    # Squared weights 1, 1/4, 1/16 and 1/16 are exact, so the tails from the
-    # second value on weigh exactly 0.375, 0.125 and 0.0625: the tail at the
-    # 0.125 threshold is dropped and the one above it is kept.
-    out = truncate_global([("A", np.array([1.0, 0.5, 0.25, 0.25]))],
-                          TruncationPolicy(chi_max=8, weight_threshold=0.125))
-    assert out.kept == [("A", 1.0), ("A", 0.5)]
-    assert out.discarded_weight == 0.125
-
-
 def test_truncate_zero_floor():
     # Values at rounding-noise scale relative to the leader count as rank zero.
     out = truncate_global([("A", np.array([1.0, 1e-16])), ("B", np.array([0.0]))],
@@ -208,18 +187,6 @@ def test_truncate_keeps_a_head_mirror_pair_at_chi_one():
     assert out.discarded_weight == pytest.approx(0.3**2 + 2 * 0.1**2, abs=1e-15)
 
 
-def test_truncate_weight_threshold_counts_a_mirror_pair_twice():
-    groups = [((0, 0), np.array([1.0])), ((0, 1), np.array([0.1]))]
-    # The pair weighs 2 * 0.01: it fits a 0.025 budget but not a 0.015 one.
-    dropped = truncate_global(groups, TruncationPolicy(chi_max=8, weight_threshold=0.025),
-                              units=[1, 2])
-    assert dropped.kept == [((0, 0), 1.0)]
-    assert dropped.discarded_weight == pytest.approx(0.02, abs=1e-15)
-    kept = truncate_global(groups, TruncationPolicy(chi_max=8, weight_threshold=0.015),
-                           units=[1, 2])
-    assert len(kept.kept) == 2 and kept.discarded_weight == 0.0
-
-
 def test_truncate_rejects_bad_units():
     groups = [((0, 0), np.array([0.9])), ((0, 1), np.array([0.5]))]
     for units in ([1], [1, 2, 1], [[1, 2]], [1, 0], [2, -1], [1.0, 2.0], [True, True]):
@@ -231,12 +198,11 @@ def test_truncate_rejects_bad_units():
     chi=st.integers(1, 12),
     values=st.lists(
         st.lists(st.sampled_from([1.0, 0.5, 0.25, 0.0]), max_size=4), min_size=1, max_size=4),
-    threshold=st.sampled_from([None, 0.0, 0.1, 0.6]),
 )
 @settings(max_examples=60, deadline=None)
-def test_truncate_unit_counts_of_one_match_no_units(chi, values, threshold):
+def test_truncate_unit_counts_of_one_match_no_units(chi, values):
     groups = [(label, np.array(vals, dtype=float)) for label, vals in enumerate(values)]
-    policy = TruncationPolicy(chi_max=chi, weight_threshold=threshold)
+    policy = TruncationPolicy(chi_max=chi)
     plain = truncate_global(groups, policy)
     ones = truncate_global(groups, policy, units=[1] * len(groups))
     assert ones.kept == plain.kept
@@ -285,6 +251,4 @@ def test_truncate_mirror_pairs_match_pair_unit_reference(seed, chi, diagonal, of
 def test_policy_validation():
     with pytest.raises(ValueError):
         TruncationPolicy(chi_max=0)
-    with pytest.raises(ValueError):
-        TruncationPolicy(chi_max=2, weight_threshold=-1.0)
 
