@@ -20,12 +20,17 @@ are compared too (a few seconds to about 20 s each). It also writes
 build (as ``wc -l`` counts them).
 
 ``compare`` checks two such directories byte for byte, and each resumed run
-against its uninterrupted run. For a file that differs it prints the largest
-deviation of every float column, or, where the two differ only in their line
-ends (``\r\n`` against ``\n``), says so. It exits 1 if anything differs, a
-line-end-only difference included. It also
-prints both builds' total line counts and their difference, for information:
-they do not change the exit code.
+against its uninterrupted run. A config of the list above or of ``configs/``
+whose ``results.csv`` is missing from either directory is a difference. For a
+file that differs it prints the largest deviation of every float column, or,
+where the two differ only in their line ends (``\r\n`` against ``\n``), says
+so. It exits 1 if anything differs, a line-end-only difference included. It
+also prints both builds' total line counts and their difference, for
+information: they do not change the exit code.
+
+Both commands exit 1 at once, naming the directory they searched, when this
+checkout's ``configs/`` holds no ``*.json``: without it, a run would leave out
+the paper-size tables and still pass.
 
 Usage:
     python3 scripts/compare_outputs.py run OUT [--src DIR]
@@ -102,7 +107,15 @@ CONFIGS = [
 ]
 SEED = 7
 #: The paper-size configs, run as checked in (their own seeds).
-PAPER_CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+PAPER_DIR = ROOT / "configs"
+PAPER_CONFIGS = sorted(PAPER_DIR.glob("*.json"))
+
+
+def _missing_paper_configs() -> bool:
+    """Whether ``PAPER_CONFIGS`` is empty; if it is, says so on stderr."""
+    if not PAPER_CONFIGS:
+        print(f"no paper-size config: {PAPER_DIR} holds no *.json", file=sys.stderr)
+    return not PAPER_CONFIGS
 
 
 def _bosonet(src: Path, experiment: str, config: Path, out: Path) -> tuple[int, float]:
@@ -123,6 +136,8 @@ def _src_lines(src: Path) -> dict[str, int]:
 
 
 def run(out: Path, src: Path) -> int:
+    if _missing_paper_configs():
+        return 1
     out.mkdir(parents=True, exist_ok=True)
     (out / "src_lines.json").write_text(json.dumps(_src_lines(src), indent=1) + "\n")
     failed = 0
@@ -223,6 +238,8 @@ def _src_total(directory: Path) -> int | None:
 
 
 def compare(first: Path, second: Path) -> int:
+    if _missing_paper_configs():
+        return 1
     a, b = _src_total(first), _src_total(second)
     print(f"src lines: {a} vs {b}" + ("" if None in (a, b) else f" ({b - a:+d})"))
     differ = _compare(f"{first} vs {second}", _tables(first), _tables(second))
@@ -232,6 +249,10 @@ def compare(first: Path, second: Path) -> int:
                 differ += _compare(f"{directory}/{name}-resumed vs uninterrupted",
                                    _tables(directory / name, ""),
                                    _tables(directory / f"{name}-resumed", ""))
+        for name in [name for name, _, _ in CONFIGS] + [path.stem for path in PAPER_CONFIGS]:
+            if not (directory / name / "results.csv").is_file():
+                print(f"{directory}: {name}/results.csv is missing")
+                differ += 1
     return 1 if differ else 0
 
 

@@ -108,11 +108,3 @@ def outcome_prob(state: MpoState, occupations: tuple[int, ...]) -> float:
     negative; the returned value is ``marginal`` clamped to [0, 1].
     """
     return min(max(marginal(state, occupation_pattern(occupations, state.num_modes)), 0.0), 1.0)
-
-
-def matrix_element(state: MpoState, ket: tuple[int, ...], bra: tuple[int, ...]) -> complex:
-    """<ket| rho |bra> for one pair of Fock basis states (small-instance diagnostics)."""
-    ket = occupation_pattern(ket, state.num_modes)
-    bra = occupation_pattern(bra, state.num_modes)
-    value = chain.contract_selected(state, [((nk, nb),) for nk, nb in zip(ket, bra)])
-    return complex(value) * state.norm_scale

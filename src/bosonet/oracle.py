@@ -1,9 +1,11 @@
 """Exact brute-force references for small boson-sampling instances.
 
 Everything here scales exponentially and exists to validate the tensor-network
-pipeline on small cases: matrix permanents, exact output distributions with
-and without photon loss, dense Fock-space evolution, and entanglement spectra
-computed by explicit partial traces.
+pipeline on small cases. These are the references that ``oracle-check`` runs:
+matrix permanents, the exact output distribution under photon loss, dense
+Fock-space evolution, and pure-state entanglement spectra computed by explicit
+partial traces. The dense operator-space spectra of a lossy state, which only
+the test suite compares against, are in ``tests/helpers.py``.
 
 Occupation lists are enumerated colexicographically (compare reversed tuples)
 everywhere, so tables produced by different modules line up row by row.
@@ -96,20 +98,6 @@ class ExactDistribution:
     """A probability table over photon-count outcomes, one entry per occupation list."""
 
     entries: dict[tuple[int, ...], float] = field(default_factory=dict)
-
-    def prob(self, t: tuple[int, ...]) -> float:
-        return self.entries.get(tuple(t), 0.0)
-
-
-def exact_lossless_distribution(u: np.ndarray, s: tuple[int, ...]) -> ExactDistribution:
-    """Exact output distribution for input occupations ``s`` through unitary ``u``."""
-    u = np.asarray(u)
-    num_modes = u.shape[0]
-    total = sum(s)
-    entries = {
-        t: exact_prob(u, tuple(s), t) for t in enumerate_occupations(num_modes, total)
-    }
-    return ExactDistribution(entries=entries)
 
 
 def exact_lossy_distribution(u: np.ndarray, num_photons: int, mu: float) -> ExactDistribution:
@@ -206,89 +194,3 @@ def dense_reduced_spectrum(state: DenseFockState, cut: int) -> np.ndarray:
     sing = np.linalg.svd(psi, compute_uv=False)
     spectrum = sing**2
     return np.sort(spectrum)[::-1]
-
-
-def _lossy_sector_operators(
-    plan: CircuitPlan, num_photons: int, mu: float, cut: int
-) -> list[np.ndarray]:
-    """The vectorized output operator of each surviving photon number, split at ``cut``.
-
-    Each sector's operator is the binomial-weighted sum of the projectors on
-    the evolved surviving subsets, on the Fock grid truncated at
-    ``num_photons`` per mode, with (ket_k, bra_k) grouped per mode and the
-    modes left of ``cut`` as rows.  Sectors of zero weight are left out.
-    """
-    num_modes = plan.num_modes
-    if not 1 <= cut <= num_modes - 1:
-        raise ValueError(f"cut must be in [1, {num_modes - 1}], got {cut}")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
-    d = num_photons + 1
-    if d**num_modes > 3000:
-        raise ValueError("doubled Fock grid too large for the dense oracle")
-    grid_dim = d**num_modes
-    # Mode occupancies index the grid with mode 1 slowest (C order).
-    strides = [d ** (num_modes - 1 - k) for k in range(num_modes)]
-    order = [k for pair in zip(range(num_modes), range(num_modes, 2 * num_modes)) for k in pair]
-    blocks = []
-    for size in range(num_photons + 1):
-        weight = mu**size * (1.0 - mu) ** (num_photons - size)
-        if weight == 0.0:
-            continue
-        rho = np.zeros((grid_dim, grid_dim), dtype=np.complex128)
-        for subset in combinations(range(num_photons), size):
-            occ = [0] * num_modes
-            for mode in subset:
-                occ[mode] = 1
-            state = dense_evolve(tuple(occ), plan)
-            vec = np.zeros(grid_dim, dtype=np.complex128)
-            for basis_occ, a in zip(state.basis, state.amplitudes):
-                if any(o >= d for o in basis_occ):
-                    continue
-                vec[sum(o * st for o, st in zip(basis_occ, strides))] = a
-            rho += weight * np.outer(vec, vec.conj())
-        # Vectorize: group (ket_k, bra_k) per mode, then split at the cut.
-        tensor = rho.reshape([d] * (2 * num_modes))
-        blocks.append(np.transpose(tensor, order).reshape(
-            (d * d) ** cut, (d * d) ** (num_modes - cut)
-        ))
-    return blocks
-
-
-def _normalized_spectrum(mat: np.ndarray) -> np.ndarray:
-    """Squared singular values of ``mat``, normalized to sum 1, descending."""
-    spectrum = np.linalg.svd(mat, compute_uv=False) ** 2
-    total = spectrum.sum()
-    if total <= 0.0:
-        raise ValueError("vectorized state has zero norm")
-    return np.sort(spectrum / total)[::-1]
-
-
-def dense_lossy_vectorized_spectrum(
-    plan: CircuitPlan, num_photons: int, mu: float, cut: int
-) -> np.ndarray:
-    """Bond spectrum (descending) of the normalized vectorized mixed state at ``cut``.
-
-    Builds the output density operator of the lossy circuit (binomial mixture
-    of evolved surviving subsets), keeping the total-photon sectors as
-    orthogonal block-diagonal components — the same layout the tensor-network
-    density operator uses, where the left boundary enumerates the sectors. The
-    per-sector vectorized operators are stacked along the left side of the
-    cut; the squared Schmidt values of the stacked matrix, normalized to sum
-    1, match the tensor-network bond spectrum at full rank.
-    """
-    return _normalized_spectrum(np.vstack(_lossy_sector_operators(plan, num_photons, mu, cut)))
-
-
-def dense_lossy_plain_spectrum(
-    plan: CircuitPlan, num_photons: int, mu: float, cut: int
-) -> np.ndarray:
-    """Like dense_lossy_vectorized_spectrum but without sector bookkeeping.
-
-    The total-photon sectors are summed into one operator before the Schmidt
-    decomposition, so cross-sector components can interfere. This is the
-    spectrum behind the closed-form per-mode entropy calculators, which model
-    the vectorized operator itself rather than the charge-resolved stored
-    object; the two agree only when a single sector carries weight.
-    """
-    return _normalized_spectrum(sum(_lossy_sector_operators(plan, num_photons, mu, cut)))

@@ -32,15 +32,10 @@ import numpy as np
 from .mpo import MpoState
 from .mps import MpsState
 
-__all__ = ["FORMAT_NAME", "FORMAT_VERSION", "SnapshotVersionError", "save_state",
-           "load_state", "load_header"]
+__all__ = ["FORMAT_NAME", "FORMAT_VERSION", "save_state", "load_state", "load_header"]
 
 FORMAT_NAME = "bosonet-state"
 FORMAT_VERSION = 3
-
-
-class SnapshotVersionError(ValueError):
-    """A snapshot was written in a format version this build does not read."""
 
 
 def _charge_token(charge: Any) -> str:
@@ -109,7 +104,7 @@ def load_header(path: str | Path) -> dict[str, Any]:
     if header.get("format") != FORMAT_NAME:
         raise ValueError(f"{path}: unknown container format {header.get('format')!r}")
     if header.get("version") != FORMAT_VERSION:
-        raise SnapshotVersionError(
+        raise ValueError(
             f"{path}: unsupported snapshot version {header.get('version')!r} "
             f"(this build reads version {FORMAT_VERSION})"
         )

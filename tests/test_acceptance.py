@@ -54,10 +54,11 @@ from bosonet.linalg import TruncationPolicy
 from bosonet.oracle import (
     dense_evolve,
     enumerate_occupations,
-    exact_lossless_distribution,
     exact_lossy_distribution,
     exact_prob,
 )
+
+from helpers import exact_lossless_distribution
 
 FULL_RANK = TruncationPolicy(chi_max=100_000)
 REFERENCE_MAX_EE = Path(__file__).resolve().parents[1] / "perfbench" / "reference_max_ee.json"

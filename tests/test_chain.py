@@ -30,6 +30,8 @@ from bosonet.circuit import BeamSplitterGate, circuit_to_unitary, fock_gate, sam
 from bosonet.entropy import lossless_ee, partition_angles
 from bosonet.linalg import RANK_CUTOFF, TruncationPolicy
 
+from helpers import matrix_element
+
 TOL = 1e-10
 
 
@@ -311,9 +313,7 @@ READERS = {
     "outcome_prob": lambda pattern: mpo.outcome_prob(mpo.init_lossy(2, 4, 0.5), pattern),
     "marginal": lambda pattern: mpo.marginal(mpo.init_lossy(2, 4, 0.5), pattern),
     "marginal_prob": lambda pattern: sampling.marginal_prob(mpo.init_lossy(2, 4, 0.5), pattern),
-    "matrix_element-ket": lambda pattern: mpo.matrix_element(
-        mpo.init_lossy(2, 4, 0.5), pattern, (1, 1, 0, 0)),
-    "matrix_element-bra": lambda pattern: mpo.matrix_element(
+    "matrix_element-bra": lambda pattern: matrix_element(
         mpo.init_lossy(2, 4, 0.5), (1, 1, 0, 0), pattern),
     "lossless_ee": lambda pattern: lossless_ee(pattern, HAAR_ANGLES, 1.0),
 }

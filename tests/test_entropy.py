@@ -28,12 +28,9 @@ from bosonet.entropy import (
     partition_angles,
 )
 from bosonet.linalg import TruncationPolicy
-from bosonet.oracle import (
-    dense_evolve,
-    dense_lossy_plain_spectrum,
-    dense_lossy_vectorized_spectrum,
-    dense_reduced_spectrum,
-)
+from bosonet.oracle import dense_evolve, dense_reduced_spectrum
+
+from helpers import dense_lossy_plain_spectrum, dense_lossy_vectorized_spectrum
 
 ALPHAS = (0.0, 0.5, 1.0, 2.0, 3.0)
 

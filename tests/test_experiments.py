@@ -300,6 +300,31 @@ class TestConfigParsing:
             assert config.experiment == doc["experiment"], name
 
 
+def test_compare_outputs_refuses_a_checkout_without_paper_configs(tmp_path, monkeypatch, capsys):
+    """With no ``configs/*.json``, ``run`` starts no process and ``compare`` reads
+    no table: both exit 1, naming the directory they searched."""
+    compare = load_by_path(ROOT / "scripts" / "compare_outputs.py")
+    calls = []
+    monkeypatch.setattr(compare, "CONFIGS", [])
+    monkeypatch.setattr(compare, "PAPER_CONFIGS", [])
+    monkeypatch.setattr(compare, "_bosonet", lambda *args: calls.append(args) or (0, 0.0))
+    assert compare.run(tmp_path / "out", ROOT / "src") == 1
+    assert calls == []
+    assert compare.compare(tmp_path, tmp_path) == 1
+    assert capsys.readouterr().err.count(str(compare.PAPER_DIR)) == 2
+
+
+def test_compare_outputs_refuses_runs_without_tables(tmp_path, capsys):
+    """Two empty run directories are not identical: every config's results.csv is missing."""
+    compare = load_by_path(ROOT / "scripts" / "compare_outputs.py")
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    assert compare.compare(tmp_path / "a", tmp_path / "b") == 1
+    out = capsys.readouterr().out
+    for name in [name for name, _, _ in compare.CONFIGS] + [p.stem for p in compare.PAPER_CONFIGS]:
+        assert f"{name}/results.csv is missing" in out
+
+
 #: A value other than the recipe doc's of each hashed optional field, and the
 #: fields it replaces: ``loss`` and ``gammas``/``betas`` are two spellings of
 #: one loss description.  ``weight_threshold`` is hashed, always as null, but is
