@@ -5,14 +5,17 @@ Every experiment follows the same shape: a declarative :class:`ExperimentConfig`
 master seed; :func:`run` executes the recipe over an ensemble of circuits and
 returns a :class:`RunRecord`, an aborted or numerically failed run's too.  Each
 unit (one circuit of one sweep point) returns its rows and tables, and one loop
-joins them, so an aborted run keeps its completed units' rows, sample files and
-timings, though no summary.  :func:`run_to_files` writes the record's tables,
-``results.csv``, ``summary.csv``, ``timings.csv`` and ``samples_c<k>.csv``, and
-``meta.json``, after removing those an earlier run left in the same directory;
-one writer, ``_write_csv``, writes every table, with LF line ends.  The data
-tables are byte-identical across reruns of the same (config, seed, software
-version), whatever the BLAS thread count the caller set, as :func:`run` pins
-one; wall-clock timings go only to ``meta.json`` and ``timings.csv``.
+joins them in unit order, so an aborted run keeps its completed units' rows,
+sample files and timings, though no summary.  A run of several units runs them
+in worker processes forked from the caller, one per CPU the caller may use, and
+its tables do not depend on how many.  :func:`run_to_files` writes the record's
+tables, ``results.csv``, ``summary.csv``, ``timings.csv`` and
+``samples_c<k>.csv``, and ``meta.json``, after removing those an earlier run
+left in the same directory; one writer, ``_write_csv``, writes every table,
+with LF line ends.  The data tables are byte-identical across reruns of the
+same (config, seed, software version), whatever the BLAS thread count the
+caller set, as :func:`run` pins one; wall-clock timings go only to
+``meta.json`` and ``timings.csv``.
 
 :func:`validate_config` checks each field against its row of one table, ``_FIELDS``:
 type, range, and exactly the experiments that read it (the others must leave it
@@ -40,13 +43,14 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 import zipfile
 from dataclasses import MISSING, asdict, dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -64,6 +68,10 @@ from .snapshots import load_state, save_state
 #: Config fields that do not influence the science and are excluded from the
 #: config hash: where outputs go, how often to checkpoint, and when to stop.
 _PLUMBING_FIELDS = ("out_dir", "checkpoint_every", "max_seconds")
+
+#: How many processes run the units of a run: None for one per CPU this process
+#: may run on.  Only tests set it; runs have no other knob for it.
+PROCESSES: int | None = None
 
 
 class ConfigError(ValueError):
@@ -328,8 +336,9 @@ class RunRecord:
     """Everything one run produced, before any files are written.
 
     Recipes fill in the tables; :func:`run` adds the config hash, experiment
-    name, wall time and the BLAS the recipe ran with.  ``tables`` holds the
-    tables beside ``results.csv`` and ``summary.csv``, by file name:
+    name, wall time, and the BLAS and process count the recipe ran with.
+    ``tables`` holds the tables beside ``results.csv`` and ``summary.csv``, by
+    file name:
     ``(columns, rows, comments)``, where each item of ``comments`` is written
     as a ``# key=value`` line above the header, in key order.
     """
@@ -346,6 +355,8 @@ class RunRecord:
     tables: dict[str, Table] = field(default_factory=dict)
     #: ``{"vendor", "threads"}`` of numpy's OpenBLAS during the run; None if none was found.
     blas: dict[str, Any] | None = None
+    #: How many processes ran the units: 1 on the serial path.
+    processes: int = 1
 
 
 def circuit_rng(seed: int, point_index: int, circuit_index: int, stream: int = 0
@@ -375,29 +386,156 @@ def _sweep_points(config: ExperimentConfig) -> list[tuple[int, int, dict[str, fl
             for lp in _loss_points(config) or [None]]
 
 
+def _process_count(config: ExperimentConfig) -> int:
+    """How many processes run the units of ``config``: :data:`PROCESSES`, or one per
+    CPU this process may run on, at most one per unit.  1 is the serial path, which
+    is also taken where the platform has no ``"fork"`` start method."""
+    if PROCESSES is not None:
+        cpus = PROCESSES
+    elif hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    count = min(cpus, len(_sweep_points(config)) * config.n_circuits)
+    if count < 2:
+        return 1
+    import multiprocessing
+
+    return count if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
 def _run_units(config: ExperimentConfig, columns: list[str],
                run_unit: Callable[..., UnitOutput]) -> RunRecord:
-    """Run ``run_unit(point_index, circuit, M, N, loss)`` per unit of the sweep, in order,
-    and join what the units return, ``(rows, tables)``, into a record without a summary.
+    """Run ``run_unit(point_index, circuit, M, N, loss)`` per unit of the sweep, and
+    join what the units return, ``(rows, tables)``, in unit order into a record
+    without a summary.
 
-    A unit's ``tables`` are by file name; rows of a name several units return are
-    joined in unit order.  Each unit makes its own budget checks.  When one raises
-    :class:`ResourceAbort`, the abort leaves carrying the record of the units that
-    completed, their rows and tables, with status ``aborted``.
+    The units run in this process, one after another, or in forked workers
+    (:func:`_forked_outputs`) when :func:`_process_count` is above 1; either way
+    the record is the same.  A unit's ``tables`` are by file name; rows of a name
+    several units return are joined in unit order.  Each unit makes its own
+    budget checks.  When one raises :class:`ResourceAbort`, the abort leaves
+    carrying the record of the units before it, their rows and tables, with
+    status ``aborted``; outputs of units after it are dropped.
     """
+    units = [(point_index, c, m, n, loss)
+             for point_index, (m, n, loss) in enumerate(_sweep_points(config))
+             for c in range(config.n_circuits)]
+    processes = _process_count(config)
+    outputs = (_forked_outputs(run_unit, units, processes) if processes > 1
+               else (run_unit(*unit) for unit in units))
     record = RunRecord(columns, [])
     try:
-        for point_index, (m, n, loss) in enumerate(_sweep_points(config)):
-            for c in range(config.n_circuits):
-                rows, tables = run_unit(point_index, c, m, n, loss)
-                record.rows.extend(rows)
-                for name, (table_columns, table_rows, comments) in tables.items():
-                    joined = record.tables.setdefault(name, (table_columns, [], comments))
-                    joined[1].extend(table_rows)
+        for rows, tables in outputs:
+            record.rows.extend(rows)
+            for name, (table_columns, table_rows, comments) in tables.items():
+                joined = record.tables.setdefault(name, (table_columns, [], comments))
+                joined[1].extend(table_rows)
     except ResourceAbort as abort:
         record.status, record.message, abort.record = "aborted", str(abort), record
         raise
+    finally:
+        outputs.close()
     return record
+
+
+class _WorkerTraceback(Exception):
+    """The traceback, as text, of an exception that a unit raised in a worker process."""
+
+
+def _forked_outputs(run_unit: Callable[..., UnitOutput], units: list[tuple],
+                    processes: int) -> Iterator[UnitOutput]:
+    """``run_unit(*unit)`` for each of ``units``, in unit order, computed by
+    ``processes`` workers forked from this process; a worker takes the next unit
+    when it has sent the output of its last.
+
+    Once a unit raises, no later unit is handed out.  The units still running
+    finish (an aborting one saves its checkpoint), then the outputs of the units
+    before the first that raised, in unit order, are yielded and its exception is
+    raised, as on the serial path.  Workers inherit this process's state,
+    the BLAS thread pin included; every worker is ended and reaped on every exit.
+    """
+    import multiprocessing.connection
+
+    import numpy.random  # noqa: F401  numpy imports it lazily: once here, not once per worker
+
+    # Process.start flushes stdout and stderr before it forks, so a line still
+    # buffered here is not printed again by every worker.
+    context = multiprocessing.get_context("fork")
+    workers: dict[Any, Any] = {}  # our end of a worker's pipe -> the worker
+    busy: dict[Any, int] = {}  # our end of a busy worker's pipe -> its unit's index
+    outcomes: dict[int, tuple[bool, Any]] = {}
+    handed = done = 0
+    first_raised = len(units)
+
+    def hand_out(conn) -> None:
+        nonlocal handed
+        if handed < first_raised:
+            conn.send(handed)
+            busy[conn] = handed
+            handed += 1
+
+    try:
+        for _ in range(processes):
+            ours, theirs = context.Pipe()
+            worker = context.Process(target=_work, args=(theirs, [*workers, ours], run_unit, units))
+            worker.start()
+            theirs.close()
+            workers[ours] = worker
+        for conn in workers:
+            hand_out(conn)
+        while True:
+            while done < first_raised and done in outcomes:
+                yield outcomes.pop(done)[1]
+                done += 1
+            if done == len(units):
+                return
+            if not busy:
+                error, text = outcomes[first_raised][1]
+                raise error from _WorkerTraceback(text)
+            for conn in multiprocessing.connection.wait(list(busy)):
+                index = busy.pop(conn)
+                try:
+                    outcomes[index] = conn.recv()
+                except EOFError:
+                    workers[conn].join()
+                    point_index, c = units[index][:2]
+                    raise RuntimeError(
+                        f"the worker process running circuit {c} of sweep point "
+                        f"{point_index} exited with code {workers[conn].exitcode}") from None
+                if not outcomes[index][0]:
+                    first_raised = min(first_raised, index)
+                hand_out(conn)
+    finally:
+        for conn, worker in workers.items():
+            if conn in busy:
+                worker.kill()
+            conn.close()
+        for worker in workers.values():
+            worker.join()
+
+
+def _work(conn, inherited: list, run_unit: Callable[..., UnitOutput], units: list[tuple]
+          ) -> None:
+    """A worker's loop: run each unit whose index arrives on ``conn`` and send back
+    ``(True, output)``, or ``(False, (exception, traceback text))`` if it raises,
+    until the parent closes its end.  ``inherited`` are the parent's ends of the
+    pipes forked so far, which the worker closes so that a closed end reads as EOF.
+    """
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            index = conn.recv()
+        except EOFError:
+            return
+        try:
+            outcome = True, run_unit(*units[index])
+        except Exception as exc:
+            import traceback  # only here: its import would add to every run's start-up
+
+            outcome = False, (exc, traceback.format_exc())
+        conn.send(outcome)
 
 
 def _groups(rows: list[dict[str, Any]], keys: list[str]) -> list[list[dict[str, Any]]]:
@@ -802,6 +940,13 @@ def run(config: ExperimentConfig) -> RunRecord:
     depend on the host's thread count, and the caller's count is restored on
     every exit. The count is process-wide, so ``run`` is not meant to be
     called from several threads at once.
+
+    A run of several units runs them in processes forked from the caller, one
+    per CPU the caller may use and at most one per unit, and ``processes``
+    records how many (1 on the serial path, which a one-unit run, a one-CPU
+    host, or a platform without ``"fork"`` takes).  The workers inherit the
+    one-thread pin, their outputs are joined in unit order, and none outlives
+    ``run``, so the tables do not depend on the process count.
     """
     validate_config(config)
     digest = config_hash(config)
@@ -814,6 +959,7 @@ def run(config: ExperimentConfig) -> RunRecord:
         except (NumericalFailure, DegradedStateError) as exc:
             record = RunRecord([], [], status="numerical-failure", message=str(exc))
     record.config_hash, record.experiment, record.blas = digest, config.experiment, blas
+    record.processes = _process_count(config)
     record.wall_time = budget.elapsed()
     return record
 
@@ -871,6 +1017,7 @@ def run_to_files(config: ExperimentConfig) -> tuple[RunRecord, Path | None]:
             "version": __version__,
             "numpy_version": np.__version__,
             "blas": record.blas,
+            "processes": record.processes,
             "seed": config.seed,
             "status": record.status,
             "message": record.message,

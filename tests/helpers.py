@@ -1,16 +1,19 @@
 """Helpers shared by several test modules.
 
-Besides circuits, outcome grids and snapshot edits, this holds the dense
-references that only the tests compare against, built on ``bosonet.oracle``:
-the exact lossless output distribution, ``matrix_element`` of a density
-operator, and the operator-space spectra of a lossy state, both of the
-charge-resolved object the train stores and of rho itself.
+Besides circuits, outcome grids, snapshot edits and a check that no worker
+process is left, this holds the dense references that only the tests compare
+against, built on ``bosonet.oracle``: the exact lossless output distribution,
+``matrix_element`` of a density operator, and the operator-space spectra of a
+lossy state, both of the charge-resolved object the train stores and of rho
+itself.
 """
 
 import itertools
 import json
+import os
 
 import numpy as np
+import pytest
 
 from bosonet import chain
 from bosonet.circuit import CircuitPlan, occupation_pattern, sample_haar_circuit
@@ -29,6 +32,12 @@ def all_outcomes(num_modes: int, max_total: int):
         for occs in itertools.product(range(max_total + 1), repeat=num_modes)
         if sum(occs) <= max_total
     ]
+
+
+def assert_no_child_process():
+    """This process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _edit_members(path, edit):

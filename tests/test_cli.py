@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import MISSING
@@ -22,7 +23,7 @@ from bosonet.experiments import circuit_rng
 from bosonet.linalg import DegradedStateError, NumericalFailure, TruncationPolicy
 from bosonet.snapshots import FORMAT_VERSION, load_state
 
-from helpers import _edit_header, _edit_members
+from helpers import _edit_header, _edit_members, assert_no_child_process
 
 
 def write_config(path, **overrides):
@@ -367,6 +368,66 @@ def test_lossy_ee_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
                         "--out", str(out)], env=env, capture_output=True, check=True)
         tables.append((out / "results.csv").read_bytes())
     assert tables[0] == tables[1]
+
+
+def test_workers_inherit_the_blas_pin(tmp_path):
+    """Two circuits at M=16, N=4, chi=256 in two worker processes: the workers
+    run on the one thread ``run`` pins, so 1 and 2 threads give the same files."""
+    config = write_config(tmp_path / "c.json", experiment="lossy-ee", seed=1000,
+                          num_modes=[16], num_photons=[4],
+                          loss={"kind": "constant", "mu": 0.5}, chi_max=256, n_circuits=2)
+    code = ("import sys; from bosonet import experiments; experiments.PROCESSES = 2; "
+            "from bosonet.cli import main; sys.exit(main(sys.argv[1:]))")
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(bosonet.__file__).resolve().parents[1]))
+        subprocess.run([sys.executable, "-c", code, "lossy-ee", "--config", str(config),
+                        "--out", str(out)], env=env, capture_output=True, check=True)
+        assert json.loads((out / "meta.json").read_text())["processes"] == 2
+        tables.append([(out / name).read_bytes() for name in ("results.csv", "summary.csv")])
+    assert tables[0] == tables[1]
+
+
+def test_a_run_in_worker_processes_prints_no_line_twice(tmp_path):
+    """A line the caller printed before the run, still in its buffer when the
+    workers fork, is printed once, as on the serial path."""
+    config = write_config(tmp_path / "c.json", n_circuits=3)
+    code = ("import sys; from bosonet import experiments; "
+            "experiments.PROCESSES = int(sys.argv[1]); "
+            "print('printed before the run'); print('also on stderr', file=sys.stderr); "
+            "from bosonet.cli import main; sys.exit(main(sys.argv[2:]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(bosonet.__file__).resolve().parents[1]))
+    consoles = []
+    for processes in ("1", "2"):
+        done = subprocess.run([sys.executable, "-c", code, processes, "lossless-ee", "--config",
+                               str(config), "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, check=True)
+        # The wall time on the summary line is the one difference allowed.
+        consoles.append((re.sub(r"[0-9.]+s$", "", done.stdout, flags=re.M), done.stderr))
+    assert consoles[0] == consoles[1]
+    assert consoles[0][0].count("printed before the run") == 1
+
+
+def test_a_failure_in_worker_processes_exits_two_as_the_serial_run(tmp_path, capsys,
+                                                                    monkeypatch):
+    """The chi = 1 zero-trace circuit of the test above, now one of two: under two
+    processes the run fails with the serial run's message, and leaves no worker."""
+    config = write_config(tmp_path / "c.json", experiment="lossy-ee", seed=0, num_modes=[6],
+                          num_photons=[2], loss={"kind": "constant", "mu": 0.9}, chi_max=1,
+                          n_circuits=2)
+    outcomes = []
+    for processes in (1, 2):
+        monkeypatch.setattr(experiments, "PROCESSES", processes)
+        code = main(["lossy-ee", "--config", str(config), "--out", str(tmp_path / "out")])
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["processes"] == processes
+        outcomes.append((code, capsys.readouterr().err, meta["status"], meta["message"]))
+        assert_no_child_process()
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == EXIT_NUMERICAL
+    assert "after layer 8 of circuit 0 (M=6, N=2)" in outcomes[0][3]
 
 
 class TestFailureExitCodes:

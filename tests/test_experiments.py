@@ -3,7 +3,9 @@
 import csv
 import importlib.util
 import json
+import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,8 @@ from bosonet.experiments import (
 )
 from bosonet.linalg import DegradedStateError, NumericalFailure, TruncationPolicy
 from bosonet.snapshots import load_header
+
+from helpers import assert_no_child_process
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -785,6 +789,7 @@ class TestReproducibility:
         assert meta["config"]["chi_max"] == 16
         assert meta["wall_time_seconds"] >= 0.0
         assert meta["blas"] == record.blas
+        assert meta["processes"] == record.processes
 
     def test_float_cells_survive_round_trip_exactly(self, tmp_path):
         config = config_from_dict(make_doc(out_dir=str(tmp_path), n_circuits=1))
@@ -811,6 +816,12 @@ def exhaust_budget_on_check(monkeypatch, k):
             raise experiments.ResourceAbort("wall-clock budget exhausted")
 
     monkeypatch.setattr(experiments._Budget, "check", check)
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """Run the units in this process, where a test's patches see every call."""
+    monkeypatch.setattr(experiments, "PROCESSES", 1)
 
 
 class TestAbortAndResume:
@@ -851,6 +862,7 @@ class TestAbortAndResume:
         assert record.status == "aborted"
         assert "config_hash" in record.columns
 
+    @pytest.mark.usefixtures("serial")
     @pytest.mark.parametrize("experiment, extra", [
         ("lossy-ee", {"loss": {"kind": "constant", "mu": 0.6}}),
         ("lossless-ee", {}),
@@ -897,6 +909,7 @@ class TestAbortAndResume:
         assert len(gates) == fresh_calls - sum(map(len, first_layers))
         assert not list((out / "checkpoints").glob("*.npz"))
 
+    @pytest.mark.usefixtures("serial")
     def test_resume_after_a_crash_inside_a_layer(self, tmp_path, monkeypatch):
         # An exception that is not bosonet's ends the run partway through layer
         # k + 1 of circuit 0; the checkpoint taken after layer k must resume
@@ -932,6 +945,7 @@ class TestAbortAndResume:
         for table in ("results.csv", "summary.csv"):
             assert (out / table).read_bytes() == (clean / table).read_bytes()
 
+    @pytest.mark.usefixtures("serial")
     def test_abort_keeps_rows_of_completed_units(self, monkeypatch):
         # analytic-ee checks the budget once per (point, circuit) unit, so the
         # second check aborts after exactly one unit of len(alphas) rows.
@@ -940,6 +954,7 @@ class TestAbortAndResume:
         assert record.status == "aborted"
         assert [(r["circuit"], r["alpha"]) for r in record.rows] == [(0, 1.0), (0, 2.0)]
 
+    @pytest.mark.usefixtures("serial")
     def test_abort_keeps_sample_files_of_completed_units(self, tmp_path, monkeypatch):
         doc = {**RECIPE_DOCS["sample"], "n_circuits": 3}
         record, clean = run_to_files(config_from_dict({**doc, "out_dir": str(tmp_path / "a")}))
@@ -954,6 +969,7 @@ class TestAbortAndResume:
         assert not (out / "samples_c2.csv").exists()
         assert not (out / "summary.csv").exists()
 
+    @pytest.mark.usefixtures("serial")
     def test_abort_keeps_timings_of_completed_units(self, tmp_path, monkeypatch):
         doc = {**RECIPE_DOCS["trunc-error"], "n_circuits": 3, "chis": [2, 4],
                "out_dir": str(tmp_path)}
@@ -985,6 +1001,165 @@ def test_raised_failure_is_a_numerical_failure_record(monkeypatch, error):
     assert (record.status, record.message) == ("numerical-failure", "third gate went wrong")
     assert (record.columns, record.rows, record.summary) == ([], [], [])
     assert (record.config_hash, record.experiment) == (config_hash(config), "lossless-ee")
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+# ---------------------------------------------------------------------------
+
+
+def tables_of(out_dir):
+    """Every table a run wrote but ``timings.csv``, whose seconds differ, by file name."""
+    return {path.name: path.read_bytes() for path in out_dir.glob("*.csv")
+            if path.name != "timings.csv"}
+
+
+def failing_at(monkeypatch, failures):
+    """Patch the recipes' ``circuit_rng`` to call ``failures[c]`` first in a unit of
+    circuit ``c`` that has one, so the unit fails in the worker process running it."""
+    def rng(seed, point_index, c, stream=0):
+        if c in failures:
+            failures[c]()
+        return circuit_rng(seed, point_index, c, stream)
+
+    monkeypatch.setattr(experiments, "circuit_rng", rng)
+
+
+def raising(error):
+    def fail():
+        raise error
+    return fail
+
+
+def wait_for(path):
+    """Under more than one process, wait up to 30 s for another worker to make ``path``."""
+    deadline = time.monotonic() + 30
+    while experiments.PROCESSES != 1 and not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+class TestWorkerProcesses:
+    @pytest.mark.parametrize("doc", [
+        pytest.param(make_doc(num_modes=[4, 6], num_photons=[1, 2], n_circuits=3),
+                     id="lossless-ee"),
+        pytest.param({**RECIPE_DOCS["lossy-ee"], "num_photons": [1, 2], "n_circuits": 3},
+                     id="lossy-ee"),
+        pytest.param({**RECIPE_DOCS["trunc-error"], "n_circuits": 3}, id="trunc-error"),
+        pytest.param({**RECIPE_DOCS["sample"], "n_circuits": 3}, id="sample"),
+    ])
+    def test_tables_do_not_depend_on_the_process_count(self, tmp_path, monkeypatch, doc):
+        tables = []
+        for processes in (1, 2):
+            monkeypatch.setattr(experiments, "PROCESSES", processes)
+            config = config_from_dict({**doc, "out_dir": str(tmp_path / str(processes))})
+            record, out_dir = run_to_files(config)
+            assert (record.status, record.processes) == ("ok", processes)
+            assert json.loads((out_dir / "meta.json").read_text())["processes"] == processes
+            tables.append(tables_of(out_dir))
+        expected = {"results.csv", "summary.csv"}
+        if doc["experiment"] == "sample":
+            expected |= {f"samples_c{c}.csv" for c in range(doc["n_circuits"])}
+        assert set(tables[0]) == expected
+        assert tables[0] == tables[1]
+
+    def test_a_resume_under_two_processes_matches_the_serial_run(self, tmp_path, monkeypatch):
+        # Every worker counts its own budget checks from the count at the fork,
+        # so each aborts its first circuit after k layers and saves a checkpoint.
+        k = 2
+        doc = make_doc(experiment="lossy-ee", num_modes=[6], loss={"kind": "constant", "mu": 0.6},
+                       checkpoint_every=1)
+        monkeypatch.setattr(experiments, "PROCESSES", 1)
+        _, clean = run_to_files(config_from_dict({**doc, "out_dir": str(tmp_path / "a")}))
+
+        monkeypatch.setattr(experiments, "PROCESSES", 2)
+        resumed = config_from_dict({**doc, "out_dir": str(tmp_path / "b")})
+        with monkeypatch.context() as patch:
+            exhaust_budget_on_check(patch, k + 1)
+            record, out = run_to_files(resumed)
+        assert (record.status, record.rows) == ("aborted", [])
+        paths = sorted((out / "checkpoints").glob("*.npz"))
+        assert [load_header(path)["extra"]["layers_done"] for path in paths] == [k, k]
+
+        record, out = run_to_files(resumed)
+        assert (record.status, record.processes) == ("ok", 2)
+        assert tables_of(out) == tables_of(clean)
+        assert not list((out / "checkpoints").glob("*.npz"))
+
+    def test_abort_keeps_the_completed_prefix_in_unit_order(self, tmp_path, monkeypatch):
+        # Circuit 1 aborts once the other worker has run circuit 2 and started
+        # circuit 3, which leave a mark in ``ran``; their outputs are dropped.
+        doc = {**RECIPE_DOCS["sample"], "n_circuits": 4}
+        ran = tmp_path / "ran"
+        ran.mkdir()
+
+        def abort_once_circuit_3_runs():
+            wait_for(ran / "3")
+            raise experiments.ResourceAbort("budget gone")
+
+        failing_at(monkeypatch, {1: abort_once_circuit_3_runs,
+                                 2: (ran / "2").touch, 3: (ran / "3").touch})
+        outcomes = []
+        for processes in (1, 2):
+            monkeypatch.setattr(experiments, "PROCESSES", processes)
+            record, out = run_to_files(
+                config_from_dict({**doc, "out_dir": str(tmp_path / str(processes))}))
+            assert (record.status, record.message) == ("aborted", "budget gone")
+            assert [r["circuit"] for r in record.rows] == [0]
+            assert set(tables_of(out)) == {"results.csv", "samples_c0.csv"}
+            assert sorted(path.name for path in ran.iterdir()) == (
+                [] if processes == 1 else ["2", "3"])
+            outcomes.append((record.rows, record.tables, tables_of(out)))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("error", [NumericalFailure, DegradedStateError])
+    def test_a_failure_names_the_first_failing_unit(self, tmp_path, monkeypatch, error):
+        # Circuit 2 fails while circuit 1 is still running in the other worker;
+        # the run reports circuit 1, as the serial loop does.
+        def fail_once_circuit_2_failed():
+            wait_for(tmp_path / "2")
+            time.sleep(0.1)
+            raise error("circuit 1 failed")
+
+        def fail_and_mark():
+            (tmp_path / "2").touch()
+            raise error("circuit 2 failed")
+
+        failing_at(monkeypatch, {1: fail_once_circuit_2_failed, 2: fail_and_mark})
+        for processes in (1, 2):
+            monkeypatch.setattr(experiments, "PROCESSES", processes)
+            record = run(config_from_dict(make_doc(n_circuits=4)))
+            assert (record.status, record.message) == ("numerical-failure", "circuit 1 failed")
+            assert (record.rows, record.processes) == ([], processes)
+
+    @pytest.mark.parametrize("overrides, status", [
+        pytest.param({}, "ok", id="ok"),
+        pytest.param({"max_seconds": 0.0}, "aborted", id="aborted"),
+    ])
+    def test_no_worker_outlives_a_run(self, monkeypatch, overrides, status):
+        monkeypatch.setattr(experiments, "PROCESSES", 2)
+        record = run(config_from_dict(make_doc(n_circuits=3, **overrides)))
+        assert (record.status, record.processes) == (status, 2)
+        assert_no_child_process()
+
+    def test_no_worker_outlives_a_foreign_exception(self, monkeypatch):
+        monkeypatch.setattr(experiments, "PROCESSES", 2)
+        failing_at(monkeypatch, {1: raising(RuntimeError("not bosonet's"))})
+        with pytest.raises(RuntimeError, match="not bosonet's") as raised:
+            run(config_from_dict(make_doc(n_circuits=3)))
+        # The worker's traceback comes along as the cause.
+        assert "RuntimeError: not bosonet's" in str(raised.value.__cause__)
+        assert_no_child_process()
+
+    def test_a_worker_that_dies_ends_the_run_and_the_busy_workers(self, monkeypatch):
+        # Circuit 1's worker exits without an answer while circuit 0's is busy:
+        # the run raises at once and the busy worker is killed, not waited for.
+        failing_at(monkeypatch, {0: lambda: time.sleep(60), 1: lambda: os._exit(3)})
+        monkeypatch.setattr(experiments, "PROCESSES", 2)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="circuit 1 of sweep point 0 exited with code 3"):
+            run(config_from_dict(make_doc(n_circuits=2)))
+        assert time.monotonic() - start < 30
+        assert_no_child_process()
 
 
 # ---------------------------------------------------------------------------
