@@ -91,6 +91,13 @@ CONFIGS = [
                       "chi_max": 64, "num_samples": 300, "n_circuits": 2}, False),
     ("sample-pure", {"experiment": "sample", "num_modes": [8], "num_photons": [3],
                      "chi_max": 64, "num_samples": 300, "n_circuits": 2}, False),
+    # More draws than two ``sampling.DRAW_CHUNK``s of 1024, so a call crosses
+    # the boundaries between the batches of draws it advances together.
+    ("sample-lossy-chunks", {"experiment": "sample", "num_modes": [8], "num_photons": [3],
+                             **LOSSY, "chi_max": 64, "num_samples": 2500, "n_circuits": 2},
+     False),
+    ("sample-pure-chunks", {"experiment": "sample", "num_modes": [12], "num_photons": [4],
+                            "chi_max": 32, "num_samples": 2500, "n_circuits": 2}, False),
     ("prob", {"experiment": "prob", "num_modes": [6], "num_photons": [2, 3], **LOSSY,
               "chi_max": 64, "n_circuits": 2,
               "outcomes": [[1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], [2, 0, 0, 0, 0, 1],

@@ -20,7 +20,9 @@ operator entanglement only at mu = 1. Singular vectors are normalized at
 initialization and kept unrenormalized afterwards so that 1 - trace() reports
 accumulated truncation error; ``chain.renyi_entropy`` renormalizes a copy of
 the spectrum. Every read of rho's diagonal is one ``marginal`` contraction:
-``trace`` is its empty prefix and ``outcome_prob`` its full pattern, clamped.
+``trace`` is its empty prefix and ``outcome_prob`` its full pattern, clamped,
+each pattern checked once, by ``marginal`` as a prefix or by ``outcome_prob``
+as a full pattern.
 """
 
 from __future__ import annotations
@@ -84,7 +86,11 @@ def trace_labels(local_dim: int) -> tuple[tuple[int, int], ...]:
 def marginal(state: MpoState, prefix: tuple[int, ...]) -> float:
     """Tr[rho P_prefix], unclamped: one walk reads each prefix site at its label
     (n, n) and traces every later site out with ``trace_labels``."""
-    prefix = occupation_pattern(prefix, state.num_modes, prefix=True)
+    return _marginal(state, occupation_pattern(prefix, state.num_modes, prefix=True))
+
+
+def _marginal(state: MpoState, prefix: tuple[int, ...]) -> float:
+    """``marginal`` of a ``prefix`` that ``occupation_pattern`` has already checked."""
     labels = [((n, n),) for n in prefix]
     if len(prefix) < state.num_modes:
         labels += [trace_labels(state.local_dim)] * (state.num_modes - len(prefix))
@@ -107,4 +113,4 @@ def outcome_prob(state: MpoState, occupations: tuple[int, ...]) -> float:
     has probability 0. Truncation can push tiny probabilities slightly
     negative; the returned value is ``marginal`` clamped to [0, 1].
     """
-    return min(max(marginal(state, occupation_pattern(occupations, state.num_modes)), 0.0), 1.0)
+    return min(max(_marginal(state, occupation_pattern(occupations, state.num_modes)), 0.0), 1.0)

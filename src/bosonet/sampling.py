@@ -19,21 +19,31 @@ not, as its ``one_minus_trace`` of 1 is the measurement itself.
 Sampling walks mode 1 to M, drawing each occupation from the ratio of running
 marginals; the conditional distribution at each step is renormalized by its
 own total so that truncation-induced deficits do not bias the draw (the
-deficit is reported on the result for diagnostics). Every step forms its
-masses and normalizes them in one place, ``_step``, and every draw goes
-through ``sample_many``: ``sample`` is one draw of it.
+deficit is reported on the result for diagnostics). ``sample`` is one draw
+of ``sample_many``, and ``sample_many`` carries all its draws through the
+sites together, ``DRAW_CHUNK`` at a time, in ``_draw_chunk``: one engine
+step gives the masses of every draw at site k, the clamp, total, deficit
+and pick are taken column by column over the draws, and the picked children
+form the batch at site k + 1. Row i reads the i-th M uniforms of one
+``rng.random((chunk, M))``, the same doubles that one ``rng.random()`` per
+site of draws made one after the other reads, and each row's products are
+one gemv, as for a single environment, so every draw is the one-at-a-time
+draw bit for bit. A failure is the first failing draw's, after ``rng`` is
+rewound to where that draw left it.
 
 A pure state needs each child environment for its weight ||env B_n||^2, so
-its sampler contracts every candidate occupation. A density operator's
-sampler precontracts the trace closure instead, as in the sequential
-conditional sampling of Ferris & Vidal, Phys. Rev. B 85, 165146 (2012): the
-mass of occupation n at site k is linear in the left environment,
+its sampler contracts every candidate occupation; a batch groups its draws
+by their environment's one charge. A density operator's sampler
+precontracts the trace closure instead, as in the sequential conditional
+sampling of Ferris & Vidal, Phys. Rev. B 85, 165146 (2012): the mass of
+occupation n at site k is linear in the left environment,
 sum_c env[c] B_k(c, c - (n, n)) R_{k+1}(c - (n, n)), where R_{k+1} traces
 out the sites right of k. So the engine stores, per site, one transfer
 matrix T_{k,n} per occupation and a weight map W_k whose column n is
 ``norm_scale`` T_{k,n} R_{k+1}, with R_k = sum_n T_{k,n} R_{k+1}. A step is
-``env @ W_k`` for all d masses at once, then ``env @ T_{k,pick}`` for the
-picked child only, and the closure of the left boundary is Tr rho.
+``envs @ W_k`` for all d masses of every draw at once, then
+``envs @ T_{k,n}`` for the draws that picked n only, and the closure of
+the left boundary is Tr rho.
 
 The read path never leaves diagonal charges: the left boundary is (n, n) and
 every label is (n, n), so every block it touches has two diagonal charges.
@@ -43,8 +53,9 @@ in float64; the engine raises ``NumericalFailure`` if one is not.
 
 ``sample_counts`` draws many outcomes at once by multinomial splitting over
 shared prefixes, which is distribution-identical to independent sequential
-draws and exponentially faster when outcomes collide; only children that
-receive draws are advanced.
+draws and exponentially faster when outcomes collide; one engine step per
+mode gives the masses of the whole frontier, which is split node by node,
+and only children that receive draws are advanced.
 """
 
 from __future__ import annotations
@@ -62,6 +73,9 @@ from .mps import MpsState
 
 NEGATIVE_MASS_TOLERANCE = 1e-8
 DEGRADED_NORM_THRESHOLD = 1e-6
+#: Draws that ``sample_many`` carries through the sites together. A chunk keeps
+#: a few arrays of this many environments, so it bounds a call's memory.
+DRAW_CHUNK = 1024
 
 
 @dataclass
@@ -116,7 +130,13 @@ def _squared_norm(env) -> float:
 
 
 class _PureEngine:
-    """Sampling engine of a pure state: every candidate child is contracted."""
+    """Sampling engine of a pure state: every candidate child is contracted.
+
+    A pure environment has one charge, the photons left to place, so a batch
+    of environments is a list of groups ``(charge, rows, envs)``: the batch
+    rows at that charge and their vectors, one row each. A row whose picked
+    child has no block is in the group of charge None, whose masses are 0.
+    """
 
     def __init__(self, state: MpsState):
         self.state = state
@@ -125,10 +145,46 @@ class _PureEngine:
         self.start = chain.prefix_environment(state, ())
         self.total = _squared_norm(self.start)
 
-    def step(self, env, site_idx: int):
-        """(masses of every occupation, child environment by occupation)."""
-        children = [chain.propagate(self.state, site_idx, env, (n,)) for n in range(self.local_dim)]
-        return [_squared_norm(c) for c in children], children.__getitem__
+    def batch(self, count: int) -> list:
+        """``count`` rows at the left boundary, whose one charge is N."""
+        [(charge, vec)] = self.start.items()
+        return [(charge, np.arange(count), np.tile(vec, (count, 1)))]
+
+    def step(self, groups: list, site_idx: int):
+        """(masses of every row and occupation, child) of one site; ``child(parents,
+        picks)`` is the batch whose row j is row ``parents[j]``'s child at ``picks[j]``."""
+        blocks = self.state.sites[site_idx]
+        num_rows = sum(len(rows) for _, rows, _ in groups)
+        masses = np.zeros((num_rows, self.local_dim))
+        group_of = np.empty(num_rows, dtype=np.intp)
+        position = np.empty(num_rows, dtype=np.intp)
+        children = []
+        for g, (charge, rows, envs) in enumerate(groups):
+            group_of[rows], position[rows] = g, np.arange(len(rows))
+            kids = []
+            for n in range(self.local_dim):
+                block = None if charge is None else blocks.get((charge, charge - n))
+                if block is None:
+                    kids.append((None, None))
+                    continue
+                kid = (envs[:, None, :] @ block)[:, 0, :]  # one gemv per row, see _LossyEngine
+                masses[rows, n] = np.sum(np.abs(kid) ** 2, axis=1)
+                kids.append((charge - n, kid))
+            children.append(kids)
+
+        def child(parents: np.ndarray, picks: np.ndarray) -> list:
+            parts: dict = {}
+            keys = group_of[parents] * self.local_dim + picks
+            for key in dict.fromkeys(keys.tolist()):
+                rows = np.flatnonzero(keys == key)
+                charge, kid = children[key // self.local_dim][key % self.local_dim]
+                envs = None if kid is None else kid[position[parents[rows]]]
+                parts.setdefault(charge, []).append((rows, envs))
+            return [(c, np.concatenate([r for r, _ in p]),
+                     None if c is None else np.concatenate([e for _, e in p]))
+                    for c, p in parts.items()]
+
+        return masses, child
 
 
 class _LossyEngine:
@@ -136,7 +192,8 @@ class _LossyEngine:
 
     ``weights[k]`` is W_k and ``transfers[k][n]`` is T_{k,n} (module
     docstring), both over the diagonal charges of bonds k and k+1 in dict
-    order; ``start`` is the left boundary and ``total`` is Tr rho.
+    order; ``start`` is the left boundary and ``total`` is Tr rho. A batch of
+    environments is one array, a row per environment.
     """
 
     def __init__(self, state: MpoState):
@@ -167,10 +224,27 @@ class _LossyEngine:
         self.start = np.concatenate([state.bonds[0][c] for c in offsets[0][0]])
         self.total = float(self.start @ right) * state.norm_scale
 
-    def step(self, env: np.ndarray, site_idx: int):
-        """(masses of every occupation, child environment by occupation)."""
+    def batch(self, count: int) -> np.ndarray:
+        """``count`` rows at the left boundary."""
+        return np.tile(self.start, (count, 1))
+
+    def step(self, envs: np.ndarray, site_idx: int):
+        """(masses of every row and occupation, child) of one site; ``child(parents,
+        picks)`` is the batch whose row j is row ``parents[j]``'s child at ``picks[j]``."""
         transfers = self.transfers[site_idx]
-        return (env @ self.weights[site_idx]).tolist(), lambda n: env @ transfers[n]
+        # Each product is stacked as (rows, 1, D), which numpy runs as one gemv
+        # per row, the product of a single environment; a 2-D (rows, D) product
+        # is one gemm, whose last bits differ.
+
+        def child(parents: np.ndarray, picks: np.ndarray) -> np.ndarray:
+            kids = np.empty((len(parents), transfers[0].shape[1]))
+            for n, transfer in enumerate(transfers):
+                rows = picks == n
+                if rows.any():
+                    kids[rows] = (envs[parents[rows], None, :] @ transfer)[:, 0, :]
+            return kids
+
+        return (envs[:, None, :] @ self.weights[site_idx])[:, 0, :], child
 
 
 def _diagonal_offsets(bond: dict) -> tuple[dict, int]:
@@ -192,12 +266,6 @@ def _engine(state: MpsState | MpoState) -> _PureEngine | _LossyEngine:
     engine = _LossyEngine(state)
     check_degraded(engine.total)
     return engine
-
-
-def _step(engine: _PureEngine | _LossyEngine, env, site_idx: int):
-    """(masses, conditional distribution, child by occupation) of one step."""
-    weights, child = engine.step(env, site_idx)
-    return weights, normalize_conditionals(weights), child
 
 
 def marginal_prob(state: MpsState | MpoState, prefix: tuple[int, ...]) -> float:
@@ -227,41 +295,86 @@ def sample_many(
     rng: np.random.Generator,
     count: int,
 ) -> list[SamplingResult]:
-    """Draw ``count`` independent outcomes reusing one cached engine."""
+    """Draw ``count`` independent outcomes reusing one cached engine.
+
+    The draws are advanced together, ``DRAW_CHUNK`` at a time; each is the
+    draw that ``count`` draws made one after the other would make, and a
+    failure is the first of those draws' failure, with ``rng`` left where
+    that draw leaves it.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
     engine = _engine(state)
-    return [_draw(engine, rng) for _ in range(count)]
+    results: list[SamplingResult] = []
+    for first in range(0, count, DRAW_CHUNK):
+        results += _draw_chunk(engine, rng, min(DRAW_CHUNK, count - first))
+    return results
 
 
-def _draw(engine: _PureEngine | _LossyEngine, rng: np.random.Generator) -> SamplingResult:
-    env = engine.start
-    running = engine.total
-    outcome = []
-    joint = 1.0
-    max_deficit = 0.0
-    for site_idx in range(engine.num_modes):
-        weights, probs, child = _step(engine, env, site_idx)
-        total = sum(max(w, 0.0) for w in weights)
-        if running > 0.0:
-            max_deficit = max(max_deficit, abs(1.0 - total / running))
-        u = rng.random()
-        cum = 0.0
-        pick = engine.local_dim - 1
-        for n, p in enumerate(probs):
-            cum += p
-            if u < cum:
-                pick = n
-                break
-        outcome.append(pick)
-        joint *= probs[pick]
-        env = child(pick)
-        running = weights[pick]
-    return SamplingResult(
-        outcome=tuple(outcome),
-        joint_probability=joint,
-        max_step_deficit=max_deficit,
-    )
+def _draw_chunk(
+    engine: _PureEngine | _LossyEngine, rng: np.random.Generator, count: int
+) -> list[SamplingResult]:
+    """``count`` draws carried through the sites together, row i being draw i.
+
+    Row i reads the i-th M uniforms of ``rng``; its products are one gemv
+    each, as for a single environment; its clamp, total, deficit, pick and
+    joint probability are taken column by column, in the order of a loop
+    over the occupations. So every row equals a draw made alone, bit for
+    bit. Rows past the first failing row cannot matter and are dropped.
+    """
+    num_modes, dim = engine.num_modes, engine.local_dim
+    saved = rng.bit_generator.state
+    uniforms = rng.random((count, num_modes))
+    envs = engine.batch(count)
+    live = count
+    running = np.full(count, engine.total)
+    joint = np.ones(count)
+    max_deficit = np.zeros(count)
+    outcomes = np.empty((count, num_modes), dtype=np.intp)
+    failure = None
+    # Like the Python float arithmetic that it reproduces, this warns of no inf or nan.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for site_idx in range(num_modes):
+            masses, child = engine.step(envs, site_idx)
+            cleaned = np.where(masses < 0.0, 0.0, masses)
+            total = np.zeros(live)
+            for n in range(dim):
+                total += cleaned[:, n]
+            failed = np.flatnonzero((masses < -NEGATIVE_MASS_TOLERANCE).any(axis=1)
+                                    | (total <= 0.0))
+            if failed.size:
+                live = int(failed[0])
+                failure = (live, site_idx, masses[live].tolist())
+                if live == 0:
+                    break
+                masses, cleaned, total = masses[:live], cleaned[:live], total[:live]
+            probs = cleaned / total[:, None]
+            running = running[:live]
+            deficit = np.abs(1.0 - total / running)
+            max_deficit = np.where((running > 0.0) & (deficit > max_deficit[:live]),
+                                   deficit, max_deficit[:live])
+            u = uniforms[:live, site_idx]
+            cum = np.zeros(live)
+            pick = np.full(live, dim - 1)
+            undecided = np.ones(live, dtype=bool)
+            for n in range(dim):
+                cum += probs[:, n]
+                hit = undecided & (u < cum)
+                pick[hit] = n
+                undecided &= ~hit
+            rows = np.arange(live)
+            joint = joint[:live] * probs[rows, pick]
+            running = masses[rows, pick]
+            outcomes[:live, site_idx] = pick
+            if site_idx + 1 < num_modes:
+                envs = child(rows, pick)
+    if failure is not None:
+        draw, site_idx, weights = failure
+        rng.bit_generator.state = saved
+        rng.random(draw * num_modes + site_idx)
+        normalize_conditionals(weights)  # raises: the row failed these very checks
+    return [SamplingResult(tuple(o), j, d)
+            for o, j, d in zip(outcomes.tolist(), joint.tolist(), max_deficit.tolist())]
 
 
 def sample_counts(
@@ -273,23 +386,26 @@ def sample_counts(
 
     Identical in distribution to ``count`` independent ``sample`` calls:
     outcomes sharing a prefix share the conditional computation, and the
-    counts are split multinomially at each mode.
+    counts are split multinomially at each mode. Each mode's masses come
+    from one engine step over the whole frontier, which is then split node
+    by node in order.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     engine = _engine(state)
-    frontier = [(engine.start, (), count)]
+    envs, prefixes, counts = engine.batch(1), [()], [count]
     for site_idx in range(engine.num_modes):
-        nxt = []
-        for env, prefix, n_here in frontier:
-            _, probs, child = _step(engine, env, site_idx)
-            split = rng.multinomial(n_here, probs)
-            for occupation, n_child in enumerate(split):
+        masses, child = engine.step(envs, site_idx)
+        parents, picks, next_prefixes, next_counts = [], [], [], []
+        for node, weights in enumerate(masses.tolist()):
+            split = rng.multinomial(counts[node], normalize_conditionals(weights))
+            for occupation, n_child in enumerate(split.tolist()):
                 if n_child > 0:
-                    nxt.append((child(occupation), prefix + (occupation,), int(n_child)))
-        frontier = nxt
-    results: dict[tuple[int, ...], int] = {}
-    for _, outcome, n in frontier:
-        results[outcome] = results.get(outcome, 0) + n
-    return results
-
+                    parents.append(node)
+                    picks.append(occupation)
+                    next_prefixes.append(prefixes[node] + (occupation,))
+                    next_counts.append(n_child)
+        if site_idx + 1 < engine.num_modes:
+            envs = child(np.array(parents, dtype=np.intp), np.array(picks, dtype=np.intp))
+        prefixes, counts = next_prefixes, next_counts
+    return dict(zip(prefixes, counts))

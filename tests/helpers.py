@@ -1,11 +1,12 @@
 """Helpers shared by several test modules.
 
 Besides circuits, outcome grids, snapshot edits and a check that no worker
-process is left, this holds the dense references that only the tests compare
-against, built on ``bosonet.oracle``: the exact lossless output distribution,
-``matrix_element`` of a density operator, and the operator-space spectra of a
-lossy state, both of the charge-resolved object the train stores and of rho
-itself.
+process is left, this holds the references that only the tests compare
+against: the samplers that take one draw, and one histogram node, at a time
+(``reference_sample_many``, ``reference_sample_counts``), and, built on
+``bosonet.oracle``, the exact lossless output distribution, ``matrix_element``
+of a density operator, and the operator-space spectra of a lossy state, both
+of the charge-resolved object the train stores and of rho itself.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from bosonet import chain
+from bosonet import chain, sampling
 from bosonet.circuit import CircuitPlan, occupation_pattern, sample_haar_circuit
 from bosonet.mpo import MpoState
 from bosonet.oracle import ExactDistribution, dense_evolve, enumerate_occupations, exact_prob
@@ -57,6 +58,79 @@ def _edit_header(path, edit):
         arrays["header"] = np.array(json.dumps(header))
 
     _edit_members(path, edit_members)
+
+
+def _reference_step(engine, env, site_idx: int):
+    """(masses, conditional distribution, child by occupation) of one step of one
+    draw: one environment, a 1-D array (density operator) or a dict by charge."""
+    if isinstance(engine, sampling._LossyEngine):
+        transfers = engine.transfers[site_idx]
+        weights = (env @ engine.weights[site_idx]).tolist()
+
+        def child(n):
+            return env @ transfers[n]
+    else:
+        children = [chain.propagate(engine.state, site_idx, env, (n,))
+                    for n in range(engine.local_dim)]
+        weights = [sampling._squared_norm(c) for c in children]
+        child = children.__getitem__
+    return weights, sampling.normalize_conditionals(weights), child
+
+
+def _reference_draw(engine, rng: np.random.Generator) -> sampling.SamplingResult:
+    """One draw, site by site, with one ``rng.random()`` per site."""
+    env = engine.start
+    running = engine.total
+    outcome = []
+    joint = 1.0
+    max_deficit = 0.0
+    for site_idx in range(engine.num_modes):
+        weights, probs, child = _reference_step(engine, env, site_idx)
+        total = sum(max(w, 0.0) for w in weights)
+        if running > 0.0:
+            max_deficit = max(max_deficit, abs(1.0 - total / running))
+        u = rng.random()
+        cum = 0.0
+        pick = engine.local_dim - 1
+        for n, p in enumerate(probs):
+            cum += p
+            if u < cum:
+                pick = n
+                break
+        outcome.append(pick)
+        joint *= probs[pick]
+        env = child(pick)
+        running = weights[pick]
+    return sampling.SamplingResult(
+        outcome=tuple(outcome),
+        joint_probability=joint,
+        max_step_deficit=max_deficit,
+    )
+
+
+def reference_sample_many(state, rng: np.random.Generator, count: int):
+    """``sampling.sample_many`` as ``count`` draws made one after the other."""
+    engine = sampling._engine(state)
+    return [_reference_draw(engine, rng) for _ in range(count)]
+
+
+def reference_sample_counts(state, rng: np.random.Generator, count: int) -> dict:
+    """``sampling.sample_counts`` with every frontier node stepped on its own."""
+    engine = sampling._engine(state)
+    frontier = [(engine.start, (), count)]
+    for site_idx in range(engine.num_modes):
+        nxt = []
+        for env, prefix, n_here in frontier:
+            _, probs, child = _reference_step(engine, env, site_idx)
+            split = rng.multinomial(n_here, probs)
+            for occupation, n_child in enumerate(split):
+                if n_child > 0:
+                    nxt.append((child(occupation), prefix + (occupation,), int(n_child)))
+        frontier = nxt
+    results: dict = {}
+    for _, outcome, n in frontier:
+        results[outcome] = results.get(outcome, 0) + n
+    return results
 
 
 def exact_lossless_distribution(u: np.ndarray, s: tuple[int, ...]) -> ExactDistribution:

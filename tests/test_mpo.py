@@ -265,17 +265,18 @@ def test_outcome_prob_clamps_a_marginal_above_one():
 
 
 def test_diagonal_reads_go_through_marginal(monkeypatch):
+    # ``marginal`` checks a prefix and ``outcome_prob`` a full pattern, each
+    # once; both then read rho's diagonal in the one walk ``_marginal``.
     state = mpo.init_lossy(2, 4, 0.6)
     chain.apply_plan(state, haar_plan(4, seed=59), TruncationPolicy(chi_max=3))
-    original = mpo.marginal
+    original = mpo._marginal
     seen = []
 
     def recording(st, prefix):
         seen.append(tuple(prefix))
         return original(st, prefix)
 
-    monkeypatch.setattr(mpo, "marginal", recording)
-    monkeypatch.setattr(sampling, "marginal", recording)
+    monkeypatch.setattr(mpo, "_marginal", recording)
     mpo.trace(state)
     mpo.outcome_prob(state, (1, 0, 1, 0))
     sampling.marginal_prob(state, (1,))

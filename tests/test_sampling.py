@@ -13,14 +13,20 @@ from bosonet.circuit import BeamSplitterGate, circuit_to_unitary
 from bosonet.linalg import DegradedStateError, NumericalFailure, TruncationPolicy
 from bosonet.oracle import exact_lossy_distribution
 
-from helpers import all_outcomes, exact_lossless_distribution, haar_plan
+from helpers import (
+    all_outcomes,
+    exact_lossless_distribution,
+    haar_plan,
+    reference_sample_counts,
+    reference_sample_many,
+)
 
 EXACT = TruncationPolicy(chi_max=10_000)
 
 
-def evolved_mps(occupations, seed):
+def evolved_mps(occupations, seed, policy=EXACT):
     state = mps.init_fock(occupations)
-    chain.apply_plan(state, haar_plan(len(occupations), seed), EXACT)
+    chain.apply_plan(state, haar_plan(len(occupations), seed), policy)
     return state
 
 
@@ -346,6 +352,105 @@ def test_lossy_draws_take_no_separate_trace(monkeypatch):
     assert len(sampling.sample_many(state, np.random.default_rng(0), 5)) == 5
     assert sum(sampling.sample_counts(state, np.random.default_rng(0), 50).values()) == 50
     sampling.sample(state, np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# Batched draws against the samplers that take one draw at a time
+
+
+@pytest.fixture(scope="module", params=["mps-exact", "mps-chi4", "mpo-exact", "mpo-chi8"])
+def read_state(request):
+    """An MPS and an MPO, each at exact rank and truncated; none of their
+    first 100 draws fails."""
+    kind, rank = request.param.split("-")
+    policy = EXACT if rank == "exact" else TruncationPolicy(chi_max=int(rank[3:]))
+    if kind == "mps":
+        state = evolved_mps((1, 1, 1, 0, 0, 0, 0, 0), seed=71, policy=policy)
+    else:
+        state = evolved_mpo(3, 10 if rank != "exact" else 8, 0.5, seed=1, policy=policy)
+    assert (state.discarded_weight > 1e-3) == (rank != "exact")
+    return state
+
+
+def bits(results):
+    """Outcomes, joint probabilities and deficits of draws, the floats by ``float.hex``."""
+    return [(r.outcome, r.joint_probability.hex(), r.max_step_deficit.hex()) for r in results]
+
+
+def drawn(draw, state, seed, count):
+    """(``bits`` of the draws, or the failure they raised; the next uniform after them)."""
+    rng = np.random.default_rng(seed)
+    try:
+        got = draw(state, rng, count)
+    except NumericalFailure as exc:
+        got = f"NumericalFailure: {exc}"
+    return got if isinstance(got, (str, dict)) else bits(got), rng.random().hex()
+
+
+@pytest.mark.parametrize("chunk", [7, sampling.DRAW_CHUNK])
+def test_batched_draws_equal_the_reference_bit_for_bit(read_state, chunk, monkeypatch):
+    monkeypatch.setattr(sampling, "DRAW_CHUNK", chunk)
+    want = drawn(reference_sample_many, read_state, 5, 100)
+    assert isinstance(want[0], list)
+    assert drawn(sampling.sample_many, read_state, 5, 100) == want
+
+
+def test_first_draws_of_a_call_equal_a_shorter_call(read_state, monkeypatch):
+    monkeypatch.setattr(sampling, "DRAW_CHUNK", 7)
+    all_draws, _ = drawn(sampling.sample_many, read_state, 9, 30)
+    for count in (1, 6, 7, 8, 15, 30):
+        got, after = drawn(sampling.sample_many, read_state, 9, count)
+        assert got == all_draws[:count]
+        assert after == drawn(reference_sample_many, read_state, 9, count)[1]
+
+
+#: (chi, mu, seed) of truncated M=10, N=3 lossy states whose first failing
+#: draw is draw 3, 6, 5 or 5, so good draws come before it in its batch, and
+#: later draws fail too.
+FAILING = [(16, 0.7, 1), (24, 0.7, 1), (32, 0.7, 1), (32, 0.5, 1)]
+
+
+@pytest.mark.parametrize("chunk", [5, sampling.DRAW_CHUNK])
+@pytest.mark.parametrize("chi,mu,seed", FAILING)
+def test_a_failing_draw_in_a_batch_fails_as_the_reference(chi, mu, seed, chunk, monkeypatch):
+    monkeypatch.setattr(sampling, "DRAW_CHUNK", chunk)
+    state = evolved_mpo(3, 10, mu, seed, policy=TruncationPolicy(chi_max=chi))
+    want = drawn(reference_sample_many, state, seed, 100)
+    assert want[0].startswith("NumericalFailure: conditional mass")
+    assert drawn(sampling.sample_many, state, seed, 100) == want
+
+
+def test_pure_rows_follow_their_picks_through_a_missing_block():
+    # Occupation 2 at mode 1 leaves no photon, so at mode 2 occupations 1 and
+    # 2 have no block; a row that picks one has an empty environment, whose
+    # masses are 0 at every later mode, as the one-draw step reads it.
+    state = evolved_mps((1, 1, 0, 0), seed=29)
+    engine = sampling._engine(state)
+    paths = [(2, 2, 0), (0, 1, 1), (1, 0, 0)]
+    envs, refs = engine.batch(len(paths)), [engine.start] * len(paths)
+    for site_idx in range(3):
+        masses, child = engine.step(envs, site_idx)
+        for row, path in enumerate(paths):
+            children = [chain.propagate(state, site_idx, refs[row], (n,)) for n in range(3)]
+            assert masses[row].tolist() == [sampling._squared_norm(c) for c in children]
+            refs[row] = children[path[site_idx]]
+        envs = child(np.arange(len(paths)), np.array([path[site_idx] for path in paths]))
+    assert masses[0].tolist() == [0.0, 0.0, 0.0] and masses[1:].sum() > 0.0
+
+
+def test_sample_counts_equals_the_per_node_reference(read_state):
+    want = drawn(reference_sample_counts, read_state, 3, 20_000)
+    got = drawn(sampling.sample_counts, read_state, 3, 20_000)
+    assert got == want
+    assert list(got[0]) == list(want[0])  # the same insertion order
+
+
+@pytest.mark.parametrize("chi,mu,seed", FAILING)
+def test_a_failing_histogram_fails_as_the_per_node_reference(chi, mu, seed):
+    state = evolved_mpo(3, 10, mu, seed, policy=TruncationPolicy(chi_max=chi))
+    want = drawn(reference_sample_counts, state, seed, 20_000)
+    assert want[0].startswith("NumericalFailure: conditional mass")
+    assert drawn(sampling.sample_counts, state, seed, 20_000) == want
 
 
 # ---------------------------------------------------------------------------
