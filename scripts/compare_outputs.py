@@ -102,6 +102,13 @@ CONFIGS = [
               "chi_max": 64, "n_circuits": 2,
               "outcomes": [[1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], [2, 0, 0, 0, 0, 1],
                            [0, 0, 1, 1, 1, 0]]}, False),
+    # A truncated state read at the vacuum, at one pattern of each photon
+    # number up to N and at a pattern above N, which reads 0.
+    ("prob-lossy-chi8", {"experiment": "prob", "num_modes": [6], "num_photons": [3], **LOSSY,
+                         "chi_max": 8, "n_circuits": 2,
+                         "outcomes": [[0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+                                      [1, 0, 0, 0, 1, 0], [0, 2, 0, 0, 0, 1],
+                                      [1, 1, 0, 1, 1, 0]]}, False),
     ("prob-pure", {"experiment": "prob", "num_modes": [6], "num_photons": [2, 3],
                    "chi_max": 64, "n_circuits": 2,
                    "outcomes": [[1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], [2, 0, 0, 0, 0, 1],

@@ -65,7 +65,7 @@ pure state (int charges) has no mirror.
 (``layout.update_plan``) depends only on the block keys of the two sites and
 the charges and sizes of the bonds around them, and places every block with
 integer offsets and gathers, the mirror bookkeeping included; it is cached
-in a least-recently-used cache of ``layout.PLAN_CACHE_SIZE`` (12) plans keyed
+in a least-recently-used cache of ``layout.PLAN_CACHE_SIZE`` (64) plans keyed
 by exactly that structure. The execute step is one path for pure states and
 vectorized operators: matmuls, gathers, SVDs and the pooled cut.
 """
@@ -235,7 +235,7 @@ def two_site_update(
     into the sector stacks, one gate-block matmul per sector, one gather into
     every Phi, the SVDs and ``truncate_global``, and a rebuild by precomputed
     offsets. Plans are cached (least recently used out, at most
-    ``layout.PLAN_CACHE_SIZE``, 12) keyed by the block keys of both sites in
+    ``layout.PLAN_CACHE_SIZE``, 64) keyed by the block keys of both sites in
     dict order and the charges and sizes of bonds k and k+2. Bond k+1 only
     sets the inner dimension of the products, so it is not part of the key.
     A gather copies bits, and every matmul and elementwise operation sees

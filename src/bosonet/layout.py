@@ -32,13 +32,12 @@ import numpy as np
 
 Charge = Hashable
 
-#: Update plans kept at once (least recently used dropped first). Within one
-#: circuit this cap serves 80% of the updates of the paper's M=16, N=4,
-#: chi=256 MPO and 93% of an M=32, N=5, chi=32 MPS's, as many as any cap
-#: would. But every such exact-rank circuit meets the same 24 distinct plans
-#: (2.5 MiB in all) or 35, more than the cap, so each circuit rebuilds all of
-#: them; a cap of 24 would serve 98% of the MPO's updates over 10 circuits.
-PLAN_CACHE_SIZE = 12
+#: Update plans kept at once (least recently used dropped first). Every
+#: exact-rank circuit of the paper's M=16, N=4, chi=256 MPO meets the same 24
+#: distinct plans (2.5 MiB in all), and an M=32, N=5, chi=32 MPS circuit 35, so
+#: this cap holds all of a circuit's plans, and those of the next circuit of
+#: the same size in the same process.
+PLAN_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)

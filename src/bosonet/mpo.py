@@ -23,6 +23,15 @@ the spectrum. Every read of rho's diagonal is one ``marginal`` contraction:
 ``trace`` is its empty prefix and ``outcome_prob`` its full pattern, clamped,
 each pattern checked once, by ``marginal`` as a prefix or by ``outcome_prob``
 as a full pattern.
+
+A read of s photons gets its value from the sectors k >= s alone, and a full
+pattern from (s, s) alone (``_marginal``): the diagonal labels lower both
+charges together, so sector k sits at charge k - p after prefix sites that
+read p photons. No two sectors meet inside the prefix, a sector k < s dies
+there when its charge would go negative, and only k = s ends at the right
+boundary (0, 0). So leaving the other sectors out drops only terms that are
+exactly absent, and every value keeps the bits of the walk over all N + 1
+sectors. ``trace`` reads s = 0 and keeps them all.
 """
 
 from __future__ import annotations
@@ -90,11 +99,40 @@ def marginal(state: MpoState, prefix: tuple[int, ...]) -> float:
 
 
 def _marginal(state: MpoState, prefix: tuple[int, ...]) -> float:
-    """``marginal`` of a ``prefix`` that ``occupation_pattern`` has already checked."""
-    labels = [((n, n),) for n in prefix]
-    if len(prefix) < state.num_modes:
-        labels += [trace_labels(state.local_dim)] * (state.num_modes - len(prefix))
-    return float(chain.contract_selected(state, labels).real) * state.norm_scale
+    """``marginal`` of a ``prefix`` that ``occupation_pattern`` has already checked.
+
+    The walk starts from the boundary sectors k >= s, s the prefix's photon
+    count, and from (s, s) alone for a full pattern (module docstring): the
+    others die inside the prefix, where no two sectors meet, or miss the
+    right boundary (0, 0), so every remaining product and sum is the one of
+    the walk over every sector (``chain.contract_selected``), bit for bit.
+    Each sector crosses the prefix on its own, one vector-matrix product per
+    site; the traced sites then merge them with ``chain.propagate``.
+    """
+    num_modes, sites = state.num_modes, state.sites
+    photons = sum(prefix)
+    full = len(prefix) == num_modes
+    env = {}
+    for charge, lam in state.bonds[0].items():
+        k = charge[0]
+        if k < photons or (full and k > photons):
+            continue
+        vec = lam.astype(np.complex128)
+        for site, n in enumerate(prefix):
+            block = sites[site].get(((k, k), (k - n, k - n)))
+            if block is None:
+                break
+            vec, k = vec @ block, k - n
+        else:
+            env[(k, k)] = vec
+    labels = trace_labels(state.local_dim)
+    for site in range(len(prefix), num_modes):
+        if not env:
+            break
+        env = chain.propagate(state, site, env, labels)
+    # ``sum`` starts from the int 0, as the all-sector walk's does, so an
+    # empty walk and a -0.0 read alike.
+    return float(complex(sum(vec.sum() for vec in env.values())).real) * state.norm_scale
 
 
 def trace(state: MpoState) -> float:

@@ -23,8 +23,11 @@ deficit is reported on the result for diagnostics). ``sample`` is one draw
 of ``sample_many``, and ``sample_many`` carries all its draws through the
 sites together, ``DRAW_CHUNK`` at a time, in ``_draw_chunk``: one engine
 step gives the masses of every draw at site k, the clamp, total, deficit
-and pick are taken column by column over the draws, and the picked children
-form the batch at site k + 1. Row i reads the i-th M uniforms of one
+and pick are taken over the draws at once, and the picked children form the
+batch at site k + 1. Both samplers take a step's masses through one rule,
+``_conditionals``: the clamp of a negative mass, the first failing row and
+the totals, by ``np.cumsum`` along each row, which adds the occupations in
+the order of a Python loop. Row i reads the i-th M uniforms of one
 ``rng.random((chunk, M))``, the same doubles that one ``rng.random()`` per
 site of draws made one after the other reads, and each row's products are
 one gemv, as for a single environment, so every draw is the one-at-a-time
@@ -54,8 +57,12 @@ in float64; the engine raises ``NumericalFailure`` if one is not.
 ``sample_counts`` draws many outcomes at once by multinomial splitting over
 shared prefixes, which is distribution-identical to independent sequential
 draws and exponentially faster when outcomes collide; one engine step per
-mode gives the masses of the whole frontier, which is split node by node,
-and only children that receive draws are advanced.
+mode gives the masses of the whole frontier, one ``rng.multinomial(counts,
+pvals)`` call splits all of it, and only children that receive draws are
+advanced. numpy splits the rows of that call in order, each as a call of its
+own would, so the counts and the generator position are those of one call
+per node. At a failing node only the nodes before it are split, and the
+failure is raised as a node-by-node split raises it.
 """
 
 from __future__ import annotations
@@ -109,20 +116,42 @@ def normalize_conditionals(weights: list[float]) -> list[float]:
     """Clamp tiny negative masses to zero and normalize to a distribution.
 
     Weights below -NEGATIVE_MASS_TOLERANCE indicate a corrupted state and
-    raise; the clamp only absorbs harmless floating-point residue.
+    raise; the clamp only absorbs harmless floating-point residue. The rule
+    is ``_conditionals`` on one row.
     """
-    cleaned = []
+    probs, _, failed = _conditionals(np.array([weights], dtype=float))
+    if failed is not None:
+        raise _mass_failure(weights)
+    return probs[0].tolist()
+
+
+def _conditionals(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """(probabilities, totals, first failing row or None) of a (rows, d) mass array.
+
+    The one rule for a step's conditional masses: a negative mass is
+    clamped to 0, and a row fails if a mass is below
+    -NEGATIVE_MASS_TOLERANCE or its total is not positive. A total is the
+    last entry of ``np.cumsum`` along the row, which adds the occupations in
+    order, so it is the total of a Python loop over them bit for bit. The
+    probabilities of a failing row mean nothing.
+    """
+    cleaned = np.where(masses < 0.0, 0.0, masses)
+    totals = np.cumsum(cleaned, axis=1)[:, -1]
+    failed = np.flatnonzero((masses < -NEGATIVE_MASS_TOLERANCE).any(axis=1) | (totals <= 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = cleaned / totals[:, None]
+    return probs, totals, int(failed[0]) if failed.size else None
+
+
+def _mass_failure(weights) -> NumericalFailure:
+    """The error of a row of masses that ``_conditionals`` refuses."""
     for w in weights:
         if w < -NEGATIVE_MASS_TOLERANCE:
-            raise NumericalFailure(
+            return NumericalFailure(
                 f"conditional mass {w:.3e} below -{NEGATIVE_MASS_TOLERANCE:.0e}; "
                 "state integrity lost"
             )
-        cleaned.append(max(w, 0.0))
-    total = sum(cleaned)
-    if total <= 0.0:
-        raise NumericalFailure("conditional distribution has no positive mass")
-    return [w / total for w in cleaned]
+    return NumericalFailure("conditional distribution has no positive mass")
 
 
 def _squared_norm(env) -> float:
@@ -192,8 +221,10 @@ class _LossyEngine:
 
     ``weights[k]`` is W_k and ``transfers[k][n]`` is T_{k,n} (module
     docstring), both over the diagonal charges of bonds k and k+1 in dict
-    order; ``start`` is the left boundary and ``total`` is Tr rho. A batch of
-    environments is one array, a row per environment.
+    order; a site's d maps T_{k,n} are one (d, rows, cols) array, assembled
+    from its diagonal blocks with one mirror-gauge check per site. ``start``
+    is the left boundary and ``total`` is Tr rho. A batch of environments is
+    one array, a row per environment.
     """
 
     def __init__(self, state: MpoState):
@@ -202,21 +233,27 @@ class _LossyEngine:
         offsets = [_diagonal_offsets(bond) for bond in state.bonds]
         right = np.ones(offsets[-1][1])
         self.weights: list[np.ndarray] = [None] * self.num_modes
-        self.transfers: list[list[np.ndarray]] = [None] * self.num_modes
+        self.transfers: list[np.ndarray] = [None] * self.num_modes
         for k in range(self.num_modes - 1, -1, -1):
             (row_at, num_rows), (col_at, num_cols) = offsets[k], offsets[k + 1]
-            transfers = [np.zeros((num_rows, num_cols)) for _ in range(self.local_dim)]
-            for (cl, cr), block in state.sites[k].items():
-                if cl[0] != cl[1] or cr[0] != cr[1]:
-                    continue
-                if np.any(block.imag):
-                    raise NumericalFailure(
-                        f"site {k + 1} block {(cl, cr)} has a nonzero imaginary part; "
-                        "the mirror gauge is broken"
-                    )
-                r0, c0 = row_at[cl], col_at[cr]
-                rows, cols = block.shape
-                transfers[cl[0] - cr[0]][r0 : r0 + rows, c0 : c0 + cols] = block.real
+            blocks = state.sites[k]
+            # maps[n] is T_{k,n}: the diagonal blocks of occupation n, placed.
+            maps = np.zeros((self.local_dim, num_rows, num_cols), dtype=np.complex128)
+            for cl, r0 in row_at.items():
+                for n in range(self.local_dim):
+                    cr = (cl[0] - n, cl[1] - n)
+                    block = blocks.get((cl, cr))
+                    if block is not None:
+                        c0 = col_at[cr]
+                        maps[n, r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
+            if np.any(maps.imag):
+                key = next((cl, cr) for (cl, cr), block in blocks.items()
+                           if cl[0] == cl[1] and cr[0] == cr[1] and np.any(block.imag))
+                raise NumericalFailure(
+                    f"site {k + 1} block {key} has a nonzero imaginary part; "
+                    "the mirror gauge is broken"
+                )
+            transfers = maps.real.copy()
             closed = np.stack([t @ right for t in transfers], axis=1)
             right = closed.sum(axis=1)
             self.weights[k] = closed * state.norm_scale
@@ -336,32 +373,20 @@ def _draw_chunk(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for site_idx in range(num_modes):
             masses, child = engine.step(envs, site_idx)
-            cleaned = np.where(masses < 0.0, 0.0, masses)
-            total = np.zeros(live)
-            for n in range(dim):
-                total += cleaned[:, n]
-            failed = np.flatnonzero((masses < -NEGATIVE_MASS_TOLERANCE).any(axis=1)
-                                    | (total <= 0.0))
-            if failed.size:
-                live = int(failed[0])
+            probs, total, failed = _conditionals(masses)
+            if failed is not None:
+                live = failed
                 failure = (live, site_idx, masses[live].tolist())
                 if live == 0:
                     break
-                masses, cleaned, total = masses[:live], cleaned[:live], total[:live]
-            probs = cleaned / total[:, None]
+                masses, probs, total = masses[:live], probs[:live], total[:live]
             running = running[:live]
             deficit = np.abs(1.0 - total / running)
             max_deficit = np.where((running > 0.0) & (deficit > max_deficit[:live]),
                                    deficit, max_deficit[:live])
-            u = uniforms[:live, site_idx]
-            cum = np.zeros(live)
-            pick = np.full(live, dim - 1)
-            undecided = np.ones(live, dtype=bool)
-            for n in range(dim):
-                cum += probs[:, n]
-                hit = undecided & (u < cum)
-                pick[hit] = n
-                undecided &= ~hit
+            # The first occupation whose running sum passes u, else the last.
+            hit = uniforms[:live, site_idx, None] < np.cumsum(probs, axis=1)
+            pick = np.where(hit.any(axis=1), hit.argmax(axis=1), dim - 1)
             rows = np.arange(live)
             joint = joint[:live] * probs[rows, pick]
             running = masses[rows, pick]
@@ -372,7 +397,7 @@ def _draw_chunk(
         draw, site_idx, weights = failure
         rng.bit_generator.state = saved
         rng.random(draw * num_modes + site_idx)
-        normalize_conditionals(weights)  # raises: the row failed these very checks
+        raise _mass_failure(weights)
     return [SamplingResult(tuple(o), j, d)
             for o, j, d in zip(outcomes.tolist(), joint.tolist(), max_deficit.tolist())]
 
@@ -387,25 +412,26 @@ def sample_counts(
     Identical in distribution to ``count`` independent ``sample`` calls:
     outcomes sharing a prefix share the conditional computation, and the
     counts are split multinomially at each mode. Each mode's masses come
-    from one engine step over the whole frontier, which is then split node
-    by node in order.
+    from one engine step over the whole frontier, which one multinomial call
+    then splits, node by node in order.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     engine = _engine(state)
-    envs, prefixes, counts = engine.batch(1), [()], [count]
+    envs, outcomes, counts = engine.batch(1), np.empty((1, 0), dtype=np.intp), np.array([count])
     for site_idx in range(engine.num_modes):
         masses, child = engine.step(envs, site_idx)
-        parents, picks, next_prefixes, next_counts = [], [], [], []
-        for node, weights in enumerate(masses.tolist()):
-            split = rng.multinomial(counts[node], normalize_conditionals(weights))
-            for occupation, n_child in enumerate(split.tolist()):
-                if n_child > 0:
-                    parents.append(node)
-                    picks.append(occupation)
-                    next_prefixes.append(prefixes[node] + (occupation,))
-                    next_counts.append(n_child)
+        probs, _, failed = _conditionals(masses)
+        # One call splits every node in order, as one call per node would, bit
+        # for bit and in generator position; the nodes before a failing one
+        # are split first, as they were before the failure was found.
+        live = len(counts) if failed is None else failed
+        splits = rng.multinomial(counts[:live], probs[:live])
+        if failed is not None:
+            raise _mass_failure(masses[failed].tolist())
+        parents, picks = np.nonzero(splits)
+        outcomes = np.column_stack([outcomes[parents], picks])
+        counts = splits[parents, picks]
         if site_idx + 1 < engine.num_modes:
-            envs = child(np.array(parents, dtype=np.intp), np.array(picks, dtype=np.intp))
-        prefixes, counts = next_prefixes, next_counts
-    return dict(zip(prefixes, counts))
+            envs = child(parents, picks)
+    return dict(zip(map(tuple, outcomes.tolist()), counts.tolist()))

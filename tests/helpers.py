@@ -3,7 +3,10 @@
 Besides circuits, outcome grids, snapshot edits and a check that no worker
 process is left, this holds the references that only the tests compare
 against: the samplers that take one draw, and one histogram node, at a time
-(``reference_sample_many``, ``reference_sample_counts``), and, built on
+(``reference_sample_many``, ``reference_sample_counts``), with their own
+Python-loop rule for a step's conditionals
+(``reference_normalize_conditionals``), the read of rho's diagonal as one
+walk over every boundary sector (``all_sector_marginal``), and, built on
 ``bosonet.oracle``, the exact lossless output distribution, ``matrix_element``
 of a density operator, and the operator-space spectra of a lossy state, both
 of the charge-resolved object the train stores and of rho itself.
@@ -18,7 +21,8 @@ import pytest
 
 from bosonet import chain, sampling
 from bosonet.circuit import CircuitPlan, occupation_pattern, sample_haar_circuit
-from bosonet.mpo import MpoState
+from bosonet.linalg import NumericalFailure
+from bosonet.mpo import MpoState, trace_labels
 from bosonet.oracle import ExactDistribution, dense_evolve, enumerate_occupations, exact_prob
 
 
@@ -74,7 +78,25 @@ def _reference_step(engine, env, site_idx: int):
                     for n in range(engine.local_dim)]
         weights = [sampling._squared_norm(c) for c in children]
         child = children.__getitem__
-    return weights, sampling.normalize_conditionals(weights), child
+    return weights, reference_normalize_conditionals(weights), child
+
+
+def reference_normalize_conditionals(weights: list[float]) -> list[float]:
+    """``sampling.normalize_conditionals`` as a Python loop over one row: clamp a
+    negative mass to 0, refuse one below the tolerance or a total that is not
+    positive, and divide by the total of the sequential adds."""
+    cleaned = []
+    for w in weights:
+        if w < -sampling.NEGATIVE_MASS_TOLERANCE:
+            raise NumericalFailure(
+                f"conditional mass {w:.3e} below -{sampling.NEGATIVE_MASS_TOLERANCE:.0e}; "
+                "state integrity lost"
+            )
+        cleaned.append(max(w, 0.0))
+    total = sum(cleaned)
+    if total <= 0.0:
+        raise NumericalFailure("conditional distribution has no positive mass")
+    return [w / total for w in cleaned]
 
 
 def _reference_draw(engine, rng: np.random.Generator) -> sampling.SamplingResult:
@@ -131,6 +153,14 @@ def reference_sample_counts(state, rng: np.random.Generator, count: int) -> dict
     for _, outcome, n in frontier:
         results[outcome] = results.get(outcome, 0) + n
     return results
+
+
+def all_sector_marginal(state: MpoState, prefix: tuple[int, ...]) -> float:
+    """``mpo.marginal`` as one ``chain.contract_selected`` walk from every boundary
+    sector: the prefix at its diagonal labels, every later site traced out."""
+    labels = [((n, n),) for n in prefix]
+    labels += [trace_labels(state.local_dim)] * (state.num_modes - len(prefix))
+    return float(chain.contract_selected(state, labels).real) * state.norm_scale
 
 
 def exact_lossless_distribution(u: np.ndarray, s: tuple[int, ...]) -> ExactDistribution:

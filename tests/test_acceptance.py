@@ -49,7 +49,7 @@ from bosonet.entropy import (
     naive_cost,
     partition_angles,
 )
-from bosonet.experiments import circuit_rng, config_from_dict, run_to_files
+from bosonet.experiments import circuit_rng, config_from_dict, run, run_to_files
 from bosonet.linalg import TruncationPolicy
 from bosonet.oracle import (
     dense_evolve,
@@ -439,20 +439,15 @@ class TestModeConvergence:
 
 class TestLossScalingTrends:
     def test_simulated_operator_entropy_grows_at_constant_loss(self):
-        means = {}
-        for n in range(1, 5):
-            peaks = []
-            for c in range(5):
-                plan = sample_haar_circuit(16, circuit_rng(606, n - 1, c))
-                op = mpo.init_lossy(n, 16, 0.5)
-                policy = TruncationPolicy(chi_max=256)
-                peak = 0.0
-                for layer in plan.layers():
-                    for gate in layer:
-                        chain.apply_gate(op, gate, policy)
-                    peak = max(peak, chain.max_bond_entropy(op, 1.0)[1])
-                peaks.append(peak)
-            means[n] = float(np.mean(peaks))
+        # The lossy-ee recipe itself, so the values do not depend on the
+        # host's BLAS thread count: ``run`` pins OpenBLAS to one thread.
+        record = run(config_from_dict({
+            "experiment": "lossy-ee", "seed": 606, "num_modes": [16],
+            "num_photons": [1, 2, 3, 4], "loss": {"kind": "constant", "mu": 0.5},
+            "chi_max": 256, "n_circuits": 5}))
+        assert record.status == "ok", record.message
+        means = {row["N"]: row["mean_peak_ee"] for row in record.summary}
+        assert list(means) == [1, 2, 3, 4]
         assert means[1] < means[2] < means[3] < means[4], means
 
     def test_closed_form_scaling_exponents(self):

@@ -49,10 +49,14 @@ def test_plan_cache_never_exceeds_its_cap():
     assert layout.update_plan.cache_info().maxsize == layout.PLAN_CACHE_SIZE
     layout.update_plan.cache_clear()
     plan = sample_haar_circuit(8, np.random.default_rng(np.random.SeedSequence(5)))
-    state = mpo.init_lossy(3, 8, 0.5)
-    for gate in plan.gates:
-        chain.apply_gate(state, gate, TruncationPolicy(chi_max=8))
-        assert layout.update_plan.cache_info().currsize <= layout.PLAN_CACHE_SIZE
+    # One truncated circuit meets fewer layouts than the cap; each chi sizes
+    # the bonds differently, so the circuit at every chi adds layouts of its own.
+    for chi in (8, 12, 16, 20, 24):
+        state = mpo.init_lossy(3, 8, 0.5)
+        for gate in plan.gates:
+            chain.apply_gate(state, gate, TruncationPolicy(chi_max=chi))
+            assert layout.update_plan.cache_info().currsize <= layout.PLAN_CACHE_SIZE
+        assert state.discarded_weight > 0.0
     assert layout.update_plan.cache_info().misses > layout.PLAN_CACHE_SIZE
 
 

@@ -11,7 +11,13 @@ from bosonet.circuit import BeamSplitterGate, circuit_to_unitary, fock_gate
 from bosonet.linalg import TruncationPolicy
 from bosonet.oracle import exact_lossy_distribution
 
-from helpers import all_outcomes, dense_lossy_vectorized_spectrum, haar_plan, matrix_element
+from helpers import (
+    all_outcomes,
+    all_sector_marginal,
+    dense_lossy_vectorized_spectrum,
+    haar_plan,
+    matrix_element,
+)
 
 EXACT = TruncationPolicy(chi_max=10_000)
 
@@ -282,6 +288,29 @@ def test_diagonal_reads_go_through_marginal(monkeypatch):
     sampling.marginal_prob(state, (1,))
     # marginal_prob reads the trace for its degraded-state check first.
     assert seen == [(), (1, 0, 1, 0), (), (1,)]
+
+
+@pytest.mark.parametrize("mu,chi", [(0.5, 10_000), (0.5, 8), (0.0, 10_000), (1.0, 10_000)])
+def test_sector_walk_reads_the_bits_of_the_all_sector_walk(mu, chi):
+    # ``mpo._marginal`` starts only from the boundary sectors a pattern can
+    # reach the end from; every read must keep the bits of the walk from all
+    # of them, patterns of N + 1 photons (which read 0) included.
+    n, m = 3, 6
+    state = mpo.init_lossy(n, m, mu)
+    chain.apply_plan(state, haar_plan(m, seed=83), TruncationPolicy(chi_max=chi))
+    assert (state.discarded_weight > 1e-3) == (chi == 8)
+    patterns = all_outcomes(m, n + 1)
+    for occs in patterns:
+        want = all_sector_marginal(state, occs)
+        assert mpo.marginal(state, occs).hex() == want.hex()
+        assert mpo.outcome_prob(state, occs).hex() == min(max(want, 0.0), 1.0).hex()
+    prefixes = sorted({occs[:length] for occs in patterns for length in range(m)})
+    for prefix in prefixes:
+        want = all_sector_marginal(state, prefix).hex()
+        assert mpo.marginal(state, prefix).hex() == want
+        assert sampling.marginal_prob(state, prefix).hex() == want
+    assert mpo.trace(state).hex() == all_sector_marginal(state, ()).hex()
+    assert len(patterns) + len(prefixes) > 400
 
 
 def test_outcome_prob_is_zero_beyond_photon_number():

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from bosonet import chain, mpo, mps, sampling
-from bosonet.circuit import BeamSplitterGate, circuit_to_unitary
+from bosonet.circuit import BeamSplitterGate, circuit_to_unitary, sample_haar_circuit
+from bosonet.experiments import circuit_rng
 from bosonet.linalg import DegradedStateError, NumericalFailure, TruncationPolicy
 from bosonet.oracle import exact_lossy_distribution
 
@@ -17,6 +18,7 @@ from helpers import (
     all_outcomes,
     exact_lossless_distribution,
     haar_plan,
+    reference_normalize_conditionals,
     reference_sample_counts,
     reference_sample_many,
 )
@@ -270,7 +272,7 @@ class PerCandidateSampler:
         for k in range(self.state.num_modes):
             envs = [chain.propagate(self.state, k, env, label) for label in self.labels]
             weights = [self.close(e, k + 1) if e else 0.0 for e in envs]
-            probs = sampling.normalize_conditionals(weights)
+            probs = reference_normalize_conditionals(weights)
             total = sum(max(w, 0.0) for w in weights)
             if running > 0.0:
                 max_deficit = max(max_deficit, abs(1.0 - total / running))
@@ -453,6 +455,19 @@ def test_a_failing_histogram_fails_as_the_per_node_reference(chi, mu, seed):
     assert drawn(sampling.sample_counts, state, seed, 20_000) == want
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_truncated_probe_histogram_fails_as_the_per_node_reference(seed):
+    # The benchmark's truncated probe state (M=16, N=3, mu=0.5, chi=32): the
+    # whole frontier is split in one call per mode, and a failure must leave
+    # the message and the generator position of node-by-node splitting.
+    state = mpo.init_lossy(3, 16, 0.5)
+    chain.apply_plan(state, sample_haar_circuit(16, circuit_rng(seed, 0, 0)),
+                     TruncationPolicy(chi_max=32))
+    want = drawn(reference_sample_counts, state, seed, 20_000)
+    assert want[0].startswith("NumericalFailure: conditional mass")
+    assert drawn(sampling.sample_counts, state, seed, 20_000) == want
+
+
 # ---------------------------------------------------------------------------
 # Failure modes
 
@@ -488,3 +503,49 @@ def test_normalize_conditionals():
         sampling.normalize_conditionals([0.6, -1e-7])
     with pytest.raises(NumericalFailure):
         sampling.normalize_conditionals([0.0, 0.0])
+
+
+def _reference_conditionals(row):
+    try:
+        return [p.hex() for p in reference_normalize_conditionals(row)]
+    except NumericalFailure as exc:
+        return str(exc)
+
+
+def test_conditionals_keep_the_bits_and_messages_of_the_reference_loop():
+    # The samplers' one vectorized rule must keep the clamp, the sequential
+    # total, the division and the messages of the loop over one row: rows
+    # with -0.0, tiny negatives and zero totals, and rows of 16 and 20
+    # masses, where a pairwise sum differs from the sequential one.
+    rng = np.random.default_rng(5)
+    rows = [
+        [0.5, 0.5], [0.6, -5e-9], [-0.0, 0.3, 0.7], [0.0, -0.0, 1e-300],
+        [-1e-9, 2.0, -0.0, 1e-17], [1.0] + [1e-16] * 15,
+        [0.0, 0.0], [-0.0, -0.0], [0.0, -5e-9], [0.6, -1e-7], [-2e-8, 0.5, -3e-3],
+    ]
+    for length in (2, 4, 16, 20):
+        for i in range(50):
+            row = rng.random(length) * 10.0 ** rng.integers(-16, 2, size=length)
+            if i % 2:
+                row[rng.integers(length)] = -1e-9 * rng.random()
+            rows.append(row.tolist())
+    for row in rows:
+        try:
+            got = [p.hex() for p in sampling.normalize_conditionals(row)]
+        except NumericalFailure as exc:
+            got = str(exc)
+        assert got == _reference_conditionals(row)
+    by_length = {}
+    for row in rows:
+        by_length.setdefault(len(row), []).append(row)
+    assert sorted(by_length) == [2, 3, 4, 16, 20]
+    for same in by_length.values():
+        want = [_reference_conditionals(row) for row in same]
+        probs, totals, failed = sampling._conditionals(np.array(same))
+        first = next((i for i, w in enumerate(want) if isinstance(w, str)), None)
+        assert failed == first
+        for i in range(len(same) if first is None else first):
+            assert [p.hex() for p in probs[i]] == want[i]
+            assert totals[i].hex() == sum(max(w, 0.0) for w in same[i]).hex()
+        if first is not None:
+            assert str(sampling._mass_failure(same[first])) == want[first]
