@@ -66,7 +66,9 @@ pure state (int charges) has no mirror.
 the charges and sizes of the bonds around them, and places every block with
 integer offsets and gathers, the mirror bookkeeping included; it is cached
 in a least-recently-used cache of ``layout.PLAN_CACHE_SIZE`` (64) plans keyed
-by exactly that structure. The execute step is one path for pure states and
+by exactly that structure. The cache is per process: a forked worker starts
+with its parent's, empty in a sweep, so the plans it meets in its first
+circuit are built there. The execute step is one path for pure states and
 vectorized operators: matmuls, gathers, SVDs and the pooled cut.
 """
 
@@ -288,7 +290,7 @@ def two_site_update(
 
     # Decompose Theta = lambda_left Phi per assembled center charge; only the
     # singular values and V^dag are kept.
-    factors = []
+    factors, spectra, units = [], [], []
     for center in plan.centers:
         rows, cols = center.shape
         phi = phis[center.start : center.start + rows * cols].reshape(rows, cols)
@@ -296,27 +298,31 @@ def two_site_update(
             phi = _to_real(phi, *center.halves)
         result = svd(weights[center.weights : center.weights + rows, None] * phi)
         factors.append((phi, result.singular_values, result.right_conj))
-    outcome = truncate_global([(center.charge, values) for center, (_, values, _)
-                               in zip(plan.centers, factors)],
-                              policy, units=[center.copies for center in plan.centers])
+        spectra.append((center.charge, result.singular_values))
+        units.append(center.copies)
+    outcome = truncate_global(spectra, policy, units=units)
 
-    # Rebuild the center bond and both site tensors from the kept columns.
+    # Rebuild the center bond and both site tensors from the kept columns. A
+    # spectrum is descending and the cut breaks ties by the smaller index, so
+    # it keeps a prefix of every spectrum: the first ``kept`` values and rows
+    # of V^dag, taken as C-contiguous views like the copies a gather of those
+    # rows would make.
     new_bond: dict[Charge, np.ndarray] = {}
     new_left: dict[tuple[Charge, Charge], np.ndarray] = {}
     new_right: dict[tuple[Charge, Charge], np.ndarray] = {}
     for out in plan.outputs:
-        kept = outcome.kept_by_group[out.center]
-        if not kept.size:
+        kept = outcome.kept_by_group[out.center].size
+        if not kept:
             continue
         phi, values, right_conj = factors[out.center]
-        new_bond[out.charge] = values[kept]
+        new_bond[out.charge] = values[:kept]
         if out.mirror:
             for key, source in out.left:
                 new_left[key] = new_left[source].conj()
             for key, source in out.right:
                 new_right[key] = new_right[source].conj()
             continue
-        left, right = _kept_factors(phi, right_conj[kept, :], plan.centers[out.center].halves)
+        left, right = _kept_factors(phi, right_conj[:kept], plan.centers[out.center].halves)
         for key, r0, r1 in out.left:
             new_left[key] = left[r0:r1]
         # Copied, so each stored block is contiguous like a reloaded snapshot
@@ -517,10 +523,26 @@ def renyi_entropy(state: TensorTrainState, bond: int, alpha: float) -> float:
     return normalized_renyi(p / p.sum(), alpha)
 
 
-def max_bond_entropy(state: TensorTrainState, alpha: float) -> tuple[int, float]:
-    """(bond index, value) of the maximum interior-bond entropy; ties -> smallest bond."""
+def max_bond_entropy(state: TensorTrainState, alpha: float,
+                     memo: dict[int, tuple[dict, float]] | None = None) -> tuple[int, float]:
+    """(bond index, value) of the maximum interior-bond entropy; ties -> smallest bond.
+
+    ``memo``, a dict that a caller keeps for one state and one ``alpha``,
+    carries each bond's entropy from one call to the next, stored with the
+    bond dict it was computed from: a bond whose dict is still that object
+    is not recomputed. An update replaces the dicts of the bonds it changes
+    and edits none in place, so after a brickwork layer only the bonds at
+    its gates are recomputed, and every value is the one a call without
+    ``memo`` returns, bit for bit.
+    """
     if state.num_modes < 2:
         return 1, 0.0
-    values = [renyi_entropy(state, k, alpha) for k in range(1, state.num_modes)]
+    memo = {} if memo is None else memo
+    values = []
+    for k in range(1, state.num_modes):
+        entry = memo.get(k)
+        if entry is None or entry[0] is not state.bonds[k]:
+            entry = memo[k] = (state.bonds[k], renyi_entropy(state, k, alpha))
+        values.append(entry[1])
     best = max(values)
     return values.index(best) + 1, best

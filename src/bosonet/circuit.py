@@ -191,7 +191,7 @@ def fock_gate(gate: BeamSplitterGate, local_dim: int) -> list[np.ndarray]:
     """
     if local_dim < 1:
         raise ValueError("local_dim must be positive")
-    slot, coeff, e_t, e_rp, e_r, norm = _sector_terms(local_dim)
+    slot, coeff, e_t, e_rp, e_r, norm, spans = _sector_terms(local_dim)
     t = math.cos(gate.theta)
     s_refl = math.sin(gate.theta)
     rp = -np.exp(1j * gate.phi) * s_refl  # coefficient sending input 1 to output 2
@@ -208,8 +208,7 @@ def fock_gate(gate: BeamSplitterGate, local_dim: int) -> list[np.ndarray]:
     flat = np.empty(len(norm), dtype=np.complex128)
     flat.real = norm * np.bincount(slot, a * x - b * y, len(norm))
     flat.imag = norm * np.bincount(slot, a * y + b * x, len(norm))
-    ends = np.cumsum([(n + 1) ** 2 for n in powers])
-    return [block.reshape(n + 1, n + 1) for n, block in enumerate(np.split(flat, ends[:-1]))]
+    return [flat[start:stop].reshape(side, side) for start, stop, side in spans]
 
 
 @lru_cache(maxsize=None)
@@ -220,10 +219,12 @@ def _sector_terms(d: int) -> tuple[np.ndarray, ...]:
     blocks, each with its number-state normalization. Per term, q photons of
     input 2 and p = j - q of input 1 reach output 1: the term holds its entry's
     position, the binomial factor and the exponents of cos(t), of the 1->2
-    and of the 2->1 coefficient, in ascending q within each entry.
+    and of the 2->1 coefficient, in ascending q within each entry. Last come
+    the (first entry, end, side) of every sector's block.
     """
-    terms, norm = [], []
+    terms, norm, spans = [], [], []
     for n in range(d):
+        first = len(norm)
         for j in range(n + 1):
             for i in range(n + 1):
                 norm.append(math.sqrt(math.factorial(j) * math.factorial(n - j)
@@ -231,5 +232,6 @@ def _sector_terms(d: int) -> tuple[np.ndarray, ...]:
                 terms += [(len(norm) - 1, math.comb(i, j - q) * math.comb(n - i, q),
                            j - q + n - i - q, i - j + q, q)
                           for q in range(max(0, j - i), min(j, n - i) + 1)]
+        spans.append((first, len(norm), n + 1))
     slot, coeff, e_t, e_rp, e_r = np.array(terms).T
-    return slot, coeff.astype(float), e_t, e_rp, e_r, np.array(norm)
+    return slot, coeff.astype(float), e_t, e_rp, e_r, np.array(norm), tuple(spans)

@@ -687,6 +687,9 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
         base: dict[str, Any] = {"config_hash": digest, "M": m, "N": n, **loss,
                                 "chi": policy.chi_max, "circuit": c}
         state = _initial_state(m, n, loss, bunched)
+        # Bond entropies by bond dict, one memo per alpha; a state restored
+        # from a checkpoint brings new dicts, so nothing stale is read.
+        memos = [{} for _ in config.alphas]
 
         def on_layer(layer_index: int, st) -> list[dict[str, Any]]:
             shared = {**base, "layer": layer_index + 1, "max_bond_dim": st.max_bond_dimension(),
@@ -697,8 +700,8 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
                                         f"after layer {layer_index + 1} of circuit {c} "
                                         f"(M={m}, N={n})")
             out = []
-            for alpha in config.alphas:
-                bond, value = chain.max_bond_entropy(st, alpha)
+            for alpha, memo in zip(config.alphas, memos):
+                bond, value = chain.max_bond_entropy(st, alpha, memo)
                 out.append({**shared, "alpha": alpha, "max_ee": value, "peak_bond": bond})
             return out
 

@@ -35,8 +35,10 @@ Charge = Hashable
 #: Update plans kept at once (least recently used dropped first). Every
 #: exact-rank circuit of the paper's M=16, N=4, chi=256 MPO meets the same 24
 #: distinct plans (2.5 MiB in all), and an M=32, N=5, chi=32 MPS circuit 35, so
-#: this cap holds all of a circuit's plans, and those of the next circuit of
-#: the same size in the same process.
+#: this cap holds all of a circuit's plans, and a process that evolves the next
+#: circuit of the same size finds them there. A forked worker of
+#: ``experiments`` starts with its parent's cache, which is empty because the
+#: parent evolves nothing, so each worker builds its first circuit's plans.
 PLAN_CACHE_SIZE = 64
 
 

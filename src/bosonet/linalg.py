@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
 from typing import Any, Hashable, Iterator, Sequence
@@ -59,23 +59,27 @@ class TruncationPolicy:
 
 @dataclass
 class TruncationOutcome:
-    """Kept (group label, value) pairs in keep order, dropped weight, kept indices per group."""
+    """Dropped weight and kept indices per group of one pooled cut.
 
-    kept: list[tuple[Hashable, float]]
+    ``kept`` lists each kept value once as a (group label, value) pair in keep
+    order (descending value, then pooled position). It is built from the
+    groups the cut was given each time it is read, so a caller that reads
+    only ``kept_by_group`` does not pay for it.
+    """
+
     discarded_weight: float
     kept_by_group: list[np.ndarray]
+    groups: Sequence[tuple[Hashable, np.ndarray]] = field(repr=False)
 
-
-def _as_matrix(m: np.ndarray) -> np.ndarray:
-    a = np.asarray(m)
-    a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64, copy=False)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        raise ValueError("matrix must be nonempty")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    return a
+    @property
+    def kept(self) -> list[tuple[Hashable, float]]:
+        values = [np.asarray(vals, dtype=np.float64)[kept]
+                  for (_, vals), kept in zip(self.groups, self.kept_by_group)]
+        group = np.repeat(np.arange(len(values)), [vals.size for vals in values])
+        pooled = np.concatenate(values) if values else np.zeros(0)
+        order = np.argsort(-pooled, kind="stable")
+        return [(self.groups[g][0], v) for g, v in zip(group[order].tolist(),
+                                                        pooled[order].tolist())]
 
 
 def svd(m: np.ndarray) -> SvdResult:
@@ -85,9 +89,21 @@ def svd(m: np.ndarray) -> SvdResult:
     complex128 one. numpy's driver (gesdd) runs first; if it does not
     converge, scipy's gesvd, slower but more robust, gets the same matrix.
     scipy.linalg is imported only then, so a run whose SVDs all converge
-    never loads it. Raises NumericalFailure if neither driver converges.
+    never loads it. The factors are C-contiguous from either routine (scipy
+    returns Fortran order), so a caller that slices rows of V^dag gets the
+    same layout from both. Raises ValueError for an input that is not a
+    nonempty 2-d matrix of finite entries, and NumericalFailure if neither
+    routine converges.
     """
-    a = _as_matrix(m)
+    a = np.asarray(m)
+    if a.dtype != np.complex128 and a.dtype != np.float64:
+        a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
+    if a.shape[0] == 0 or a.shape[1] == 0:
+        raise ValueError("matrix must be nonempty")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
@@ -97,6 +113,7 @@ def svd(m: np.ndarray) -> SvdResult:
             u, s, vh = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
         except Exception as exc:  # pragma: no cover - hard to trigger on purpose
             raise NumericalFailure(f"SVD did not converge for shape {a.shape}") from exc
+        u, vh = np.ascontiguousarray(u), np.ascontiguousarray(vh)
     return SvdResult(u, s, vh)
 
 
@@ -173,29 +190,32 @@ def truncate_global(
     if any(vals.ndim != 1 for vals in arrays):
         raise ValueError("each group must provide a 1-d value array")
     units = np.ones(len(arrays), dtype=np.int64) if units is None else np.asarray(units)
+    unit_list = units.tolist()
     if (units.shape != (len(arrays),) or units.dtype.kind not in "iu"
-            or min(units.tolist(), default=1) < 1):
+            or min(unit_list, default=1) < 1):
         raise ValueError("units must give one positive integer per group")
     sizes = [vals.size for vals in arrays]
     values = np.concatenate(arrays) if arrays else np.zeros(0)
-    if np.any(values < 0) or not np.all(np.isfinite(values)):
+    top, low = values.max(initial=0.0), values.min(initial=np.inf)
+    if not (low >= 0.0 and top < np.inf):  # NaN fails both
         raise ValueError("singular values must be finite and nonnegative")
+    cutoff = RANK_CUTOFF * top
+    all_fit = sum(u * size for u, size in zip(unit_list, sizes)) <= policy.chi_max
+    if low > cutoff and all_fit:
+        # Every value is nonzero and all of them fit: nothing to rank or drop.
+        return TruncationOutcome(0.0, [np.arange(size) for size in sizes], groups)
 
-    group = np.repeat(np.arange(len(arrays)), sizes)
     order = np.argsort(-values, kind="stable")
     pooled = values[order]
-    counts = units[group[order]]
-    nonzero = int(np.count_nonzero(pooled > RANK_CUTOFF * pooled.max(initial=0.0)))
-    fits = int(np.searchsorted(np.cumsum(counts), policy.chi_max, "right"))
+    counts = np.repeat(units, sizes)[order]
+    nonzero = int(np.count_nonzero(values > cutoff))
+    fits = values.size if all_fit else int(
+        np.searchsorted(np.cumsum(counts), policy.chi_max, "right"))
     keep_count = min(nonzero, max(1, fits))
-    weights = counts * pooled**2
+    dropped = counts[keep_count:] * pooled[keep_count:] ** 2
 
     kept = np.zeros(values.size, dtype=bool)
     kept[order[:keep_count]] = True
     starts = list(accumulate(sizes, initial=0))
-    return TruncationOutcome(
-        kept=[(groups[g][0], v) for g, v in zip(group[order[:keep_count]].tolist(),
-                                                 pooled[:keep_count].tolist())],
-        discarded_weight=float(sum(weights[keep_count:].tolist())),
-        kept_by_group=[np.flatnonzero(kept[start:stop]) for start, stop in zip(starts, starts[1:])],
-    )
+    kept_by_group = [kept[start:stop].nonzero()[0] for start, stop in zip(starts, starts[1:])]
+    return TruncationOutcome(float(sum(dropped.tolist())), kept_by_group, groups)

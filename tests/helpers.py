@@ -5,7 +5,8 @@ process is left, this holds the references that only the tests compare
 against: the samplers that take one draw, and one histogram node, at a time
 (``reference_sample_many``, ``reference_sample_counts``), with their own
 Python-loop rule for a step's conditionals
-(``reference_normalize_conditionals``), the read of rho's diagonal as one
+(``reference_normalize_conditionals``), the pooled cut that ranks every
+value on every call (``reference_truncate_global``), the read of rho's diagonal as one
 walk over every boundary sector (``all_sector_marginal``), and, built on
 ``bosonet.oracle``, the exact lossless output distribution, ``matrix_element``
 of a density operator, and the operator-space spectra of a lossy state, both
@@ -15,13 +16,14 @@ of the charge-resolved object the train stores and of rho itself.
 import itertools
 import json
 import os
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from bosonet import chain, sampling
 from bosonet.circuit import CircuitPlan, occupation_pattern, sample_haar_circuit
-from bosonet.linalg import NumericalFailure
+from bosonet.linalg import RANK_CUTOFF, NumericalFailure
 from bosonet.mpo import MpoState, trace_labels
 from bosonet.oracle import ExactDistribution, dense_evolve, enumerate_occupations, exact_prob
 
@@ -153,6 +155,42 @@ def reference_sample_counts(state, rng: np.random.Generator, count: int) -> dict
     for _, outcome, n in frontier:
         results[outcome] = results.get(outcome, 0) + n
     return results
+
+
+def reference_truncate_global(groups, policy, units=None):
+    """``linalg.truncate_global`` as it ranked every value on every call:
+    (kept (label, value) pairs in keep order, discarded weight, kept indices
+    per group), with the same checks and messages."""
+    arrays = [np.asarray(values, dtype=np.float64) for _, values in groups]
+    if any(vals.ndim != 1 for vals in arrays):
+        raise ValueError("each group must provide a 1-d value array")
+    units = np.ones(len(arrays), dtype=np.int64) if units is None else np.asarray(units)
+    if (units.shape != (len(arrays),) or units.dtype.kind not in "iu"
+            or min(units.tolist(), default=1) < 1):
+        raise ValueError("units must give one positive integer per group")
+    sizes = [vals.size for vals in arrays]
+    values = np.concatenate(arrays) if arrays else np.zeros(0)
+    if np.any(values < 0) or not np.all(np.isfinite(values)):
+        raise ValueError("singular values must be finite and nonnegative")
+
+    group = np.repeat(np.arange(len(arrays)), sizes)
+    order = np.argsort(-values, kind="stable")
+    pooled = values[order]
+    counts = units[group[order]]
+    nonzero = int(np.count_nonzero(pooled > RANK_CUTOFF * pooled.max(initial=0.0)))
+    fits = int(np.searchsorted(np.cumsum(counts), policy.chi_max, "right"))
+    keep_count = min(nonzero, max(1, fits))
+    weights = counts * pooled**2
+
+    kept = np.zeros(values.size, dtype=bool)
+    kept[order[:keep_count]] = True
+    starts = list(accumulate(sizes, initial=0))
+    return (
+        [(groups[g][0], v) for g, v in zip(group[order[:keep_count]].tolist(),
+                                            pooled[:keep_count].tolist())],
+        float(sum(weights[keep_count:].tolist())),
+        [np.flatnonzero(kept[start:stop]) for start, stop in zip(starts, starts[1:])],
+    )
 
 
 def all_sector_marginal(state: MpoState, prefix: tuple[int, ...]) -> float:

@@ -11,9 +11,11 @@ the pooled spectrum. The tests compare the kept spectrum and the rebuilt
 two-site tensor, check that the new blocks are right-canonical and that a
 mirrored train keeps bitwise mirror copies. The last tests check that
 ``chain.apply_plan`` takes each gate's blocks from the state's own module,
-that a gate or plan off the chain is rejected, and that every reader of an
-occupation pattern rejects a malformed entry and reads an occupation above N
-as 0.
+that a gate or plan off the chain is rejected, that a non-finite Phi fails
+the update with the SVD's error and leaves the state as it was, that updates
+through the gesvd fallback agree with gesdd's, and that every
+reader of an occupation pattern rejects a malformed entry and reads an
+occupation above N as 0.
 """
 
 import copy
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bosonet import chain, mpo, mps, sampling
+from bosonet import chain, linalg, mpo, mps, sampling
 from bosonet.circuit import BeamSplitterGate, circuit_to_unitary, fock_gate, sample_haar_circuit
 from bosonet.entropy import lossless_ee, partition_angles
 from bosonet.linalg import RANK_CUTOFF, TruncationPolicy
@@ -302,6 +304,74 @@ def test_gate_or_plan_off_the_chain_is_rejected(kind, apply, message):
     state = mps.init_fock((1, 1, 0, 0)) if kind == "mps" else mpo.init_lossy(2, 4, 0.5)
     with pytest.raises(ValueError, match=message):
         apply(state, TruncationPolicy(chi_max=16))
+
+
+@pytest.mark.parametrize("kind", ["mps", "mpo"])
+def test_a_non_finite_phi_fails_the_update_and_leaves_the_state_as_it_was(kind):
+    # One NaN entry in one block of site 2 reaches the Phi of the gate at
+    # sites 2 and 3, whose SVD refuses it before the update writes anything.
+    state = mps.init_fock((1, 1, 0, 0)) if kind == "mps" else mpo.init_lossy(2, 4, 0.5)
+    policy = TruncationPolicy(chi_max=16)
+    for gate in sample_haar_circuit(4, np.random.default_rng(5)).gates[:4]:
+        chain.apply_gate(state, gate, policy)
+    # The products read only blocks whose inner charge is diagonal or (a, b), a < b.
+    key = next(key for key in state.sites[1]
+               if not isinstance(key[1], tuple) or key[1][0] <= key[1][1])
+    poisoned = state.sites[1][key].copy()
+    poisoned[0, 0] = np.nan
+    state.sites[1][key] = poisoned
+    sites, bonds, weight = state.sites, state.bonds, state.discarded_weight
+    site_items = [list(site.items()) for site in sites]
+    bond_items = [list(bond.items()) for bond in bonds]
+    site_dicts, bond_dicts = list(sites), list(bonds)
+
+    with pytest.raises(ValueError, match=r"^matrix contains non-finite entries$"):
+        chain.apply_gate(state, BeamSplitterGate(2, 0.7, 1.3), policy)
+    assert state.sites is sites and state.bonds is bonds
+    assert state.discarded_weight is weight
+    assert all(a is b for a, b in zip(state.sites, site_dicts)) and len(sites) == 4
+    assert all(a is b for a, b in zip(state.bonds, bond_dicts)) and len(bonds) == 5
+    for items, site in zip(site_items, state.sites):
+        assert list(site) == [k for k, _ in items]
+        assert all(site[k] is v for k, v in items)
+    for items, bond in zip(bond_items, state.bonds):
+        assert list(bond) == [k for k, _ in items]
+        assert all(bond[k] is v for k, v in items)
+
+
+@pytest.mark.parametrize("kind", ["mps", "mpo"])
+def test_updates_through_the_gesvd_fallback_match_gesdd(monkeypatch, kind):
+    # scipy's gesvd returns Fortran-ordered factors; svd hands them on
+    # C-contiguous, so the rebuild slices the rows of V^dag with the layout
+    # gesdd gives, and the evolution agrees with gesdd's.
+    plan = sample_haar_circuit(6, np.random.default_rng(11))
+    policy = TruncationPolicy(chi_max=64)
+
+    def evolve():
+        state = mps.init_fock((1, 1, 1, 0, 0, 0)) if kind == "mps" else mpo.init_lossy(3, 6, 0.5)
+        chain.apply_plan(state, plan, policy)
+        return state
+
+    default = evolve()
+
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", diverge)
+    rng = np.random.default_rng(2)
+    result = linalg.svd(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
+    assert result.left.flags.c_contiguous and result.right_conj.flags.c_contiguous
+    fallback = evolve()
+    assert all(block.flags.c_contiguous for site in fallback.sites for block in site.values())
+    for got, want in zip(fallback.bonds, default.bonds):
+        assert list(got) == list(want)
+        for charge, values in got.items():
+            np.testing.assert_allclose(values, want[charge], atol=TOL)
+    # Singular vectors are fixed only up to phases, so compare what the state predicts.
+    prob = mps.probability if kind == "mps" else mpo.outcome_prob
+    for pattern in itertools.product(range(4), repeat=6):
+        if sum(pattern) <= 3:
+            assert prob(fallback, pattern) == pytest.approx(prob(default, pattern), abs=TOL)
 
 
 #: Each reader of an occupation pattern, called with ``pattern`` on a lossless

@@ -824,6 +824,73 @@ def serial(monkeypatch):
     monkeypatch.setattr(experiments, "PROCESSES", 1)
 
 
+def record_without_memo(monkeypatch):
+    """Patch ``chain.max_bond_entropy`` to also run without a memo on the same
+    state. Returns the (bond, ``float.hex`` of the value) of every such
+    recomputation, in call order, and the count of ``chain.renyi_entropy``
+    calls made inside the calls with a memo."""
+    fresh, memo_reads = [], [0]
+    max_bond_entropy, renyi_entropy = chain.max_bond_entropy, chain.renyi_entropy
+
+    def counting(*args):
+        memo_reads[0] += 1
+        return renyi_entropy(*args)
+
+    def checked(state, alpha, memo=None):
+        bond, value = max_bond_entropy(state, alpha)
+        fresh.append((bond, float.hex(value)))
+        with monkeypatch.context() as patch:
+            patch.setattr(chain, "renyi_entropy", counting)
+            return max_bond_entropy(state, alpha, memo)
+
+    monkeypatch.setattr(chain, "max_bond_entropy", checked)
+    return fresh, memo_reads
+
+
+ENTROPY_RECIPES = [("lossless-ee", {}), ("fock-ee", {}),
+                   ("lossy-ee", {"loss": {"kind": "constant", "mu": 0.6}})]
+
+
+@pytest.mark.usefixtures("serial")
+class TestEntropyMemo:
+    """The entropy-growth recipes keep each bond's entropy from layer to layer
+    and recompute only the bonds a layer replaced; every row must still equal
+    ``chain.max_bond_entropy`` run without a memo on that layer's state."""
+
+    @pytest.mark.parametrize("experiment, extra", ENTROPY_RECIPES)
+    def test_rows_equal_a_recomputation_without_memo(self, monkeypatch, experiment, extra):
+        fresh, memo_reads = record_without_memo(monkeypatch)
+        record = run(config_from_dict(make_doc(
+            experiment=experiment, num_modes=[6], num_photons=[2, 3],
+            alphas=[0.5, 1.0, 2.0], **extra)))
+        assert record.status == "ok"
+        assert [(row["peak_bond"], float.hex(row["max_ee"])) for row in record.rows] == fresh
+        # Each call reads 5 bonds; the memo recomputed fewer than all of them.
+        assert 0 < memo_reads[0] < 5 * len(record.rows)
+
+    @pytest.mark.parametrize("experiment, extra", ENTROPY_RECIPES)
+    def test_rows_after_a_resume_equal_a_recomputation_without_memo(
+            self, tmp_path, monkeypatch, experiment, extra):
+        # The resumed circuit continues from a state read back from its
+        # snapshot, whose bonds are new dicts.
+        k, alphas = 2, [0.5, 1.0, 2.0]
+        doc = make_doc(experiment=experiment, num_modes=[6], alphas=alphas,
+                       checkpoint_every=1, out_dir=str(tmp_path), **extra)
+        with monkeypatch.context() as patch:
+            exhaust_budget_on_check(patch, k + 1)
+            record, out = run_to_files(config_from_dict(doc))
+        assert record.status == "aborted"
+        assert load_header(next((out / "checkpoints").glob("*.npz")))["extra"][
+            "layers_done"] == k
+
+        fresh, _ = record_without_memo(monkeypatch)
+        record, _ = run_to_files(config_from_dict(doc))
+        assert record.status == "ok"
+        restored = k * len(alphas)
+        assert [(row["peak_bond"], float.hex(row["max_ee"]))
+                for row in record.rows[restored:]] == fresh
+
+
 class TestAbortAndResume:
     def test_zero_budget_aborts_with_checkpoint(self, tmp_path):
         config = config_from_dict(
