@@ -83,7 +83,10 @@ import numpy as np
 from .circuit import BeamSplitterGate, CircuitPlan
 from .entropy import normalized_renyi
 from .layout import Charge, update_plan
-from .linalg import TruncationPolicy, svd, truncate_global
+from .linalg import TruncationPolicy, gesdd_errors, truncate_global
+# The one SVD core, looked up here by this name once per decomposed center:
+# the benchmark tracer times the ``linalg.svd`` layer by patching it.
+from .linalg import svd_unchecked as svd
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -233,13 +236,22 @@ def two_site_update(
 
     The update runs in two steps. ``layout.update_plan`` works out where
     every block goes from the block structure alone, and the execute step
-    below moves the numbers: one product matmul per inner charge, one gather
-    into the sector stacks, one gate-block matmul per sector, one gather into
-    every Phi, the SVDs and ``truncate_global``, and a rebuild by precomputed
-    offsets. Plans are cached (least recently used out, at most
-    ``layout.PLAN_CACHE_SIZE``, 64) keyed by the block keys of both sites in
-    dict order and the charges and sizes of bonds k and k+2. Bond k+1 only
-    sets the inner dimension of the products, so it is not part of the key.
+    below moves the numbers: one product matmul per inner charge (a single
+    block enters as stored, with no concatenate), one gather into the sector
+    stacks, one gate-block matmul per sector, one gather into every Phi, the
+    SVDs and ``truncate_global``, and a rebuild by precomputed offsets. The
+    SVDs go to the ``linalg`` core ``svd_unchecked``, which checks nothing,
+    because on a small sector a finiteness check and an error state each
+    cost about a third of gesdd. So the Phi buffer and the row weights are
+    checked once, raising ValueError before the state changes, and one
+    ``gesdd_errors`` state is held around all the SVDs. It is entered after
+    every Phi is assembled (a real center's rotation could turn an overflow
+    into an invalid value), so only a gesdd that does not converge raises
+    in it, and only that center goes to gesvd. Plans are cached (least
+    recently used out, at most ``layout.PLAN_CACHE_SIZE``, 64) keyed by the
+    block keys of both sites in dict order and the charges and sizes of
+    bonds k and k+2. Bond k+1 only sets the inner dimension of the products,
+    so it is not part of the key.
     A gather copies bits, and every matmul and elementwise operation sees
     the operands, shapes and memory layouts it saw before the split, so the
     results are the same bit for bit.
@@ -273,12 +285,16 @@ def two_site_update(
                        tuple(right_bond), tuple(map(len, right_bond.values())))
 
     # Every product B_l B_r through one inner charge is one matmul of its left
-    # blocks stacked over cl with its right blocks side by side.
+    # blocks stacked over cl with its right blocks side by side. A single
+    # block is passed as stored: stored blocks are C-contiguous, like the copy
+    # a concatenate would make, so the product keeps its bits.
     source = np.empty(plan.product_size + plan.stacks.extra, dtype=np.complex128)
     for left_keys, right_keys, start, shape in plan.products:
-        left = np.concatenate([sites_l[key] for key in left_keys])
-        np.matmul(left, np.concatenate([sites_r[key] for key in right_keys], axis=1),
-                  out=source[start : start + shape[0] * shape[1]].reshape(shape))
+        left = (sites_l[left_keys[0]] if len(left_keys) == 1
+                else np.concatenate([sites_l[key] for key in left_keys]))
+        right = (sites_r[right_keys[0]] if len(right_keys) == 1
+                 else np.concatenate([sites_r[key] for key in right_keys], axis=1))
+        np.matmul(left, right, out=source[start : start + shape[0] * shape[1]].reshape(shape))
     size = plan.stacks.main.size
     stacks = np.empty(size + plan.phis.extra, dtype=np.complex128)
     plan.stacks.apply(source, plan.product_size, out=stacks[:size])
@@ -287,19 +303,26 @@ def two_site_update(
     phis = plan.phis.apply(stacks, size)
     del stacks
     weights = np.concatenate(list(left_bond.values())).take(plan.weights.index())
+    if not (np.isfinite(phis).all() and np.isfinite(weights).all()):
+        raise ValueError("matrix contains non-finite entries")
 
     # Decompose Theta = lambda_left Phi per assembled center charge; only the
-    # singular values and V^dag are kept.
-    factors, spectra, units = [], [], []
+    # singular values and V^dag are kept. Every Phi is assembled first, so
+    # the one error state holds only the SVDs and the Theta products, and a
+    # product of finite factors may overflow but is never invalid.
+    center_phis = []
     for center in plan.centers:
         rows, cols = center.shape
         phi = phis[center.start : center.start + rows * cols].reshape(rows, cols)
-        if center.halves is not None:
-            phi = _to_real(phi, *center.halves)
-        result = svd(weights[center.weights : center.weights + rows, None] * phi)
-        factors.append((phi, result.singular_values, result.right_conj))
-        spectra.append((center.charge, result.singular_values))
-        units.append(center.copies)
+        center_phis.append(phi if center.halves is None else _to_real(phi, *center.halves))
+    factors, spectra, units = [], [], []
+    with gesdd_errors():
+        for center, phi in zip(plan.centers, center_phis):
+            row_weights = weights[center.weights : center.weights + len(phi), None]
+            _, values, right_conj = svd(row_weights * phi)
+            factors.append((phi, values, right_conj))
+            spectra.append((center.charge, values))
+            units.append(center.copies)
     outcome = truncate_global(spectra, policy, units=units)
 
     # Rebuild the center bond and both site tensors from the kept columns. A

@@ -1,11 +1,18 @@
 """Dense linear-algebra kernels and pooled singular-value truncation.
 
 Everything downstream (two-site updates, spectra, entropies) goes through
-``svd`` and ``truncate_global``; the decomposition backend is LAPACK via
-numpy (and scipy's gesvd as a fallback), wrapped so that failures surface as
-explicit errors instead of silently corrupted tensors. Nothing here inverts
-singular values: the tensor trains store right-canonical site tensors, so no
-update needs a division cutoff.
+``svd_unchecked`` and ``truncate_global``; the decomposition backend is
+LAPACK's gesdd, called through numpy's own reduced-SVD gufunc (the routine
+``np.linalg.svd`` runs, without its wrapper), and scipy's gesvd as a fallback,
+so that failures surface as explicit errors instead of silently corrupted
+tensors. ``svd_unchecked`` is the one SVD core: it leaves the finiteness
+check and numpy's error state (``gesdd_errors``), which turns a gesdd that
+does not converge into ``LinAlgError``, to its caller, because both cost
+about as much as gesdd itself on a small sector. ``svd`` is that core with
+its input checks and its own error state; ``chain.two_site_update`` checks
+its Phi buffer and row weights once and holds one error state around all of
+an update's SVDs. Nothing here inverts singular values: the tensor trains
+store right-canonical site tensors, so no update needs a division cutoff.
 
 ``single_blas_thread`` runs a block with numpy's OpenBLAS on one thread: the
 last bits of a large block product depend on the thread count, and on a
@@ -22,6 +29,8 @@ from itertools import accumulate
 from typing import Any, Hashable, Iterator, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg._umath_linalg import svd_s as _gesdd
 
 # Relative threshold below which a singular value counts as an exact zero
 # when deciding ranks.
@@ -86,14 +95,10 @@ def svd(m: np.ndarray) -> SvdResult:
     """Thin SVD with singular values sorted in descending order.
 
     A real matrix gets a real (float64) decomposition, a complex one a
-    complex128 one. numpy's driver (gesdd) runs first; if it does not
-    converge, scipy's gesvd, slower but more robust, gets the same matrix.
-    scipy.linalg is imported only then, so a run whose SVDs all converge
-    never loads it. The factors are C-contiguous from either routine (scipy
-    returns Fortran order), so a caller that slices rows of V^dag gets the
-    same layout from both. Raises ValueError for an input that is not a
-    nonempty 2-d matrix of finite entries, and NumericalFailure if neither
-    routine converges.
+    complex128 one. This is ``svd_unchecked`` inside its own
+    ``gesdd_errors`` state, after the checks it leaves to its caller: raises
+    ValueError for an input that is not a nonempty 2-d matrix of finite
+    entries, and NumericalFailure if neither gesdd nor gesvd converges.
     """
     a = np.asarray(m)
     if a.dtype != np.complex128 and a.dtype != np.float64:
@@ -104,17 +109,54 @@ def svd(m: np.ndarray) -> SvdResult:
         raise ValueError("matrix must be nonempty")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
+    with gesdd_errors():
+        return SvdResult(*svd_unchecked(a))
+
+
+# numpy's gufunc signatures for a float64 and a complex128 matrix.
+_SIGNATURES = {"d": "d->ddd", "D": "D->DdD"}
+
+
+def _raise_nonconvergence(err, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+def gesdd_errors() -> np.errstate:
+    """numpy's error state for gesdd calls, the one ``np.linalg.svd`` enters.
+
+    gesdd flags a decomposition that did not converge as an invalid result;
+    inside this state that flag raises LinAlgError, which ``svd_unchecked``
+    answers with gesvd. Any other invalid operation inside it raises the same
+    error, so the state is held around SVD calls only.
+    """
+    return np.errstate(call=_raise_nonconvergence, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
+def svd_unchecked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, s, V^dag) of a nonempty, finite 2-d float64 or complex128 matrix.
+
+    The SVD core, bit for bit ``np.linalg.svd(a, full_matrices=False)``, in
+    either memory order of ``a``. It checks nothing and must run inside
+    ``gesdd_errors``, which the caller enters once for any number of calls:
+    outside it a gesdd that does not converge returns NaNs with a warning.
+    If gesdd does not converge, scipy's gesvd, slower but more robust, gets
+    the same matrix; scipy.linalg is imported only then, so a run whose SVDs
+    all converge never loads it. The factors are C-contiguous from either
+    routine (scipy returns Fortran order), so a caller that slices rows of
+    V^dag gets the same layout from both. Raises NumericalFailure if gesvd
+    does not converge either.
+    """
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError:
+        return _gesdd(a, signature=_SIGNATURES[a.dtype.char])
+    except LinAlgError:
         import scipy.linalg
 
         try:
             u, s, vh = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
-        except Exception as exc:  # pragma: no cover - hard to trigger on purpose
+        except Exception as exc:
             raise NumericalFailure(f"SVD did not converge for shape {a.shape}") from exc
-        u, vh = np.ascontiguousarray(u), np.ascontiguousarray(vh)
-    return SvdResult(u, s, vh)
+        return np.ascontiguousarray(u), s, np.ascontiguousarray(vh)
 
 
 @cache

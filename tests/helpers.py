@@ -1,8 +1,9 @@
 """Helpers shared by several test modules.
 
-Besides circuits, outcome grids, snapshot edits and a check that no worker
-process is left, this holds the references that only the tests compare
-against: the samplers that take one draw, and one histogram node, at a time
+Besides circuits, outcome grids, snapshot edits, a check that no worker
+process is left and counters of scipy SVDs and of decomposed centers, this
+holds the references that only the tests compare against: the samplers that
+take one draw, and one histogram node, at a time
 (``reference_sample_many``, ``reference_sample_counts``), with their own
 Python-loop rule for a step's conditionals
 (``reference_normalize_conditionals``), the pooled cut that ranks every
@@ -45,6 +46,36 @@ def assert_no_child_process():
     """This process has no child process left, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def count_gesvd(monkeypatch) -> list:
+    """The ``lapack_driver`` of every scipy SVD made from now on, in call order."""
+    import scipy.linalg
+
+    calls, real = [], scipy.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("lapack_driver"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svd", counting)
+    return calls
+
+
+def count_centers(monkeypatch, plans: list | None = None) -> list[int]:
+    """[centers decomposed from now on], counted from the plans that
+    ``chain.two_site_update`` gets; each plan is appended to ``plans`` if given."""
+    count, real = [0], chain.update_plan
+
+    def counting(*args):
+        plan = real(*args)
+        count[0] += len(plan.centers)
+        if plans is not None:
+            plans.append(plan)
+        return plan
+
+    monkeypatch.setattr(chain, "update_plan", counting)
+    return count
 
 
 def _edit_members(path, edit):

@@ -13,7 +13,8 @@ mirrored train keeps bitwise mirror copies. The last tests check that
 ``chain.apply_plan`` takes each gate's blocks from the state's own module,
 that a gate or plan off the chain is rejected, that a non-finite Phi fails
 the update with the SVD's error and leaves the state as it was, that updates
-through the gesvd fallback agree with gesdd's, and that every
+through the gesvd fallback agree with gesdd's, that a gesdd failure in one
+sector sends that sector alone to gesvd, and that every
 reader of an occupation pattern rejects a malformed entry and reads an
 occupation above N as 0.
 """
@@ -32,7 +33,7 @@ from bosonet.circuit import BeamSplitterGate, circuit_to_unitary, fock_gate, sam
 from bosonet.entropy import lossless_ee, partition_angles
 from bosonet.linalg import RANK_CUTOFF, TruncationPolicy
 
-from helpers import matrix_element
+from helpers import count_centers, count_gesvd, matrix_element
 
 TOL = 1e-10
 
@@ -357,11 +358,14 @@ def test_updates_through_the_gesvd_fallback_match_gesdd(monkeypatch, kind):
     def diverge(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", diverge)
+    monkeypatch.setattr(linalg, "_gesdd", diverge)
     rng = np.random.default_rng(2)
     result = linalg.svd(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
     assert result.left.flags.c_contiguous and result.right_conj.flags.c_contiguous
+    gesvd_calls = count_gesvd(monkeypatch)
+    sectors = count_centers(monkeypatch)
     fallback = evolve()
+    assert sectors[0] > 0 and len(gesvd_calls) == sectors[0]
     assert all(block.flags.c_contiguous for site in fallback.sites for block in site.values())
     for got, want in zip(fallback.bonds, default.bonds):
         assert list(got) == list(want)
@@ -372,6 +376,54 @@ def test_updates_through_the_gesvd_fallback_match_gesdd(monkeypatch, kind):
     for pattern in itertools.product(range(4), repeat=6):
         if sum(pattern) <= 3:
             assert prob(fallback, pattern) == pytest.approx(prob(default, pattern), abs=TOL)
+
+
+@pytest.mark.parametrize("kind", ["mps", "mpo"])
+def test_one_failed_gesdd_sends_only_its_sector_to_gesvd(monkeypatch, kind):
+    # An update at the middle of an evolved train decomposes several centers;
+    # the second one's gesdd fails. That center alone goes to gesvd, and every
+    # block of the other centers keeps gesdd's bits.
+    policy = TruncationPolicy(chi_max=64)
+    state = mps.init_fock((1, 1, 1, 0, 0, 0)) if kind == "mps" else mpo.init_lossy(3, 6, 0.5)
+    chain.apply_plan(state, sample_haar_circuit(6, np.random.default_rng(11)), policy)
+    gate = BeamSplitterGate(3, 0.7, 1.3)
+    default = copy.deepcopy(state)
+    chain.apply_gate(default, gate, policy)
+
+    plans, calls = [], []
+    gesvd_calls = count_gesvd(monkeypatch)
+    count_centers(monkeypatch, plans)
+    real_gesdd = linalg._gesdd
+
+    def fail_second(a, **kwargs):
+        calls.append(np.geterr()["invalid"])
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_gesdd(a, **kwargs)
+
+    monkeypatch.setattr(linalg, "_gesdd", fail_second)
+    chain.apply_gate(state, gate, policy)
+    (plan,) = plans
+    assert len(plan.centers) >= 3 and len(calls) == len(plan.centers)
+    assert gesvd_calls == ["gesvd"]
+    assert set(calls) == {"call"} and np.geterr()["invalid"] != "call"
+
+    failed = plan.centers[1].charge
+    touched = {failed, _mirror(failed)}
+    bond, want_bond = state.bonds[3], default.bonds[3]
+    assert list(bond) == list(want_bond)
+    for charge, values in bond.items():
+        if charge in touched:
+            np.testing.assert_allclose(values, want_bond[charge], atol=TOL)
+        else:
+            assert values.tobytes() == want_bond[charge].tobytes()
+    for site, want_site, center_of in ((state.sites[2], default.sites[2], lambda key: key[1]),
+                                       (state.sites[3], default.sites[3], lambda key: key[0])):
+        assert list(site) == list(want_site)
+        untouched = [key for key in site if center_of(key) not in touched]
+        assert untouched and len(untouched) < len(site)
+        for key in untouched:
+            assert site[key].tobytes() == want_site[key].tobytes()
 
 
 #: Each reader of an occupation pattern, called with ``pattern`` on a lossless

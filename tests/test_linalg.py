@@ -3,12 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonet import linalg
 from bosonet.linalg import (
+    NumericalFailure,
     SvdResult,
     TruncationPolicy,
+    gesdd_errors,
     svd,
+    svd_unchecked,
     truncate_global,
 )
+
+from helpers import count_gesvd
 
 
 def test_svd_swap_matrix():
@@ -38,8 +44,10 @@ def test_svd_falls_back_to_gesvd(monkeypatch, dtype):
     def diverge(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", diverge)
+    monkeypatch.setattr(linalg, "_gesdd", diverge)
+    gesvd_calls = count_gesvd(monkeypatch)
     res = svd(a)
+    assert gesvd_calls == ["gesvd"]
     assert res.left.dtype == res.right_conj.dtype == dtype
     assert res.left.shape == (6, 4) and res.right_conj.shape == (4, 4)
     assert np.all(np.diff(res.singular_values) <= 0.0)
@@ -47,6 +55,38 @@ def test_svd_falls_back_to_gesvd(monkeypatch, dtype):
     assert np.allclose(res.right_conj @ res.right_conj.conj().T, np.eye(4), atol=1e-12)
     rebuilt = res.left @ np.diag(res.singular_values) @ res.right_conj
     assert np.allclose(rebuilt, a, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1), (5, 5), (3, 8), (8, 3)],
+                         ids=["one-row", "one-column", "square", "wide", "tall"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_svd_core_matches_numpy_bit_for_bit(dtype, shape, order):
+    # Real centers of a mirrored update reach the core in Fortran order.
+    rng = np.random.default_rng(17)
+    a = rng.normal(size=shape)
+    if dtype is np.complex128:
+        a = a + 1j * rng.normal(size=shape)
+    a = np.asarray(a, dtype=dtype, order=order)
+    want = np.linalg.svd(a, full_matrices=False)
+    with gesdd_errors():
+        got = svd_unchecked(a)
+    checked = svd(a)
+    for g, c, w in zip(got, (checked.left, checked.singular_values, checked.right_conj), want):
+        assert g.dtype == c.dtype == w.dtype
+        assert g.shape == c.shape == w.shape
+        assert g.flags.c_contiguous == c.flags.c_contiguous == w.flags.c_contiguous
+        assert g.tobytes() == c.tobytes() == w.tobytes()
+
+
+def test_gesdd_errors_turns_a_failed_gesdd_into_the_gesvd_fallback(monkeypatch):
+    # gesdd refuses a NaN and flags an invalid result; the error state turns
+    # that flag into the fallback, whose gesvd refuses the NaN too.
+    gesvd_calls = count_gesvd(monkeypatch)
+    with gesdd_errors(), pytest.raises(NumericalFailure, match="did not converge"):
+        svd_unchecked(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    assert gesvd_calls == ["gesvd"]
+    assert np.geterr()["invalid"] != "call"
 
 
 @given(
