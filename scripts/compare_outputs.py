@@ -4,15 +4,18 @@
 ``run`` sends a fixed list of small configs, one per recipe family and
 truncation regime, through ``bosonet <experiment> --config`` (one fresh
 process each) and keeps every config's ``results.csv``, ``summary.csv`` and
-``samples_c*.csv`` under ``OUT/<name>/``. Configs marked resumable run a
-second time into ``OUT/<name>-resumed/``: first with a wall-clock budget of
-half the uninterrupted run, so it aborts mid-circuit and leaves a checkpoint,
-then again without one, so it resumes from that checkpoint in a new process.
-After the budgeted run it prints the ``layers_done`` of every checkpoint
-header. A checkpoint taken before layer 1 would make the resume a fresh run,
-so if no header has ``layers_done >= 1`` the budgeted run is repeated, from
-no checkpoint, at 0.4 and then at 0.6 of the measured time; if none of the
-three leaves such a checkpoint, the config counts as failed. Then it runs
+``samples_c*.csv`` under ``OUT/<name>/``. Configs marked resumable, one or
+more of each recipe, run a second time into ``OUT/<name>-resumed/``, with
+``checkpoint_every`` 1: first on one CPU, so its units run one after another,
+with a wall-clock budget of half the recipe's wall time in the uninterrupted
+run (``wall_time_seconds`` of its ``meta.json``), so it aborts with some units
+recorded under ``checkpoints/`` however many CPUs the host has (a recipe that
+checks its budget only as a unit starts could not abort if every unit started
+at once), then again without a budget, on every CPU, so it resumes after those
+units in a new process. A budgeted run counts when it exits 3 and leaves at
+least one file under ``checkpoints/``; otherwise it is repeated at 0.4 and then
+at 0.6 of that time, and if none of the three counts, the config counts as
+failed. Then it runs
 each paper-size config of this checkout, ``configs/<stem>.json``, as checked in
 (its own seed) into ``OUT/<stem>/``, so its ``results.csv`` and ``summary.csv``
 are compared too (a few seconds to about 20 s each). It also writes
@@ -51,8 +54,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 TABLES = ("results.csv", "summary.csv", "samples_c*.csv")
 
@@ -60,7 +61,7 @@ LOSSY = {"loss": {"kind": "constant", "mu": 0.5}}
 # (name, config, resumable)
 CONFIGS = [
     ("oracle-check-plain", {"experiment": "oracle-check", "num_modes": [4, 6],
-                            "num_photons": [1, 2, 3], "n_circuits": 2}, False),
+                            "num_photons": [1, 2, 3], "n_circuits": 2}, True),
     ("oracle-check-lossy", {"experiment": "oracle-check", "num_modes": [4, 6],
                             "num_photons": [2, 3], "n_circuits": 2,
                             "loss": {"kind": "constant", "mu": 0.7}}, False),
@@ -83,12 +84,12 @@ CONFIGS = [
                           "num_photons": [4, 6], "chi_max": 8, "n_circuits": 3}, False),
     ("trunc-error-small-chi", {"experiment": "trunc-error", "num_modes": [10],
                                "num_photons": [3], **LOSSY, "chis": [4, 8, 16],
-                               "n_circuits": 3}, False),
+                               "n_circuits": 3}, True),
     ("trunc-error-chi64", {"experiment": "trunc-error", "num_modes": [12],
                            "num_photons": [4], **LOSSY, "chis": [64],
                            "n_circuits": 2}, False),
     ("sample-lossy", {"experiment": "sample", "num_modes": [8], "num_photons": [3], **LOSSY,
-                      "chi_max": 64, "num_samples": 300, "n_circuits": 2}, False),
+                      "chi_max": 64, "num_samples": 300, "n_circuits": 2}, True),
     ("sample-pure", {"experiment": "sample", "num_modes": [8], "num_photons": [3],
                      "chi_max": 64, "num_samples": 300, "n_circuits": 2}, False),
     # More draws than two ``sampling.DRAW_CHUNK``s of 1024, so a call crosses
@@ -101,7 +102,7 @@ CONFIGS = [
     ("prob", {"experiment": "prob", "num_modes": [6], "num_photons": [2, 3], **LOSSY,
               "chi_max": 64, "n_circuits": 2,
               "outcomes": [[1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], [2, 0, 0, 0, 0, 1],
-                           [0, 0, 1, 1, 1, 0]]}, False),
+                           [0, 0, 1, 1, 1, 0]]}, True),
     # A truncated state read at the vacuum, at one pattern of each photon
     # number up to N and at a pattern above N, which reads 0.
     ("prob-lossy-chi8", {"experiment": "prob", "num_modes": [6], "num_photons": [3], **LOSSY,
@@ -114,10 +115,10 @@ CONFIGS = [
                    "outcomes": [[1, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0], [2, 0, 0, 0, 0, 1],
                                 [0, 0, 1, 1, 1, 0]]}, False),
     ("fock-ee", {"experiment": "fock-ee", "num_modes": [8, 12], "num_photons": [2, 3],
-                 "alphas": [1.0, 2.0], "chi_max": 64, "n_circuits": 2}, False),
+                 "alphas": [1.0, 2.0], "chi_max": 64, "n_circuits": 2}, True),
     ("analytic-ee", {"experiment": "analytic-ee", "num_modes": [32],
                      "num_photons": [1, 2, 4, 8], "gammas": [0.25, 0.5], "betas": [0.6],
-                     "n_circuits": 4}, False),
+                     "n_circuits": 4}, True),
 ]
 SEED = 7
 #: The paper-size configs, run as checked in (their own seeds).
@@ -132,13 +133,17 @@ def _missing_paper_configs() -> bool:
     return not PAPER_CONFIGS
 
 
-def _bosonet(src: Path, experiment: str, config: Path, out: Path) -> tuple[int, float]:
-    """Exit code and wall time of one ``bosonet`` CLI call with the package from ``src``."""
+def _bosonet(src: Path, experiment: str, config: Path, out: Path, one_cpu: bool = False
+            ) -> tuple[int, float]:
+    """Exit code and wall time of one ``bosonet`` CLI call with the package from ``src``;
+    with ``one_cpu``, the call may run on one CPU only, so it runs its units serially."""
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "import sys; from bosonet.cli import main; sys.exit(main(sys.argv[1:]))"
+    pin = (lambda: os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])) if one_cpu else None
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", code, experiment, "--config", str(config),
-                           "--out", str(out)], env=env, capture_output=True, text=True)
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          preexec_fn=pin)
     if done.returncode not in (0, 3):
         sys.stderr.write(done.stdout + done.stderr)
     return done.returncode, time.perf_counter() - start
@@ -161,21 +166,22 @@ def run(out: Path, src: Path) -> int:
         code, seconds = _bosonet(src, doc["experiment"], config, out / name)
         print(f"{name}: exit {code} in {seconds:.1f}s")
         failed += code != 0
-        if not resumable:
+        if not resumable or code != 0:
             continue
+        wall = json.loads((out / name / "meta.json").read_text())["wall_time_seconds"]
         resumed, resumed_out = out / f"{name}-resumed.json", out / f"{name}-resumed"
         for fraction in (0.5, 0.4, 0.6):
             shutil.rmtree(resumed_out / "checkpoints", ignore_errors=True)
-            budget = {"max_seconds": round(seconds * fraction, 3), "checkpoint_every": 1}
+            budget = {"max_seconds": round(wall * fraction, 4), "checkpoint_every": 1}
             resumed.write_text(json.dumps({**doc, "seed": SEED, **budget}))
-            aborted, _ = _bosonet(src, doc["experiment"], resumed, resumed_out)
-            layers = _layers_done(resumed_out / "checkpoints")
-            print(f"{name}-resumed: exit {aborted} at {fraction} of {seconds:.1f}s, "
-                  f"checkpoints at layers_done {layers}")
-            if aborted == 3 and max(layers, default=0) >= 1:
+            aborted, _ = _bosonet(src, doc["experiment"], resumed, resumed_out, one_cpu=True)
+            kept = len(list((resumed_out / "checkpoints").glob("*")))
+            print(f"{name}-resumed: exit {aborted} at {fraction} of {wall:.3f}s, "
+                  f"{kept} files under checkpoints/")
+            if aborted == 3 and kept:
                 break
         else:
-            print(f"{name}-resumed: no budget left a checkpoint past layer 0")
+            print(f"{name}-resumed: no budget aborted with a unit recorded")
             failed += 1
             continue
         resumed.write_text(json.dumps({**doc, "seed": SEED, "checkpoint_every": 1}))
@@ -188,15 +194,6 @@ def run(out: Path, src: Path) -> int:
         print(f"{config.stem}: exit {code} in {seconds:.1f}s")
         failed += code != 0
     return 1 if failed else 0
-
-
-def _layers_done(directory: Path) -> list[int]:
-    """``layers_done`` of every checkpoint header under ``directory``, sorted."""
-    layers = []
-    for path in directory.glob("*.npz"):
-        with np.load(path, allow_pickle=False) as data:
-            layers.append(json.loads(str(data["header"][()]))["extra"]["layers_done"])
-    return sorted(layers)
 
 
 def _tables(directory: Path, depth: str = "*/") -> dict[str, Path]:

@@ -348,9 +348,8 @@ def two_site_update(
         left, right = _kept_factors(phi, right_conj[:kept], plan.centers[out.center].halves)
         for key, r0, r1 in out.left:
             new_left[key] = left[r0:r1]
-        # Copied, so each stored block is contiguous like a reloaded snapshot
-        # block; strided views changed the last bit of later contractions and
-        # broke byte-identical resumes.
+        # Copied, so each stored block is C-contiguous: a strided view changes
+        # the last bit of later contractions, and the tables' bits depend on it.
         for key, c0, c1 in out.right:
             new_right[key] = right[:, c0:c1].copy()
 

@@ -8,7 +8,8 @@ precedence over defaults.
 Exit codes: 0 success; 1 usage or configuration error; 2 numerical-integrity
 failure (a degraded or numerically inconsistent state, or an oracle-check
 deviation above tolerance); 3 resource abort (wall-clock budget exhausted —
-partial rows and any checkpoints are retained for resumption).
+the finished units' rows are written; with ``checkpoint_every`` above 0 their
+records are kept under ``checkpoints/``, so a rerun resumes after them).
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def main(argv: list[str] | None = None) -> int:
         doc["out_dir"] = args.out
 
     try:
-        record, out_dir = run_to_files(config_from_dict(doc))
+        config = config_from_dict(doc)
+        record, out_dir = run_to_files(config)
     except ConfigError as exc:
         print(f"bosonet: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -114,8 +116,10 @@ def main(argv: list[str] | None = None) -> int:
     if record.status == "ok":
         return EXIT_OK
     if record.status == "aborted":
-        print("bosonet: wall-clock budget exhausted; checkpoints retained",
-              file=sys.stderr)
+        resumable = out_dir is not None and config.checkpoint_every > 0
+        print("bosonet: wall-clock budget exhausted" + (
+            f"; a rerun resumes after the units recorded in {out_dir / 'checkpoints'}"
+            if resumable else ""), file=sys.stderr)
         return EXIT_RESOURCE
     print(f"bosonet: {record.status}: {record.message}", file=sys.stderr)
     return EXIT_NUMERICAL

@@ -8,7 +8,11 @@ unit (one circuit of one sweep point) returns its rows and tables, and one loop
 joins them in unit order, so an aborted run keeps its completed units' rows,
 sample files and timings, though no summary.  A run of several units runs them
 in worker processes forked from the caller, one per CPU the caller may use, and
-its tables do not depend on how many.  :func:`run_to_files` writes the record's
+its tables do not depend on how many.  With ``checkpoint_every`` above 0 and an
+``out_dir``, the loop also records each unit's output as it joins it, under
+``out_dir/checkpoints``; a rerun of the same config takes a recorded unit's
+output from its record instead of running the unit, and a run that joins every
+unit deletes its records.  :func:`run_to_files` writes the record's
 tables, ``results.csv``, ``summary.csv``, ``timings.csv`` and
 ``samples_c<k>.csv``, and ``meta.json``, after removing those an earlier run
 left in the same directory; one writer, ``_write_csv``, writes every table,
@@ -31,7 +35,7 @@ Randomness policy: the generator for ensemble member ``c`` of sweep point
 ``p`` is ``PCG64(SeedSequence(seed, spawn_key=(p, c)))``, and auxiliary
 streams (e.g. the sampler) append one more integer to the spawn key.  The
 derivation is counter-based, so running circuits in any order or resuming
-after a checkpoint cannot change any result.  Sweep points are numbered in
+from recorded units cannot change any result.  Sweep points are numbered in
 the order the config enumerates them.  Only ``prob`` reuses a circuit across
 a point axis: circuit ``c`` of every N is stream ``(0, c)``.  chi is no point
 axis; ``trunc-error`` runs each chi on its unit's one circuit.
@@ -46,7 +50,6 @@ import math
 import os
 import sys
 import time
-import zipfile
 from dataclasses import MISSING, asdict, dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
@@ -63,10 +66,9 @@ from .oracle import (
     dense_reduced_spectrum,
     exact_lossy_distribution,
 )
-from .snapshots import load_state, save_state
 
 #: Config fields that do not influence the science and are excluded from the
-#: config hash: where outputs go, how often to checkpoint, and when to stop.
+#: config hash: where outputs go, whether to record finished units, and when to stop.
 _PLUMBING_FIELDS = ("out_dir", "checkpoint_every", "max_seconds")
 
 #: How many processes run the units of a run: None for one per CPU this process
@@ -83,7 +85,10 @@ class ConfigError(ValueError):
 
 
 class ResourceAbort(RuntimeError):
-    """The wall-clock budget is exhausted; the unit loop attaches the aborted ``record``."""
+    """The wall-clock budget is exhausted; the unit loop attaches the aborted ``record``.
+
+    The loop attaches its ``record`` to a :class:`NumericalFailure` or
+    :class:`DegradedStateError` that a unit raises too, for its process count."""
 
 
 @dataclass(frozen=True)
@@ -220,8 +225,7 @@ _FIELDS: dict[str, tuple[type, bool, Callable[[Any], bool], str, tuple[str, ...]
                  ("prob",)),
     "tolerance": (Real, False, lambda v: v > 0, "> 0", ("oracle-check",)),
     "out_dir": (str, False, lambda v: True, "a path", ()),
-    "checkpoint_every": (Integral, False, lambda v: v >= 0, ">= 0 (0 disables)",
-                         (*_LOSSLESS, "lossy-ee")),
+    "checkpoint_every": (Integral, False, lambda v: v >= 0, ">= 0 (0 disables)", ()),
     "max_seconds": (Real, False, lambda v: v >= 0, ">= 0", ()),
 }
 
@@ -311,15 +315,15 @@ def _mu_at(gamma: float, beta: float, num_photons: int) -> float:
 def config_hash(config: ExperimentConfig) -> str:
     """Short digest of the science-bearing config fields.
 
-    Output location, checkpoint cadence, and the wall-clock budget cannot
-    change any emitted number, so they are excluded; everything else
+    Output location, whether finished units are recorded, and the wall-clock
+    budget cannot change any emitted number, so they are excluded; everything else
     (including the seed) is hashed canonically.
     """
     doc = asdict(config)
     for key in _PLUMBING_FIELDS:
         doc.pop(key, None)
     # The removed tail-cut field was null in every config ever accepted; hashing
-    # it as null keeps their digests, and so their checkpoint names.
+    # it as null keeps their digests, and so the config_hash column of every table.
     doc["weight_threshold"] = None
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -386,9 +390,9 @@ def _sweep_points(config: ExperimentConfig) -> list[tuple[int, int, dict[str, fl
             for lp in _loss_points(config) or [None]]
 
 
-def _process_count(config: ExperimentConfig) -> int:
-    """How many processes run the units of ``config``: :data:`PROCESSES`, or one per
-    CPU this process may run on, at most one per unit.  1 is the serial path, which
+def _process_count(units: int) -> int:
+    """How many processes run ``units`` units: :data:`PROCESSES`, or one per CPU
+    this process may run on, at most one per unit.  1 is the serial path, which
     is also taken where the platform has no ``"fork"`` start method."""
     if PROCESSES is not None:
         cpus = PROCESSES
@@ -396,7 +400,7 @@ def _process_count(config: ExperimentConfig) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    count = min(cpus, len(_sweep_points(config)) * config.n_circuits)
+    count = min(cpus, units)
     if count < 2:
         return 1
     import multiprocessing
@@ -404,7 +408,7 @@ def _process_count(config: ExperimentConfig) -> int:
     return count if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
-def _run_units(config: ExperimentConfig, columns: list[str],
+def _run_units(config: ExperimentConfig, digest: str, columns: list[str],
                run_unit: Callable[..., UnitOutput]) -> RunRecord:
     """Run ``run_unit(point_index, circuit, M, N, loss)`` per unit of the sweep, and
     join what the units return, ``(rows, tables)``, in unit order into a record
@@ -417,26 +421,94 @@ def _run_units(config: ExperimentConfig, columns: list[str],
     budget checks.  When one raises :class:`ResourceAbort`, the abort leaves
     carrying the record of the units before it, their rows and tables, with
     status ``aborted``; outputs of units after it are dropped.
+
+    With ``checkpoint_every`` above 0 and an ``out_dir``, each output is written
+    to ``out_dir/checkpoints/<digest>_p<point>_c<circuit>.json`` as it is joined,
+    and a unit with a valid record (:func:`_recorded_output`) is joined from it
+    and not run.  Once every unit is joined, the records are deleted.
     """
     units = [(point_index, c, m, n, loss)
              for point_index, (m, n, loss) in enumerate(_sweep_points(config))
              for c in range(config.n_circuits)]
-    processes = _process_count(config)
-    outputs = (_forked_outputs(run_unit, units, processes) if processes > 1
-               else (run_unit(*unit) for unit in units))
-    record = RunRecord(columns, [])
+    paths: list[Path] = []
+    if config.out_dir is not None and config.checkpoint_every > 0:
+        root = Path(config.out_dir) / "checkpoints"
+        root.mkdir(parents=True, exist_ok=True)
+        paths = [root / f"{digest}_p{p}_c{c}.json" for p, c, *_ in units]
+    saved = {index: output for index, path in enumerate(paths)
+             if (output := _recorded_output(path, digest, units[index], columns)) is not None}
+    todo = [unit for index, unit in enumerate(units) if index not in saved]
+    processes = _process_count(len(todo))
+    computed = (_forked_outputs(run_unit, todo, processes) if processes > 1
+                else (run_unit(*unit) for unit in todo))
+    record = RunRecord(columns, [], processes=processes)
     try:
-        for rows, tables in outputs:
+        for index, (point_index, c, *_) in enumerate(units):
+            if index in saved:
+                rows, tables = saved[index]
+            else:
+                rows, tables = next(computed)
+                if paths:
+                    tmp = paths[index].with_suffix(".tmp")
+                    tmp.write_text(json.dumps({"version": __version__, "config_hash": digest,
+                                               "point": point_index, "circuit": c,
+                                               "rows": rows, "tables": tables}))
+                    os.replace(tmp, paths[index])
             record.rows.extend(rows)
             for name, (table_columns, table_rows, comments) in tables.items():
                 joined = record.tables.setdefault(name, (table_columns, [], comments))
                 joined[1].extend(table_rows)
-    except ResourceAbort as abort:
-        record.status, record.message, abort.record = "aborted", str(abort), record
+    except (ResourceAbort, NumericalFailure, DegradedStateError) as exc:
+        exc.record = record  # run() reports its rows on an abort, its process count on any
+        if isinstance(exc, ResourceAbort):
+            record.status, record.message = "aborted", str(exc)
         raise
     finally:
-        outputs.close()
+        computed.close()
+    for path in paths:
+        path.unlink(missing_ok=True)
+        path.with_suffix(".tmp").unlink(missing_ok=True)  # left by a run killed mid-write
     return record
+
+
+def _recorded_output(path: Path, digest: str, unit: tuple, columns: list[str]
+                     ) -> UnitOutput | None:
+    """The output of ``unit`` recorded at ``path``, or None if the file is missing
+    or is not such a record: JSON written by this bosonet version, naming this
+    ``digest`` and the unit's point and circuit, whose rows are a list of objects
+    keyed by some of ``columns`` with string, integer or finite float values, and
+    whose tables map file names to ``[columns, rows, comments]``.  A record is
+    read as outside input: a file cut short, another build's, another run's or
+    another program's is ignored, and its unit runs."""
+    def refuse(constant: str):
+        raise ValueError(f"{constant} is not JSON")
+
+    try:
+        doc = json.loads(path.read_bytes(), parse_constant=refuse)
+    except (OSError, ValueError, RecursionError):
+        return None
+
+    def scalars(values) -> bool:
+        return all(type(v) in (str, int, float) for v in values)
+
+    def table_rows(rows, keys) -> bool:
+        return isinstance(rows, list) and all(
+            isinstance(row, dict) and row.keys() <= set(keys) and scalars(row.values())
+            for row in rows)
+
+    if not (isinstance(doc, dict) and doc.get("version") == __version__
+            and doc.get("config_hash") == digest
+            and [(type(doc.get(key)), doc.get(key)) for key in ("point", "circuit")]
+            == [(int, index) for index in unit[:2]]
+            and table_rows(doc.get("rows"), columns) and isinstance(doc.get("tables"), dict)):
+        return None
+    for table in doc["tables"].values():
+        if not (isinstance(table, list) and len(table) == 3 and isinstance(table[0], list)
+                and all(isinstance(column, str) for column in table[0])
+                and table_rows(table[1], table[0])
+                and isinstance(table[2], dict) and scalars(table[2].values())):
+            return None
+    return doc["rows"], {name: tuple(table) for name, table in doc["tables"].items()}
 
 
 class _WorkerTraceback(Exception):
@@ -450,10 +522,10 @@ def _forked_outputs(run_unit: Callable[..., UnitOutput], units: list[tuple],
     when it has sent the output of its last.
 
     Once a unit raises, no later unit is handed out.  The units still running
-    finish (an aborting one saves its checkpoint), then the outputs of the units
-    before the first that raised, in unit order, are yielded and its exception is
-    raised, as on the serial path.  Workers inherit this process's state,
-    the BLAS thread pin included; every worker is ended and reaped on every exit.
+    finish, then the outputs of the units before the first that raised, in unit
+    order, are yielded and its exception is raised, as on the serial path.
+    Workers inherit this process's state, the BLAS thread pin included; every
+    worker is ended and reaped on every exit.
     """
     import multiprocessing.connection
 
@@ -577,93 +649,6 @@ class _Budget:
         return time.monotonic() - self.start
 
 
-class _Checkpointer:
-    """Per-(point, circuit) snapshot files under ``out_dir/checkpoints``.
-
-    A snapshot after layer k holds the rows of layers 1..k, ``len(alphas)`` per layer.
-    """
-
-    def __init__(self, config: ExperimentConfig, digest: str):
-        self.every = config.checkpoint_every
-        self.digest = digest
-        self.rows_per_layer = len(config.alphas)
-        self.root: Path | None = None
-        if config.out_dir is not None and config.checkpoint_every > 0:
-            self.root = Path(config.out_dir) / "checkpoints"
-
-    def path(self, point_index: int, circuit_index: int) -> Path | None:
-        if self.root is None:
-            return None
-        return self.root / f"{self.digest}_p{point_index}_c{circuit_index}.npz"
-
-    def restore(self, point_index: int, circuit_index: int, num_layers: int):
-        path = self.path(point_index, circuit_index)
-        if path is None or not path.exists():
-            return None
-        try:
-            state, extra = load_state(path)
-        except (ValueError, zipfile.BadZipFile, EOFError):
-            return None  # another snapshot format, a bad header, or a file cut short
-        if extra.get("config_hash") != self.digest:
-            return None
-        layers_done, rows = extra.get("layers_done"), extra.get("rows")
-        if type(layers_done) is not int or layers_done < 0 or not (
-                isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
-            return None  # progress fields missing or of the wrong type
-        if layers_done > num_layers or [row.get("layer") for row in rows] != [
-                layer for layer in range(1, layers_done + 1) for _ in range(self.rows_per_layer)]:
-            return None  # progress that this circuit of num_layers layers cannot have
-        return state, layers_done, rows
-
-    def save(self, point_index: int, circuit_index: int, state, layers_done: int,
-             rows: list[dict[str, Any]]) -> None:
-        path = self.path(point_index, circuit_index)
-        if path is None:
-            return
-        save_state(path, state, extra={
-            "config_hash": self.digest,
-            "layers_done": layers_done,
-            "rows": rows,
-        })
-
-    def clear(self, point_index: int, circuit_index: int) -> None:
-        path = self.path(point_index, circuit_index)
-        if path is not None and path.exists():
-            path.unlink()
-
-
-def _evolve_by_layers(
-    state,
-    plan: CircuitPlan,
-    policy: TruncationPolicy,
-    on_layer: Callable[[int], list[dict[str, Any]]],
-    budget: _Budget,
-    ckpt: _Checkpointer,
-    point_index: int,
-    circuit_index: int,
-):
-    """Drive one circuit layer by layer with checkpoint and budget hooks."""
-    layers = plan.layers()
-    rows: list[dict[str, Any]] = []
-    start_layer = 0
-    restored = ckpt.restore(point_index, circuit_index, len(layers))
-    if restored is not None:
-        state, start_layer, rows = restored
-    for layer_index in range(start_layer, len(layers)):
-        try:
-            budget.check()
-        except ResourceAbort:
-            ckpt.save(point_index, circuit_index, state, layer_index, rows)
-            raise
-        for gate in layers[layer_index]:
-            chain.apply_gate(state, gate, policy)
-        rows.extend(on_layer(layer_index, state))
-        if ckpt.every > 0 and (layer_index + 1) % ckpt.every == 0:
-            ckpt.save(point_index, circuit_index, state, layer_index + 1, rows)
-    ckpt.clear(point_index, circuit_index)
-    return state, rows
-
-
 # ---------------------------------------------------------------------------
 # recipes
 # ---------------------------------------------------------------------------
@@ -679,7 +664,6 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
                + ["chi", "circuit", "layer", "alpha", "max_ee", "peak_bond",
                   "max_bond_dim", "discarded_weight"]
                + (["trace"] if lossy else []))
-    ckpt = _Checkpointer(config, digest)
     policy = TruncationPolicy(config.chi_max)
 
     def run_unit(point_index: int, c: int, m: int, n: int, loss) -> UnitOutput:
@@ -687,28 +671,24 @@ def _ee_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunRec
         base: dict[str, Any] = {"config_hash": digest, "M": m, "N": n, **loss,
                                 "chi": policy.chi_max, "circuit": c}
         state = _initial_state(m, n, loss, bunched)
-        # Bond entropies by bond dict, one memo per alpha; a state restored
-        # from a checkpoint brings new dicts, so nothing stale is read.
-        memos = [{} for _ in config.alphas]
-
-        def on_layer(layer_index: int, st) -> list[dict[str, Any]]:
-            shared = {**base, "layer": layer_index + 1, "max_bond_dim": st.max_bond_dimension(),
-                      "discarded_weight": st.discarded_weight}
+        memos = [{} for _ in config.alphas]  # bond entropies by bond dict, one per alpha
+        rows = []
+        for layer, gates in enumerate(plan.layers(), start=1):
+            budget.check()
+            for gate in gates:
+                chain.apply_gate(state, gate, policy)
+            shared = {**base, "layer": layer, "max_bond_dim": state.max_bond_dimension(),
+                      "discarded_weight": state.discarded_weight}
             if lossy:
-                shared["trace"] = mpo.trace(st)
+                shared["trace"] = mpo.trace(state)
                 sampling.check_degraded(shared["trace"], "lossy-ee: trace",
-                                        f"after layer {layer_index + 1} of circuit {c} "
-                                        f"(M={m}, N={n})")
-            out = []
+                                        f"after layer {layer} of circuit {c} (M={m}, N={n})")
             for alpha, memo in zip(config.alphas, memos):
-                bond, value = chain.max_bond_entropy(st, alpha, memo)
-                out.append({**shared, "alpha": alpha, "max_ee": value, "peak_bond": bond})
-            return out
-
-        _, rows = _evolve_by_layers(state, plan, policy, on_layer, budget, ckpt, point_index, c)
+                bond, value = chain.max_bond_entropy(state, alpha, memo)
+                rows.append({**shared, "alpha": alpha, "max_ee": value, "peak_bond": bond})
         return rows, {}
 
-    record = _run_units(config, columns, run_unit)
+    record = _run_units(config, digest, columns, run_unit)
     peaks = [max(group, key=lambda r: r["max_ee"])
              for group in _groups(record.rows, keys + ["circuit"])]
     record.summary_columns = keys + ["mean_peak_ee", "stderr", "n_circuits"]
@@ -728,7 +708,7 @@ def _analytic_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> 
                  "circuit": c, "ee": lossy_mpo_ee(angles, loss["mu"], alpha, n)}
                 for alpha in config.alphas], {}
 
-    record = _run_units(config, columns, run_unit)
+    record = _run_units(config, digest, columns, run_unit)
     record.summary_columns = ["N", "M", "gamma", "beta", "alpha", "mean_ee", "stderr",
                               "n_samples", "config_hash"]
     record.summary = _summarize(record.rows, ["config_hash", "M", "N", "gamma", "beta",
@@ -761,7 +741,7 @@ def _trunc_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Run
             timings.append({"M": m, "N": n, "chi": chi, "circuit": c, "wall_seconds": wall})
         return out, {"timings.csv": (["M", "N", "chi", "circuit", "wall_seconds"], timings, {})}
 
-    record = _run_units(config, columns, run_unit)
+    record = _run_units(config, digest, columns, run_unit)
     record.summary_columns = keys + ["mean_one_minus_trace", "stderr", "n_circuits"]
     record.summary = _summarize(record.rows, keys, "one_minus_trace", "mean_one_minus_trace",
                                 "n_circuits")
@@ -814,7 +794,7 @@ def _sample_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
                  "max_step_deficit": max(r.max_step_deficit for r in results),
                  "circuit_fingerprint": plan_fingerprint(plan)}], tables
 
-    record = _run_units(config, columns, run_unit)
+    record = _run_units(config, digest, columns, run_unit)
     record.summary_columns = ["config_hash", "M", "N", "mu", "chi", "n_circuits",
                               "total_samples", "mean_state_norm"]
     record.summary = [{"config_hash": digest, "M": m, "N": n, **loss, "chi": config.chi_max,
@@ -841,7 +821,7 @@ def _prob_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> RunR
                  "circuit": c, "outcome": key, "probability": probability(state, occ)}
                 for occ, key in outcomes], {}
 
-    record = _run_units(config, columns, run_unit)
+    record = _run_units(config, digest, columns, run_unit)
     record.summary_columns = keys + ["mean_probability", "stderr", "n_circuits"]
     record.summary = _summarize(record.rows, keys, "probability", "mean_probability",
                                 "n_circuits")
@@ -902,7 +882,7 @@ def _oracle_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
                  "status": "pass" if deviation <= tol else "fail"}
                 for name, deviation in checks.items()], {}
 
-    record = _run_units(config, columns, run_unit)
+    record = _run_units(config, digest, columns, run_unit)
     record.summary_columns = ["config_hash", "check", "max_deviation", "tolerance", "status"]
     for group in sorted(_groups(record.rows, ["check"]), key=lambda group: group[0]["check"]):
         worst = max(r["deviation"] for r in group)
@@ -945,9 +925,10 @@ def run(config: ExperimentConfig) -> RunRecord:
     called from several threads at once.
 
     A run of several units runs them in processes forked from the caller, one
-    per CPU the caller may use and at most one per unit, and ``processes``
-    records how many (1 on the serial path, which a one-unit run, a one-CPU
-    host, or a platform without ``"fork"`` takes).  The workers inherit the
+    per CPU the caller may use and at most one per unit it runs (a unit taken
+    from its record does not run), and ``processes`` records how many (1 on
+    the serial path, which a one-unit run, a one-CPU host, or a platform
+    without ``"fork"`` takes).  The workers inherit the
     one-thread pin, their outputs are joined in unit order, and none outlives
     ``run``, so the tables do not depend on the process count.
     """
@@ -960,9 +941,9 @@ def run(config: ExperimentConfig) -> RunRecord:
         except ResourceAbort as abort:
             record = abort.record
         except (NumericalFailure, DegradedStateError) as exc:
-            record = RunRecord([], [], status="numerical-failure", message=str(exc))
+            record = RunRecord([], [], status="numerical-failure", message=str(exc),
+                               processes=exc.record.processes if hasattr(exc, "record") else 1)
     record.config_hash, record.experiment, record.blas = digest, config.experiment, blas
-    record.processes = _process_count(config)
     record.wall_time = budget.elapsed()
     return record
 
@@ -991,8 +972,8 @@ def run_to_files(config: ExperimentConfig) -> tuple[RunRecord, Path | None]:
 
     Every table but ``timings.csv`` is byte-identical across reruns of the same
     config; wall-clock information goes only to ``meta.json`` and ``timings.csv``.
-    Earlier tables in ``out_dir`` are removed first (``checkpoints/`` is
-    kept), so a failed run, which has none, leaves none.  ``out_dir`` is
+    Earlier tables in ``out_dir`` are removed first (the unit records under
+    ``checkpoints/`` are kept), so a failed run, which has none, leaves none.  ``out_dir`` is
     created before the recipe runs; one that cannot be is a :class:`ConfigError`.
     """
     out_dir = None if config.out_dir is None else Path(config.out_dir)

@@ -1,7 +1,8 @@
 """Helpers shared by several test modules.
 
-Besides circuits, outcome grids, snapshot edits, a check that no worker
-process is left and counters of scipy SVDs and of decomposed centers, this
+Besides circuits, outcome grids, a check that no worker process is left,
+counters of scipy SVDs, of decomposed centers and of the units a run starts,
+and a budget that runs out once a unit is recorded, this
 holds the references that only the tests compare against: the samplers that
 take one draw, and one histogram node, at a time
 (``reference_sample_many``, ``reference_sample_counts``), with their own
@@ -15,14 +16,13 @@ of the charge-resolved object the train stores and of rho itself.
 """
 
 import itertools
-import json
 import os
 from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from bosonet import chain, sampling
+from bosonet import chain, experiments, sampling
 from bosonet.circuit import CircuitPlan, occupation_pattern, sample_haar_circuit
 from bosonet.linalg import RANK_CUTOFF, NumericalFailure
 from bosonet.mpo import MpoState, trace_labels
@@ -78,23 +78,33 @@ def count_centers(monkeypatch, plans: list | None = None) -> list[int]:
     return count
 
 
-def _edit_members(path, edit):
-    """Rewrite the snapshot at ``path`` with ``edit(arrays)`` applied to its members."""
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {key: data[key] for key in data.files}
-    edit(arrays)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+def abort_once_recorded(monkeypatch, out_dir):
+    """Patch ``_Budget.check`` to raise :class:`ResourceAbort` once the run into
+    ``out_dir`` has recorded a unit: on the serial path, at the first budget check
+    of the unit after the first."""
+    def check(budget):
+        if any((out_dir / "checkpoints").glob("*.json")):
+            raise experiments.ResourceAbort("wall-clock budget exhausted")
+
+    monkeypatch.setattr(experiments._Budget, "check", check)
 
 
-def _edit_header(path, edit):
-    """Rewrite the JSON header of the snapshot at ``path`` with ``edit(header)``."""
-    def edit_members(arrays):
-        header = json.loads(str(arrays["header"][()]))
-        edit(header)
-        arrays["header"] = np.array(json.dumps(header))
+def units_run(monkeypatch, marks):
+    """Patch ``experiments._run_units`` so that every unit a run starts, in this
+    process or in a worker, leaves a mark in the new directory ``marks``.  Returns
+    a function giving the sorted (point, circuit) of the marks."""
+    marks.mkdir()
+    real = experiments._run_units
 
-    _edit_members(path, edit_members)
+    def marking(config, digest, columns, run_unit):
+        def unit(point_index, c, *rest):
+            (marks / f"{point_index}_{c}").touch()
+            return run_unit(point_index, c, *rest)
+
+        return real(config, digest, columns, unit)
+
+    monkeypatch.setattr(experiments, "_run_units", marking)
+    return lambda: sorted(tuple(map(int, path.name.split("_"))) for path in marks.iterdir())
 
 
 def _reference_step(engine, env, site_idx: int):

@@ -10,7 +10,6 @@ from dataclasses import MISSING
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,9 +20,8 @@ from bosonet.circuit import sample_haar_circuit
 from bosonet.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from bosonet.experiments import circuit_rng
 from bosonet.linalg import DegradedStateError, NumericalFailure, TruncationPolicy
-from bosonet.snapshots import FORMAT_VERSION, load_state
 
-from helpers import _edit_header, _edit_members, assert_no_child_process
+from helpers import abort_once_recorded, assert_no_child_process, units_run
 
 
 def write_config(path, **overrides):
@@ -170,10 +168,6 @@ class TestUsageErrors:
             ("trunc-error", "alphas", {"alphas": [2.0]}, []),
             # trunc-error reads its chi values from chis alone.
             ("trunc-error", "chi_max", {}, ["--chi", "8"]),
-            # Only the layer-evolution experiments checkpoint.
-            *((experiment, "checkpoint_every", {"checkpoint_every": 1}, [])
-              for experiment in ("analytic-ee", "trunc-error", "sample", "prob",
-                                 "oracle-check")),
         )
     ])
     def test_field_the_experiment_does_not_read_exits_one(self, tmp_path, capsys, experiment,
@@ -497,130 +491,121 @@ class TestStaleOutputs:
         assert sorted(p.name for p in out.glob("samples_c*.csv")) == ["samples_c0.csv"]
 
 
-def _nan_site_block(arrays):
-    key = next(key for key in arrays if key.startswith("site2/"))
-    arrays[key] = np.full_like(arrays[key], np.nan)
+def _rewrite(edit):
+    """A plant that rewrites a record's JSON with ``edit(doc)`` applied."""
+    def plant(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return plant
 
 
-def _zero_bond0_member(arrays):
-    key = next(key for key in arrays if key.startswith("bond0/"))
-    arrays[key] = np.zeros_like(arrays[key])
+def _zero_entropies(doc):
+    """This run's record of circuit 0 with every ``max_ee`` 0: a resume that
+    trusted it would write another table."""
+    for row in doc["rows"]:
+        row["max_ee"] = 0.0
 
 
-def assert_resume_ignores_planted_checkpoint(tmp_path, plant):
-    """Abort a checkpointed lossy-ee run at layer 0, damage its checkpoint with
-    ``plant(path)`` and rerun: exit 0, tables byte-identical to an uninterrupted
-    run, and no checkpoint left."""
+def assert_resume_ignores_planted_checkpoint(tmp_path, monkeypatch, plant):
+    """Abort a checkpointed lossy-ee run of two circuits once circuit 0 is
+    recorded, damage its record with ``plant(path)`` and rerun: exit 0, circuit 0
+    run again, tables byte-identical to an uninterrupted run, and no record left."""
+    monkeypatch.setattr(experiments, "PROCESSES", 1)
     config = write_config(tmp_path / "c.json", experiment="lossy-ee",
-                          loss={"kind": "constant", "mu": 0.6}, checkpoint_every=1)
+                          loss={"kind": "constant", "mu": 0.6}, n_circuits=2,
+                          checkpoint_every=1)
     clean = tmp_path / "clean"
     assert main(["lossy-ee", "--config", str(config), "--out", str(clean)]) == EXIT_OK
 
     resumed = tmp_path / "resumed"
-    aborting = write_config(tmp_path / "abort.json", experiment="lossy-ee",
-                            loss={"kind": "constant", "mu": 0.6},
-                            checkpoint_every=1, max_seconds=0.0)
-    code = main(["lossy-ee", "--config", str(aborting), "--out", str(resumed)])
-    assert code == EXIT_RESOURCE
-    [planted] = (resumed / "checkpoints").glob("*.npz")
+    with monkeypatch.context() as patch:
+        abort_once_recorded(patch, resumed)
+        assert main(["lossy-ee", "--config", str(config), "--out", str(resumed)]) == EXIT_RESOURCE
+    [planted] = (resumed / "checkpoints").iterdir()
+    assert planted.name.endswith("_p0_c0.json")
     plant(planted)
 
+    ran = units_run(monkeypatch, tmp_path / "ran")
     assert main(["lossy-ee", "--config", str(config), "--out", str(resumed)]) == EXIT_OK
+    assert ran() == [(0, 0), (0, 1)]
     for table in ("results.csv", "summary.csv"):
         assert (resumed / table).read_bytes() == (clean / table).read_bytes()
-    assert not list((resumed / "checkpoints").glob("*.npz"))
+    assert not list((resumed / "checkpoints").iterdir())
 
 
 class TestCheckpointResume:
-    def test_checkpoint_from_other_snapshot_version_is_ignored(self, tmp_path):
-        # The planted header claims every layer is done with no rows, so a
-        # resume that trusted it would write a different table.
-        def edit(header):
-            header["version"] = FORMAT_VERSION - 1
-            header["extra"].update(layers_done=10_000, rows=[])
-
-        assert_resume_ignores_planted_checkpoint(tmp_path, lambda path: _edit_header(path, edit))
-
-    def test_truncated_checkpoint_is_ignored(self, tmp_path):
-        # A checkpoint cut short, as by a full disk or a copy that died partway.
+    def test_truncated_checkpoint_is_ignored(self, tmp_path, monkeypatch):
+        # A record cut short, as by a full disk or a copy that died partway.
         def plant(path):
             data = path.read_bytes()
             path.write_bytes(data[: len(data) // 2])
 
-        assert_resume_ignores_planted_checkpoint(tmp_path, plant)
-
-    def test_checkpoint_with_mismatched_local_dim_is_ignored(self, tmp_path):
-        assert_resume_ignores_planted_checkpoint(tmp_path, lambda path: _edit_header(
-            path, lambda h: h.update(local_dim=h["local_dim"] + 1)))
-
-    def test_checkpoint_with_misshaped_block_is_ignored(self, tmp_path):
-        # Without the shape check the block loads and the next gate dies in
-        # two_site_update instead of restarting the circuit.
-        def misshape(arrays):
-            key = next(key for key in arrays if key.startswith("site2/"))
-            arrays[key] = np.zeros((7, 9), dtype=complex)
-
-        assert_resume_ignores_planted_checkpoint(tmp_path, lambda path: _edit_members(
-            path, misshape))
+        assert_resume_ignores_planted_checkpoint(tmp_path, monkeypatch, plant)
 
     @pytest.mark.parametrize("edit", [
-        pytest.param(lambda h: h.update(norm_scale=None), id="null-norm_scale"),
-        pytest.param(lambda h: h.pop("num_photons"), id="no-num_photons"),
+        # A record of another config, point or circuit under this unit's name.
+        pytest.param(lambda doc: doc.update(config_hash="0" * 16), id="other-config_hash"),
+        pytest.param(lambda doc: doc.update(point=1), id="other-point"),
+        pytest.param(lambda doc: doc.update(circuit=1), id="other-circuit"),
+        # JSON's true and 0.0 equal Python's 1 and 0, but name no point or circuit.
+        pytest.param(lambda doc: doc.update(point=False), id="point-as-a-bool"),
+        pytest.param(lambda doc: doc.update(circuit=0.0), id="circuit-as-a-float"),
+        pytest.param(lambda doc: doc.pop("rows"), id="no-rows"),
+        pytest.param(lambda doc: doc.update(rows={"M": 4}), id="dict-rows"),
+        pytest.param(lambda doc: doc.update(rows=[7]), id="int-row"),
+        pytest.param(lambda doc: doc["rows"][0].update(zzz=1.0), id="row-with-another-column"),
+        pytest.param(lambda doc: doc["rows"][0].update(trace=[1.0]), id="row-with-a-list-value"),
+        pytest.param(lambda doc: doc["rows"][0].update(trace=None), id="row-with-a-null-value"),
+        pytest.param(lambda doc: doc["rows"][0].update(trace=True), id="row-with-a-bool-value"),
+        pytest.param(lambda doc: doc["rows"][0].update(trace=float("nan")),
+                     id="row-with-a-nan-value"),
+        pytest.param(lambda doc: doc.pop("tables"), id="no-tables"),
+        pytest.param(lambda doc: doc.update(tables=[]), id="tables-a-list"),
+        pytest.param(lambda doc: doc.update(tables={"timings.csv": [[1], [], {}]}),
+                     id="table-columns-not-strings"),
+        pytest.param(lambda doc: doc.update(tables={"timings.csv": [["M"], [], []]}),
+                     id="table-comments-a-list"),
+        pytest.param(lambda doc: doc.update(tables={"timings.csv": [["M"], []]}),
+                     id="table-of-two-parts"),
+        pytest.param(lambda doc: doc.update(tables={"timings.csv": [["M"], [{"N": 2}], {}]}),
+                     id="table-row-off-its-columns"),
     ])
-    def test_checkpoint_with_malformed_header_is_ignored(self, tmp_path, edit):
-        assert_resume_ignores_planted_checkpoint(
-            tmp_path, lambda path: _edit_header(path, edit))
+    def test_checkpoint_with_malformed_progress_is_ignored(self, tmp_path, monkeypatch, edit):
+        def both(doc):
+            _zero_entropies(doc)
+            edit(doc)
 
-    @pytest.mark.parametrize("plant", [
-        # Without the finiteness check the NaN block loads and the next SVD
-        # fails, or the NaN scale resumes into a table of NaN traces.
-        pytest.param(lambda path: _edit_members(path, _nan_site_block), id="nan-block"),
-        pytest.param(lambda path: _edit_header(path, lambda h: h.update(norm_scale=float("nan"))),
-                     id="nan-norm_scale"),
+        assert_resume_ignores_planted_checkpoint(tmp_path, monkeypatch, _rewrite(both))
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"[]", id="a-list"),
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        pytest.param(b"", id="empty"),
+        pytest.param(b'"record"', id="a-string"),
     ])
-    def test_checkpoint_with_non_finite_entries_is_ignored(self, tmp_path, plant):
-        assert_resume_ignores_planted_checkpoint(tmp_path, plant)
-
-    def test_checkpoint_with_a_zero_bond_value_is_ignored(self, tmp_path):
-        # Bond 0 weighs the first gate's Theta, so a zero there would resume
-        # into other numbers.
+    def test_checkpoint_that_is_no_record_is_ignored(self, tmp_path, monkeypatch, content):
         assert_resume_ignores_planted_checkpoint(
-            tmp_path, lambda path: _edit_members(path, _zero_bond0_member))
+            tmp_path, monkeypatch, lambda path: path.write_bytes(content))
 
-    def test_checkpoint_with_loss_key_of_older_builds_resumes(self, tmp_path):
-        # Older format-3 builds wrote the transmissivity into the header; such a
-        # checkpoint still loads, and the resume finishes it.
-        def plant(path):
-            _edit_header(path, lambda h: h.update(loss={"mu": 0.6}))
-            assert load_state(path)[1]["config_hash"]
+    def test_checkpoint_from_other_snapshot_version_is_ignored(self, tmp_path, monkeypatch):
+        # A record that another bosonet version wrote may hold other numbers
+        # for the same config.
+        def edit(doc):
+            assert doc["version"] == bosonet.__version__
+            _zero_entropies(doc)
+            doc["version"] = "0.0.0"
 
-        assert_resume_ignores_planted_checkpoint(tmp_path, plant)
+        assert_resume_ignores_planted_checkpoint(tmp_path, monkeypatch, _rewrite(edit))
 
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda extra: extra.pop("layers_done"), id="no-layers_done"),
-        pytest.param(lambda extra: extra.pop("rows"), id="no-rows"),
-        pytest.param(lambda extra: extra.update(layers_done="1"), id="str-layers_done"),
-        pytest.param(lambda extra: extra.update(layers_done=1.5), id="float-layers_done"),
-        pytest.param(lambda extra: extra.update(rows={"M": 4}), id="dict-rows"),
-        pytest.param(lambda extra: extra.update(rows=[7]), id="int-row"),
-        # A resume that trusted this progress would write no rows.
-        pytest.param(lambda extra: extra.update(config_hash="0" * 16, layers_done=10_000,
-                                                rows=[]), id="other-config_hash"),
-        # This run's own progress, but more layers than the circuit has, or
-        # not one row per alpha for each layer it claims: a resume that
-        # trusted any of these would write another table.
-        pytest.param(lambda extra: extra.update(layers_done=10_000, rows=[]),
-                     id="layers_done-past-the-circuit"),
-        pytest.param(lambda extra: extra.update(layers_done=3, rows=[]),
-                     id="rows-missing-for-layers_done"),
-        pytest.param(lambda extra: extra.update(layers_done=1, rows=[{"layer": 1}] * 2),
-                     id="rows-repeated-for-a-layer"),
-    ])
-    def test_checkpoint_with_malformed_progress_is_ignored(self, tmp_path, edit):
-        # The header is well formed; only the progress fields are missing, of
-        # the wrong type, another config's, or inconsistent with the circuit.
-        assert_resume_ignores_planted_checkpoint(
-            tmp_path, lambda path: _edit_header(path, lambda h: edit(h["extra"])))
+    def test_budget_abort_names_the_records(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(experiments, "PROCESSES", 1)
+        config = write_config(tmp_path / "c.json", n_circuits=2, checkpoint_every=1)
+        out = tmp_path / "out"
+        abort_once_recorded(monkeypatch, out)
+        assert main(["lossless-ee", "--config", str(config), "--out", str(out)]) == EXIT_RESOURCE
+        assert (f"bosonet: wall-clock budget exhausted; a rerun resumes after the units "
+                f"recorded in {out / 'checkpoints'}") in capsys.readouterr().err
 
 
 class TestInstalledEntryPoint:

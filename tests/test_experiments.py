@@ -4,6 +4,8 @@ import csv
 import importlib.util
 import json
 import os
+import signal
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -26,9 +28,8 @@ from bosonet.experiments import (
     validate_config,
 )
 from bosonet.linalg import DegradedStateError, NumericalFailure, TruncationPolicy
-from bosonet.snapshots import load_header
 
-from helpers import assert_no_child_process
+from helpers import abort_once_recorded, assert_no_child_process, units_run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -802,7 +803,7 @@ class TestReproducibility:
 
 
 # ---------------------------------------------------------------------------
-# budgets, aborts, and checkpoint resume
+# budgets, aborts, and resumes from recorded units
 # ---------------------------------------------------------------------------
 
 
@@ -871,36 +872,66 @@ class TestEntropyMemo:
     @pytest.mark.parametrize("experiment, extra", ENTROPY_RECIPES)
     def test_rows_after_a_resume_equal_a_recomputation_without_memo(
             self, tmp_path, monkeypatch, experiment, extra):
-        # The resumed circuit continues from a state read back from its
-        # snapshot, whose bonds are new dicts.
-        k, alphas = 2, [0.5, 1.0, 2.0]
-        doc = make_doc(experiment=experiment, num_modes=[6], alphas=alphas,
-                       checkpoint_every=1, out_dir=str(tmp_path), **extra)
+        # The rerun takes circuit 0 from its record and evolves circuit 1 with
+        # fresh memos; its rows follow the restored ones.
+        config = config_from_dict(make_doc(experiment=experiment, num_modes=[6],
+                                           alphas=[0.5, 1.0, 2.0], checkpoint_every=1,
+                                           out_dir=str(tmp_path), **extra))
         with monkeypatch.context() as patch:
-            exhaust_budget_on_check(patch, k + 1)
-            record, out = run_to_files(config_from_dict(doc))
+            abort_once_recorded(patch, tmp_path)
+            record, _ = run_to_files(config)
         assert record.status == "aborted"
-        assert load_header(next((out / "checkpoints").glob("*.npz")))["extra"][
-            "layers_done"] == k
+        assert records_of(config) == record_names(config, [(0, 0)])
 
         fresh, _ = record_without_memo(monkeypatch)
-        record, _ = run_to_files(config_from_dict(doc))
+        record, _ = run_to_files(config)
         assert record.status == "ok"
-        restored = k * len(alphas)
+        restored = sum(row["circuit"] == 0 for row in record.rows)
+        assert 0 < restored < len(record.rows)
         assert [(row["peak_bond"], float.hex(row["max_ee"]))
                 for row in record.rows[restored:]] == fresh
 
 
+def units_of(config):
+    """The (point, circuit) of every unit of ``config``, in unit order."""
+    return [(p, c) for p in range(len(experiments._sweep_points(config)))
+            for c in range(config.n_circuits)]
+
+
+def records_of(config):
+    """The names of the files under ``config``'s ``checkpoints/``."""
+    return sorted(path.name for path in (Path(config.out_dir) / "checkpoints").iterdir())
+
+
+def record_names(config, units):
+    """The record file names of ``units`` of ``config``."""
+    return sorted(f"{config_hash(config)}_p{p}_c{c}.json" for p, c in units)
+
+
+def typed(rows):
+    """``rows`` with each value as its type and, for a float, its bits."""
+    return [{key: (type(value), value.hex() if isinstance(value, float) else value)
+             for key, value in row.items()} for row in rows]
+
+
 class TestAbortAndResume:
-    def test_zero_budget_aborts_with_checkpoint(self, tmp_path):
+    def test_zero_budget_aborts_with_no_unit_recorded(self, tmp_path):
         config = config_from_dict(
             make_doc(out_dir=str(tmp_path), max_seconds=0.0, checkpoint_every=1)
         )
         record, out_dir = run_to_files(config)
         assert record.status == "aborted"
-        assert list((out_dir / "checkpoints").glob("*.npz"))
+        assert not list((out_dir / "checkpoints").iterdir())
         # Partial results still land in a well-formed CSV (header at minimum).
         assert (out_dir / "results.csv").exists()
+
+    @pytest.mark.parametrize("overrides", [{}, {"max_seconds": 0.0}])
+    def test_a_run_without_records_makes_no_checkpoints_directory(self, tmp_path, overrides):
+        record, out_dir = run_to_files(config_from_dict(make_doc(out_dir=str(tmp_path),
+                                                                 **overrides)))
+        assert record.status == ("aborted" if overrides else "ok")
+        assert sorted(path.name for path in out_dir.iterdir()) == ["meta.json", "results.csv"] + (
+            [] if overrides else ["summary.csv"])
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         doc = make_doc(experiment="lossy-ee", loss={"kind": "constant", "mu": 0.6},
@@ -921,13 +952,142 @@ class TestAbortAndResume:
         assert (resumed_dir / "results.csv").read_bytes() == (
             clean_dir / "results.csv"
         ).read_bytes()
-        assert not list((resumed_dir / "checkpoints").glob("*.npz"))
+        assert not list((resumed_dir / "checkpoints").iterdir())
 
+    @pytest.mark.usefixtures("serial")
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
-    def test_abort_keeps_columns(self, experiment):
-        record = run(config_from_dict({**RECIPE_DOCS[experiment], "max_seconds": 0.0}))
+    def test_a_budget_abort_then_rerun_gives_the_uninterrupted_tables(
+            self, tmp_path, monkeypatch, experiment):
+        # The budget runs out once circuit 0 of point 0 is recorded; the rerun
+        # takes that unit from its record, runs every other unit, and writes
+        # the uninterrupted run's tables, sample files included.
+        doc = {**RECIPE_DOCS[experiment], "checkpoint_every": 1}
+        record, clean = run_to_files(config_from_dict({**doc, "out_dir": str(tmp_path / "a")}))
+        assert record.status == "ok"
+        assert not list((clean / "checkpoints").iterdir())  # an ok run deletes its records
+
+        config = config_from_dict({**doc, "out_dir": str(tmp_path / "b")})
+        with monkeypatch.context() as patch:
+            abort_once_recorded(patch, tmp_path / "b")
+            record, out = run_to_files(config)
         assert record.status == "aborted"
-        assert "config_hash" in record.columns
+        units = units_of(config)
+        assert len(units) >= 2
+        assert records_of(config) == record_names(config, units[:1])
+
+        ran = units_run(monkeypatch, tmp_path / "ran")
+        record, out = run_to_files(config)
+        assert record.status == "ok"
+        assert ran() == units[1:]
+        assert tables_of(out) == tables_of(clean)
+        assert not list((out / "checkpoints").iterdir())
+
+    def test_a_run_killed_partway_resumes_into_the_same_tables(self, tmp_path, monkeypatch):
+        # A child process runs the units serially and stalls in circuit 1, once
+        # circuit 0 is recorded; SIGKILL ends it there.
+        doc = make_doc(n_circuits=3, checkpoint_every=1)
+        monkeypatch.setattr(experiments, "PROCESSES", 1)
+        _, clean = run_to_files(config_from_dict({**doc, "out_dir": str(tmp_path / "a")}))
+        config = config_from_dict({**doc, "out_dir": str(tmp_path / "b")})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code = ("import sys, time\n"
+                "from bosonet import experiments\n"
+                "from bosonet.cli import main\n"
+                "experiments.PROCESSES = 1\n"
+                "real = experiments.circuit_rng\n"
+                "def stalling(seed, point_index, c, stream=0):\n"
+                "    if c == 1:\n"
+                "        time.sleep(60)\n"
+                "    return real(seed, point_index, c, stream)\n"
+                "experiments.circuit_rng = stalling\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).resolve().parents[1]))
+        child = subprocess.Popen([sys.executable, "-c", code, "lossless-ee", "--config",
+                                  str(path), "--out", config.out_dir], env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while (child.poll() is None and time.monotonic() < deadline
+                   and not list(Path(config.out_dir).glob("checkpoints/*.json"))):
+                time.sleep(0.01)
+            child.send_signal(signal.SIGKILL)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == -signal.SIGKILL
+        assert records_of(config) == record_names(config, [(0, 0)])
+
+        ran = units_run(monkeypatch, tmp_path / "ran")
+        record, out = run_to_files(config)
+        assert record.status == "ok"
+        assert ran() == [(0, 1), (0, 2)]
+        assert tables_of(out) == tables_of(clean)
+        assert not list((out / "checkpoints").iterdir())
+
+    @pytest.mark.usefixtures("serial")
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_a_record_holds_its_units_output_bit_for_bit(self, tmp_path, monkeypatch,
+                                                         experiment):
+        # What the loop writes for unit 0 reads back as the very output the unit
+        # returned: every row, table and comment, with each value's type and bits.
+        config = config_from_dict({**RECIPE_DOCS[experiment], "checkpoint_every": 1,
+                                   "out_dir": str(tmp_path)})
+        outputs = {}
+        real = experiments._run_units
+
+        def keeping(config, digest, columns, run_unit):
+            def unit(point_index, c, *rest):
+                outputs[point_index, c] = run_unit(point_index, c, *rest)
+                return outputs[point_index, c]
+
+            return real(config, digest, columns, unit)
+
+        monkeypatch.setattr(experiments, "_run_units", keeping)
+        with monkeypatch.context() as patch:
+            abort_once_recorded(patch, tmp_path)
+            record, _ = run_to_files(config)
+        assert record.status == "aborted"
+        [path] = (tmp_path / "checkpoints").iterdir()
+        read = experiments._recorded_output(path, config_hash(config), (0, 0), record.columns)
+        assert read is not None
+        rows, tables = outputs[0, 0]
+        assert rows and typed(read[0]) == typed(rows)
+        assert read[1].keys() == tables.keys()
+        for name, (columns, table_rows, comments) in tables.items():
+            assert read[1][name][0] == list(columns)
+            assert typed(read[1][name][1]) == typed(table_rows)
+            assert typed([read[1][name][2]]) == typed([comments])
+
+    def test_an_ok_run_keeps_the_records_of_other_configs(self, tmp_path, monkeypatch):
+        # Two configs share an out_dir: the one that finishes deletes its own
+        # records only, and the other still resumes from its record.
+        monkeypatch.setattr(experiments, "PROCESSES", 1)
+        first = config_from_dict(make_doc(checkpoint_every=1, out_dir=str(tmp_path)))
+        second = config_from_dict(make_doc(seed=8, checkpoint_every=1, out_dir=str(tmp_path)))
+        with monkeypatch.context() as patch:
+            abort_once_recorded(patch, tmp_path)
+            record, _ = run_to_files(first)
+        assert record.status == "aborted"
+        record, _ = run_to_files(second)
+        assert record.status == "ok"
+        assert records_of(first) == record_names(first, [(0, 0)])
+
+        ran = units_run(monkeypatch, tmp_path / "ran")
+        record, _ = run_to_files(first)
+        assert record.status == "ok"
+        assert ran() == [(0, 1)]
+        assert records_of(first) == []
+
+    def test_an_ok_run_removes_a_record_left_mid_write(self, tmp_path):
+        # A run killed while writing a record leaves its .tmp file, which is no
+        # record; the run that finishes the units removes it.
+        config = config_from_dict(make_doc(checkpoint_every=1, out_dir=str(tmp_path)))
+        (tmp_path / "checkpoints").mkdir()
+        left = tmp_path / "checkpoints" / f"{config_hash(config)}_p0_c1.tmp"
+        left.write_text('{"version": ')
+        record, _ = run_to_files(config)
+        assert record.status == "ok"
+        assert records_of(config) == []
 
     @pytest.mark.usefixtures("serial")
     @pytest.mark.parametrize("experiment, extra", [
@@ -936,9 +1096,9 @@ class TestAbortAndResume:
     ])
     def test_resume_from_a_mid_circuit_checkpoint(self, tmp_path, monkeypatch, experiment,
                                                   extra):
-        # Abort inside circuit 0 after k layers: the resume must restore them,
-        # so it applies k layers' worth fewer gates than a fresh run and still
-        # writes the uninterrupted run's tables.
+        # The budget runs out after k layers of circuit 1: the partial circuit
+        # leaves no record, so the rerun applies every gate of circuit 1 again,
+        # none of the recorded circuit 0, and writes the uninterrupted tables.
         k = 2
         doc = make_doc(experiment=experiment, num_modes=[6], alphas=[1.0, 2.0],
                        checkpoint_every=1, **extra)
@@ -950,43 +1110,44 @@ class TestAbortAndResume:
             return apply_gate(state, gate, policy)
 
         monkeypatch.setattr(chain, "apply_gate", counting)
-        first_layers = sample_haar_circuit(6, circuit_rng(7, 0, 0)).layers()[:k]
+        layers = [sample_haar_circuit(6, circuit_rng(7, 0, c)).layers() for c in range(2)]
 
         record, clean = run_to_files(config_from_dict({**doc, "out_dir": str(tmp_path / "a")}))
         assert record.status == "ok"
-        fresh_calls = len(gates)
+        assert gates == [g for circuit in layers for layer in circuit for g in layer]
 
         resumed = config_from_dict({**doc, "out_dir": str(tmp_path / "b")})
         gates.clear()
         with monkeypatch.context() as patch:
-            exhaust_budget_on_check(patch, k + 1)
+            exhaust_budget_on_check(patch, len(layers[0]) + k + 1)
             record, out = run_to_files(resumed)
         assert record.status == "aborted"
-        assert gates == [g for layer in first_layers for g in layer]
-        [path] = (out / "checkpoints").glob("*.npz")
-        progress = load_header(path)["extra"]
-        assert progress["layers_done"] == k
-        assert len(progress["rows"]) == k * len(doc["alphas"])
+        assert gates == [g for layer in layers[0] + layers[1][:k] for g in layer]
+        assert records_of(resumed) == record_names(resumed, [(0, 0)])
 
         gates.clear()
         record, out = run_to_files(resumed)
         assert record.status == "ok"
+        assert gates == [g for layer in layers[1] for g in layer]
         for table in ("results.csv", "summary.csv"):
             assert (out / table).read_bytes() == (clean / table).read_bytes()
-        assert len(gates) == fresh_calls - sum(map(len, first_layers))
-        assert not list((out / "checkpoints").glob("*.npz"))
+        assert not list((out / "checkpoints").iterdir())
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_abort_keeps_columns(self, experiment):
+        record = run(config_from_dict({**RECIPE_DOCS[experiment], "max_seconds": 0.0}))
+        assert record.status == "aborted"
+        assert "config_hash" in record.columns
 
     @pytest.mark.usefixtures("serial")
     def test_resume_after_a_crash_inside_a_layer(self, tmp_path, monkeypatch):
-        # An exception that is not bosonet's ends the run partway through layer
-        # k + 1 of circuit 0; the checkpoint taken after layer k must resume
-        # into the uninterrupted run's tables.
-        k = 2
+        # An exception that is not bosonet's ends the run partway through a
+        # layer of circuit 1; the record of circuit 0 must resume into the
+        # uninterrupted run's tables, and only circuit 1 runs again.
         doc = make_doc(experiment="lossy-ee", num_modes=[6], loss={"kind": "constant", "mu": 0.6},
                        checkpoint_every=1)
         layers = sample_haar_circuit(6, circuit_rng(7, 0, 0)).layers()
-        assert len(layers[k]) >= 2
-        crash_at = sum(map(len, layers[:k])) + 2  # the second gate of layer k + 1
+        crash_at = sum(map(len, layers)) + 2  # the second gate of circuit 1
         record, clean = run_to_files(config_from_dict({**doc, "out_dir": str(tmp_path / "a")}))
         assert record.status == "ok"
 
@@ -1004,11 +1165,12 @@ class TestAbortAndResume:
             patch.setattr(chain, "apply_gate", crashing)
             with pytest.raises(RuntimeError, match="crash inside a layer"):
                 run_to_files(resumed)
-        [path] = (tmp_path / "b" / "checkpoints").glob("*.npz")
-        assert load_header(path)["extra"]["layers_done"] == k
+        assert records_of(resumed) == record_names(resumed, [(0, 0)])
 
+        ran = units_run(monkeypatch, tmp_path / "ran")
         record, out = run_to_files(resumed)
         assert record.status == "ok"
+        assert ran() == [(0, 1)]
         for table in ("results.csv", "summary.csv"):
             assert (out / table).read_bytes() == (clean / table).read_bytes()
 
@@ -1130,32 +1292,70 @@ class TestWorkerProcesses:
         assert tables[0] == tables[1]
 
     def test_a_resume_under_two_processes_matches_the_serial_run(self, tmp_path, monkeypatch):
-        # Every worker counts its own budget checks from the count at the fork,
-        # so each aborts its first circuit after k layers and saves a checkpoint.
-        k = 2
+        # Circuit 2 of 4 aborts: circuits 0 and 1 are recorded, and the rerun
+        # hands out only circuits 2 and 3, to two workers.
         doc = make_doc(experiment="lossy-ee", num_modes=[6], loss={"kind": "constant", "mu": 0.6},
-                       checkpoint_every=1)
+                       n_circuits=4, checkpoint_every=1)
         monkeypatch.setattr(experiments, "PROCESSES", 1)
         _, clean = run_to_files(config_from_dict({**doc, "out_dir": str(tmp_path / "a")}))
 
         monkeypatch.setattr(experiments, "PROCESSES", 2)
         resumed = config_from_dict({**doc, "out_dir": str(tmp_path / "b")})
         with monkeypatch.context() as patch:
-            exhaust_budget_on_check(patch, k + 1)
+            failing_at(patch, {2: raising(experiments.ResourceAbort("budget gone"))})
             record, out = run_to_files(resumed)
-        assert (record.status, record.rows) == ("aborted", [])
-        paths = sorted((out / "checkpoints").glob("*.npz"))
-        assert [load_header(path)["extra"]["layers_done"] for path in paths] == [k, k]
+        assert record.status == "aborted"
+        assert sorted({r["circuit"] for r in record.rows}) == [0, 1]
+        assert records_of(resumed) == record_names(resumed, [(0, 0), (0, 1)])
 
+        ran = units_run(monkeypatch, tmp_path / "ran")
         record, out = run_to_files(resumed)
         assert (record.status, record.processes) == ("ok", 2)
+        assert ran() == [(0, 2), (0, 3)]
         assert tables_of(out) == tables_of(clean)
-        assert not list((out / "checkpoints").glob("*.npz"))
+        assert not list((out / "checkpoints").iterdir())
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_a_rerun_hands_out_no_recorded_unit(self, tmp_path, monkeypatch, experiment):
+        # A serial run that its budget ended recorded unit 0; the rerun forks
+        # two workers and hands them every other unit, and only those.
+        doc = {**RECIPE_DOCS[experiment], "checkpoint_every": 1}
+        monkeypatch.setattr(experiments, "PROCESSES", 1)
+        _, clean = run_to_files(config_from_dict({**doc, "out_dir": str(tmp_path / "a")}))
+        config = config_from_dict({**doc, "out_dir": str(tmp_path / "b")})
+        with monkeypatch.context() as patch:
+            abort_once_recorded(patch, tmp_path / "b")
+            record, _ = run_to_files(config)
+        assert record.status == "aborted"
+        units = units_of(config)
+        assert records_of(config) == record_names(config, units[:1])
+
+        monkeypatch.setattr(experiments, "PROCESSES", 2)
+        ran = units_run(monkeypatch, tmp_path / "ran")
+        record, out = run_to_files(config)
+        assert (record.status, record.processes) == ("ok", min(2, len(units) - 1))
+        assert ran() == units[1:]
+        assert tables_of(out) == tables_of(clean)
+        assert not list((out / "checkpoints").iterdir())
+
+    def test_a_resume_forks_at_most_one_worker_per_unit_it_runs(self, tmp_path, monkeypatch):
+        doc = {**RECIPE_DOCS["sample"], "n_circuits": 3, "checkpoint_every": 1,
+               "out_dir": str(tmp_path)}
+        monkeypatch.setattr(experiments, "PROCESSES", 3)
+        with monkeypatch.context() as patch:
+            failing_at(patch, {2: raising(experiments.ResourceAbort("budget gone"))})
+            record, _ = run_to_files(config_from_dict(doc))
+        assert (record.status, record.processes) == ("aborted", 3)
+
+        record, out = run_to_files(config_from_dict(doc))
+        assert (record.status, record.processes) == ("ok", 1)
+        assert json.loads((out / "meta.json").read_text())["processes"] == 1
 
     def test_abort_keeps_the_completed_prefix_in_unit_order(self, tmp_path, monkeypatch):
         # Circuit 1 aborts once the other worker has run circuit 2 and started
-        # circuit 3, which leave a mark in ``ran``; their outputs are dropped.
-        doc = {**RECIPE_DOCS["sample"], "n_circuits": 4}
+        # circuit 3, which leave a mark in ``ran``; their outputs are dropped,
+        # and only the joined circuit 0 is recorded.
+        doc = {**RECIPE_DOCS["sample"], "n_circuits": 4, "checkpoint_every": 1}
         ran = tmp_path / "ran"
         ran.mkdir()
 
@@ -1175,6 +1375,8 @@ class TestWorkerProcesses:
             assert set(tables_of(out)) == {"results.csv", "samples_c0.csv"}
             assert sorted(path.name for path in ran.iterdir()) == (
                 [] if processes == 1 else ["2", "3"])
+            config = config_from_dict({**doc, "out_dir": str(out)})
+            assert records_of(config) == record_names(config, [(0, 0)])
             outcomes.append((record.rows, record.tables, tables_of(out)))
         assert outcomes[0] == outcomes[1]
 
