@@ -28,8 +28,9 @@ whose ``results.csv`` is missing from either directory is a difference. For a
 file that differs it prints the largest deviation of every float column, or,
 where the two differ only in their line ends (``\r\n`` against ``\n``), says
 so. It exits 1 if anything differs, a line-end-only difference included. It
-also prints both builds' total line counts and their difference, for
-information: they do not change the exit code.
+also prints both builds' total line counts and their difference, and each
+module whose count differs or that only one build has, for information:
+they do not change the exit code.
 
 Both commands exit 1 at once, naming the directory they searched, when this
 checkout's ``configs/`` holds no ``*.json``: without it, a run would leave out
@@ -242,17 +243,32 @@ def _compare(label: str, a: dict[str, Path], b: dict[str, Path]) -> int:
     return differ
 
 
-def _src_total(directory: Path) -> int | None:
-    """Total of a run's ``src_lines.json``; None for a run made without one."""
+def _read_src_lines(directory: Path) -> dict[str, int] | None:
+    """A run's ``src_lines.json``; None for a run made without one."""
     path = directory / "src_lines.json"
-    return sum(json.loads(path.read_text()).values()) if path.exists() else None
+    return json.loads(path.read_text()) if path.exists() else None
+
+
+def _print_src_lines(a: dict[str, int] | None, b: dict[str, int] | None) -> None:
+    """Both builds' total line counts, then each module whose count differs."""
+    total_a, total_b = (None if lines is None else sum(lines.values()) for lines in (a, b))
+    print(f"src lines: {total_a} vs {total_b}"
+          + ("" if None in (a, b) else f" ({total_b - total_a:+d})"))
+    if a is None or b is None:
+        return
+    for name in sorted(set(a) | set(b)):
+        if name not in b:
+            print(f"  {name}: {a[name]} only in the first")
+        elif name not in a:
+            print(f"  {name}: {b[name]} only in the second")
+        elif a[name] != b[name]:
+            print(f"  {name}: {a[name]} -> {b[name]} ({b[name] - a[name]:+d})")
 
 
 def compare(first: Path, second: Path) -> int:
     if _missing_paper_configs():
         return 1
-    a, b = _src_total(first), _src_total(second)
-    print(f"src lines: {a} vs {b}" + ("" if None in (a, b) else f" ({b - a:+d})"))
+    _print_src_lines(_read_src_lines(first), _read_src_lines(second))
     differ = _compare(f"{first} vs {second}", _tables(first), _tables(second))
     for directory in (first, second):
         for name, _, resumable in CONFIGS:

@@ -64,12 +64,10 @@ pure state (int charges) has no mirror.
 ``two_site_update`` is a plan and an execute step. The plan
 (``layout.update_plan``) depends only on the block keys of the two sites and
 the charges and sizes of the bonds around them, and places every block with
-integer offsets and gathers, the mirror bookkeeping included; it is cached
-in a least-recently-used cache of ``layout.PLAN_CACHE_SIZE`` (64) plans keyed
-by exactly that structure. The cache is per process: a forked worker starts
-with its parent's, empty in a sweep, so the plans it meets in its first
-circuit are built there. The execute step is one path for pure states and
-vectorized operators: matmuls, gathers, SVDs and the pooled cut.
+integer offsets and gathers, the mirror bookkeeping included; it is cached,
+keyed by exactly that structure (size and per-process rule at
+``layout.PLAN_CACHE_SIZE``). The execute step is one path for pure states
+and vectorized operators: matmuls, gathers, SVDs and the pooled cut.
 """
 
 from __future__ import annotations
@@ -247,11 +245,10 @@ def two_site_update(
     ``gesdd_errors`` state is held around all the SVDs. It is entered after
     every Phi is assembled (a real center's rotation could turn an overflow
     into an invalid value), so only a gesdd that does not converge raises
-    in it, and only that center goes to gesvd. Plans are cached (least
-    recently used out, at most ``layout.PLAN_CACHE_SIZE``, 64) keyed by the
-    block keys of both sites in dict order and the charges and sizes of
-    bonds k and k+2. Bond k+1 only sets the inner dimension of the products,
-    so it is not part of the key.
+    in it, and only that center goes to gesvd. Plans are cached (see
+    ``layout.PLAN_CACHE_SIZE``) keyed by the block keys of both sites in
+    dict order and the charges and sizes of bonds k and k+2. Bond k+1 only
+    sets the inner dimension of the products, so it is not part of the key.
     A gather copies bits, and every matmul and elementwise operation sees
     the operands, shapes and memory layouts it saw before the split, so the
     results are the same bit for bit.

@@ -26,7 +26,6 @@ import numpy as np
 from .circuit import occupation_pattern
 
 __all__ = [
-    "PartitionAngles",
     "ScalingLaw",
     "partition_angles",
     "binomial_spectrum",
@@ -37,7 +36,6 @@ __all__ = [
     "lossy_mode_spectrum",
     "lossy_mpo_ee",
     "asymptotic_scaling",
-    "naive_cost",
     "log_naive_cost",
     "log_asymptotic_cost",
 ]
@@ -46,30 +44,15 @@ __all__ = [
 _VON_NEUMANN_WINDOW = 1e-12
 
 
-@dataclass(frozen=True)
-class PartitionAngles:
-    """Per-input-mode splitting weights for one bipartition of the outputs.
+def partition_angles(unitary: np.ndarray, cut: int) -> np.ndarray:
+    """Splitting weight ``cos_squared`` of each input mode across the cut after ``unitary``.
 
     ``cos_squared[j]`` is the probability that a photon entering mode ``j``
-    exits in one of the first ``cut`` output modes.
-    """
-
-    cut: int
-    cos_squared: np.ndarray
-
-    @property
-    def num_modes(self) -> int:
-        return len(self.cos_squared)
-
-
-def partition_angles(unitary: np.ndarray, cut: int) -> PartitionAngles:
-    """Splitting weights of each input mode across the cut after ``unitary``.
-
-    Row ``j`` of the mode unitary holds the output amplitudes of input mode
-    ``j``, so the left-of-cut weight is the squared norm of the first ``cut``
-    entries of that row.  Rows are normalized by their full squared norm so
-    that mildly non-unitary input (e.g. from accumulated rounding) still
-    yields weights in [0, 1].
+    exits in one of the first ``cut`` output modes. Row ``j`` of the mode
+    unitary holds the output amplitudes of input mode ``j``, so that weight
+    is the squared norm of the first ``cut`` entries of the row.  Rows are
+    normalized by their full squared norm so that mildly non-unitary input
+    (e.g. from accumulated rounding) still yields weights in [0, 1].
     """
     u = np.asarray(unitary)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -82,7 +65,7 @@ def partition_angles(unitary: np.ndarray, cut: int) -> PartitionAngles:
     if np.any(totals <= 0.0):
         raise ValueError("matrix has a zero row; cannot normalize")
     cos2 = weights[:, :cut].sum(axis=1) / totals
-    return PartitionAngles(cut=cut, cos_squared=np.clip(cos2, 0.0, 1.0))
+    return np.clip(cos2, 0.0, 1.0)
 
 
 def binomial_spectrum(n: int, p: float) -> np.ndarray:
@@ -145,7 +128,7 @@ def normalized_renyi(p: np.ndarray, alpha: float) -> float:
 
 def lossless_ee(
     occupations: tuple[int, ...] | list[int],
-    angles: PartitionAngles,
+    cos_squared: np.ndarray,
     alpha: float,
 ) -> float:
     """Collision-free pure-state entropy of a mode bipartition, in bits.
@@ -159,7 +142,7 @@ def lossless_ee(
     """
     _check_order(alpha)
     total = 0.0
-    for n, c2 in zip(occupation_pattern(occupations, angles.num_modes), angles.cos_squared):
+    for n, c2 in zip(occupation_pattern(occupations, len(cos_squared)), cos_squared):
         if n > 0:
             total += distribution_renyi(binomial_spectrum(n, float(c2)), alpha)
     return total
@@ -214,7 +197,7 @@ def lossy_mode_spectrum(cos_squared: float, mu: float) -> np.ndarray:
 
 
 def lossy_mpo_ee(
-    angles: PartitionAngles,
+    cos_squared: np.ndarray,
     mu: float,
     alpha: float,
     num_photons: int,
@@ -231,13 +214,13 @@ def lossy_mpo_ee(
     _check_order(alpha)
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
-    if not 0 <= num_photons <= angles.num_modes:
+    if not 0 <= num_photons <= len(cos_squared):
         raise ValueError(
-            f"num_photons must be in [0, {angles.num_modes}], got {num_photons}"
+            f"num_photons must be in [0, {len(cos_squared)}], got {num_photons}"
         )
     total = 0.0
     for j in range(num_photons):
-        spectrum = lossy_mode_spectrum(float(angles.cos_squared[j]), mu)
+        spectrum = lossy_mode_spectrum(float(cos_squared[j]), mu)
         total += distribution_renyi(spectrum, alpha)
     return total
 
@@ -272,17 +255,6 @@ def asymptotic_scaling(gamma: float, alpha: float) -> ScalingLaw:
     return ScalingLaw(exponent=1.0 - 2.0 * (1.0 - gamma) * alpha, has_log_factor=False)
 
 
-def naive_cost(num_photons: int, mu: float, cost_base: float) -> float:
-    """Expected brute-force sampling cost for a lossy single-photon source.
-
-    Each of the ``num_photons`` sources independently delivers its photon
-    with probability ``mu``; an outcome with ``k`` survivors costs
-    ``cost_base**k`` to process, so the expected cost is the binomial
-    average ``(1 + mu * (cost_base - 1)) ** num_photons``.
-    """
-    return math.exp(log_naive_cost(num_photons, mu, cost_base))
-
-
 def _check_cost_args(num_photons: int, mu: float, cost_base: float) -> None:
     if num_photons < 0:
         raise ValueError(f"num_photons must be nonnegative, got {num_photons}")
@@ -293,7 +265,14 @@ def _check_cost_args(num_photons: int, mu: float, cost_base: float) -> None:
 
 
 def log_naive_cost(num_photons: int, mu: float, cost_base: float) -> float:
-    """Natural log of :func:`naive_cost`, safe for large photon numbers."""
+    """Natural log of the expected brute-force sampling cost of a lossy single-photon source.
+
+    Each of the ``num_photons`` sources independently delivers its photon
+    with probability ``mu``; an outcome with ``k`` survivors costs
+    ``cost_base**k`` to process, so the expected cost is the binomial
+    average ``(1 + mu * (cost_base - 1)) ** num_photons``. Its log is
+    returned, which stays finite for large photon numbers.
+    """
     _check_cost_args(num_photons, mu, cost_base)
     return num_photons * math.log1p(mu * (cost_base - 1.0))
 

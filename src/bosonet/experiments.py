@@ -703,9 +703,9 @@ def _analytic_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> 
     def run_unit(point_index: int, c: int, m: int, n: int, loss) -> UnitOutput:
         budget.check()
         plan = sample_haar_circuit(m, circuit_rng(config.seed, point_index, c))
-        angles = partition_angles(circuit_to_unitary(plan), m // 2)
+        cos_squared = partition_angles(circuit_to_unitary(plan), m // 2)
         return [{"config_hash": digest, "M": m, "N": n, **loss, "alpha": alpha,
-                 "circuit": c, "ee": lossy_mpo_ee(angles, loss["mu"], alpha, n)}
+                 "circuit": c, "ee": lossy_mpo_ee(cos_squared, loss["mu"], alpha, n)}
                 for alpha in config.alphas], {}
 
     record = _run_units(config, digest, columns, run_unit)
@@ -844,8 +844,8 @@ def _oracle_recipe(config: ExperimentConfig, digest: str, budget: _Budget) -> Ru
         state = _build_state(m, n, {}, plan, exact_policy)
         dense = dense_evolve(occ_in, plan)
         checks["amplitude"] = max(
-            abs(mps.amplitude(state, occ) - dense.amplitude(occ))
-            for occ in dense.basis
+            abs(mps.amplitude(state, occ) - complex(a))
+            for occ, a in zip(dense.basis, dense.amplitudes)
         )
         checks["completeness"] = abs(
             sum(mps.probability(state, occ) for occ in dense.basis) - 1.0

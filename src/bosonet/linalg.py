@@ -8,11 +8,11 @@ so that failures surface as explicit errors instead of silently corrupted
 tensors. ``svd_unchecked`` is the one SVD core: it leaves the finiteness
 check and numpy's error state (``gesdd_errors``), which turns a gesdd that
 does not converge into ``LinAlgError``, to its caller, because both cost
-about as much as gesdd itself on a small sector. ``svd`` is that core with
-its input checks and its own error state; ``chain.two_site_update`` checks
-its Phi buffer and row weights once and holds one error state around all of
-an update's SVDs. Nothing here inverts singular values: the tensor trains
-store right-canonical site tensors, so no update needs a division cutoff.
+about as much as gesdd itself on a small sector: ``chain.two_site_update``
+checks its Phi buffer and row weights once and holds one error state around
+all of an update's SVDs. Nothing here inverts singular values: the tensor
+trains store right-canonical site tensors, so no update needs a division
+cutoff.
 
 ``single_blas_thread`` runs a block with numpy's OpenBLAS on one thread: the
 last bits of a large block product depend on the thread count, and on a
@@ -43,15 +43,6 @@ class NumericalFailure(RuntimeError):
 
 class DegradedStateError(RuntimeError):
     """A state has lost too much weight to support the requested operation."""
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD ``m = left @ diag(singular_values) @ right_conj``."""
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    right_conj: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -89,28 +80,6 @@ class TruncationOutcome:
         order = np.argsort(-pooled, kind="stable")
         return [(self.groups[g][0], v) for g, v in zip(group[order].tolist(),
                                                         pooled[order].tolist())]
-
-
-def svd(m: np.ndarray) -> SvdResult:
-    """Thin SVD with singular values sorted in descending order.
-
-    A real matrix gets a real (float64) decomposition, a complex one a
-    complex128 one. This is ``svd_unchecked`` inside its own
-    ``gesdd_errors`` state, after the checks it leaves to its caller: raises
-    ValueError for an input that is not a nonempty 2-d matrix of finite
-    entries, and NumericalFailure if neither gesdd nor gesvd converges.
-    """
-    a = np.asarray(m)
-    if a.dtype != np.complex128 and a.dtype != np.float64:
-        a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        raise ValueError("matrix must be nonempty")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
-    with gesdd_errors():
-        return SvdResult(*svd_unchecked(a))
 
 
 # numpy's gufunc signatures for a float64 and a complex128 matrix.

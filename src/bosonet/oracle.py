@@ -139,12 +139,6 @@ class DenseFockState:
     basis: list[tuple[int, ...]]
     amplitudes: np.ndarray
 
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {occ: i for i, occ in enumerate(self.basis)}
-
-    def amplitude(self, occ: tuple[int, ...]) -> complex:
-        return complex(self.amplitudes[self.index()[tuple(occ)]])
-
 
 def dense_evolve(occupations: tuple[int, ...], plan: CircuitPlan) -> DenseFockState:
     """Evolve a Fock basis state through the circuit in the full photon sector."""

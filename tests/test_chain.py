@@ -342,9 +342,10 @@ def test_a_non_finite_phi_fails_the_update_and_leaves_the_state_as_it_was(kind):
 
 @pytest.mark.parametrize("kind", ["mps", "mpo"])
 def test_updates_through_the_gesvd_fallback_match_gesdd(monkeypatch, kind):
-    # scipy's gesvd returns Fortran-ordered factors; svd hands them on
-    # C-contiguous, so the rebuild slices the rows of V^dag with the layout
-    # gesdd gives, and the evolution agrees with gesdd's.
+    # scipy's gesvd returns Fortran-ordered factors; the SVD core hands them
+    # on C-contiguous (test_svd_falls_back_to_gesvd), so the rebuild slices
+    # the rows of V^dag with the layout gesdd gives, and the evolution agrees
+    # with gesdd's.
     plan = sample_haar_circuit(6, np.random.default_rng(11))
     policy = TruncationPolicy(chi_max=64)
 
@@ -359,9 +360,6 @@ def test_updates_through_the_gesvd_fallback_match_gesdd(monkeypatch, kind):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(linalg, "_gesdd", diverge)
-    rng = np.random.default_rng(2)
-    result = linalg.svd(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
-    assert result.left.flags.c_contiguous and result.right_conj.flags.c_contiguous
     gesvd_calls = count_gesvd(monkeypatch)
     sectors = count_centers(monkeypatch)
     fallback = evolve()

@@ -330,6 +330,28 @@ def test_compare_outputs_refuses_runs_without_tables(tmp_path, capsys):
         assert f"{name}/results.csv is missing" in out
 
 
+def test_compare_outputs_prints_each_module_whose_line_count_differs(tmp_path, capsys):
+    """Besides the total, ``compare`` prints every module whose line count differs
+    and every module that only one build has; the exit code does not change."""
+    compare = load_by_path(ROOT / "scripts" / "compare_outputs.py")
+    first, second = tmp_path / "a", tmp_path / "b"
+    first.mkdir()
+    second.mkdir()
+    without = compare.compare(first, second)
+    capsys.readouterr()
+    (first / "src_lines.json").write_text(json.dumps(
+        {"chain.py": 570, "linalg.py": 263, "snapshots.py": 190}))
+    (second / "src_lines.json").write_text(json.dumps(
+        {"chain.py": 570, "layout.py": 457, "linalg.py": 229}))
+    assert compare.compare(first, second) == without
+    out = capsys.readouterr().out
+    assert "src lines: 1023 vs 1256 (+233)\n" in out
+    assert "  linalg.py: 263 -> 229 (-34)\n" in out
+    assert "  snapshots.py: 190 only in the first\n" in out
+    assert "  layout.py: 457 only in the second\n" in out
+    assert "chain.py" not in out
+
+
 #: A value other than the recipe doc's of each hashed optional field, and the
 #: fields it replaces: ``loss`` and ``gammas``/``betas`` are two spellings of
 #: one loss description.  ``weight_threshold`` is hashed, always as null, but is
