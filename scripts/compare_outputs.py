@@ -29,8 +29,11 @@ file that differs it prints the largest deviation of every float column, or,
 where the two differ only in their line ends (``\r\n`` against ``\n``), says
 so. It exits 1 if anything differs, a line-end-only difference included. It
 also prints both builds' total line counts and their difference, and each
-module whose count differs or that only one build has, for information:
-they do not change the exit code.
+module whose count differs or that only one build has, and each build's
+OpenBLAS kernel (``blas.kernel`` of its runs' ``meta.json``, ``None`` where
+a run records none), with a warning when both builds record their kernels
+and these differ, since another kernel moves the last bits of most tables.
+These are for information: they do not change the exit code.
 
 Both commands exit 1 at once, naming the directory they searched, when this
 checkout's ``configs/`` holds no ``*.json``: without it, a run would leave out
@@ -265,10 +268,23 @@ def _print_src_lines(a: dict[str, int] | None, b: dict[str, int] | None) -> None
             print(f"  {name}: {a[name]} -> {b[name]} ({b[name] - a[name]:+d})")
 
 
+def _kernels(directory: Path) -> set[str | None]:
+    """The ``blas.kernel`` of every run under ``directory``; None for a run
+    that records none."""
+    return {(json.loads(meta.read_text()).get("blas") or {}).get("kernel")
+            for meta in directory.glob("*/meta.json")}
+
+
 def compare(first: Path, second: Path) -> int:
     if _missing_paper_configs():
         return 1
     _print_src_lines(_read_src_lines(first), _read_src_lines(second))
+    kernels = _kernels(first), _kernels(second)
+    print("blas kernel: " + " vs ".join(", ".join(sorted(map(str, k))) or "no run"
+                                        for k in kernels))
+    if all(kernels) and kernels[0] != kernels[1] and None not in kernels[0] | kernels[1]:
+        print("warning: the builds ran on different OpenBLAS kernels, "
+              "which move the last bits of most tables")
     differ = _compare(f"{first} vs {second}", _tables(first), _tables(second))
     for directory in (first, second):
         for name, _, resumable in CONFIGS:

@@ -5,9 +5,13 @@ of the output modes splits each photon independently: photon ``j`` ends up on
 the left of the cut with some weight ``cos^2(theta_j)`` and on the right with
 ``sin^2(theta_j)``.  Both the pure-state Schmidt spectrum and the vectorized
 mixed-state spectrum then factor over photons, so bipartite entropies reduce
-to sums of small closed-form per-photon terms.  This module evaluates those
-terms, the scaling laws they imply for uniformly lossy sources, and the cost
-model for brute-force sampling that the scaling laws are compared against.
+to sums of small closed-form per-photon terms.  This module holds the closed
+forms that a run reads: the splitting weights of the input modes at a cut
+(``partition_angles``), the per-photon spectrum of the vectorized state under
+uniform loss (``lossy_mode_spectrum``) and its entropy summed over photons
+(``lossy_mpo_ee``, the ``analytic-ee`` recipe), the scaling laws these imply,
+and the cost model for brute-force sampling that the scaling laws are
+compared against.  The pure-state (binomial) closed form is a test reference.
 
 Entropies are in bits throughout (base-2 logarithms). ``normalized_renyi`` is
 the one place a Renyi order is read, for these closed forms and for the
@@ -23,16 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import occupation_pattern
-
 __all__ = [
     "ScalingLaw",
     "partition_angles",
-    "binomial_spectrum",
     "distribution_renyi",
     "normalized_renyi",
-    "lossless_ee",
-    "lossy_mode_operator",
     "lossy_mode_spectrum",
     "lossy_mpo_ee",
     "asymptotic_scaling",
@@ -66,17 +65,6 @@ def partition_angles(unitary: np.ndarray, cut: int) -> np.ndarray:
         raise ValueError("matrix has a zero row; cannot normalize")
     cos2 = weights[:, :cut].sum(axis=1) / totals
     return np.clip(cos2, 0.0, 1.0)
-
-
-def binomial_spectrum(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) probabilities for k = 0..n."""
-    from scipy import stats  # here, not at module level: its import takes about a second
-
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    return stats.binom.pmf(np.arange(n + 1), n, p)
 
 
 def distribution_renyi(probs: np.ndarray, alpha: float) -> float:
@@ -126,39 +114,21 @@ def normalized_renyi(p: np.ndarray, alpha: float) -> float:
                  - math.log2(((p / p_max) ** alpha).sum()) / (alpha - 1.0))
 
 
-def lossless_ee(
-    occupations: tuple[int, ...] | list[int],
-    cos_squared: np.ndarray,
-    alpha: float,
-) -> float:
-    """Collision-free pure-state entropy of a mode bipartition, in bits.
-
-    The ``N_j`` photons entering mode ``j`` scatter independently across the
-    cut, so the left-of-cut photon count in that photon group is
-    Binomial(``N_j``, ``cos_squared[j]``) and the Schmidt spectrum is the
-    product of those binomials.  Renyi entropies are therefore additive over
-    input modes; empty modes contribute nothing. The occupations are checked
-    by ``circuit.occupation_pattern``.
-    """
-    _check_order(alpha)
-    total = 0.0
-    for n, c2 in zip(occupation_pattern(occupations, len(cos_squared)), cos_squared):
-        if n > 0:
-            total += distribution_renyi(binomial_spectrum(n, float(c2)), alpha)
-    return total
-
-
-def lossy_mode_operator(cos_squared: float, mu: float) -> np.ndarray:
-    """Unnormalized 4x4 cross-cut Gram matrix for one lossy photon.
+def lossy_mode_spectrum(cos_squared: float, mu: float) -> np.ndarray:
+    """Normalized per-photon spectrum of the vectorized state across a cut.
 
     A photon prepared with survival probability ``mu`` and split with
     left-of-cut weight ``cos_squared`` contributes a vectorized operator
     whose halves on either side of the cut span at most four states: the
     doubled vacuum, the two single-sided coherences, and the doubled
-    single-photon component.  In that basis the Gram matrix is a 2x2 block
-    on the (vacuum, doubled-photon) pair plus two degenerate coherence
-    diagonals; its eigenvalues are the per-photon spectrum of the vectorized
-    state across the cut.
+    single-photon component.  In that basis the cross-cut Gram matrix is the
+    2x2 block ``[[a, b], [b, d]]`` on the (vacuum, doubled-photon) pair plus
+    two coherence diagonals ``off``; its eigenvalues, in closed form, are the
+    per-photon spectrum.  The block's determinant ``a * d - b * b`` is
+    ``off**2`` exactly, so its small root is ``off**2`` over the large one,
+    with no cancellation; the large root is positive, as ``a + d > 0`` for
+    every ``mu`` in [0, 1].  The four values are normalized to sum to one and
+    returned in descending order.
     """
     if not 0.0 <= cos_squared <= 1.0:
         raise ValueError(f"cos_squared must be in [0, 1], got {cos_squared}")
@@ -166,31 +136,12 @@ def lossy_mode_operator(cos_squared: float, mu: float) -> np.ndarray:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
     c2 = cos_squared
     s2 = 1.0 - cos_squared
-    op = np.zeros((4, 4))
-    op[0, 0] = (1.0 - mu) ** 2 + mu**2 * s2**2
-    op[0, 3] = op[3, 0] = (1.0 - mu) * mu * c2
-    op[3, 3] = mu**2 * c2**2
-    op[1, 1] = op[2, 2] = mu**2 * s2 * c2
-    return op
-
-
-def lossy_mode_spectrum(cos_squared: float, mu: float) -> np.ndarray:
-    """Normalized per-photon spectrum of the vectorized state across a cut.
-
-    Closed-form eigenvalues of :func:`lossy_mode_operator`: the 2x2 block is
-    diagonalized via its trace and determinant (the small root is recovered
-    as ``det / large_root`` for stability), and the two coherence entries are
-    already diagonal.  The four values are normalized to sum to one and
-    returned in descending order.
-    """
-    op = lossy_mode_operator(cos_squared, mu)
-    a, d, b = op[0, 0], op[3, 3], op[0, 3]
-    trace = a + d
-    det = a * d - b * b
-    half_gap = math.hypot((a - d) / 2.0, b)
-    hi = trace / 2.0 + half_gap
-    lo = max(det / hi, 0.0) if hi > 0.0 else 0.0
-    off = op[1, 1]
+    a = (1.0 - mu) ** 2 + mu**2 * s2**2
+    d = mu**2 * c2**2
+    b = (1.0 - mu) * mu * c2
+    off = mu**2 * s2 * c2
+    hi = (a + d) / 2.0 + math.hypot((a - d) / 2.0, b)
+    lo = off * off / hi
     spectrum = np.array([hi, lo, off, off])
     norm = (1.0 - mu) ** 2 + mu**2
     return np.sort(spectrum / norm)[::-1]

@@ -477,9 +477,11 @@ def _recorded_output(path: Path, digest: str, unit: tuple, columns: list[str]
     or is not such a record: JSON written by this bosonet version, naming this
     ``digest`` and the unit's point and circuit, whose rows are a list of objects
     keyed by some of ``columns`` with string, integer or finite float values, and
-    whose tables map file names to ``[columns, rows, comments]``.  A record is
-    read as outside input: a file cut short, another build's, another run's or
-    another program's is ignored, and its unit runs."""
+    whose tables map ``timings.csv`` or the unit's own ``samples_c<circuit>.csv``
+    to ``[columns, rows, comments]``, every comment key and value on one line.
+    A record is read as outside input: a file cut short, another build's,
+    another run's or another program's is ignored, and its unit runs.  A number
+    too large for a float, which JSON reads as inf, is not finite either."""
     def refuse(constant: str):
         raise ValueError(f"{constant} is not JSON")
 
@@ -489,7 +491,12 @@ def _recorded_output(path: Path, digest: str, unit: tuple, columns: list[str]
         return None
 
     def scalars(values) -> bool:
-        return all(type(v) in (str, int, float) for v in values)
+        return all(type(v) in (str, int) or type(v) is float and math.isfinite(v)
+                   for v in values)
+
+    def one_line(comments: dict) -> bool:
+        return not any(brk in str(item) for item in (*comments, *comments.values())
+                       for brk in "\r\n")
 
     def table_rows(rows, keys) -> bool:
         return isinstance(rows, list) and all(
@@ -502,11 +509,14 @@ def _recorded_output(path: Path, digest: str, unit: tuple, columns: list[str]
             == [(int, index) for index in unit[:2]]
             and table_rows(doc.get("rows"), columns) and isinstance(doc.get("tables"), dict)):
         return None
-    for table in doc["tables"].values():
-        if not (isinstance(table, list) and len(table) == 3 and isinstance(table[0], list)
+    names = {"timings.csv", f"samples_c{unit[1]}.csv"}
+    for name, table in doc["tables"].items():
+        if not (name in names and isinstance(table, list) and len(table) == 3
+                and isinstance(table[0], list)
                 and all(isinstance(column, str) for column in table[0])
                 and table_rows(table[1], table[0])
-                and isinstance(table[2], dict) and scalars(table[2].values())):
+                and isinstance(table[2], dict) and scalars(table[2].values())
+                and one_line(table[2])):
             return None
     return doc["rows"], {name: tuple(table) for name, table in doc["tables"].items()}
 

@@ -130,7 +130,9 @@ def svd_unchecked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @cache
 def _openblas_threads():
-    """(get, set) thread-count functions of numpy's OpenBLAS, or None.
+    """(get, set) thread-count functions of numpy's OpenBLAS and the name of the
+    kernel it runs (``"SkylakeX"``, say; None where the library exports no
+    corename function), or None.
 
     This process's memory map names the library numpy loaded, and ctypes
     calls that library's own functions. None where the map cannot be read or
@@ -150,7 +152,11 @@ def _openblas_threads():
             if get is not None and set_ is not None:
                 get.restype = ctypes.c_int
                 set_.argtypes = [ctypes.c_int]
-                return get, set_
+                kernel, corename = None, getattr(lib, f"{prefix}_get_corename{suffix}", None)
+                if corename is not None:
+                    corename.restype = ctypes.c_char_p
+                    kernel = corename().decode()
+                return get, set_, kernel
     return None
 
 
@@ -158,19 +164,21 @@ def _openblas_threads():
 def single_blas_thread() -> Iterator[dict[str, Any] | None]:
     """Run the block with numpy's OpenBLAS on one thread, then restore the count.
 
-    Yields ``{"vendor": "OpenBLAS", "threads": n}``, n the count the block
-    runs with, or None, and changes nothing, if no OpenBLAS is found. The
-    count is process-wide: another thread's BLAS calls see it too.
+    Yields ``{"vendor": "OpenBLAS", "kernel": k, "threads": n}``, k the
+    kernel OpenBLAS chose for this CPU (or None, see ``_openblas_threads``) and
+    n the count the block runs with, or None, and changes nothing, if no
+    OpenBLAS is found. The count is process-wide: another thread's BLAS calls
+    see it too.
     """
     functions = _openblas_threads()
     if functions is None:
         yield None
         return
-    get, set_ = functions
+    get, set_, kernel = functions
     before = get()
     set_(1)
     try:
-        yield {"vendor": "OpenBLAS", "threads": get()}
+        yield {"vendor": "OpenBLAS", "kernel": kernel, "threads": get()}
     finally:
         set_(before)
 

@@ -12,7 +12,11 @@ value on every call (``reference_truncate_global``), the read of rho's diagonal 
 walk over every boundary sector (``all_sector_marginal``), and, built on
 ``bosonet.oracle``, the exact lossless output distribution, ``matrix_element``
 of a density operator, and the operator-space spectra of a lossy state, both
-of the charge-resolved object the train stores and of rho itself.
+of the charge-resolved object the train stores and of rho itself.  The closed
+forms that no run reads live here too: the binomial spectrum
+(``binomial_spectrum``), the collision-free pure-state entropy built from it
+(``lossless_ee``), and the 4x4 matrix whose eigenvalues
+``entropy.lossy_mode_spectrum`` gives in closed form (``lossy_mode_operator``).
 """
 
 import itertools
@@ -22,7 +26,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from bosonet import chain, experiments, sampling
+from bosonet import chain, entropy, experiments, sampling
 from bosonet.circuit import CircuitPlan, occupation_pattern, sample_haar_circuit
 from bosonet.linalg import RANK_CUTOFF, NumericalFailure
 from bosonet.mpo import MpoState, trace_labels
@@ -345,3 +349,55 @@ def dense_lossy_plain_spectrum(
     object; the two agree only when a single sector carries weight.
     """
     return _normalized_spectrum(sum(_lossy_sector_operators(plan, num_photons, mu, cut)))
+
+
+def binomial_spectrum(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) probabilities for k = 0..n."""
+    from scipy import stats  # here, not at module level: its import takes about a second
+
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    return stats.binom.pmf(np.arange(n + 1), n, p)
+
+
+def lossless_ee(
+    occupations: tuple[int, ...] | list[int],
+    cos_squared: np.ndarray,
+    alpha: float,
+) -> float:
+    """Collision-free pure-state entropy of a mode bipartition, in bits.
+
+    The ``N_j`` photons entering mode ``j`` scatter independently across the
+    cut, so the left-of-cut photon count in that photon group is
+    Binomial(``N_j``, ``cos_squared[j]``) and the Schmidt spectrum is the
+    product of those binomials.  Renyi entropies are therefore additive over
+    input modes; empty modes contribute nothing. The order is checked up
+    front, the occupations by ``circuit.occupation_pattern``.
+    """
+    entropy._check_order(alpha)
+    total = 0.0
+    for n, c2 in zip(occupation_pattern(occupations, len(cos_squared)), cos_squared):
+        if n > 0:
+            total += entropy.distribution_renyi(binomial_spectrum(n, float(c2)), alpha)
+    return total
+
+
+def lossy_mode_operator(cos_squared: float, mu: float) -> np.ndarray:
+    """The 4x4 cross-cut Gram matrix of one lossy photon whose eigenvalues
+    ``entropy.lossy_mode_spectrum`` gives in closed form (before normalizing):
+    in the basis (doubled vacuum, two single-sided coherences, doubled photon),
+    a 2x2 block on the first and last states plus two coherence diagonals."""
+    if not 0.0 <= cos_squared <= 1.0:
+        raise ValueError(f"cos_squared must be in [0, 1], got {cos_squared}")
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"mu must be in [0, 1], got {mu}")
+    c2 = cos_squared
+    s2 = 1.0 - cos_squared
+    op = np.zeros((4, 4))
+    op[0, 0] = (1.0 - mu) ** 2 + mu**2 * s2**2
+    op[0, 3] = op[3, 0] = (1.0 - mu) * mu * c2
+    op[3, 3] = mu**2 * c2**2
+    op[1, 1] = op[2, 2] = mu**2 * s2 * c2
+    return op

@@ -42,7 +42,6 @@ from bosonet.circuit import (
 )
 from bosonet.entropy import (
     asymptotic_scaling,
-    binomial_spectrum,
     distribution_renyi,
     log_naive_cost,
     lossy_mpo_ee,
@@ -56,7 +55,7 @@ from bosonet.oracle import (
     exact_prob,
 )
 
-from helpers import exact_lossless_distribution
+from helpers import binomial_spectrum, exact_lossless_distribution
 
 FULL_RANK = TruncationPolicy(chi_max=100_000)
 REFERENCE_MAX_EE = Path(__file__).resolve().parents[1] / "perfbench" / "reference_max_ee.json"

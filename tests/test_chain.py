@@ -30,10 +30,10 @@ from hypothesis import strategies as st
 
 from bosonet import chain, linalg, mpo, mps, sampling
 from bosonet.circuit import BeamSplitterGate, circuit_to_unitary, fock_gate, sample_haar_circuit
-from bosonet.entropy import lossless_ee, partition_angles
+from bosonet.entropy import partition_angles
 from bosonet.linalg import RANK_CUTOFF, TruncationPolicy
 
-from helpers import count_centers, count_gesvd, matrix_element
+from helpers import count_centers, count_gesvd, lossless_ee, matrix_element
 
 TOL = 1e-10
 

@@ -492,11 +492,13 @@ class TestStaleOutputs:
 
 
 def _rewrite(edit):
-    """A plant that rewrites a record's JSON with ``edit(doc)`` applied."""
+    """A plant that rewrites a record's JSON with ``edit(doc)`` applied.  A string
+    ``"1e999"`` is written as that bare number, which JSON reads as inf and which
+    ``json.dumps`` cannot write."""
     def plant(path):
         doc = json.loads(path.read_text())
         edit(doc)
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc).replace('"1e999"', "1e999"))
     return plant
 
 
@@ -570,6 +572,18 @@ class TestCheckpointResume:
                      id="table-of-two-parts"),
         pytest.param(lambda doc: doc.update(tables={"timings.csv": [["M"], [{"N": 2}], {}]}),
                      id="table-row-off-its-columns"),
+        pytest.param(lambda doc: doc["rows"][0].update(trace="1e999"),
+                     id="row-with-an-overflowing-number"),
+        # A table name other than timings.csv or the unit's own samples file.
+        pytest.param(lambda doc: doc.update(tables={"results.csv": [["M"], [], {}]}),
+                     id="table-named-results.csv"),
+        pytest.param(lambda doc: doc.update(tables={"../escaped.csv": [["M"], [], {}]}),
+                     id="table-outside-out_dir"),
+        pytest.param(lambda doc: doc.update(tables={"": [["M"], [], {}]}),
+                     id="table-with-an-empty-name"),
+        pytest.param(lambda doc: doc.update(
+            tables={"timings.csv": [["M"], [], {"k": "v\ninjected"}]}),
+            id="table-comment-with-a-line-break"),
     ])
     def test_checkpoint_with_malformed_progress_is_ignored(self, tmp_path, monkeypatch, edit):
         def both(doc):
@@ -640,8 +654,8 @@ class TestInstalledEntryPoint:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """scipy.stats and scipy.linalg load only where they run: in
-    ``entropy.binomial_spectrum`` and in the SVD fallback."""
+    """scipy.linalg loads only where it runs, in the SVD fallback, and no
+    bosonet module imports scipy.stats."""
     code = ("import sys, bosonet.cli; "
             "print([m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(Path(bosonet.__file__).resolve().parents[1]))

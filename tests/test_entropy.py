@@ -15,12 +15,9 @@ from bosonet.circuit import (
 )
 from bosonet.entropy import (
     asymptotic_scaling,
-    binomial_spectrum,
     distribution_renyi,
     log_asymptotic_cost,
     log_naive_cost,
-    lossless_ee,
-    lossy_mode_operator,
     lossy_mode_spectrum,
     lossy_mpo_ee,
     normalized_renyi,
@@ -29,7 +26,13 @@ from bosonet.entropy import (
 from bosonet.linalg import TruncationPolicy
 from bosonet.oracle import dense_evolve, dense_reduced_spectrum
 
-from helpers import dense_lossy_plain_spectrum, dense_lossy_vectorized_spectrum
+from helpers import (
+    binomial_spectrum,
+    dense_lossy_plain_spectrum,
+    dense_lossy_vectorized_spectrum,
+    lossless_ee,
+    lossy_mode_operator,
+)
 
 ALPHAS = (0.0, 0.5, 1.0, 2.0, 3.0)
 
@@ -261,6 +264,21 @@ def test_lossy_mode_spectrum_matches_eigendecomposition():
             assert np.allclose(closed, direct / norm, atol=1e-12)
             assert closed.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(closed >= 0)
+
+
+def test_lossy_mode_small_root_is_the_coherence_squared_over_the_large_root():
+    # The 2x2 block's determinant a*d - b*b is off**2 exactly; the spectrum
+    # takes its small root as off**2 / hi, not from the cancelling difference.
+    for c2 in np.linspace(0.0, 1.0, 21).tolist():
+        for mu in np.linspace(0.0, 1.0, 21).tolist():
+            s2 = 1.0 - c2
+            a = (1.0 - mu) ** 2 + mu**2 * s2**2
+            d = mu**2 * c2**2
+            b = (1.0 - mu) * mu * c2
+            off = mu**2 * s2 * c2
+            hi = (a + d) / 2.0 + math.hypot((a - d) / 2.0, b)
+            expected = np.array([hi, off * off / hi, off, off]) / ((1.0 - mu) ** 2 + mu**2)
+            assert np.array_equal(lossy_mode_spectrum(c2, mu), np.sort(expected)[::-1]), (c2, mu)
 
 
 def test_lossy_full_transmission_doubles_pure_entropy():

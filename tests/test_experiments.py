@@ -352,6 +352,39 @@ def test_compare_outputs_prints_each_module_whose_line_count_differs(tmp_path, c
     assert "chain.py" not in out
 
 
+def test_compare_outputs_prints_each_builds_kernel_and_warns_when_they_differ(tmp_path, capsys):
+    """``compare`` prints the ``blas.kernel`` of each build's runs and warns when
+    both record one and they differ; the exit code does not change."""
+    compare = load_by_path(ROOT / "scripts" / "compare_outputs.py")
+
+    def build(name, *kernels):
+        for index, kernel in enumerate(kernels):
+            run_dir = tmp_path / name / f"run{index}"
+            run_dir.mkdir(parents=True)
+            blas = {"vendor": "OpenBLAS", "threads": 1}
+            if kernel is not None:
+                blas["kernel"] = kernel
+            (run_dir / "meta.json").write_text(json.dumps({"blas": blas}))
+        return tmp_path / name
+
+    skylake, haswell = build("a", "SkylakeX", "SkylakeX"), build("b", "SkylakeX", "Haswell")
+    unrecorded, empty = build("c", None), build("d")
+    empty.mkdir()
+    without = compare.compare(empty, empty)
+    warning = "warning: the builds ran on different OpenBLAS kernels"
+    for first, second, line, warns in [
+        (skylake, skylake, "blas kernel: SkylakeX vs SkylakeX\n", False),
+        (skylake, haswell, "blas kernel: SkylakeX vs Haswell, SkylakeX\n", True),
+        (unrecorded, skylake, "blas kernel: None vs SkylakeX\n", False),
+        (empty, skylake, "blas kernel: no run vs SkylakeX\n", False),
+    ]:
+        capsys.readouterr()
+        assert compare.compare(first, second) == without
+        out = capsys.readouterr().out
+        assert line in out
+        assert (warning in out) == warns
+
+
 #: A value other than the recipe doc's of each hashed optional field, and the
 #: fields it replaces: ``loss`` and ``gammas``/``betas`` are two spellings of
 #: one loss description.  ``weight_threshold`` is hashed, always as null, but is
@@ -1464,7 +1497,7 @@ needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="numpy's OpenBLAS n
 @pytest.fixture
 def caller_threads():
     """numpy's OpenBLAS set to 2 threads for the test, and back afterwards."""
-    get, set_ = OPENBLAS
+    get, set_, _ = OPENBLAS
     before = get()
     set_(2)
     yield 2
@@ -1499,7 +1532,7 @@ def test_run_pins_one_blas_thread_and_restores_the_callers_count(
     record = run(config_from_dict(make_doc(**overrides)))
     assert record.status == status
     assert seen == [1]
-    assert record.blas == {"vendor": "OpenBLAS", "threads": 1}
+    assert record.blas == {"vendor": "OpenBLAS", "kernel": OPENBLAS[2], "threads": 1}
     assert OPENBLAS[0]() == caller_threads
 
 
@@ -1510,6 +1543,21 @@ def test_run_restores_the_callers_count_after_a_foreign_exception(monkeypatch, c
         run(config_from_dict(make_doc()))
     assert seen == [1]
     assert OPENBLAS[0]() == caller_threads
+
+
+@pytest.mark.skipif(OPENBLAS is None or OPENBLAS[2] is None or os.uname().machine != "x86_64",
+                    reason="needs an x86-64 OpenBLAS that names its kernel")
+def test_meta_names_the_kernel_openblas_runs(tmp_path):
+    """``meta.json``'s ``blas.kernel`` is the kernel OpenBLAS runs, here the one
+    that ``OPENBLAS_CORETYPE`` makes it choose in a new process."""
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(make_doc(n_circuits=1)))
+    code = "import sys; from bosonet.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_CORETYPE="Sandybridge")
+    subprocess.run([sys.executable, "-c", code, "lossless-ee", "--config", str(config),
+                    "--out", str(tmp_path / "out")], env=env, check=True, capture_output=True)
+    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+    assert meta["blas"] == {"vendor": "OpenBLAS", "kernel": "Sandybridge", "threads": 1}
 
 
 @needs_openblas

@@ -1,4 +1,11 @@
-"""A pinned evolution reference: states that an earlier build stored, read bit for bit."""
+"""A pinned evolution reference: states that an earlier build stored, read bit for bit.
+
+The ``.npz`` bits were recorded on OpenBLAS's SkylakeX kernel, the one it picks
+on the recording host (``meta.json`` names a run's kernel under ``blas``).
+Another kernel moves the last bits of a truncated evolution: under
+``OPENBLAS_CORETYPE=Haswell`` both cases fail, on one bond value of the MPS
+and on the MPO's ``discarded_weight``, each in its last bit.
+"""
 
 import json
 from pathlib import Path
